@@ -49,7 +49,6 @@ from .fields import (
     zeta_partial_eval,
 )
 from .lfuncs import (
-    LFactor,
     LFactorization,
     RationalZeta,
     lfactorization_of,
@@ -64,7 +63,6 @@ from .verify import (
     SweepReport,
     VerificationReport,
     affine_family,
-    check_beilinson_soule,
     check_soule,
     flag_family,
     proj_family,

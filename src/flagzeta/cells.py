@@ -5,7 +5,10 @@ integers or of a finite field) by affine-space shifts, projective-space
 bundles, Grassmannian bundles, flag bundles, and disjoint unions.  Every
 node admits a decomposition into affine cells over its base, and that
 decomposition is the single piece of data both the K-theory side and the
-L-function side consume: a multiset of (base, dimension shift) pairs.
+L-function side consume: a signed multiset of (base, dimension shift)
+pairs, ``CellDecomposition``.  Read as a product of shifted base zeta
+functions it is also the L-function of the scheme, with its vanishing
+order at each integer.
 
 The number of d-dimensional cells of a flag bundle of type
 N = (n_1, ..., n_l) is the coefficient of q^d in the Gaussian
@@ -18,9 +21,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Union
 
-from .fields import BaseField, FiniteField, NumberField, base_sort_key
+from .fields import (
+    BaseField,
+    FiniteField,
+    NumberField,
+    base_sort_key,
+    finite_field,
+    ord_at_integer,
+)
 
 __all__ = [
     "QPolynomial",
@@ -266,7 +276,11 @@ class DisjointUnion(SchemeExpr):
 
 @dataclass(frozen=True)
 class Stratum:
-    """multiplicity copies of an affine cell of dimension shift over base."""
+    """multiplicity copies of an affine cell of dimension shift over base.
+
+    The multiplicity is any nonzero integer: a negative one subtracts the
+    cell, as open covers and excision do.
+    """
 
     base: BaseField
     shift: int
@@ -275,30 +289,81 @@ class Stratum:
     def __post_init__(self) -> None:
         if self.shift < 0:
             raise ValueError("cell dimension must be >= 0")
-        if self.multiplicity < 1:
-            raise ValueError("multiplicity must be >= 1")
+        if self.multiplicity == 0:
+            raise ValueError("multiplicity must be nonzero")
+
+    def __str__(self) -> str:
+        """The cell's L-factor L_base(s - shift)^multiplicity."""
+        arg = f"s-{self.shift}" if self.shift else "s"
+        body = f"L({self.base.label}, {arg})"
+        return body if self.multiplicity == 1 else f"{body}^{self.multiplicity}"
 
 
 @dataclass(frozen=True)
 class CellDecomposition:
-    """A canonical multiset of cells: sorted by base then shift, merged."""
+    """A class in the Grothendieck group spanned by the cells [base x A^d].
+
+    Canonical form: strata sorted by base then shift, multiplicities
+    merged, zero sums dropped; so equal classes compare equal.
+
+    A cell of dimension d over a base contributes L_base(s - d) to the
+    L-function, so the same class is the finite product
+
+        L(X, s) = prod L_base(s - shift)^multiplicity,
+
+    and it is spelled multiplicatively: ``*`` adds classes (multiplies
+    L-functions), ``/`` and ``inverse`` subtract them, ``one`` is the
+    empty class, ``ord_at`` is the vanishing order of the product and
+    ``str`` prints it.
+    """
 
     strata: tuple[Stratum, ...]
 
     @classmethod
     def build(cls, raw: Iterable[Stratum]) -> "CellDecomposition":
-        merged: dict[tuple, Stratum] = {}
         counts: dict[tuple, int] = {}
-        bases: dict[tuple, Stratum] = {}
+        bases: dict[tuple, BaseField] = {}
         for s in raw:
             key = (base_sort_key(s.base), s.shift)
             counts[key] = counts.get(key, 0) + s.multiplicity
-            bases[key] = s
+            bases[key] = s.base
         strata = tuple(
-            Stratum(bases[key].base, key[1], counts[key])
+            Stratum(bases[key], key[1], counts[key])
             for key in sorted(counts)
+            if counts[key]
         )
         return cls(strata)
+
+    @classmethod
+    def one(cls) -> "CellDecomposition":
+        return cls(())
+
+    @property
+    def factors(self) -> tuple[Stratum, ...]:
+        """The strata read as the factors of L(X, s)."""
+        return self.strata
+
+    def __mul__(self, other: "CellDecomposition") -> "CellDecomposition":
+        return CellDecomposition.build(self.strata + other.strata)
+
+    def inverse(self) -> "CellDecomposition":
+        return CellDecomposition(
+            tuple(Stratum(s.base, s.shift, -s.multiplicity) for s in self.strata)
+        )
+
+    def __truediv__(self, other: "CellDecomposition") -> "CellDecomposition":
+        return self * other.inverse()
+
+    def ord_at(self, k: int) -> int:
+        """Exact vanishing order of L(X, s) at s = k (negative at a pole)."""
+        total = 0
+        for s in self.strata:
+            if isinstance(s.base, NumberField):
+                total += s.multiplicity * ord_at_integer(s.base, k - s.shift)
+            elif k == s.shift:
+                # 1/(1 - q^(-(s - shift))) has its only integer pole at s = shift
+                total -= s.multiplicity
+        return total
 
     def shifted(self, d: int) -> "CellDecomposition":
         return CellDecomposition(
@@ -325,6 +390,9 @@ class CellDecomposition:
 
     def __iter__(self):
         return iter(self.strata)
+
+    def __str__(self) -> str:
+        return " * ".join(str(s) for s in self.strata) or "1"
 
 
 def cells_of(x: SchemeExpr) -> CellDecomposition:
@@ -353,6 +421,13 @@ def cells_of(x: SchemeExpr) -> CellDecomposition:
             out.extend(cells_of(c).strata)
         return CellDecomposition.build(out)
     raise TypeError(f"not a scheme expression: {x!r}")
+
+
+CellsOrScheme = Union[CellDecomposition, SchemeExpr]
+
+
+def _as_cells(x: CellsOrScheme) -> CellDecomposition:
+    return x if isinstance(x, CellDecomposition) else cells_of(x)
 
 
 def flag_as_grassmannian_tower(child: SchemeExpr, parts: Sequence[int]) -> SchemeExpr:
@@ -404,14 +479,8 @@ def _gf_tables(q: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ..
     irreducible of degree f found by search (degree 2 and 3 polynomials
     are irreducible exactly when they have no roots).
     """
-    p = min(d for d in range(2, q + 1) if q % d == 0)
-    f = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        f += 1
-    if m != 1:
-        raise ValueError(f"{q} is not a prime power")
+    field = finite_field(q)
+    p, f = field.p, field.f
     if f == 1:
         add = tuple(tuple((a + b) % q for b in range(q)) for a in range(q))
         mul = tuple(tuple((a * b) % q for b in range(q)) for a in range(q))

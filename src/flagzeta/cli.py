@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import re
 import sys
@@ -42,7 +43,14 @@ from .lfuncs import (
     weil_zeta_series,
 )
 from .parse import SchemeSyntaxError, load_field_registry, parse_scheme
-from .verify import affine_family, check_soule, flag_family, proj_family, sweep
+from .verify import (
+    DEFAULT_K_RANGE,
+    affine_family,
+    check_soule,
+    flag_family,
+    proj_family,
+    sweep,
+)
 from .weights import chi, weight_table_of
 
 __all__ = ["main"]
@@ -53,7 +61,7 @@ EXIT_SYNTAX = 2
 EXIT_VALIDATION = 3
 EXIT_UNSUPPORTED = 4
 
-DEFAULT_K = "-10..2"
+DEFAULT_K = "{}..{}".format(*DEFAULT_K_RANGE)
 DEFAULT_ORDER = 16
 DEFAULT_PRIME_BOUND = 10_000
 
@@ -110,9 +118,12 @@ def _emit(args, headers, rows, payload, footer=()) -> None:
 # -- subcommand implementations -------------------------------------------------
 
 
+def _registry(args) -> dict:
+    return load_field_registry(args.field_config) if args.field_config else {}
+
+
 def _scheme(args) -> SchemeExpr:
-    registry = load_field_registry(args.field_config) if args.field_config else {}
-    return parse_scheme(args.scheme, registry)
+    return parse_scheme(args.scheme, _registry(args))
 
 
 def _cmd_ranks(args) -> int:
@@ -182,7 +193,7 @@ def _cmd_ord(args) -> int:
 def _cmd_lfun(args) -> int:
     x = _scheme(args)
     lfun = lfactorization_of(cells_of(x))
-    rows = [(f.base.label, f.shift, f.exponent) for f in lfun.factors]
+    rows = [(s.base.label, s.shift, s.multiplicity) for s in lfun]
     payload = {
         "command": "lfun",
         "scheme": str(x),
@@ -266,6 +277,16 @@ def _cmd_special(args) -> int:
     return EXIT_OK
 
 
+def _report_mismatches(reports) -> None:
+    """The first 20 mismatching rows across the reports, to stderr."""
+    rows = ((r.scheme, row) for r in reports for row in r.mismatches())
+    for scheme, row in itertools.islice(rows, 20):
+        print(
+            f"mismatch: {scheme} at k={row.k}: chi={row.chi} ord={row.ord}",
+            file=sys.stderr,
+        )
+
+
 def _verify_rows(report) -> list[tuple[int, int, int, str]]:
     return [
         (r.k, r.chi, r.ord, "yes" if r.match else "NO") for r in report.rows
@@ -276,18 +297,10 @@ def _cmd_verify(args) -> int:
     x = _scheme(args)
     report = check_soule(x, _parse_k_range(args.k))
     payload = {"command": "verify", **report.to_dict()}
-    footer = [
-        f"summary: {report.matched} matched, {report.mismatched} mismatched; "
-        f"finite support per weight: {'yes' if report.bs_finite_support else 'NO'}"
-    ]
+    footer = [f"summary: {report.matched} matched, {report.mismatched} mismatched"]
     _emit(args, ["k", "chi", "ord", "match"], _verify_rows(report), payload, footer)
     if not report.ok:
-        for row in report.mismatches()[:20]:
-            print(
-                f"mismatch: {report.scheme} at k={row.k}: "
-                f"chi={row.chi} ord={row.ord}",
-                file=sys.stderr,
-            )
+        _report_mismatches([report])
         return EXIT_MISMATCH
     return EXIT_OK
 
@@ -308,7 +321,7 @@ def _split_fields(text: str) -> list[str]:
 
 
 def _sweep_family(args) -> list[SchemeExpr]:
-    registry = load_field_registry(args.field_config) if args.field_config else {}
+    registry = _registry(args)
     bases = []
     for spec in _split_fields(args.fields):
         expr = parse_scheme(spec, registry)
@@ -337,17 +350,7 @@ def _cmd_sweep(args) -> int:
     ]
     _emit(args, ["scheme", "matched", "mismatched", "ok"], rows, payload, footer)
     if not report.ok:
-        shown = 0
-        for r in report.reports:
-            for row in r.mismatches():
-                if shown >= 20:
-                    break
-                print(
-                    f"mismatch: {r.scheme} at k={row.k}: "
-                    f"chi={row.chi} ord={row.ord}",
-                    file=sys.stderr,
-                )
-                shown += 1
+        _report_mismatches(report.reports)
         return EXIT_MISMATCH
     return EXIT_OK
 

@@ -350,8 +350,7 @@ def ord_at_integer(fld: NumberField, k: int) -> int:
 class SpecialValue:
     """An exact (or deliberately symbolic) zeta or L value at an integer.
 
-    kind: "exact-rational" | "rational-times-pi-power" | "numeric"
-        | "symbolic-product".
+    kind: "exact-rational" | "rational-times-pi-power" | "symbolic-product".
     For the first two kinds the value is rational * pi^pi_power.  A
     symbolic product keeps unevaluated (field label, point, exponent)
     triples next to whatever rational prefactor was evaluable.  ``order``
@@ -363,7 +362,6 @@ class SpecialValue:
     kind: str
     rational: Fraction = Fraction(0)
     pi_power: int = 0
-    numeric: Optional[float] = None
     factors: tuple[tuple[str, int, int], ...] = ()
     order: int = 0
 
@@ -372,8 +370,6 @@ class SpecialValue:
             return float(self.rational)
         if self.kind == "rational-times-pi-power":
             return float(self.rational) * math.pi**self.pi_power
-        if self.kind == "numeric" and self.numeric is not None:
-            return self.numeric
         raise ValueError(f"no numeric value for kind {self.kind!r}")
 
     def __str__(self) -> str:
@@ -383,8 +379,6 @@ class SpecialValue:
             return str(self.rational)
         if self.kind == "rational-times-pi-power":
             return f"{self.rational} * pi^{self.pi_power}"
-        if self.kind == "numeric":
-            return repr(self.numeric)
         parts = " * ".join(
             f"L({label}, s at {point})^{e}" if e != 1 else f"L({label}, s at {point})"
             for label, point, e in self.factors
@@ -427,11 +421,6 @@ def special_value_even(m: int) -> SpecialValue:
         * bernoulli(2 * m)
     )
     return SpecialValue("rational-times-pi-power", rational=rational, pi_power=2 * m)
-
-
-def zeta_at_zero() -> SpecialValue:
-    """zeta(0) = -1/2 exactly."""
-    return SpecialValue("exact-rational", rational=Fraction(-1, 2))
 
 
 BaseField = Union[NumberField, FiniteField]

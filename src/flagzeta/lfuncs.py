@@ -6,13 +6,14 @@ L-function of any scheme expression here is a finite product
 
     L(X, s) = prod_i L_{base_i}(s - d_i)^(e_i)
 
-recorded as an ``LFactorization``.  Exponents may be negative: quotients
-arise from open covers and excision, and the group structure under
-multiplication is exact.  The vanishing order at an integer k is then
-the exact integer sum of the factor orders, with the base orders coming
-from the functional-equation table in ``fields.ord_at_integer`` (number
-fields) or from the single simple pole of 1/(1 - q^(d-s)) (finite
-fields).
+over the cells, and the cell class ``cells.CellDecomposition`` (also
+named ``LFactorization`` here) is that product: no second multiset is
+built.  Exponents are the signed cell multiplicities, so quotients from
+open covers and excision are exact.  The vanishing order at an integer k
+is the exact integer sum of the factor orders, with the base orders
+coming from the functional-equation table in ``fields.ord_at_integer``
+(number fields) or from the single simple pole of 1/(1 - q^(d-s))
+(finite fields).
 
 Over a finite field the same cell data also gives the zeta function as a
 rational function of t = q^(-s), prod (1 - q^d t)^(-l); this module
@@ -25,16 +26,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
-from .cells import CellDecomposition, SchemeExpr, cells_of, point_count
+from .cells import (
+    CellDecomposition,
+    CellsOrScheme,
+    SchemeExpr,
+    _as_cells,
+    point_count,
+)
 from .fields import (
-    BaseField,
     FiniteField,
     NumberField,
     SpecialValue,
     UnsupportedFieldError,
-    base_sort_key,
     ord_at_integer,
     special_value_even,
     special_value_rational,
@@ -43,7 +48,6 @@ from .fields import (
 from .series import TruncSeries
 
 __all__ = [
-    "LFactor",
     "LFactorization",
     "RationalZeta",
     "lfactorization_of",
@@ -54,101 +58,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LFactor:
-    """L_base(s - shift) raised to an integer power."""
-
-    base: BaseField
-    shift: int
-    exponent: int
-
-    def ord_at(self, k: int) -> int:
-        point = k - self.shift
-        if isinstance(self.base, NumberField):
-            return self.exponent * ord_at_integer(self.base, point)
-        # 1/(1 - q^(-(s - shift))) has its only integer pole at s = shift
-        return -self.exponent if point == 0 else 0
-
-    def __str__(self) -> str:
-        if self.shift == 0:
-            arg = "s"
-        elif self.shift > 0:
-            arg = f"s-{self.shift}"
-        else:
-            arg = f"s+{-self.shift}"
-        body = f"L({self.base.label}, {arg})"
-        return body if self.exponent == 1 else f"{body}^{self.exponent}"
+# The cell class is the L-function; this name reads it as one.
+LFactorization = CellDecomposition
 
 
-@dataclass(frozen=True)
-class LFactorization:
-    """A finite product of shifted base L-functions with integer exponents.
-
-    Canonical form: factors sorted by (base, shift), exponents merged,
-    zero exponents dropped; so equal products compare equal.
-    """
-
-    factors: tuple[LFactor, ...]
-
-    @classmethod
-    def build(cls, raw: Iterable[LFactor]) -> "LFactorization":
-        acc: dict[tuple, tuple[BaseField, int, int]] = {}
-        for f in raw:
-            key = (base_sort_key(f.base), f.shift)
-            if key in acc:
-                base, shift, e = acc[key]
-                acc[key] = (base, shift, e + f.exponent)
-            else:
-                acc[key] = (f.base, f.shift, f.exponent)
-        factors = tuple(
-            LFactor(base, shift, e)
-            for key, (base, shift, e) in sorted(acc.items())
-            if e != 0
-        )
-        return cls(factors)
-
-    @classmethod
-    def one(cls) -> "LFactorization":
-        return cls(())
-
-    def __mul__(self, other: "LFactorization") -> "LFactorization":
-        return LFactorization.build(self.factors + other.factors)
-
-    def inverse(self) -> "LFactorization":
-        return LFactorization(
-            tuple(LFactor(f.base, f.shift, -f.exponent) for f in self.factors)
-        )
-
-    def __truediv__(self, other: "LFactorization") -> "LFactorization":
-        return self * other.inverse()
-
-    def ord_at(self, k: int) -> int:
-        """Exact vanishing order at s = k (negative at a pole)."""
-        return sum(f.ord_at(k) for f in self.factors)
-
-    def shifted(self, d: int) -> "LFactorization":
-        return LFactorization(
-            tuple(LFactor(f.base, f.shift + d, f.exponent) for f in self.factors)
-        )
-
-    def __str__(self) -> str:
-        if not self.factors:
-            return "1"
-        return " * ".join(str(f) for f in self.factors)
-
-
-CellsOrScheme = Union[CellDecomposition, SchemeExpr]
-
-
-def _as_cells(x: CellsOrScheme) -> CellDecomposition:
-    return x if isinstance(x, CellDecomposition) else cells_of(x)
-
-
-def lfactorization_of(x: CellsOrScheme) -> LFactorization:
-    """L(X, s) = prod over cells of L_base(s - dimension)^multiplicity."""
-    return LFactorization.build(
-        LFactor(s.base, s.shift, s.multiplicity) for s in _as_cells(x)
-    )
+def lfactorization_of(x: CellsOrScheme) -> CellDecomposition:
+    """L(X, s) = prod over cells of L_base(s - dimension)^multiplicity:
+    the cell decomposition of x itself."""
+    return _as_cells(x)
 
 
 # -- zeta functions over finite fields ----------------------------------------
@@ -243,7 +160,7 @@ def weil_zeta_rational(x: CellsOrScheme) -> RationalZeta:
 
 
 def lfun_partial_eval(
-    f: LFactorization, s: float, prime_bound: int
+    f: CellDecomposition, s: float, prime_bound: int
 ) -> float:
     """Finite Euler-product evaluation of every factor at real s.
 
@@ -251,19 +168,19 @@ def lfun_partial_eval(
     sit in the convergence region.  Finite-field factors are closed
     forms and are evaluated exactly.
     """
-    for factor in f.factors:
+    for factor in f:
         if s - factor.shift <= 1:
             raise ValueError(
                 f"s = {s} puts factor {factor} outside the convergence "
                 f"region s - {factor.shift} > 1"
             )
     out = 1.0
-    for factor in f.factors:
+    for factor in f:
         if isinstance(factor.base, NumberField):
             v = zeta_partial_eval(factor.base, s - factor.shift, prime_bound)
         else:
             v = 1.0 / (1.0 - factor.base.q ** (factor.shift - s))
-        out *= v**factor.exponent
+        out *= v**factor.multiplicity
     return out
 
 
@@ -282,7 +199,7 @@ def _zeta_q_value_at(point: int) -> SpecialValue | None:
     return None
 
 
-def special_value_product(f: LFactorization, m: int) -> SpecialValue:
+def special_value_product(f: CellDecomposition, m: int) -> SpecialValue:
     """The value of the factorization at s = m, as exactly as possible.
 
     If the total vanishing order at m is positive the value is exactly 0
@@ -294,7 +211,7 @@ def special_value_product(f: LFactorization, m: int) -> SpecialValue:
     well defined modulo nonzero rationals.  Finite-field factors have no
     special-value convention here and are rejected.
     """
-    for factor in f.factors:
+    for factor in f:
         if not isinstance(factor.base, NumberField):
             raise UnsupportedFieldError(
                 f"special values need number-field bases, found {factor.base}"
@@ -307,29 +224,29 @@ def special_value_product(f: LFactorization, m: int) -> SpecialValue:
             "symbolic-product",
             rational=Fraction(1),
             factors=tuple(
-                (fc.base.label, m - fc.shift, fc.exponent) for fc in f.factors
+                (fc.base.label, m - fc.shift, fc.multiplicity) for fc in f
             ),
             order=total_order,
         )
     symbolic: list[tuple[str, int, int]] = []
     rational = Fraction(1)
     pi_power = 0
-    for factor in f.factors:
+    for factor in f:
         point = m - factor.shift
         if factor.base.degree == 1:  # the Riemann zeta function itself
             if ord_at_integer(factor.base, point) != 0:
                 # an individually vanishing (or polar) factor cancelled in
                 # the total: the finite limit value is beyond this table
-                symbolic.append((factor.base.label, point, factor.exponent))
+                symbolic.append((factor.base.label, point, factor.multiplicity))
                 continue
             value = _zeta_q_value_at(point)
             if value is None:
-                symbolic.append((factor.base.label, point, factor.exponent))
+                symbolic.append((factor.base.label, point, factor.multiplicity))
                 continue
-            rational *= value.rational**factor.exponent
-            pi_power += value.pi_power * factor.exponent
+            rational *= value.rational**factor.multiplicity
+            pi_power += value.pi_power * factor.multiplicity
         else:
-            symbolic.append((factor.base.label, point, factor.exponent))
+            symbolic.append((factor.base.label, point, factor.multiplicity))
     if symbolic or pi_power < 0:
         return SpecialValue(
             "symbolic-product",

@@ -6,14 +6,14 @@ integer k:
 
 * the Euler characteristic chi(X, k) of the weight-k part of the
   rational K-theory of X, read off the weight table;
-* the vanishing order ord_{s=k} L(X, s) of the L-function factorization.
+* the vanishing order ord_{s=k} L(X, s), read off the same cell class
+  as a product of shifted base zeta functions.
 
 ``check_soule`` computes the cell decomposition once, hands it to the
 two independent pipelines, and compares the resulting integers exactly
 over a k-range; the reports it returns are plain frozen data, rendered
-identically on every run.  The same report carries a finiteness scan of
-the weight-table support in each weight (the ranks of a cellular scheme
-live in finitely many degrees per weight, and the scan records where).
+identically on every run.  The same report carries the weight-table
+support in each weight: the degrees where the ranks of the scheme live.
 
 ``sweep`` runs the check across a family of schemes and aggregates, so a
 single exit status can certify, say, every flag bundle of rank <= 5 over
@@ -44,7 +44,6 @@ __all__ = [
     "VerificationReport",
     "SweepReport",
     "check_soule",
-    "check_beilinson_soule",
     "sweep",
     "compositions",
     "flag_family",
@@ -82,7 +81,6 @@ class VerificationReport:
     k_max: int
     rows: tuple[SouleRow, ...]
     support: tuple[SupportRow, ...]
-    bs_finite_support: bool
 
     @property
     def matched(self) -> int:
@@ -108,7 +106,6 @@ class VerificationReport:
                 {"k": r.k, "chi": r.chi, "ord": r.ord, "match": r.match}
                 for r in self.rows
             ],
-            "bs_finite_support": self.bs_finite_support,
             "support": [
                 {"j": s.j, "degrees": list(s.degrees), "total_dim": s.total_dim}
                 for s in self.support
@@ -143,8 +140,7 @@ def check_soule(
         SouleRow(k, chi_fn.value(k), lfun.ord_at(k)) for k in range(k_min, k_max + 1)
     )
     support = _support_rows(table, k_min, k_max)
-    finite = _support_is_finite(support, len(cells.strata))
-    return VerificationReport(str(x), k_min, k_max, rows, support, finite)
+    return VerificationReport(str(x), k_min, k_max, rows, support)
 
 
 def _support_rows(table, j_min: int, j_max: int) -> tuple[SupportRow, ...]:
@@ -159,25 +155,6 @@ def _support_rows(table, j_min: int, j_max: int) -> tuple[SupportRow, ...]:
             )
         )
     return tuple(out)
-
-
-def _support_is_finite(support: tuple[SupportRow, ...], n_strata: int) -> bool:
-    """Each stratum meets a given weight in at most one degree, so a table
-    built from n strata can never show more than n degrees per weight."""
-    return all(len(row.degrees) <= n_strata for row in support)
-
-
-def check_beilinson_soule(
-    x: SchemeExpr, j_range: tuple[int, int] = DEFAULT_K_RANGE
-) -> tuple[SupportRow, ...]:
-    """Locate the degrees carrying rank at each weight in the range.
-
-    The support is finite in every weight (each cell contributes at most
-    one degree per weight); the rows say exactly which degrees occur.
-    """
-    j_min, j_max = _k_range(j_range)
-    table = weight_table_of(cells_of(x), j_min, j_max)
-    return _support_rows(table, j_min, j_max)
 
 
 @dataclass(frozen=True)

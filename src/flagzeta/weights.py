@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
-from .cells import CellDecomposition, SchemeExpr, cells_of
+from .cells import CellsOrScheme, _as_cells
 from .fields import BaseField, FiniteField, NumberField
 
 __all__ = [
@@ -161,13 +161,6 @@ def _base_weight_table(base: BaseField, j_min: int, j_max: int) -> WeightTable:
     if isinstance(base, NumberField):
         return borel_weight_table(base, j_min, j_max)
     return finite_field_weight_table(base, j_min, j_max)
-
-
-CellsOrScheme = Union[CellDecomposition, SchemeExpr]
-
-
-def _as_cells(x: CellsOrScheme) -> CellDecomposition:
-    return x if isinstance(x, CellDecomposition) else cells_of(x)
 
 
 def weight_table_of(

@@ -55,7 +55,6 @@ def test_verify_ok(capsys):
     payload = json.loads(out)
     assert payload["ok"] is True
     assert payload["mismatched"] == 0
-    assert payload["bs_finite_support"] is True
     assert err == ""
 
 

@@ -1,0 +1,66 @@
+"""Golden output of the command-line interface.
+
+Every subcommand runs in process in each output format, plus one case per
+error exit code; exit code, stdout and stderr must match ``cli_golden.json``
+byte for byte.  After a deliberate change of output, regenerate the file with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+
+and review its diff.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from flagzeta.cli import main
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+COMMANDS = (
+    ("ranks", "proj(Q(sqrt -1), 1)", "--k=-4..1"),
+    ("cells", "union(flag(Q, 1+2), affine(F(4), 1))"),
+    ("chi", "grass(Q(sqrt 2), 1, 3)", "--k=-4..2"),
+    ("ord", "union(proj(Q, 1), affine(F(3), 2))", "--k=-3..2"),
+    ("lfun", "proj(Q(sqrt 5), 1)", "--eval-at=3.5", "--prime-bound=50"),
+    ("zeta", "flag(F(3), 1+1)", "--order=5"),
+    ("special", "proj(Q, 2)", "--at=-1"),
+    ("verify", "flag(Q(sqrt -3), 1+1)", "--k=-3..2"),
+    ("sweep", "--family", "proj", "--fields", "Q,F(2)", "--max-d", "1", "--k=-2..1"),
+)
+ERRORS = (
+    ("verify", "proj(Q, "),  # exit 2: syntax error
+    ("chi", "Q", "--k=2..1"),  # exit 3: empty range
+    ("special", "proj(F(2), 1)", "--at=0"),  # exit 4: finite base
+)
+CASES = [
+    [*command, "--format", fmt]
+    for command in COMMANDS
+    for fmt in ("plain", "json", "csv")
+] + [list(error) for error in ERRORS]
+
+
+def run(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _golden() -> dict:
+    entries = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    return {tuple(entry["argv"]): entry for entry in entries}
+
+
+@pytest.mark.parametrize("argv", CASES, ids=" ".join)
+def test_cli_output_matches_golden(argv):
+    assert run(argv) == _golden()[tuple(argv)]
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(
+        json.dumps([run(argv) for argv in CASES], indent=1) + "\n", encoding="utf-8"
+    )

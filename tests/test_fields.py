@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from flagzeta.cells import BasePoint
 from flagzeta.fields import (
     EulerFactor,
     FiniteField,
@@ -19,9 +20,9 @@ from flagzeta.fields import (
     rationals,
     special_value_even,
     special_value_rational,
-    zeta_at_zero,
     zeta_partial_eval,
 )
+from flagzeta.lfuncs import lfactorization_of, special_value_product
 
 Q = rationals()
 QI = quadratic_field(-1)
@@ -209,4 +210,5 @@ def test_special_values_at_even_positive_integers():
 
 
 def test_zeta_at_zero():
-    assert zeta_at_zero().rational == Fraction(-1, 2)
+    value = special_value_product(lfactorization_of(BasePoint(Q)), 0)
+    assert value.rational == Fraction(-1, 2)

@@ -12,6 +12,7 @@ from flagzeta.cells import (
     FiniteBase,
     FlagBundle,
     ProjBundle,
+    Stratum,
     cells_of,
 )
 from flagzeta.fields import (
@@ -21,7 +22,6 @@ from flagzeta.fields import (
     rationals,
 )
 from flagzeta.lfuncs import (
-    LFactor,
     LFactorization,
     RationalZeta,
     lfactorization_of,
@@ -47,17 +47,17 @@ P1 = lfactorization_of(ProjBundle(BasePoint(Q), 1))
 def test_projective_space_factors_into_shifted_zetas():
     for d in range(4):
         f = lfactorization_of(ProjBundle(BasePoint(Q), d))
-        assert f.factors == tuple(LFactor(Q, i, 1) for i in range(d + 1))
+        assert f.factors == tuple(Stratum(Q, i, 1) for i in range(d + 1))
     assert str(P1) == "L(Q, s) * L(Q, s-1)"
 
 
 def test_flag_bundle_factor_multiplicities():
     f = lfactorization_of(FlagBundle(BasePoint(Q), (1, 1, 1)))
     assert f.factors == (
-        LFactor(Q, 0, 1),
-        LFactor(Q, 1, 2),
-        LFactor(Q, 2, 2),
-        LFactor(Q, 3, 1),
+        Stratum(Q, 0, 1),
+        Stratum(Q, 1, 2),
+        Stratum(Q, 2, 2),
+        Stratum(Q, 3, 1),
     )
 
 
@@ -228,7 +228,7 @@ def test_special_value_rejects_finite_fields():
 
 
 def test_special_value_cancelling_orders_stays_symbolic():
-    f = LFactorization.build([LFactor(Q, 0, 1), LFactor(Q, 2, -1)])
+    f = LFactorization.build([Stratum(Q, 0, 1), Stratum(Q, 2, -1)])
     v = special_value_product(f, -2)  # zeta(-2) over zeta(-4): 0/0 overall
     assert f.ord_at(-2) == 0
     assert v.kind == "symbolic-product"

@@ -15,7 +15,6 @@ from flagzeta.cells import (
 from flagzeta.fields import FiniteField, quadratic_field, rationals
 from flagzeta.verify import (
     affine_family,
-    check_beilinson_soule,
     check_soule,
     compositions,
     flag_family,
@@ -66,7 +65,6 @@ def test_mixed_union_verifies():
 
 def test_report_support_scan():
     report = check_soule(ProjBundle(BasePoint(QM5), 3), (-6, 2))
-    assert report.bs_finite_support
     support = {row.j: row.degrees for row in report.support}
     assert support[-4] == (9, 11, 13, 15)
     # weight 2 sees the rank class of the shift-1 stratum and K_3 of the
@@ -74,8 +72,8 @@ def test_report_support_scan():
     assert support[2] == (0, 3)
 
 
-def test_check_beilinson_soule_far_weight_is_empty():
-    rows = check_beilinson_soule(ProjBundle(BasePoint(Q), 3), (6, 10))
+def test_support_at_far_weight_is_empty():
+    rows = check_soule(ProjBundle(BasePoint(Q), 3), (6, 10)).support
     assert all(row.degrees == () for row in rows)
 
 
