@@ -303,8 +303,9 @@ class Stratum:
 class CellDecomposition:
     """A class in the Grothendieck group spanned by the cells [base x A^d].
 
-    Canonical form: strata sorted by base then shift, multiplicities
-    merged, zero sums dropped; so equal classes compare equal.
+    The constructor puts the strata in canonical form: sorted by base
+    then shift, multiplicities merged, zero sums dropped; so equal
+    classes compare equal however they were built.
 
     A cell of dimension d over a base contributes L_base(s - d) to the
     L-function, so the same class is the finite product
@@ -319,20 +320,26 @@ class CellDecomposition:
 
     strata: tuple[Stratum, ...]
 
+    def __post_init__(self) -> None:
+        strata = tuple(self.strata)
+        keys = [(base_sort_key(s.base), s.shift) for s in strata]
+        # Strictly increasing keys are already canonical: one linear pass.
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            counts: dict[tuple, int] = {}
+            bases: dict[tuple, BaseField] = {}
+            for key, s in zip(keys, strata):
+                counts[key] = counts.get(key, 0) + s.multiplicity
+                bases[key] = s.base
+            strata = tuple(
+                Stratum(bases[key], key[1], counts[key])
+                for key in sorted(counts)
+                if counts[key]
+            )
+        object.__setattr__(self, "strata", strata)
+
     @classmethod
     def build(cls, raw: Iterable[Stratum]) -> "CellDecomposition":
-        counts: dict[tuple, int] = {}
-        bases: dict[tuple, BaseField] = {}
-        for s in raw:
-            key = (base_sort_key(s.base), s.shift)
-            counts[key] = counts.get(key, 0) + s.multiplicity
-            bases[key] = s.base
-        strata = tuple(
-            Stratum(bases[key], key[1], counts[key])
-            for key in sorted(counts)
-            if counts[key]
-        )
-        return cls(strata)
+        return cls(tuple(raw))
 
     @classmethod
     def one(cls) -> "CellDecomposition":
@@ -449,7 +456,7 @@ def flag_as_grassmannian_tower(child: SchemeExpr, parts: Sequence[int]) -> Schem
     return expr
 
 
-def point_count(x: SchemeExpr, r: int) -> int:
+def point_count(x: CellsOrScheme, r: int) -> int:
     """Number of points of x over the degree-r extension of each cell's base.
 
     Each cell of dimension d over F_q contributes (q^r)^d.  Any number
@@ -458,7 +465,7 @@ def point_count(x: SchemeExpr, r: int) -> int:
     if r < 1:
         raise ValueError("extension degree r must be >= 1")
     total = 0
-    for s in cells_of(x):
+    for s in _as_cells(x):
         if not isinstance(s.base, FiniteField):
             raise ValueError(
                 f"point counting needs finite-field bases, found {s.base}"

@@ -217,8 +217,9 @@ def _cmd_lfun(args) -> int:
 
 def _cmd_zeta(args) -> int:
     x = _scheme(args)
-    rational = weil_zeta_rational(cells_of(x))
-    series = weil_zeta_series(x, args.order)
+    cells = cells_of(x)
+    rational = weil_zeta_rational(cells)
+    series = weil_zeta_series(cells, args.order)
     agrees = rational.expand(args.order) == series
     rows = [(i, str(series[i])) for i in range(args.order + 1)]
     payload = {

@@ -24,6 +24,7 @@ coefficient by coefficient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -31,7 +32,6 @@ from typing import Iterable
 from .cells import (
     CellDecomposition,
     CellsOrScheme,
-    SchemeExpr,
     _as_cells,
     point_count,
 )
@@ -100,12 +100,28 @@ class RationalZeta:
         return cls(q, numer_out, denom_out)
 
     def expand(self, order: int) -> TruncSeries:
-        out = TruncSeries.one(order)
-        for d, m in self.numer:
-            out = out * TruncSeries(order, [1, -(self.q**d)]) ** m
-        for d, m in self.denom:
-            out = out * TruncSeries(order, [1, -(self.q**d)]) ** (-m)
-        return out
+        """The power series of Z(X, t) to t^order, in exact integers.
+
+        Each factor (1 - a t)^e expands by the generalized binomial
+        theorem, c_0 = 1 and c_j = c_{j-1} (e - j + 1) (-a) / j, where the
+        division is exact because c_j = C(e, j) (-a)^j; the factors are
+        then convolved.  No log, exp or point count is used, so equality
+        with ``weil_zeta_series`` compares two independent derivations.
+        """
+        out = [1] + [0] * order
+        for d, e in [*self.numer, *((d, -m) for d, m in self.denom)]:
+            a = self.q**d
+            binom = [1]
+            for j in range(1, order + 1):
+                c = binom[-1] * (e - j + 1) * -a // j
+                if not c:
+                    break
+                binom.append(c)
+            out = [
+                sum(binom[j] * out[i - j] for j in range(min(i, len(binom) - 1) + 1))
+                for i in range(order + 1)
+            ]
+        return TruncSeries(order, out)
 
     def __str__(self) -> str:
         def side(factors: tuple[tuple[int, int], ...]) -> str:
@@ -121,7 +137,7 @@ class RationalZeta:
         return f"{top} / ({side(self.denom)})"
 
 
-def weil_zeta_series(x: SchemeExpr, order: int) -> TruncSeries:
+def weil_zeta_series(x: CellsOrScheme, order: int) -> TruncSeries:
     """exp(sum_{r=1}^{order} N_r t^r / r) with N_r the point counts of x.
 
     This is the transcendental route to the zeta function; it never looks
@@ -130,8 +146,9 @@ def weil_zeta_series(x: SchemeExpr, order: int) -> TruncSeries:
     """
     if order < 1:
         raise ValueError("series order must be >= 1")
+    cells = _as_cells(x)
     u = TruncSeries(
-        order, [0] + [Fraction(point_count(x, r), r) for r in range(1, order + 1)]
+        order, [0] + [Fraction(point_count(cells, r), r) for r in range(1, order + 1)]
     )
     return u.exp()
 
@@ -168,6 +185,8 @@ def lfun_partial_eval(
     sit in the convergence region.  Finite-field factors are closed
     forms and are evaluated exactly.
     """
+    if not math.isfinite(s):
+        raise ValueError(f"s = {s} is not a finite real number")
     for factor in f:
         if s - factor.shift <= 1:
             raise ValueError(

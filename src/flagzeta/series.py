@@ -12,6 +12,24 @@ so that log turns products of one-units into sums; this is what lets a
 zeta function of a variety over a finite field be checked coefficient by
 coefficient against its rational form.
 
+Summing those powers takes O(n) full products, O(n^3) coefficient work.
+The code instead solves the derivative identities a' = u' a (for
+a = exp(u)) and g' = l' g (for l = log(g), g_0 = 1) coefficient by
+coefficient, which is O(n^2):
+
+    m a_m = sum_{k=1}^{m} k u_k a_{m-k},                  a_0 = 1,
+    m l_m = m g_m - sum_{k=1}^{m-1} k l_k g_{m-k},        l_0 = 0
+
+(Brent & Kung, "Fast algorithms for manipulating formal power series",
+JACM 1978; Knuth, TAOCP vol. 2, section 4.7).  The arithmetic is exact,
+so the coefficients equal those of the power sums.
+
+>>> g = TruncSeries(4, [1, -1])          # 1 - t
+>>> print(g.log())
+-t - 1/2*t^2 - 1/3*t^3 - 1/4*t^4
+>>> g.log().exp() == g
+True
+
 Bernoulli numbers use the B_1 = -1/2 convention and are defined by the
 recurrence sum_{j=0}^{k} C(k+1, j) B_j = 0 for k >= 1 with B_0 = 1.
 """
@@ -182,38 +200,41 @@ class TruncSeries:
     def log(self) -> "TruncSeries":
         """log of a one-unit: requires constant term exactly 1.
 
-        log(g) = sum_{k=1}^{order} (-1)^(k-1) (g-1)^k / k; later terms of
-        the infinite sum vanish mod t^(order+1) because g-1 has positive
-        valuation.
+        Solves g' = l' g for l = log(g):
+        m l_m = m g_m - sum_{k=1}^{m-1} k l_k g_{m-k}.
         """
-        if self._coeffs[0] != 1:
+        g = self._coeffs
+        if g[0] != 1:
             raise ValueError("log requires constant term 1")
         n = self.order
-        u = self - 1
-        acc = TruncSeries.zero(n)
-        power = TruncSeries.one(n)
-        for k in range(1, n + 1):
-            power = power * u
-            acc = acc + power * Fraction((-1) ** (k - 1), k)
-        return acc
+        kl = [Fraction(0)] * (n + 1)  # kl[k] = k * l_k
+        for m in range(1, n + 1):
+            acc = m * g[m]
+            for k in range(1, m):
+                if kl[k] and g[m - k]:
+                    acc -= kl[k] * g[m - k]
+            kl[m] = acc
+        return TruncSeries(n, [0] + [kl[m] / m for m in range(1, n + 1)])
 
     def exp(self) -> "TruncSeries":
         """exp of a series with zero constant term.
 
-        exp(u) = sum_{k=0}^{order} u^k / k!; exact because u has positive
-        valuation so the sum is finite mod t^(order+1).
+        Solves a' = u' a for a = exp(u):
+        m a_m = sum_{k=1}^{m} k u_k a_{m-k}, a_0 = 1.
         """
-        if self._coeffs[0] != 0:
+        u = self._coeffs
+        if u[0] != 0:
             raise ValueError("exp requires constant term 0")
         n = self.order
-        acc = TruncSeries.one(n)
-        power = TruncSeries.one(n)
-        kfact = 1
-        for k in range(1, n + 1):
-            power = power * self
-            kfact *= k
-            acc = acc + power * Fraction(1, kfact)
-        return acc
+        ku = [k * c for k, c in enumerate(u)]
+        a = [Fraction(1)] + [Fraction(0)] * n
+        for m in range(1, n + 1):
+            acc = Fraction(0)
+            for k in range(1, m + 1):
+                if ku[k] and a[m - k]:
+                    acc += ku[k] * a[m - k]
+            a[m] = acc / m
+        return TruncSeries(n, a)
 
     # -- comparison / display --------------------------------------------
 

@@ -162,6 +162,15 @@ def test_canonicalization_is_idempotent():
     assert once.strata == (Stratum(Q, 0, 1), Stratum(Q, 1, 3))
 
 
+def test_constructor_puts_strata_in_canonical_form():
+    hand = CellDecomposition((Stratum(Q, 1, 1), Stratum(Q, 0, 1), Stratum(Q, 0, 1)))
+    assert hand == CellDecomposition.build(hand.strata)
+    assert hand.strata == (Stratum(Q, 0, 2), Stratum(Q, 1, 1))
+    assert str(hand) == "L(Q, s)^2 * L(Q, s-1)"
+    # cancelling multiplicities drop out, leaving the empty class
+    assert CellDecomposition([Stratum(F2, 3, 2), Stratum(F2, 3, -2)]) == CellDecomposition.one()
+
+
 def test_flag_tower_gives_same_cells():
     for base in (BasePoint(Q), FiniteBase(F2)):
         for n in range(1, 6):

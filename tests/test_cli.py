@@ -115,6 +115,14 @@ def test_lfun_eval_outside_convergence(capsys):
     assert "convergence" in err
 
 
+@pytest.mark.parametrize("s", ["nan", "inf", "-inf"])
+def test_lfun_eval_at_non_finite_s_is_rejected(capsys, s):
+    code, out, err = run(capsys, "lfun", "Q", f"--eval-at={s}")
+    assert code == 3
+    assert out == ""
+    assert "not a finite real number" in err
+
+
 def test_syntax_error_exit_code(capsys):
     code, _, err = run(capsys, "verify", "proj(Q, 1")
     assert code == 2

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -139,6 +140,36 @@ def test_union_multiplies_zeta_series():
     assert weil_zeta_series(both, n) == weil_zeta_series(x, n) * weil_zeta_series(
         y, n
     )
+
+
+def test_expand_matches_product_of_truncated_powers():
+    # the closed-form binomial expansion against (1 - q^d t)^(+-m) built
+    # from the series ring's own products, inverse and powers
+    rng = Random(31)
+    for _ in range(60):
+        q = rng.choice((2, 3, 4, 5, 7, 8, 9))
+        numer = [(rng.randint(0, 4), rng.randint(1, 5)) for _ in range(rng.randint(0, 2))]
+        denom = [(rng.randint(0, 4), rng.randint(1, 5)) for _ in range(rng.randint(0, 3))]
+        rz = RationalZeta.build(q, numer, denom)
+        order = rng.randint(0, 20)
+        expected = TruncSeries.one(order)
+        for d, m in rz.numer:
+            expected = expected * TruncSeries(order, [1, -(q**d)]) ** m
+        for d, m in rz.denom:
+            expected = expected * TruncSeries(order, [1, -(q**d)]) ** (-m)
+        assert rz.expand(order) == expected
+
+
+def test_expand_of_polynomial_numerator_terminates():
+    # (1 - t)^2 (1 - 3t) = 1 - 5t + 7t^2 - 3t^3, then zeros
+    rz = RationalZeta.build(3, numer=[(0, 2), (1, 1)])
+    assert rz.expand(5) == TruncSeries(5, [1, -5, 7, -3])
+    assert rz.expand(0) == TruncSeries.one(0)
+
+
+def test_weil_series_accepts_cells():
+    x = FlagBundle(FiniteBase(F2), (2, 1))
+    assert weil_zeta_series(cells_of(x), 7) == weil_zeta_series(x, 7)
 
 
 def test_weil_rejects_bad_bases():

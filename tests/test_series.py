@@ -24,6 +24,63 @@ def rand_positive_valuation(rng: Random, order: int) -> TruncSeries:
     return TruncSeries(order, coeffs)
 
 
+def rand_gappy(rng: Random, order: int, constant: int) -> TruncSeries:
+    """A random series with the given constant term and runs of zero
+    coefficients, so the kernels' zero skipping is exercised."""
+    coeffs = [Fraction(constant)] + [
+        Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.5 else Fraction(0)
+        for _ in range(order)
+    ]
+    return TruncSeries(order, coeffs)
+
+
+# -- reference oracles: the defining power sums ---------------------------
+
+
+def log_by_power_sum(g: TruncSeries) -> TruncSeries:
+    """log(g) = sum_{k=1}^{n} (-1)^(k-1) (g-1)^k / k, summed literally."""
+    n = g.order
+    u = g - 1
+    acc = TruncSeries.zero(n)
+    power = TruncSeries.one(n)
+    for k in range(1, n + 1):
+        power = power * u
+        acc = acc + power * Fraction((-1) ** (k - 1), k)
+    return acc
+
+
+def exp_by_power_sum(u: TruncSeries) -> TruncSeries:
+    """exp(u) = sum_{k=0}^{n} u^k / k!, summed literally."""
+    n = u.order
+    acc = TruncSeries.one(n)
+    power = TruncSeries.one(n)
+    kfact = 1
+    for k in range(1, n + 1):
+        power = power * u
+        kfact *= k
+        acc = acc + power * Fraction(1, kfact)
+    return acc
+
+
+@pytest.mark.parametrize("order", range(33))
+def test_log_exp_match_power_sums(order):
+    rng = Random(1000 + order)
+    for _ in range(2):
+        for g in (rand_unit(rng, order), rand_gappy(rng, order, 1)):
+            assert g.log().coeffs == log_by_power_sum(g).coeffs
+        for u in (rand_positive_valuation(rng, order), rand_gappy(rng, order, 0)):
+            assert u.exp().coeffs == exp_by_power_sum(u).coeffs
+
+
+def test_log_exp_of_sparse_series_match_power_sums():
+    # a single monomial: every coefficient between its powers is zero
+    n = 24
+    for i in (1, 5, 24):
+        mono = TruncSeries(n, [0] * i + [Fraction(-3, 2)])
+        assert (1 + mono).log() == log_by_power_sum(1 + mono)
+        assert mono.exp() == exp_by_power_sum(mono)
+
+
 # -- worked examples ----------------------------------------------------
 
 
