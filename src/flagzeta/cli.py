@@ -18,9 +18,14 @@ Common options: --format {plain,json,csv} (default plain), --k=LO..HI
 10000), --field-config PATH (JSON field catalogue for extra base
 labels).
 
-Exit codes: 0 success, 1 verification mismatch, 2 syntax/usage error,
-3 validation error, 4 unsupported operation.  Results go to stdout,
-diagnostics to stderr.
+Each subcommand returns its table as ``(headers, rows, payload, footer,
+ok)``.  ``main`` is the one dispatcher: it parses the scheme, runs the
+subcommand, stamps the command and scheme into the JSON payload, renders
+the chosen format and maps the outcome to an exit code.
+
+Exit codes: 0 success, 1 verification mismatch, 2 syntax or command-line
+usage error, 3 validation error, 4 unsupported operation, 5 internal
+error.  Results go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ EXIT_MISMATCH = 1
 EXIT_SYNTAX = 2
 EXIT_VALIDATION = 3
 EXIT_UNSUPPORTED = 4
+EXIT_INTERNAL = 5
 
 DEFAULT_K = "{}..{}".format(*DEFAULT_K_RANGE)
 DEFAULT_ORDER = 16
@@ -81,156 +87,104 @@ def _parse_k_range(text: str) -> tuple[int, int]:
 # -- output rendering --------------------------------------------------------
 
 
-def _emit_plain(headers: Sequence[str], rows: Sequence[Sequence[object]],
-                footer: Sequence[str] = ()) -> None:
+def _emit(fmt: str, headers: Sequence[str], rows: Sequence[Sequence[object]],
+          payload: dict, footer: Sequence[str]) -> None:
+    if fmt == "json":
+        print(json.dumps(payload, sort_keys=True, indent=2))
+        return
     cells = [[str(c) for c in row] for row in rows]
-    widths = [
-        max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
-        for i, h in enumerate(headers)
-    ]
-    print("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
-    for row in cells:
-        print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+    if fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerows([headers, *cells])
+        return
+    widths = [max([len(h)] + [len(r[i]) for r in cells]) for i, h in enumerate(headers)]
+    for line in [headers, *cells]:
+        print("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip())
     for line in footer:
         print(line)
 
 
-def _emit_csv(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(headers)
-    for row in rows:
-        writer.writerow([str(c) for c in row])
+def _report_mismatches(payload: dict) -> None:
+    """The first 20 mismatching rows of a verify or sweep payload, to stderr."""
+    rows = (
+        (report["scheme"], row)
+        for report in payload.get("reports", [payload])
+        for row in report.get("rows", ())
+        if not row["match"]
+    )
+    for scheme, row in itertools.islice(rows, 20):
+        print(
+            f"mismatch: {scheme} at k={row['k']}: chi={row['chi']} ord={row['ord']}",
+            file=sys.stderr,
+        )
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+# -- subcommands: each takes the parsed scheme (None for sweep) and args ----------
 
 
-def _emit(args, headers, rows, payload, footer=()) -> None:
-    if args.format == "plain":
-        _emit_plain(headers, rows, footer)
-    elif args.format == "csv":
-        _emit_csv(headers, rows)
-    else:
-        _emit_json(payload)
-
-
-# -- subcommand implementations -------------------------------------------------
+def _keyed(headers, rows, footer=(), **payload):
+    """A table whose JSON rows are its rows keyed by the headers."""
+    payload["rows"] = [dict(zip(headers, row)) for row in rows]
+    return headers, rows, payload, footer, True
 
 
 def _registry(args) -> dict:
     return load_field_registry(args.field_config) if args.field_config else {}
 
 
-def _scheme(args) -> SchemeExpr:
-    return parse_scheme(args.scheme, _registry(args))
-
-
-def _cmd_ranks(args) -> int:
-    x = _scheme(args)
+def _cmd_ranks(x: SchemeExpr, args):
     lo, hi = _parse_k_range(args.k)
     table = weight_table_of(cells_of(x), lo, hi)
     rows = [(m, j, dim) for (m, j), dim in table.items()]
-    payload = {
-        "command": "ranks",
-        "scheme": str(x),
-        "j_min": lo,
-        "j_max": hi,
-        "rows": [{"m": m, "j": j, "dim": dim} for m, j, dim in rows],
-    }
-    _emit(args, ["m", "j", "dim"], rows, payload)
-    return EXIT_OK
+    return _keyed(("m", "j", "dim"), rows, j_min=lo, j_max=hi)
 
 
-def _cmd_cells(args) -> int:
-    x = _scheme(args)
-    rows = [
-        (s.base.label, s.shift, s.multiplicity) for s in cells_of(x)
-    ]
-    payload = {
-        "command": "cells",
-        "scheme": str(x),
-        "rows": [
-            {"base": b, "shift": d, "multiplicity": l} for b, d, l in rows
-        ],
-    }
-    _emit(args, ["base", "shift", "multiplicity"], rows, payload)
-    return EXIT_OK
+def _cmd_cells(x: SchemeExpr, args):
+    rows = [(s.base.label, s.shift, s.multiplicity) for s in cells_of(x)]
+    return _keyed(("base", "shift", "multiplicity"), rows)
 
 
-def _cmd_chi(args) -> int:
-    x = _scheme(args)
+def _cmd_chi(x: SchemeExpr, args):
     lo, hi = _parse_k_range(args.k)
     fn = chi(weight_table_of(cells_of(x), lo, hi))
     rows = [(k, fn.value(k)) for k in range(lo, hi + 1)]
-    payload = {
-        "command": "chi",
-        "scheme": str(x),
-        "k_min": lo,
-        "k_max": hi,
-        "rows": [{"k": k, "chi": v} for k, v in rows],
-    }
-    _emit(args, ["k", "chi"], rows, payload)
-    return EXIT_OK
+    return _keyed(("k", "chi"), rows, k_min=lo, k_max=hi)
 
 
-def _cmd_ord(args) -> int:
-    x = _scheme(args)
+def _cmd_ord(x: SchemeExpr, args):
     lo, hi = _parse_k_range(args.k)
     lfun = lfactorization_of(cells_of(x))
     rows = [(k, lfun.ord_at(k)) for k in range(lo, hi + 1)]
-    payload = {
-        "command": "ord",
-        "scheme": str(x),
-        "k_min": lo,
-        "k_max": hi,
-        "rows": [{"k": k, "ord": v} for k, v in rows],
-    }
-    _emit(args, ["k", "ord"], rows, payload)
-    return EXIT_OK
+    return _keyed(("k", "ord"), rows, k_min=lo, k_max=hi)
 
 
-def _cmd_lfun(args) -> int:
-    x = _scheme(args)
+def _cmd_lfun(x: SchemeExpr, args):
     lfun = lfactorization_of(cells_of(x))
     rows = [(s.base.label, s.shift, s.multiplicity) for s in lfun]
-    payload = {
-        "command": "lfun",
-        "scheme": str(x),
-        "display": str(lfun),
-        "rows": [
-            {"base": b, "shift": d, "exponent": e} for b, d, e in rows
-        ],
-    }
+    payload = {"display": str(lfun)}
     footer = [f"product: {lfun}"]
     if args.eval_at is not None:
         value = lfun_partial_eval(lfun, args.eval_at, args.prime_bound)
-        payload["eval_at"] = args.eval_at
-        payload["prime_bound"] = args.prime_bound
-        payload["value"] = value
+        payload.update(eval_at=args.eval_at, prime_bound=args.prime_bound, value=value)
         footer.append(
             f"value at s={args.eval_at} (primes <= {args.prime_bound}): {value!r}"
         )
-    _emit(args, ["base", "shift", "exponent"], rows, payload, footer)
-    return EXIT_OK
+    return _keyed(("base", "shift", "exponent"), rows, footer, **payload)
 
 
-def _cmd_zeta(args) -> int:
-    x = _scheme(args)
+def _cmd_zeta(x: SchemeExpr, args):
     cells = cells_of(x)
     rational = weil_zeta_rational(cells)
     series = weil_zeta_series(cells, args.order)
     agrees = rational.expand(args.order) == series
-    rows = [(i, str(series[i])) for i in range(args.order + 1)]
+    coefficients = [str(series[i]) for i in range(args.order + 1)]
     payload = {
-        "command": "zeta",
-        "scheme": str(x),
         "q": rational.q,
         "order": args.order,
         "rational": str(rational),
         "numerator": [list(f) for f in rational.numer],
         "denominator": [list(f) for f in rational.denom],
-        "coefficients": [str(series[i]) for i in range(args.order + 1)],
+        "coefficients": coefficients,
         "agrees": agrees,
     }
     footer = [
@@ -238,31 +192,20 @@ def _cmd_zeta(args) -> int:
         f"series:   {series}",
         f"agreement to order {args.order}: {'yes' if agrees else 'NO'}",
     ]
-    _emit(args, ["i", "coefficient"], rows, payload, footer)
-    return EXIT_OK if agrees else EXIT_MISMATCH
+    return ("i", "coefficient"), list(enumerate(coefficients)), payload, footer, agrees
 
 
-def _cmd_special(args) -> int:
-    x = _scheme(args)
-    lfun = lfactorization_of(cells_of(x))
-    value = special_value_product(lfun, args.at)
+def _cmd_special(x: SchemeExpr, args):
+    value = special_value_product(lfactorization_of(cells_of(x)), args.at)
     approx: Optional[float]
     try:
         approx = value.approx()
     except ValueError:
         approx = None
-    rows = [
-        (
-            value.kind,
-            str(value.rational),
-            value.pi_power,
-            value.order,
-            "" if approx is None else repr(approx),
-        )
-    ]
+    headers = ("kind", "rational", "pi_power", "order", "approx")
+    row = (value.kind, str(value.rational), value.pi_power, value.order,
+           "" if approx is None else repr(approx))
     payload = {
-        "command": "special",
-        "scheme": str(x),
         "at": args.at,
         "kind": value.kind,
         "rational": str(value.rational),
@@ -272,38 +215,14 @@ def _cmd_special(args) -> int:
         "approx": approx,
         "display": str(value),
     }
-    footer = [f"value: {value}"]
-    _emit(args, ["kind", "rational", "pi_power", "order", "approx"], rows,
-          payload, footer)
-    return EXIT_OK
+    return headers, [row], payload, [f"value: {value}"], True
 
 
-def _report_mismatches(reports) -> None:
-    """The first 20 mismatching rows across the reports, to stderr."""
-    rows = ((r.scheme, row) for r in reports for row in r.mismatches())
-    for scheme, row in itertools.islice(rows, 20):
-        print(
-            f"mismatch: {scheme} at k={row.k}: chi={row.chi} ord={row.ord}",
-            file=sys.stderr,
-        )
-
-
-def _verify_rows(report) -> list[tuple[int, int, int, str]]:
-    return [
-        (r.k, r.chi, r.ord, "yes" if r.match else "NO") for r in report.rows
-    ]
-
-
-def _cmd_verify(args) -> int:
-    x = _scheme(args)
+def _cmd_verify(x: SchemeExpr, args):
     report = check_soule(x, _parse_k_range(args.k))
-    payload = {"command": "verify", **report.to_dict()}
+    rows = [(r.k, r.chi, r.ord, "yes" if r.match else "NO") for r in report.rows]
     footer = [f"summary: {report.matched} matched, {report.mismatched} mismatched"]
-    _emit(args, ["k", "chi", "ord", "match"], _verify_rows(report), payload, footer)
-    if not report.ok:
-        _report_mismatches([report])
-        return EXIT_MISMATCH
-    return EXIT_OK
+    return ("k", "chi", "ord", "match"), rows, report.to_dict(), footer, report.ok
 
 
 def _split_fields(text: str) -> list[str]:
@@ -336,24 +255,21 @@ def _sweep_family(args) -> list[SchemeExpr]:
     return affine_family(bases, args.max_d)
 
 
-def _cmd_sweep(args) -> int:
-    report = sweep(_sweep_family(args), _parse_k_range(args.k))
+def _cmd_sweep(x: None, args):
+    family = _sweep_family(args)
+    report = sweep(family, _parse_k_range(args.k))
     rows = [
         (r.scheme, r.matched, r.mismatched, "yes" if r.ok else "NO")
         for r in report.reports
     ]
-    payload = {"command": "sweep", "family": args.family, **report.to_dict()}
+    payload = {"family": args.family, **report.to_dict()}
     footer = [
         f"schemes: {report.schemes}, rows: {report.total_rows}, "
         f"mismatched: {report.mismatched}",
         f"chi range: [{report.min_chi}, {report.max_chi}]; "
         f"rows with poles: {report.rows_pole}, with zeros: {report.rows_zero}",
     ]
-    _emit(args, ["scheme", "matched", "mismatched", "ok"], rows, payload, footer)
-    if not report.ok:
-        _report_mismatches(report.reports)
-        return EXIT_MISMATCH
-    return EXIT_OK
+    return ("scheme", "matched", "mismatched", "ok"), rows, payload, footer, report.ok
 
 
 # -- argument parsing ------------------------------------------------------------
@@ -430,9 +346,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error (2) or --help (0)
+        return exc.code
+    try:
+        x = parse_scheme(args.scheme, _registry(args)) if "scheme" in args else None
+        headers, rows, payload, footer, ok = args.func(x, args)
+        payload["command"] = args.command
+        if x is not None:
+            payload["scheme"] = str(x)
+        _emit(args.format, headers, rows, payload, footer)
+        if ok:
+            return EXIT_OK
+        _report_mismatches(payload)
+        return EXIT_MISMATCH
     except SchemeSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return EXIT_SYNTAX
@@ -442,6 +370,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except Exception as exc:  # a fault in flagzeta itself, never a mismatch
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

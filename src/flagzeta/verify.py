@@ -144,16 +144,14 @@ def check_soule(
 
 
 def _support_rows(table, j_min: int, j_max: int) -> tuple[SupportRow, ...]:
+    """``table.support_at(j)`` for every j in the window, in one pass."""
+    by_weight: dict[int, list[tuple[int, int]]] = {}
+    for (m, j), dim in table.items():  # sorted by m, so each bucket is too
+        by_weight.setdefault(j, []).append((m, dim))
     out = []
     for j in range(j_min, j_max + 1):
-        pairs = table.support_at(j)
-        out.append(
-            SupportRow(
-                j,
-                tuple(m for m, _ in pairs),
-                sum(d for _, d in pairs),
-            )
-        )
+        pairs = by_weight.get(j, ())
+        out.append(SupportRow(j, tuple(m for m, _ in pairs), sum(d for _, d in pairs)))
     return tuple(out)
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .cells import CellsOrScheme, _as_cells
@@ -207,7 +208,11 @@ class ChiFunction:
             raise ValueError(
                 f"weight {k} outside window [{self.j_min}, {self.j_max}]"
             )
-        return dict(self.values).get(k, 0)
+        return self._by_weight.get(k, 0)
+
+    @cached_property
+    def _by_weight(self) -> dict[int, int]:
+        return dict(self.values)
 
     def _same_window(self, other: "ChiFunction") -> None:
         if (self.j_min, self.j_max) != (other.j_min, other.j_max):

@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+import flagzeta.cli
+import flagzeta.verify
 from flagzeta.cli import main
+from flagzeta.series import TruncSeries
 
 
 def run(capsys, *argv):
@@ -204,3 +207,141 @@ def test_output_is_deterministic(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+class _OffByOne:
+    """A chi function one above the true one at every weight."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def value(self, k):
+        return self.fn.value(k) + 1
+
+
+@pytest.fixture
+def chi_off_by_one(monkeypatch):
+    real = flagzeta.verify.chi
+    monkeypatch.setattr(flagzeta.verify, "chi", lambda table: _OffByOne(real(table)))
+
+
+VERIFY_Q_OFF_BY_ONE = """\
+k    chi  ord  match
+-30  2    1    NO
+-29  1    0    NO
+-28  2    1    NO
+-27  1    0    NO
+-26  2    1    NO
+-25  1    0    NO
+-24  2    1    NO
+-23  1    0    NO
+-22  2    1    NO
+-21  1    0    NO
+-20  2    1    NO
+-19  1    0    NO
+-18  2    1    NO
+-17  1    0    NO
+-16  2    1    NO
+-15  1    0    NO
+-14  2    1    NO
+-13  1    0    NO
+-12  2    1    NO
+-11  1    0    NO
+-10  2    1    NO
+-9   1    0    NO
+-8   2    1    NO
+-7   1    0    NO
+-6   2    1    NO
+-5   1    0    NO
+-4   2    1    NO
+-3   1    0    NO
+-2   2    1    NO
+-1   1    0    NO
+0    1    0    NO
+1    0    -1   NO
+2    1    0    NO
+summary: 0 matched, 33 mismatched
+"""
+
+
+def test_verify_mismatch_exits_1_and_caps_stderr(capsys, chi_off_by_one):
+    code, out, err = run(capsys, "verify", "Q", "--k=-30..2")
+    assert code == 1
+    assert out == VERIFY_Q_OFF_BY_ONE
+    rows = [line.split() for line in out.splitlines()[1:21]]
+    assert err == "".join(
+        f"mismatch: Q at k={k}: chi={c} ord={o}\n" for k, c, o, _ in rows
+    )
+
+
+def test_sweep_mismatch_exits_1(capsys, chi_off_by_one):
+    code, out, err = run(
+        capsys, "sweep", "--family", "proj", "--fields", "Q", "--max-d", "1",
+        "--k=-2..1",
+    )
+    assert code == 1
+    assert out == (
+        "scheme      matched  mismatched  ok\n"
+        "proj(Q, 0)  0        4           NO\n"
+        "proj(Q, 1)  0        4           NO\n"
+        "schemes: 2, rows: 8, mismatched: 8\n"
+        "chi range: [0, 2]; rows with poles: 0, with zeros: 6\n"
+    )
+    assert err == (
+        "mismatch: proj(Q, 0) at k=-2: chi=2 ord=1\n"
+        "mismatch: proj(Q, 0) at k=-1: chi=1 ord=0\n"
+        "mismatch: proj(Q, 0) at k=0: chi=1 ord=0\n"
+        "mismatch: proj(Q, 0) at k=1: chi=0 ord=-1\n"
+        "mismatch: proj(Q, 1) at k=-2: chi=2 ord=1\n"
+        "mismatch: proj(Q, 1) at k=-1: chi=2 ord=1\n"
+        "mismatch: proj(Q, 1) at k=0: chi=1 ord=0\n"
+        "mismatch: proj(Q, 1) at k=1: chi=0 ord=-1\n"
+    )
+
+
+def test_zeta_disagreement_exits_1_without_mismatch_lines(capsys, monkeypatch):
+    real = flagzeta.cli.weil_zeta_series
+
+    def off_by_one(cells, order):
+        series = real(cells, order)
+        return TruncSeries(order, [series[i] + 1 for i in range(order + 1)])
+
+    monkeypatch.setattr(flagzeta.cli, "weil_zeta_series", off_by_one)
+    code, out, err = run(capsys, "zeta", "proj(F(2), 1)", "--order", "3")
+    assert code == 1
+    assert out.endswith("agreement to order 3: NO\n")
+    assert err == ""
+
+
+def test_unexpected_exception_exits_5(capsys, monkeypatch):
+    def broken(x, args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(flagzeta.cli, "_cmd_cells", broken)
+    code, out, err = run(capsys, "cells", "Q")
+    assert code == 5
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream",
+    [
+        (["lfun", "Q", "--eval-at", "-inf"], 2, "err"),  # argparse reads -inf as an option
+        (["verify"], 2, "err"),
+        ([], 2, "err"),
+        (["--help"], 0, "out"),
+        (["sweep", "--help"], 0, "out"),
+    ],
+)
+def test_argparse_exits_are_returned(capsys, argv, code, stream):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert getattr(captured, stream).startswith("usage:")
+
+
+def test_range_is_parsed_only_where_used(capsys):
+    assert run(capsys, "cells", "Q", "--k=2..1")[0] == 0
+    assert run(capsys, "lfun", "Q", "--k=junk")[0] == 0
+    code, _, err = run(capsys, "ranks", "proj(Q,", "--k=2..1")
+    assert (code, err.split(":")[0]) == (2, "syntax error")

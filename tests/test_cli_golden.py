@@ -2,7 +2,9 @@
 
 Every subcommand runs in process in each output format, plus one case per
 error exit code; exit code, stdout and stderr must match ``cli_golden.json``
-byte for byte.  After a deliberate change of output, regenerate the file with
+byte for byte.  Cases run in this directory, so the field catalogue
+``golden_fields.json`` is named by a relative path.  After a deliberate
+change of output, regenerate the file with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
@@ -12,6 +14,7 @@ and review its diff.
 import contextlib
 import io
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -30,6 +33,9 @@ COMMANDS = (
     ("special", "proj(Q, 2)", "--at=-1"),
     ("verify", "flag(Q(sqrt -3), 1+1)", "--k=-3..2"),
     ("sweep", "--family", "proj", "--fields", "Q,F(2)", "--max-d", "1", "--k=-2..1"),
+    ("sweep", "--family", "flags", "--fields", "Q(sqrt -1)", "--max-n", "2", "--k=-3..1"),
+    ("sweep", "--family", "affine", "--fields", "Q,F(3)", "--max-d", "2", "--k=-2..2"),
+    ("verify", "union(proj(K, 1), Q)", "--k=-4..2", "--field-config=golden_fields.json"),
 )
 ERRORS = (
     ("verify", "proj(Q, "),  # exit 2: syntax error
@@ -56,11 +62,13 @@ def _golden() -> dict:
 
 
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
-def test_cli_output_matches_golden(argv):
+def test_cli_output_matches_golden(argv, monkeypatch):
+    monkeypatch.chdir(GOLDEN.parent)
     assert run(argv) == _golden()[tuple(argv)]
 
 
 if __name__ == "__main__":
+    os.chdir(GOLDEN.parent)
     GOLDEN.write_text(
         json.dumps([run(argv) for argv in CASES], indent=1) + "\n", encoding="utf-8"
     )

@@ -11,9 +11,11 @@ from flagzeta.cells import (
     FiniteBase,
     FlagBundle,
     ProjBundle,
+    cells_of,
 )
 from flagzeta.fields import FiniteField, quadratic_field, rationals
 from flagzeta.verify import (
+    SupportRow,
     affine_family,
     check_soule,
     compositions,
@@ -21,6 +23,7 @@ from flagzeta.verify import (
     proj_family,
     sweep,
 )
+from flagzeta.weights import weight_table_of
 
 Q = rationals()
 QI = quadratic_field(-1)
@@ -28,6 +31,7 @@ Q2 = quadratic_field(2)
 QM5 = quadratic_field(-5)
 Q5 = quadratic_field(5)
 F2 = FiniteField(2)
+F3 = FiniteField(3)
 
 FIELDS = [Q, QI, QM5, Q2, Q5]
 
@@ -70,6 +74,29 @@ def test_report_support_scan():
     # weight 2 sees the rank class of the shift-1 stratum and K_3 of the
     # shift-3 stratum (its weight -1 entry, rank r2 = 1)
     assert support[2] == (0, 3)
+
+
+@pytest.mark.parametrize(
+    "x, window",
+    [
+        (ProjBundle(BasePoint(QM5), 3), (-6, 2)),
+        (FlagBundle(BasePoint(Q2), (1, 2, 1)), (-15, 5)),
+        (DisjointUnion((ProjBundle(BasePoint(QI), 2), Affine(FiniteBase(F3), 1))), (-9, 4)),
+        (ProjBundle(BasePoint(Q), 3), (6, 10)),
+    ],
+)
+def test_support_rows_match_per_weight_support_at(x, window):
+    lo, hi = window
+    table = weight_table_of(cells_of(x), lo, hi)
+    expected = tuple(
+        SupportRow(
+            j,
+            tuple(m for m, _ in table.support_at(j)),
+            sum(d for _, d in table.support_at(j)),
+        )
+        for j in range(lo, hi + 1)
+    )
+    assert check_soule(x, window).support == expected
 
 
 def test_support_at_far_weight_is_empty():
