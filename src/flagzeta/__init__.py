@@ -73,7 +73,6 @@ from .weights import (
     WeightTable,
     borel_weight_table,
     chi,
-    chi_cover,
     finite_field_weight_table,
     weight_table_of,
 )

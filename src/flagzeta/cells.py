@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .fields import (
     BaseField,
@@ -115,23 +115,26 @@ def gaussian_binomial(n: int, k: int) -> QPolynomial:
 
         [n k]_q = [n-1 k-1]_q + q^k [n-1 k]_q,
 
-    which stays in integer coefficients (no polynomial division).
+    which stays in integer coefficients (no polynomial division).  The
+    triangle is built row by row, so the depth of the computation does
+    not grow with n.
     """
     if k < 0 or n < 0:
         raise ValueError("indices must be non-negative")
     if k > n:
         return QPolynomial(())
-    if k == 0 or k == n:
-        return ONE
-    left = gaussian_binomial(n - 1, k - 1)
-    right = gaussian_binomial(n - 1, k)
-    shifted = QPolynomial((0,) * k + right.coeffs)
-    out = [0] * (max(len(left.coeffs), len(shifted.coeffs)))
-    for i, c in enumerate(left.coeffs):
-        out[i] += c
-    for i, c in enumerate(shifted.coeffs):
-        out[i] += c
-    return QPolynomial(tuple(out))
+    k = min(k, n - k)  # [n k]_q = [n n-k]_q: the shorter rows
+    # row[j] holds the coefficients of [i+j choose j]_q, starting at i = 0
+    row = [[1]] * (k + 1)
+    for _ in range(n - k):
+        new = [[1]]
+        for j in range(1, k + 1):
+            out = new[j - 1] + [0] * (j + len(row[j]) - len(new[j - 1]))
+            for e, c in enumerate(row[j], j):
+                out[e] += c
+            new.append(out)
+        row = new
+    return QPolynomial(tuple(row[k]))
 
 
 def gaussian_multinomial(n: int, parts: Sequence[int]) -> QPolynomial:
@@ -344,6 +347,38 @@ class CellDecomposition:
     @classmethod
     def one(cls) -> "CellDecomposition":
         return cls(())
+
+    @classmethod
+    def from_cover(
+        cls, parts: Mapping[Iterable[int], "CellsOrScheme"]
+    ) -> "CellDecomposition":
+        """The class of X = U_1 u ... u U_s by inclusion-exclusion.
+
+        ``parts`` maps each non-empty subset I of {1, ..., s} to the class
+        (or scheme) of the intersection U_I of the U_i, i in I; the result
+        is the sum over I of (-1)^(|I|+1) [U_I].  Every subset must be
+        present (intersections may repeat, e.g. equal opens).
+        """
+        normalized: dict[frozenset[int], CellDecomposition] = {}
+        for key, part in parts.items():
+            idx = frozenset(int(i) for i in key)
+            if not idx:
+                raise ValueError("cover subsets must be non-empty")
+            if idx in normalized:
+                raise ValueError(f"duplicate cover subset {sorted(idx)}")
+            normalized[idx] = _as_cells(part)
+        indices = sorted(set().union(*normalized))
+        if indices != list(range(1, len(indices) + 1)):
+            raise ValueError("cover opens must be numbered 1..s")
+        result = cls.one()
+        for size in range(1, len(indices) + 1):
+            for combo in itertools.combinations(indices, size):
+                key = frozenset(combo)
+                if key not in normalized:
+                    raise ValueError(f"missing intersection for subset {sorted(key)}")
+                part = normalized[key]
+                result = result * part if size % 2 == 1 else result / part
+        return result
 
     @property
     def factors(self) -> tuple[Stratum, ...]:

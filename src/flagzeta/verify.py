@@ -23,16 +23,18 @@ a list of fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .cells import (
     Affine,
     BasePoint,
+    CellsOrScheme,
     FiniteBase,
     FlagBundle,
     ProjBundle,
     SchemeExpr,
-    cells_of,
+    _as_cells,
 )
 from .fields import BaseField, NumberField
 from .lfuncs import lfactorization_of
@@ -82,20 +84,24 @@ class VerificationReport:
     rows: tuple[SouleRow, ...]
     support: tuple[SupportRow, ...]
 
+    @cached_property
+    def _mismatches(self) -> tuple[SouleRow, ...]:
+        return tuple(r for r in self.rows if not r.match)
+
     @property
     def matched(self) -> int:
-        return sum(1 for r in self.rows if r.match)
+        return len(self.rows) - self.mismatched
 
     @property
     def mismatched(self) -> int:
-        return sum(1 for r in self.rows if not r.match)
+        return len(self._mismatches)
 
     @property
     def ok(self) -> bool:
-        return self.mismatched == 0
+        return not self._mismatches
 
     def mismatches(self) -> tuple[SouleRow, ...]:
-        return tuple(r for r in self.rows if not r.match)
+        return self._mismatches
 
     def to_dict(self) -> dict:
         return {
@@ -124,15 +130,16 @@ def _k_range(k_range: tuple[int, int]) -> tuple[int, int]:
 
 
 def check_soule(
-    x: SchemeExpr, k_range: tuple[int, int] = DEFAULT_K_RANGE
+    x: CellsOrScheme, k_range: tuple[int, int] = DEFAULT_K_RANGE
 ) -> VerificationReport:
     """Compare chi(X, k) with ord_{s=k} L(X, s) for each k in the range.
 
-    The cell decomposition is computed once and shared; everything after
-    that point is two disjoint exact computations.
+    ``x`` is a scheme or a signed cell class.  The cell decomposition is
+    computed once and shared; everything after that point is two disjoint
+    exact computations.
     """
     k_min, k_max = _k_range(k_range)
-    cells = cells_of(x)
+    cells = _as_cells(x)
     table = weight_table_of(cells, k_min, k_max)
     chi_fn = chi(table)
     lfun = lfactorization_of(cells)

@@ -15,7 +15,9 @@ the Krull dimension of the base (one) minus its Adams eigenvalue:
 degrees 1 mod 4, ranks r2 in degrees 3 mod 4.)  Spec of a finite field
 contributes a single rank-1 entry in degree 0 and weight 0.  A cell of
 dimension d over a base simply shifts the base table up by d in weight,
-and tables of unions add; that is all the cell calculus needs.
+and tables of signed cell classes add with the multiplicities, so they
+hold virtual ranks (negative for an excised cell) and ``chi`` is linear
+on classes, as ``ord_at`` is; that is all the cell calculus needs.
 
 Tables are materialized over an explicit weight window [j_min, j_max]
 because the full table has entries at every sufficiently negative
@@ -28,10 +30,9 @@ chi(Spec Z, 1) = -1 matches the pole of the zeta function at s = 1.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .cells import CellsOrScheme, _as_cells
 from .fields import BaseField, FiniteField, NumberField
@@ -43,14 +44,14 @@ __all__ = [
     "finite_field_weight_table",
     "weight_table_of",
     "chi",
-    "chi_cover",
 ]
 
 
 class WeightTable:
     """Ranks dim_Q of K-groups by (degree m, weight j), on a weight window.
 
-    Zero entries are not stored; queries inside the window return 0 for
+    Ranks of a signed cell class are virtual and may be negative.  Zero
+    entries are not stored; queries inside the window return 0 for
     absent entries and queries outside the window are refused, since
     the table holds no information there.
     """
@@ -64,8 +65,6 @@ class WeightTable:
             raise ValueError("empty weight window")
         clean: dict[tuple[int, int], int] = {}
         for (m, j), dim in entries.items():
-            if dim < 0:
-                raise ValueError("ranks cannot be negative")
             if dim == 0:
                 continue
             if not j_min <= j <= j_max:
@@ -102,14 +101,6 @@ class WeightTable:
         return tuple(
             sorted((m, d) for (m, jj), d in self._entries.items() if jj == j)
         )
-
-    def __add__(self, other: "WeightTable") -> "WeightTable":
-        if (self._j_min, self._j_max) != (other._j_min, other._j_max):
-            raise ValueError("weight windows differ")
-        merged = dict(self._entries)
-        for key, d in other._entries.items():
-            merged[key] = merged.get(key, 0) + d
-        return WeightTable(merged, self._j_min, self._j_max)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightTable):
@@ -167,8 +158,8 @@ def _base_weight_table(base: BaseField, j_min: int, j_max: int) -> WeightTable:
 def weight_table_of(
     x: CellsOrScheme, j_min: int = DEFAULT_J_MIN, j_max: int = DEFAULT_J_MAX
 ) -> WeightTable:
-    """Weight table of a cellular scheme: the direct sum over its cells of
-    the base table shifted up by the cell dimension."""
+    """Weight table of a scheme or signed cell class: the signed sum over
+    its cells of the base table shifted up by the cell dimension."""
     entries: dict[tuple[int, int], int] = {}
     for s in _as_cells(x):
         base = _base_weight_table(s.base, j_min - s.shift, j_max - s.shift)
@@ -182,26 +173,14 @@ def weight_table_of(
 class ChiFunction:
     """Euler characteristics by weight, valid on an explicit window.
 
-    Stored sparsely; addition and subtraction require equal windows, so a
-    value can never silently combine a known region with an unknown one.
+    Stored sparsely as sorted (weight, value) pairs with nonzero values;
+    a query outside the window is refused, since the table it came from
+    holds no information there.
     """
 
     values: tuple[tuple[int, int], ...]
     j_min: int
     j_max: int
-
-    @classmethod
-    def build(
-        cls, values: Mapping[int, int] | Iterable[tuple[int, int]], j_min: int, j_max: int
-    ) -> "ChiFunction":
-        pairs = values.items() if isinstance(values, Mapping) else values
-        clean: dict[int, int] = {}
-        for k, v in pairs:
-            if not j_min <= k <= j_max:
-                raise ValueError(f"weight {k} outside window [{j_min}, {j_max}]")
-            if v:
-                clean[k] = clean.get(k, 0) + v
-        return cls(tuple(sorted(clean.items())), j_min, j_max)
 
     def value(self, k: int) -> int:
         if not self.j_min <= k <= self.j_max:
@@ -214,70 +193,11 @@ class ChiFunction:
     def _by_weight(self) -> dict[int, int]:
         return dict(self.values)
 
-    def _same_window(self, other: "ChiFunction") -> None:
-        if (self.j_min, self.j_max) != (other.j_min, other.j_max):
-            raise ValueError("weight windows differ")
-
-    def __add__(self, other: "ChiFunction") -> "ChiFunction":
-        self._same_window(other)
-        merged = dict(self.values)
-        for k, v in other.values:
-            merged[k] = merged.get(k, 0) + v
-        return ChiFunction.build(merged, self.j_min, self.j_max)
-
-    def __neg__(self) -> "ChiFunction":
-        return ChiFunction.build(
-            [(k, -v) for k, v in self.values], self.j_min, self.j_max
-        )
-
-    def __sub__(self, other: "ChiFunction") -> "ChiFunction":
-        return self + (-other)
-
-    def __mul__(self, scalar: int) -> "ChiFunction":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return ChiFunction.build(
-            [(k, scalar * v) for k, v in self.values], self.j_min, self.j_max
-        )
-
-    __rmul__ = __mul__
-
 
 def chi(table: WeightTable) -> ChiFunction:
     """chi(k) = sum_m (-1)^(m+1) dim(m, k) on the table's window."""
     acc: dict[int, int] = {}
     for (m, j), dim in table.items():
         acc[j] = acc.get(j, 0) + ((-1) ** (m + 1)) * dim
-    return ChiFunction.build(acc, table.j_min, table.j_max)
-
-
-def chi_cover(parts: Mapping[Iterable[int], ChiFunction]) -> ChiFunction:
-    """Euler characteristics from an open cover by inclusion-exclusion.
-
-    ``parts`` maps each non-empty subset I of {1, ..., s} to the chi
-    function of the intersection of the opens U_i, i in I; the result is
-    sum over I of (-1)^(|I|+1) chi(U_I).  Every subset must be present
-    (intersections may repeat, e.g. a degenerate cover by equal opens).
-    """
-    normalized: dict[frozenset[int], ChiFunction] = {}
-    for key, fn in parts.items():
-        idx = frozenset(int(i) for i in key)
-        if not idx:
-            raise ValueError("cover subsets must be non-empty")
-        if idx in normalized:
-            raise ValueError(f"duplicate cover subset {sorted(idx)}")
-        normalized[idx] = fn
-    indices = sorted(set().union(*normalized))
-    if indices != list(range(1, len(indices) + 1)):
-        raise ValueError("cover opens must be numbered 1..s")
-    s = len(indices)
-    result: ChiFunction | None = None
-    for size in range(1, s + 1):
-        for combo in itertools.combinations(range(1, s + 1), size):
-            key = frozenset(combo)
-            if key not in normalized:
-                raise ValueError(f"missing intersection for subset {sorted(key)}")
-            term = normalized[key] if size % 2 == 1 else -normalized[key]
-            result = term if result is None else result + term
-    assert result is not None
-    return result
+    values = tuple((j, v) for j, v in sorted(acc.items()) if v)
+    return ChiFunction(values, table.j_min, table.j_max)

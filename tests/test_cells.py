@@ -1,6 +1,7 @@
 """Tests for q-multinomials, cell decompositions, and flag enumeration."""
 
 import itertools
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -49,6 +50,37 @@ def test_gaussian_binomial_small():
     assert gaussian_binomial(4, 2) == QPolynomial((1, 1, 2, 1, 1))
     assert gaussian_binomial(4, 2)(2) == 35
     assert gaussian_binomial(3, 5) == QPolynomial(())
+
+
+@lru_cache(maxsize=None)
+def recursive_gaussian_binomial(n, k):
+    """The q-Pascal recursion on n, kept as the reference for small n."""
+    if k > n:
+        return ()
+    if k == 0 or k == n:
+        return (1,)
+    left = recursive_gaussian_binomial(n - 1, k - 1)
+    shifted = (0,) * k + recursive_gaussian_binomial(n - 1, k)
+    out = [0] * max(len(left), len(shifted))
+    for i, c in enumerate(left):
+        out[i] += c
+    for i, c in enumerate(shifted):
+        out[i] += c
+    return tuple(out)
+
+
+def test_gaussian_binomial_matches_recursion():
+    for n in range(41):
+        for k in range(n + 2):
+            assert gaussian_binomial(n, k).coeffs == recursive_gaussian_binomial(n, k)
+
+
+def test_gaussian_binomial_has_no_recursion_depth_limit():
+    # P^1199 as the Grassmannian of lines in rank 1200
+    assert cells_of(Grassmannian(BasePoint(Q), 1, 1200)) == cells_of(
+        ProjBundle(BasePoint(Q), 1199)
+    )
+    assert gaussian_binomial(995, 2)(1) == 995 * 994 // 2
 
 
 def test_gaussian_multinomial_complete_flag():

@@ -67,6 +67,15 @@ def test_mixed_union_verifies():
     assert report.ok
 
 
+def test_signed_class_verifies():
+    # the punctured line: A^1 with its origin excised, not a scheme here
+    c = cells_of(Affine(BasePoint(Q), 1)) / cells_of(BasePoint(Q))
+    report = check_soule(c, (-10, 2))
+    assert report.ok
+    assert {r.k: r.chi for r in report.rows}[1] == 1
+    assert report.scheme == "L(Q, s)^-1 * L(Q, s-1)"
+
+
 def test_report_support_scan():
     report = check_soule(ProjBundle(BasePoint(QM5), 3), (-6, 2))
     support = {row.j: row.degrees for row in report.support}

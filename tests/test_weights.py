@@ -5,6 +5,7 @@ import pytest
 from flagzeta.cells import (
     Affine,
     BasePoint,
+    CellDecomposition,
     DisjointUnion,
     FiniteBase,
     ProjBundle,
@@ -12,10 +13,8 @@ from flagzeta.cells import (
 )
 from flagzeta.fields import FiniteField, quadratic_field, rationals
 from flagzeta.weights import (
-    ChiFunction,
     borel_weight_table,
     chi,
-    chi_cover,
     finite_field_weight_table,
     weight_table_of,
 )
@@ -104,7 +103,22 @@ def test_union_adds_tables():
     x = DisjointUnion((BasePoint(Q), BasePoint(Q)))
     t = weight_table_of(x, -4, 2)
     single = borel_weight_table(Q, -4, 2)
-    assert t == single + single
+    assert t.items() == [(key, 2 * dim) for key, dim in single.items()]
+
+
+def test_signed_class_has_virtual_ranks():
+    # A^1 minus its origin: the shifted table of Z minus the table of Z
+    c = cells_of(Affine(BasePoint(Q), 1)) / cells_of(BasePoint(Q))
+    t = weight_table_of(c, -4, 2)
+    assert t.items() == [
+        ((0, 1), -1),
+        ((0, 2), 1),
+        ((5, -2), -1),
+        ((5, -1), 1),
+        ((9, -4), -1),
+        ((9, -3), 1),
+    ]
+    assert [chi(t).value(k) for k in range(-4, 3)] == [-1, 1, -1, 1, 0, 1, -1]
 
 
 def test_table_accepts_cells_or_expression():
@@ -145,41 +159,36 @@ def test_chi_of_projective_bundle_is_shifted_sum():
             assert c.value(k) == sum(base.value(k - i) for i in range(d + 1))
 
 
-def test_chi_arithmetic_requires_equal_windows():
-    a = chi(borel_weight_table(Q, -4, 2))
-    b = chi(borel_weight_table(Q, -5, 2))
-    with pytest.raises(ValueError, match="windows differ"):
-        a + b
-
-
-def test_chi_cover_two_charts_of_projective_line():
-    # P^1 = A^1 union A^1 with intersection the punctured line; the chi of
-    # the intersection comes from excising the origin from A^1.
+def test_from_cover_two_charts_of_projective_line():
+    # P^1 = A^1 union A^1 with intersection the punctured line, the class
+    # of A^1 with the origin excised.
     window = (-10, 2)
-    affine = chi(weight_table_of(Affine(BasePoint(Q), 1), *window))
-    point = chi(weight_table_of(BasePoint(Q), *window))
-    punctured = affine - point
-    covered = chi_cover({(1,): affine, (2,): affine, (1, 2): punctured})
-    direct = chi(weight_table_of(ProjBundle(BasePoint(Q), 1), *window))
-    assert covered == direct
+    affine = cells_of(Affine(BasePoint(Q), 1))
+    punctured = affine / cells_of(BasePoint(Q))
+    covered = CellDecomposition.from_cover(
+        {(1,): affine, (2,): affine, (1, 2): punctured}
+    )
+    direct = ProjBundle(BasePoint(Q), 1)
+    assert covered == cells_of(direct)
+    assert chi(weight_table_of(covered, *window)) == chi(weight_table_of(direct, *window))
 
 
-def test_chi_cover_degenerate_equal_opens():
+def test_from_cover_degenerate_equal_opens():
     # U_1 = U_2 = U_3 = X: all intersections equal X and the alternating
-    # sum (3 - 3 + 1) chi(X) collapses to chi(X).
-    x = chi(weight_table_of(ProjBundle(BasePoint(QI), 2), -8, 2))
+    # sum (3 - 3 + 1) [X] collapses to [X].
+    x = cells_of(ProjBundle(BasePoint(QI), 2))
     parts = {
         (1,): x, (2,): x, (3,): x,
         (1, 2): x, (1, 3): x, (2, 3): x,
         (1, 2, 3): x,
     }
-    assert chi_cover(parts) == x
+    assert CellDecomposition.from_cover(parts) == x
 
 
-def test_chi_cover_rejects_gaps():
-    x = chi(weight_table_of(BasePoint(Q), -4, 2))
+def test_from_cover_rejects_gaps():
+    x = cells_of(BasePoint(Q))
     with pytest.raises(ValueError, match="missing intersection"):
-        chi_cover({(1,): x, (2,): x})
+        CellDecomposition.from_cover({(1,): x, (2,): x})
 
 
 # -- Beilinson-Soule style support checks -----------------------------------------
