@@ -53,6 +53,13 @@ __all__ = [
 ]
 
 
+# Size bounds, checked before any polynomial or stratum list is built:
+# the degree of one proj/grass/flag node's cell polynomial, and the strata
+# one convolution may produce before they are merged.
+MAX_CELL_DEGREE = 4096
+MAX_CONVOLUTION_STRATA = 250_000
+
+
 # -- polynomials in q ------------------------------------------------------
 
 
@@ -415,6 +422,12 @@ class CellDecomposition:
     def convolved(self, poly: QPolynomial) -> "CellDecomposition":
         """Multiply by a cell-count polynomial: each coefficient c_e adds
         c_e copies of every stratum shifted by e."""
+        size = len(self.strata) * sum(1 for c in poly.coeffs if c)
+        if size > MAX_CONVOLUTION_STRATA:
+            raise ValueError(
+                f"a convolution of {size} strata is above the bound "
+                f"MAX_CONVOLUTION_STRATA = {MAX_CONVOLUTION_STRATA}"
+            )
         out = []
         for e, c in enumerate(poly.coeffs):
             if c == 0:
@@ -450,10 +463,13 @@ def cells_of(x: SchemeExpr) -> CellDecomposition:
     if isinstance(x, Affine):
         return cells_of(x.child).shifted(x.d)
     if isinstance(x, ProjBundle):
+        _check_cell_degree("proj", x.d)
         return cells_of(x.child).convolved(QPolynomial((1,) * (x.d + 1)))
     if isinstance(x, Grassmannian):
+        _check_cell_degree("grass", x.k * (x.n - x.k))
         return cells_of(x.child).convolved(gaussian_binomial(x.n, x.k))
     if isinstance(x, FlagBundle):
+        _check_cell_degree("flag", (x.rank**2 - sum(p * p for p in x.parts)) // 2)
         return cells_of(x.child).convolved(
             gaussian_multinomial(x.rank, x.parts)
         )
@@ -463,6 +479,14 @@ def cells_of(x: SchemeExpr) -> CellDecomposition:
             out.extend(cells_of(c).strata)
         return CellDecomposition.build(out)
     raise TypeError(f"not a scheme expression: {x!r}")
+
+
+def _check_cell_degree(kind: str, degree: int) -> None:
+    if degree > MAX_CELL_DEGREE:
+        raise ValueError(
+            f"{kind} node: cell polynomial degree {degree} is above the bound "
+            f"MAX_CELL_DEGREE = {MAX_CELL_DEGREE}"
+        )
 
 
 CellsOrScheme = Union[CellDecomposition, SchemeExpr]
@@ -513,8 +537,8 @@ def point_count(x: CellsOrScheme, r: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _gf_tables(q: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """(add, mul, inv) tables for F_q, elements encoded as 0..q-1.
+def _gf_tables(q: int) -> tuple[tuple, tuple, tuple[int, ...], tuple[int, ...]]:
+    """(add, mul, inv, neg) tables for F_q, elements encoded as 0..q-1.
 
     Prime q is modular arithmetic.  For q = p^f the element i encodes the
     base-p digit vector of a polynomial over F_p, reduced modulo a monic
@@ -588,13 +612,13 @@ def _gf_tables(q: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ..
     inv = [0] * q
     for a in range(1, q):
         inv[a] = next(b for b in range(1, q) if mul[a][b] == 1)
-    return add, mul, tuple(inv)
+    neg = tuple(add[a].index(0) for a in range(q))
+    return add, mul, tuple(inv), neg
 
 
 def _rref(rows: Sequence[Sequence[int]], q: int) -> tuple[tuple[int, ...], ...]:
     """Reduced row-echelon form over F_q; zero rows dropped."""
-    add, mul, inv = _gf_tables(q)
-    neg = tuple(next(b for b in range(q) if add[a][b] == 0) for a in range(q))
+    add, mul, inv, neg = _gf_tables(q)
     mat = [list(r) for r in rows]
     n = len(mat[0]) if mat else 0
     pivot_row = 0
@@ -649,7 +673,7 @@ def _all_subspaces(q: int, n: int, k: int) -> tuple[tuple[tuple[int, ...], ...],
 
 
 def _mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], q: int):
-    add, mul, _ = _gf_tables(q)
+    add, mul, _, _ = _gf_tables(q)
     out = []
     for row in a:
         acc = [0] * len(b[0])

@@ -63,13 +63,28 @@ def primes_upto(n: int) -> list[int]:
     return [i for i in range(2, n + 1) if sieve[i]]
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in range(2, int(n**0.5) + 1):
+# Integers are factored by trial division up to their square root, so
+# larger ones (field sizes, radicands, discriminants, splitting keys) are
+# refused rather than left to run for minutes.
+MAX_FACTORED = 10**12
+
+
+def _smallest_prime_factor(n: int) -> int:
+    """The smallest prime dividing n >= 2, by trial division up to sqrt(n)."""
+    if n > MAX_FACTORED:
+        raise ValueError(
+            f"{n} is above the factoring bound MAX_FACTORED = {MAX_FACTORED}"
+        )
+    if n % 2 == 0:
+        return 2
+    for p in range(3, math.isqrt(n) + 1, 2):
         if n % p == 0:
-            return False
-    return True
+            return p
+    return n
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and _smallest_prime_factor(n) == n
 
 
 def _squarefree_part(n: int) -> int:
@@ -79,17 +94,15 @@ def _squarefree_part(n: int) -> int:
     sign = -1 if n < 0 else 1
     n = abs(n)
     d = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            if e % 2 == 1:
-                d *= p
-        p += 1
-    return sign * d * n
+    while n > 1:
+        p = _smallest_prime_factor(n)
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e % 2 == 1:
+            d *= p
+    return sign * d
 
 
 @dataclass(frozen=True)
@@ -121,7 +134,7 @@ def finite_field(q: int) -> FiniteField:
     """FiniteField from a prime power written multiplicatively, e.g. 9 = 3^2."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    p = min(d for d in range(2, q + 1) if q % d == 0)
+    p = _smallest_prime_factor(q)
     f = 0
     m = q
     while m % p == 0:

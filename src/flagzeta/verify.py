@@ -13,7 +13,8 @@ integer k:
 two independent pipelines, and compares the resulting integers exactly
 over a k-range; the reports it returns are plain frozen data, rendered
 identically on every run.  The same report carries the weight-table
-support in each weight: the degrees where the ranks of the scheme live.
+support in each weight: the degrees where the ranks of the scheme live,
+read off the table's column at that weight.
 
 ``sweep`` runs the check across a family of schemes and aggregates, so a
 single exit status can certify, say, every flag bundle of rank <= 5 over
@@ -146,20 +147,12 @@ def check_soule(
     rows = tuple(
         SouleRow(k, chi_fn.value(k), lfun.ord_at(k)) for k in range(k_min, k_max + 1)
     )
-    support = _support_rows(table, k_min, k_max)
-    return VerificationReport(str(x), k_min, k_max, rows, support)
-
-
-def _support_rows(table, j_min: int, j_max: int) -> tuple[SupportRow, ...]:
-    """``table.support_at(j)`` for every j in the window, in one pass."""
-    by_weight: dict[int, list[tuple[int, int]]] = {}
-    for (m, j), dim in table.items():  # sorted by m, so each bucket is too
-        by_weight.setdefault(j, []).append((m, dim))
-    out = []
-    for j in range(j_min, j_max + 1):
-        pairs = by_weight.get(j, ())
-        out.append(SupportRow(j, tuple(m for m, _ in pairs), sum(d for _, d in pairs)))
-    return tuple(out)
+    support = []
+    for j in range(k_min, k_max + 1):
+        pairs = table.support_at(j)
+        degrees = tuple(m for m, _ in pairs)
+        support.append(SupportRow(j, degrees, sum(d for _, d in pairs)))
+    return VerificationReport(str(x), k_min, k_max, rows, tuple(support))
 
 
 @dataclass(frozen=True)

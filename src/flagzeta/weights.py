@@ -21,7 +21,9 @@ on classes, as ``ord_at`` is; that is all the cell calculus needs.
 
 Tables are materialized over an explicit weight window [j_min, j_max]
 because the full table has entries at every sufficiently negative
-weight; inside the window every query is exact and complete.
+weight; inside the window every query is exact and complete.  A table
+is built in one pass over the cells and kept by weight, so the support
+and chi at one weight each read a single column.
 
 The Euler characteristic of a table at weight k is
 chi(k) = sum_m (-1)^(m+1) dim(m, k), the sign chosen so that
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .cells import CellsOrScheme, _as_cells
 from .fields import BaseField, FiniteField, NumberField
@@ -50,27 +52,28 @@ __all__ = [
 class WeightTable:
     """Ranks dim_Q of K-groups by (degree m, weight j), on a weight window.
 
-    Ranks of a signed cell class are virtual and may be negative.  Zero
-    entries are not stored; queries inside the window return 0 for
-    absent entries and queries outside the window are refused, since
-    the table holds no information there.
+    Ranks of a signed cell class are virtual and may be negative.  They
+    are kept by weight, as one column {m: rank} per weight.  Zero
+    entries are not stored; queries inside the window return 0 for absent
+    entries and queries outside the window are refused, since the table
+    holds no information there.
     """
 
-    __slots__ = ("_entries", "_j_min", "_j_max")
+    __slots__ = ("_columns", "_j_min", "_j_max")
 
     def __init__(
         self, entries: Mapping[tuple[int, int], int], j_min: int, j_max: int
     ) -> None:
         if j_min > j_max:
             raise ValueError("empty weight window")
-        clean: dict[tuple[int, int], int] = {}
+        columns: dict[int, dict[int, int]] = {}
         for (m, j), dim in entries.items():
             if dim == 0:
                 continue
             if not j_min <= j <= j_max:
                 raise ValueError(f"entry at weight {j} outside window [{j_min}, {j_max}]")
-            clean[(m, j)] = clean.get((m, j), 0) + dim
-        self._entries = clean
+            columns.setdefault(j, {})[m] = dim
+        self._columns = columns
         self._j_min = j_min
         self._j_max = j_max
 
@@ -90,29 +93,29 @@ class WeightTable:
 
     def dim(self, m: int, j: int) -> int:
         self._check_window(j)
-        return self._entries.get((m, j), 0)
+        return self._columns.get(j, {}).get(m, 0)
 
     def items(self) -> list[tuple[tuple[int, int], int]]:
-        return sorted(self._entries.items())
+        return sorted(
+            ((m, j), dim) for j, col in self._columns.items() for m, dim in col.items()
+        )
 
     def support_at(self, j: int) -> tuple[tuple[int, int], ...]:
         """All (m, dim) pairs with a nonzero rank at weight j, sorted by m."""
         self._check_window(j)
-        return tuple(
-            sorted((m, d) for (m, jj), d in self._entries.items() if jj == j)
-        )
+        return tuple(sorted(self._columns.get(j, {}).items()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightTable):
             return NotImplemented
         return (
-            self._entries == other._entries
+            self._columns == other._columns
             and (self._j_min, self._j_max) == (other._j_min, other._j_max)
         )
 
     def __repr__(self) -> str:
         return (
-            f"WeightTable({self._entries!r}, j_min={self._j_min}, "
+            f"WeightTable({dict(self.items())!r}, j_min={self._j_min}, "
             f"j_max={self._j_max})"
         )
 
@@ -121,49 +124,48 @@ DEFAULT_J_MIN = -32
 DEFAULT_J_MAX = 8
 
 
+def _base_entries(
+    base: BaseField, j_min: int, j_max: int
+) -> Iterator[tuple[tuple[int, int], int]]:
+    """The nonzero ((m, j), rank) entries of a base's table on [j_min, j_max]."""
+    if isinstance(base, FiniteField):
+        if j_min <= 0 <= j_max:
+            yield (0, 0), 1
+        return
+    if j_min <= 1 <= j_max:
+        yield (0, 1), 1
+    units = base.r1 + base.r2 - 1
+    if units > 0 and j_min <= 0 <= j_max:
+        yield (1, 0), units
+    for j in range(j_min, min(j_max, -1) + 1):
+        i = 1 - j  # Adams eigenvalue, >= 2 here
+        dim = base.r1 + base.r2 if i % 2 == 1 else base.r2
+        if dim:
+            yield (2 * i - 1, j), dim
+
+
 def borel_weight_table(
     field: NumberField, j_min: int = DEFAULT_J_MIN, j_max: int = DEFAULT_J_MAX
 ) -> WeightTable:
     """The weight table of Spec of the ring of integers of a number field."""
-    entries: dict[tuple[int, int], int] = {}
-    if j_min <= 1 <= j_max:
-        entries[(0, 1)] = 1
-    units = field.r1 + field.r2 - 1
-    if units > 0 and j_min <= 0 <= j_max:
-        entries[(1, 0)] = units
-    for j in range(j_min, min(j_max, -1) + 1):
-        i = 1 - j  # Adams eigenvalue, >= 2 here
-        dim = field.r1 + field.r2 if i % 2 == 1 else field.r2
-        if dim:
-            entries[(2 * i - 1, j)] = dim
-    return WeightTable(entries, j_min, j_max)
+    return WeightTable(dict(_base_entries(field, j_min, j_max)), j_min, j_max)
 
 
 def finite_field_weight_table(
     field: FiniteField, j_min: int = DEFAULT_J_MIN, j_max: int = DEFAULT_J_MAX
 ) -> WeightTable:
     """Spec F_q: rationally just the class of the point, degree 0, weight 0."""
-    entries: dict[tuple[int, int], int] = {}
-    if j_min <= 0 <= j_max:
-        entries[(0, 0)] = 1
-    return WeightTable(entries, j_min, j_max)
-
-
-def _base_weight_table(base: BaseField, j_min: int, j_max: int) -> WeightTable:
-    if isinstance(base, NumberField):
-        return borel_weight_table(base, j_min, j_max)
-    return finite_field_weight_table(base, j_min, j_max)
+    return WeightTable(dict(_base_entries(field, j_min, j_max)), j_min, j_max)
 
 
 def weight_table_of(
     x: CellsOrScheme, j_min: int = DEFAULT_J_MIN, j_max: int = DEFAULT_J_MAX
 ) -> WeightTable:
     """Weight table of a scheme or signed cell class: the signed sum over
-    its cells of the base table shifted up by the cell dimension."""
+    its cells of the base entries shifted up by the cell dimension."""
     entries: dict[tuple[int, int], int] = {}
     for s in _as_cells(x):
-        base = _base_weight_table(s.base, j_min - s.shift, j_max - s.shift)
-        for (m, j), dim in base.items():
+        for (m, j), dim in _base_entries(s.base, j_min - s.shift, j_max - s.shift):
             key = (m, j + s.shift)
             entries[key] = entries.get(key, 0) + dim * s.multiplicity
     return WeightTable(entries, j_min, j_max)
@@ -195,9 +197,11 @@ class ChiFunction:
 
 
 def chi(table: WeightTable) -> ChiFunction:
-    """chi(k) = sum_m (-1)^(m+1) dim(m, k) on the table's window."""
-    acc: dict[int, int] = {}
-    for (m, j), dim in table.items():
-        acc[j] = acc.get(j, 0) + ((-1) ** (m + 1)) * dim
-    values = tuple((j, v) for j, v in sorted(acc.items()) if v)
-    return ChiFunction(values, table.j_min, table.j_max)
+    """chi(k) = sum_m (-1)^(m+1) dim(m, k) on the table's window: the
+    signed sum of the column at weight k."""
+    values = []
+    for j, col in sorted(table._columns.items()):
+        v = sum(dim if m % 2 else -dim for m, dim in col.items())
+        if v:
+            values.append((j, v))
+    return ChiFunction(tuple(values), table.j_min, table.j_max)

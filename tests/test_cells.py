@@ -6,7 +6,10 @@ from math import factorial
 
 import pytest
 
+import flagzeta.cells
 from flagzeta.cells import (
+    MAX_CELL_DEGREE,
+    MAX_CONVOLUTION_STRATA,
     Affine,
     BasePoint,
     CellDecomposition,
@@ -83,6 +86,27 @@ def test_gaussian_binomial_has_no_recursion_depth_limit():
     assert gaussian_binomial(995, 2)(1) == 995 * 994 // 2
 
 
+def test_cell_polynomial_degree_is_bounded():
+    assert cells_of(ProjBundle(BasePoint(Q), MAX_CELL_DEGREE)).max_shift() == 4096
+    for x in (
+        ProjBundle(BasePoint(Q), MAX_CELL_DEGREE + 1),
+        Grassmannian(BasePoint(Q), 64, 129),  # degree 64 * 65
+        FlagBundle(BasePoint(Q), (64, 65)),
+        FlagBundle(BasePoint(Q), (1,) * 92),  # degree 92 * 91 / 2
+    ):
+        with pytest.raises(ValueError, match="MAX_CELL_DEGREE = 4096"):
+            cells_of(x)
+
+
+def test_convolution_size_is_bounded():
+    child = cells_of(ProjBundle(BasePoint(Q), 499))  # 500 strata
+    bound = f"MAX_CONVOLUTION_STRATA = {MAX_CONVOLUTION_STRATA}"
+    with pytest.raises(ValueError, match=bound):
+        child.convolved(QPolynomial((1,) * 501))
+    with pytest.raises(ValueError, match="250500 strata"):
+        cells_of(ProjBundle(ProjBundle(BasePoint(Q), 499), 500))
+
+
 def test_gaussian_multinomial_complete_flag():
     m = gaussian_multinomial(3, (1, 1, 1))
     assert m == QPolynomial((1, 2, 2, 1))
@@ -144,6 +168,19 @@ def test_gaussian_matches_enumeration_everywhere_feasible():
                 assert gaussian_multinomial(n, parts)(q) == brute_force_flag_count(
                     parts, q, n
                 ), (q, n, parts)
+
+
+def test_enumeration_does_not_use_the_product_formula(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the oracle called a Gaussian polynomial")
+
+    cells = flagzeta.cells
+    monkeypatch.setattr(cells, "gaussian_binomial", forbidden)
+    monkeypatch.setattr(cells, "gaussian_multinomial", forbidden)
+    for cache in (cells._gf_tables, cells._all_subspaces, cells._chain_counts):
+        cache.cache_clear()
+    # a line of F_3^4 (40 choices), then a plane in the 3-dim quotient (13)
+    assert brute_force_flag_count((1, 2, 1), 3, 4) == 40 * 13
 
 
 # -- cell decompositions --------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import time
 
 import pytest
 
@@ -138,6 +139,30 @@ def test_validation_error_exit_code(capsys):
     code, _, err = run(capsys, "cells", "grass(F(2), 5, 4)")
     assert code == 3
     assert "cannot take" in err
+
+
+@pytest.mark.parametrize(
+    "scheme, bound",
+    [
+        ("grass(Q,1000,2000)", "MAX_CELL_DEGREE = 4096"),
+        ("proj(Q, 100000000)", "MAX_CELL_DEGREE = 4096"),
+        ("proj(proj(Q, 5000), 5000)", "MAX_CELL_DEGREE = 4096"),
+        ("Q(sqrt 1000000000000000003)", "MAX_FACTORED = 1000000000000"),
+    ],
+)
+def test_oversized_inputs_exit_3_quickly(capsys, scheme, bound):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cells", scheme)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert bound in err
+
+
+def test_large_prime_field_answers(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "cells", "F(2147483647)")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and "F(2147483647)  0      1" in out
 
 
 def test_unsupported_field_exit_code(capsys, tmp_path):

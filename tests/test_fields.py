@@ -7,6 +7,7 @@ import pytest
 
 from flagzeta.cells import BasePoint
 from flagzeta.fields import (
+    MAX_FACTORED,
     EulerFactor,
     FiniteField,
     NumberField,
@@ -21,6 +22,9 @@ from flagzeta.fields import (
     special_value_even,
     special_value_rational,
     zeta_partial_eval,
+    _is_prime,
+    _smallest_prime_factor,
+    _squarefree_part,
 )
 from flagzeta.lfuncs import lfactorization_of, special_value_product
 
@@ -85,6 +89,38 @@ def test_finite_field_parsing():
         finite_field(12)
     with pytest.raises(ValueError):
         FiniteField(4, 1)
+
+
+def test_trial_division_helpers_match_naive_factoring():
+    for n in range(2, 2000):
+        assert _smallest_prime_factor(n) == min(d for d in range(2, n + 1) if n % d == 0)
+        assert _is_prime(n) == (_smallest_prime_factor(n) == n)
+    for n in range(-500, 501):
+        if n:
+            d = _squarefree_part(n)
+            assert n % d == 0 and math.isqrt(n // d) ** 2 == n // d
+            assert all(d % (p * p) for p in range(2, 23))
+    assert _is_prime(2**31 - 1)
+    assert finite_field(2**31 - 1) == FiniteField(2**31 - 1)
+    assert finite_field(3**25) == FiniteField(3, 25)
+
+
+def test_integers_above_the_factoring_bound_are_refused():
+    big = MAX_FACTORED + 39  # prime
+    for call in (
+        lambda: finite_field(big),
+        lambda: FiniteField(big),
+        lambda: quadratic_field(big),
+        lambda: quadratic_field(-big),
+        lambda: make_number_field(
+            {"label": "K", "degree": 2, "r1": 2, "r2": 0, "disc": big}
+        ),
+        lambda: make_number_field(
+            {"label": "K", "degree": 3, "r1": 3, "r2": 0, "splitting": {big: [3]}}
+        ),
+    ):
+        with pytest.raises(ValueError, match="factoring bound"):
+            call()
 
 
 def test_primes_upto():

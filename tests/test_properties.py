@@ -18,10 +18,16 @@ from flagzeta.cells import (
     ProjBundle,
     cells_of,
 )
-from flagzeta.fields import finite_field, quadratic_field, rationals
+from flagzeta.fields import NumberField, finite_field, quadratic_field, rationals
 from flagzeta.parse import parse_scheme
-from flagzeta.verify import check_soule
-from flagzeta.weights import chi, weight_table_of
+from flagzeta.verify import SupportRow, check_soule
+from flagzeta.weights import (
+    WeightTable,
+    borel_weight_table,
+    chi,
+    finite_field_weight_table,
+    weight_table_of,
+)
 
 WINDOW = (-12, 4)
 NUMBER_FIELDS = [rationals()] + [quadratic_field(d) for d in (-1, 2, -5, 5)]
@@ -79,6 +85,51 @@ def test_signed_classes_verify(a, b):
 def test_two_set_cover_is_inclusion_exclusion(a, b, c):
     covered = CellDecomposition.from_cover({(1,): a, (2,): b, (1, 2): c})
     assert covered == cells_of(a) * cells_of(b) / cells_of(c)
+
+
+def per_cell_weight_table(cells, j_min, j_max):
+    """The reference construction: one base table per cell, shifted by the
+    cell dimension, scaled by its multiplicity and summed."""
+    entries = {}
+    for s in cells:
+        lo, hi = j_min - s.shift, j_max - s.shift
+        if isinstance(s.base, NumberField):
+            table = borel_weight_table(s.base, lo, hi)
+        else:
+            table = finite_field_weight_table(s.base, lo, hi)
+        for (m, j), dim in table.items():
+            key = (m, j + s.shift)
+            entries[key] = entries.get(key, 0) + dim * s.multiplicity
+    return WeightTable(entries, j_min, j_max)
+
+
+def _signed_classes():
+    return st.one_of(
+        schemes.map(cells_of),
+        st.tuples(schemes, schemes).map(lambda ab: cells_of(ab[0]) / cells_of(ab[1])),
+    )
+
+
+@given(_signed_classes())
+def test_one_pass_table_matches_per_cell_tables(c):
+    lo, hi = WINDOW
+    reference = per_cell_weight_table(c, lo, hi)
+    table = weight_table_of(c, lo, hi)
+    assert table == reference
+    assert table.items() == reference.items()
+    chi_fn = chi(table)
+    for k in range(lo, hi + 1):
+        expected = sum((-1) ** (m + 1) * d for (m, j), d in reference.items() if j == k)
+        assert chi_fn.value(k) == expected
+    support = tuple(
+        SupportRow(
+            j,
+            tuple(m for (m, jj), _ in reference.items() if jj == j),
+            sum(d for (_, jj), d in reference.items() if jj == j),
+        )
+        for j in range(lo, hi + 1)
+    )
+    assert check_soule(c, WINDOW).support == support
 
 
 @given(schemes)
