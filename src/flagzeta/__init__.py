@@ -20,7 +20,6 @@ from .cells import (
     BasePoint,
     CellDecomposition,
     DisjointUnion,
-    FiniteBase,
     FlagBundle,
     Grassmannian,
     ProjBundle,

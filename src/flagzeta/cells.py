@@ -1,8 +1,10 @@
 """Scheme expressions, Gaussian q-multinomials, and cell decompositions.
 
-A scheme here is a tree built from base points (Spec of a ring of
-integers or of a finite field) by affine-space shifts, projective-space
-bundles, Grassmannian bundles, flag bundles, and disjoint unions.  Every
+A scheme here is a tree built from base points by affine-space shifts,
+projective-space bundles, Grassmannian bundles, flag bundles, and
+disjoint unions.  The one leaf, ``BasePoint``, takes any kind of base
+(Spec of a ring of integers or of a finite field); the rules that depend
+on the kind live in ``fields`` (L-side) and ``weights`` (ranks).  Every
 node admits a decomposition into affine cells over its base, and that
 decomposition is the single piece of data both the K-theory side and the
 L-function side consume: a signed multiset of (base, dimension shift)
@@ -26,7 +28,6 @@ from typing import Iterable, Mapping, Sequence, Union
 from .fields import (
     BaseField,
     FiniteField,
-    NumberField,
     base_sort_key,
     finite_field,
     ord_at_integer,
@@ -38,7 +39,6 @@ __all__ = [
     "gaussian_multinomial",
     "SchemeExpr",
     "BasePoint",
-    "FiniteBase",
     "Affine",
     "ProjBundle",
     "Grassmannian",
@@ -178,19 +178,9 @@ class SchemeExpr:
 
 @dataclass(frozen=True)
 class BasePoint(SchemeExpr):
-    """Spec of the ring of integers of a number field."""
+    """Spec of a base: the ring of integers of a number field, or a finite field."""
 
-    field: NumberField
-
-    def __str__(self) -> str:
-        return self.field.label
-
-
-@dataclass(frozen=True)
-class FiniteBase(SchemeExpr):
-    """Spec of a finite field."""
-
-    field: FiniteField
+    field: BaseField
 
     def __str__(self) -> str:
         return self.field.label
@@ -404,14 +394,11 @@ class CellDecomposition:
         return self * other.inverse()
 
     def ord_at(self, k: int) -> int:
-        """Exact vanishing order of L(X, s) at s = k (negative at a pole)."""
+        """Exact vanishing order of L(X, s) at s = k (negative at a pole):
+        the signed sum of the base orders at k - shift."""
         total = 0
         for s in self.strata:
-            if isinstance(s.base, NumberField):
-                total += s.multiplicity * ord_at_integer(s.base, k - s.shift)
-            elif k == s.shift:
-                # 1/(1 - q^(-(s - shift))) has its only integer pole at s = shift
-                total -= s.multiplicity
+            total += s.multiplicity * ord_at_integer(s.base, k - s.shift)
         return total
 
     def shifted(self, d: int) -> "CellDecomposition":
@@ -458,7 +445,7 @@ def cells_of(x: SchemeExpr) -> CellDecomposition:
     shifts 0..d; Grassmannian and flag bundles convolve with the Gaussian
     binomial/multinomial coefficient polynomial; a union concatenates.
     """
-    if isinstance(x, (BasePoint, FiniteBase)):
+    if isinstance(x, BasePoint):
         return CellDecomposition((Stratum(x.field, 0, 1),))
     if isinstance(x, Affine):
         return cells_of(x.child).shifted(x.d)
@@ -504,9 +491,7 @@ def flag_as_grassmannian_tower(child: SchemeExpr, parts: Sequence[int]) -> Schem
     this is kept as an independent construction path for cross-checking
     cells_of.
     """
-    parts = tuple(parts)
-    if not parts or any(p < 1 for p in parts):
-        raise ValueError("flag type must list positive block sizes")
+    parts = FlagBundle(child, parts).parts  # validates the flag type
     expr = child
     remaining = sum(parts)
     for p in parts[:-1]:

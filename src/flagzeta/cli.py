@@ -38,7 +38,7 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from .cells import BasePoint, FiniteBase, SchemeExpr, cells_of
+from .cells import BasePoint, SchemeExpr, cells_of
 from .fields import UnsupportedFieldError
 from .lfuncs import (
     lfactorization_of,
@@ -200,7 +200,7 @@ def _cmd_special(x: SchemeExpr, args):
     approx: Optional[float]
     try:
         approx = value.approx()
-    except ValueError:
+    except (ValueError, OverflowError):  # symbolic, or beyond a float
         approx = None
     headers = ("kind", "rational", "pi_power", "order", "approx")
     row = (value.kind, str(value.rational), value.pi_power, value.order,
@@ -245,7 +245,7 @@ def _sweep_family(args) -> list[SchemeExpr]:
     bases = []
     for spec in _split_fields(args.fields):
         expr = parse_scheme(spec, registry)
-        if not isinstance(expr, (BasePoint, FiniteBase)):
+        if not isinstance(expr, BasePoint):
             raise ValueError(f"sweep bases must be plain fields, got {spec!r}")
         bases.append(expr.field)
     if args.family == "flags":

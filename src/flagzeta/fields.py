@@ -6,26 +6,30 @@ bookkeeping actually consume: degree, real and complex place counts
 wanted, and optionally an explicit prime-splitting table for fields of
 degree above two.  A ``FiniteField`` is a prime power q = p^f.
 
-The module also owns the integer-argument behaviour of zeta functions:
+The module owns the L-side rules of every base kind, so the cell
+calculus never asks which kind a base is (a new kind adds a branch to
+the first two functions below, to ``base_sort_key`` and to the rank rule
+``weights._base_entries``):
 
-* ``ord_at_integer`` tabulates the vanishing order of the Dedekind zeta
-  function of the field at each integer, with the convention that the
-  simple pole at s = 1 counts as order -1;
+* ``ord_at_integer`` is the vanishing order of the base zeta function at
+  each integer, a simple pole counting as -1;
+* ``zeta_partial_eval`` evaluates it at real s > 1, for floating-point
+  sanity checks only: a finite Euler product over primes up to a bound,
+  or over F_q the closed form;
 * ``special_value_rational`` and ``special_value_even`` return the exact
   classical values zeta(1-k) = -B_k/k (k >= 2) and
-  zeta(2m) = (-1)^(m-1) (2 pi)^(2m) B_{2m} / (2 (2m)!);
-* ``zeta_partial_eval`` evaluates a finite Euler product over primes up
-  to a bound, for floating-point sanity checks only.
+  zeta(2m) = (-1)^(m-1) (2 pi)^(2m) B_{2m} / (2 (2m)!).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
 from .series import bernoulli
 
@@ -65,8 +69,10 @@ def primes_upto(n: int) -> list[int]:
 
 # Integers are factored by trial division up to their square root, so
 # larger ones (field sizes, radicands, discriminants, splitting keys) are
-# refused rather than left to run for minutes.
+# refused rather than left to run for minutes.  An Euler product sieves
+# every prime up to its bound, so that bound is capped too.
 MAX_FACTORED = 10**12
+MAX_PRIME_BOUND = 2_000_000
 
 
 def _smallest_prime_factor(n: int) -> int:
@@ -197,17 +203,6 @@ def rationals() -> NumberField:
     return NumberField("Q", 1, 1, 0, disc=1)
 
 
-def _is_fundamental_discriminant(D: int) -> bool:
-    if D in (0, 1):
-        return False
-    if D % 4 == 1:
-        return _squarefree_part(D) == D
-    if D % 4 == 0:
-        m = D // 4
-        return _squarefree_part(m) == m and m % 4 in (2, 3)
-    return False
-
-
 def quadratic_field(d: int, label: Optional[str] = None) -> NumberField:
     """Q(sqrt d) for squarefree d not in {0, 1}.
 
@@ -243,11 +238,11 @@ def make_number_field(record: Mapping[str, object]) -> NumberField:
     if degree == 2:
         if disc is None:
             raise ValueError(f"field {label!r}: quadratic records must carry disc")
-        if not _is_fundamental_discriminant(disc):
-            d = _squarefree_part(disc)
-            if d in (0, 1):
-                raise ValueError(f"field {label!r}: disc {disc} is degenerate")
-            fixed = d if d % 4 == 1 else 4 * d
+        d = _squarefree_part(disc)
+        if d in (0, 1):
+            raise ValueError(f"field {label!r}: disc {disc} is degenerate")
+        fixed = d if d % 4 == 1 else 4 * d  # the discriminant of Q(sqrt d)
+        if fixed != disc:
             warnings.warn(
                 f"field {label!r}: discriminant {disc} is not fundamental; "
                 f"using {fixed}",
@@ -257,10 +252,17 @@ def make_number_field(record: Mapping[str, object]) -> NumberField:
     splitting_raw = record.get("splitting") or {}
     if not isinstance(splitting_raw, Mapping):
         raise ValueError(f"field {label!r}: splitting must map primes to degree lists")
-    splitting = tuple(
-        sorted((int(p), tuple(int(f) for f in fs)) for p, fs in splitting_raw.items())
-    )
-    return NumberField(label, degree, r1, r2, disc=disc, splitting=splitting)
+    splitting = []
+    for p, fs in splitting_raw.items():
+        try:
+            splitting.append((int(p), tuple(int(f) for f in fs)))
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"field {label!r}: splitting entry {p!r}: {fs!r} is not an "
+                "integer prime and a list of integer degrees"
+            ) from None
+    splitting.sort()
+    return NumberField(label, degree, r1, r2, disc=disc, splitting=tuple(splitting))
 
 
 # -- Euler factors -------------------------------------------------------
@@ -285,13 +287,6 @@ class EulerFactor:
         return out
 
 
-def _group_degrees(fs: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    out: dict[int, int] = {}
-    for f in fs:
-        out[f] = out.get(f, 0) + 1
-    return tuple(sorted(out.items()))
-
-
 def euler_factor(fld: NumberField, p: int) -> EulerFactor:
     """Residue-degree data of the primes above p.
 
@@ -301,11 +296,15 @@ def euler_factor(fld: NumberField, p: int) -> EulerFactor:
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
+    return _euler_factor(fld, p)
+
+
+def _euler_factor(fld: NumberField, p: int) -> EulerFactor:
     if fld.degree == 1:
         return EulerFactor(p, ((1, 1),))
     table = dict(fld.splitting)
     if p in table:
-        return EulerFactor(p, _group_degrees(table[p]))
+        return EulerFactor(p, tuple(sorted(Counter(table[p]).items())))
     if fld.degree == 2:
         if fld.disc is None:
             raise UnsupportedFieldError(
@@ -325,32 +324,42 @@ def euler_factor(fld: NumberField, p: int) -> EulerFactor:
     )
 
 
-def zeta_partial_eval(fld: NumberField, s: float, prime_bound: int) -> float:
-    """Finite Euler product prod_{p <= bound} of local factors, at real s > 1.
+def zeta_partial_eval(fld: BaseField, s: float, prime_bound: int) -> float:
+    """The zeta function of the base at real s > 1, as a float.
 
-    Monotone increasing in the bound; a diagnostic approximation to the
-    Dedekind zeta value, never used in exact verification paths.
+    For a number field, the finite Euler product prod_{p <= bound} of
+    local factors: monotone increasing in the bound, a diagnostic only.
+    F_q has the one local factor 1/(1 - q^(-s)), returned exactly.
     """
     if s <= 1:
         raise ValueError("the Euler product only converges for s > 1")
+    if prime_bound > MAX_PRIME_BOUND:
+        raise ValueError(
+            f"prime bound {prime_bound} is above MAX_PRIME_BOUND = {MAX_PRIME_BOUND}"
+        )
+    if isinstance(fld, FiniteField):
+        return 1.0 / (1.0 - fld.q ** (-s))
     out = 1.0
     for p in primes_upto(prime_bound):
-        out *= euler_factor(fld, p).value(s)
+        out *= _euler_factor(fld, p).value(s)
     return out
 
 
 # -- integer orders and special values ------------------------------------
 
 
-def ord_at_integer(fld: NumberField, k: int) -> int:
-    """Vanishing order of the Dedekind zeta function of the field at s = k.
+def ord_at_integer(fld: BaseField, k: int) -> int:
+    """Vanishing order of the zeta function of the base at s = k.
 
-    By the functional equation: 0 for k >= 2, -1 at the simple pole k = 1,
-    r1 + r2 - 1 at k = 0, and at k = -n (n >= 1) the order is r2 for odd n
-    and r1 + r2 for even n.
+    For a number field, by the functional equation: 0 for k >= 2, -1 at
+    the simple pole k = 1, r1 + r2 - 1 at k = 0, and at k = -n (n >= 1)
+    the order is r2 for odd n and r1 + r2 for even n.  For F_q,
+    1/(1 - q^(-s)) has its only integer pole at k = 0: -1 there, else 0.
     """
     if k >= 2:
         return 0
+    if type(fld) is FiniteField:  # after the common k >= 2 exit: this is hot
+        return -1 if k == 0 else 0
     if k == 1:
         return -1
     if k == 0:

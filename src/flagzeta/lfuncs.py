@@ -10,10 +10,9 @@ over the cells, and the cell class ``cells.CellDecomposition`` (also
 named ``LFactorization`` here) is that product: no second multiset is
 built.  Exponents are the signed cell multiplicities, so quotients from
 open covers and excision are exact.  The vanishing order at an integer k
-is the exact integer sum of the factor orders, with the base orders
-coming from the functional-equation table in ``fields.ord_at_integer``
-(number fields) or from the single simple pole of 1/(1 - q^(d-s))
-(finite fields).
+is the exact integer sum of the factor orders and a numeric value is the
+product of the factor values, each read off ``fields.ord_at_integer`` or
+``fields.zeta_partial_eval``, which hold the rules of every base kind.
 
 Over a finite field the same cell data also gives the zeta function as a
 rational function of t = q^(-s), prod (1 - q^d t)^(-l); this module
@@ -60,6 +59,25 @@ __all__ = [
 
 # The cell class is the L-function; this name reads it as one.
 LFactorization = CellDecomposition
+
+# Size bounds on a zeta series to t^n, checked before any coefficient is
+# computed: the order n, and the digits of the t^n coefficient, about
+# n x top = n x (largest cell dimension) x log10 q.
+MAX_SERIES_ORDER = 500
+MAX_SERIES_DIGITS = 1000
+
+
+def _check_series_size(order: int, top: float) -> None:
+    if order > MAX_SERIES_ORDER:
+        raise ValueError(
+            f"series order {order} is above MAX_SERIES_ORDER = {MAX_SERIES_ORDER}"
+        )
+    digits = order * top
+    if digits > MAX_SERIES_DIGITS:
+        raise ValueError(
+            f"series coefficients to order {order} have about {digits:.0f} digits, "
+            f"above MAX_SERIES_DIGITS = {MAX_SERIES_DIGITS}"
+        )
 
 
 def lfactorization_of(x: CellsOrScheme) -> CellDecomposition:
@@ -108,6 +126,8 @@ class RationalZeta:
         then convolved.  No log, exp or point count is used, so equality
         with ``weil_zeta_series`` compares two independent derivations.
         """
+        top = max((d for d, _ in (*self.numer, *self.denom)), default=0)
+        _check_series_size(order, top * math.log10(self.q))
         out = [1] + [0] * order
         for d, e in [*self.numer, *((d, -m) for d, m in self.denom)]:
             a = self.q**d
@@ -147,6 +167,10 @@ def weil_zeta_series(x: CellsOrScheme, order: int) -> TruncSeries:
     if order < 1:
         raise ValueError("series order must be >= 1")
     cells = _as_cells(x)
+    # number-field bases are skipped here and refused by point_count
+    top = max((s.shift * math.log10(s.base.q) for s in cells
+               if isinstance(s.base, FiniteField)), default=0)
+    _check_series_size(order, top)
     u = TruncSeries(
         order, [0] + [Fraction(point_count(cells, r), r) for r in range(1, order + 1)]
     )
@@ -179,11 +203,10 @@ def weil_zeta_rational(x: CellsOrScheme) -> RationalZeta:
 def lfun_partial_eval(
     f: CellDecomposition, s: float, prime_bound: int
 ) -> float:
-    """Finite Euler-product evaluation of every factor at real s.
+    """The product of every factor's ``zeta_partial_eval`` at real s.
 
     Requires s - shift > 1 for each factor so all the partial products
-    sit in the convergence region.  Finite-field factors are closed
-    forms and are evaluated exactly.
+    sit in the convergence region.
     """
     if not math.isfinite(s):
         raise ValueError(f"s = {s} is not a finite real number")
@@ -195,10 +218,7 @@ def lfun_partial_eval(
             )
     out = 1.0
     for factor in f:
-        if isinstance(factor.base, NumberField):
-            v = zeta_partial_eval(factor.base, s - factor.shift, prime_bound)
-        else:
-            v = 1.0 / (1.0 - factor.base.q ** (factor.shift - s))
+        v = zeta_partial_eval(factor.base, s - factor.shift, prime_bound)
         out *= v**factor.multiplicity
     return out
 
@@ -252,20 +272,17 @@ def special_value_product(f: CellDecomposition, m: int) -> SpecialValue:
     pi_power = 0
     for factor in f:
         point = m - factor.shift
-        if factor.base.degree == 1:  # the Riemann zeta function itself
-            if ord_at_integer(factor.base, point) != 0:
-                # an individually vanishing (or polar) factor cancelled in
-                # the total: the finite limit value is beyond this table
-                symbolic.append((factor.base.label, point, factor.multiplicity))
-                continue
-            value = _zeta_q_value_at(point)
-            if value is None:
-                symbolic.append((factor.base.label, point, factor.multiplicity))
-                continue
-            rational *= value.rational**factor.multiplicity
-            pi_power += value.pi_power * factor.multiplicity
-        else:
+        value = None
+        if factor.base.degree == 1 and ord_at_integer(factor.base, point) == 0:
+            value = _zeta_q_value_at(point)  # the Riemann zeta function itself
+        if value is None:
+            # not over Q, an odd positive point, or a factor that vanishes or
+            # has a pole on its own (cancelled in the total): its finite
+            # value is beyond this table
             symbolic.append((factor.base.label, point, factor.multiplicity))
+            continue
+        rational *= value.rational**factor.multiplicity
+        pi_power += value.pi_power * factor.multiplicity
     if symbolic or pi_power < 0:
         return SpecialValue(
             "symbolic-product",

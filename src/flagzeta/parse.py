@@ -32,7 +32,6 @@ from .cells import (
     Affine,
     BasePoint,
     DisjointUnion,
-    FiniteBase,
     FlagBundle,
     Grassmannian,
     ProjBundle,
@@ -40,7 +39,6 @@ from .cells import (
 )
 from .fields import (
     BaseField,
-    FiniteField,
     NumberField,
     finite_field,
     make_number_field,
@@ -149,21 +147,15 @@ class _Parser:
             self._expect("punct", ")")
             return DisjointUnion(tuple(children))
         self._expect("punct", ",")
-        if name == "affine":
-            d = self._int()
+        if name != "flag":
+            ints = [self._int()]
+            if name == "grass":
+                self._expect("punct", ",")
+                ints.append(self._int())
             self._expect("punct", ")")
-            return Affine(child, d)
-        if name == "proj":
-            d = self._int()
-            self._expect("punct", ")")
-            return ProjBundle(child, d)
-        if name == "grass":
-            k = self._int()
-            self._expect("punct", ",")
-            n = self._int()
-            self._expect("punct", ")")
-            return Grassmannian(child, k, n)
-        assert name == "flag"
+            return {"affine": Affine, "proj": ProjBundle, "grass": Grassmannian}[name](
+                child, *ints
+            )
         parts = [self._int()]
         while self._peek().value == "+" and self._peek().kind == "punct":
             self._next()
@@ -186,12 +178,9 @@ class _Parser:
             self._next()
             q = self._int()
             self._expect("punct", ")")
-            return FiniteBase(finite_field(q))
+            return BasePoint(finite_field(q))
         if name in self._fields:
-            base = self._fields[name]
-            if isinstance(base, FiniteField):
-                return FiniteBase(base)
-            return BasePoint(base)
+            return BasePoint(self._fields[name])
         raise SchemeSyntaxError(f"unknown field label {name!r}", tok.pos)
 
 

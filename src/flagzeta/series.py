@@ -45,6 +45,9 @@ __all__ = ["TruncSeries", "bernoulli"]
 
 Scalar = Union[int, Fraction]
 
+# B_k sums k fractions that grow with k; larger indices are refused.
+MAX_BERNOULLI_INDEX = 500
+
 
 class TruncSeries:
     """An element of Q[t]/(t^(order+1)), held as exact rational coefficients.
@@ -280,6 +283,10 @@ def bernoulli(k: int) -> Fraction:
     """
     if k < 0:
         raise ValueError("Bernoulli numbers are indexed by k >= 0")
+    if k > MAX_BERNOULLI_INDEX:
+        raise ValueError(
+            f"Bernoulli index {k} is above MAX_BERNOULLI_INDEX = {MAX_BERNOULLI_INDEX}"
+        )
     if k == 0:
         return Fraction(1)
     acc = Fraction(0)

@@ -31,13 +31,12 @@ from .cells import (
     Affine,
     BasePoint,
     CellsOrScheme,
-    FiniteBase,
     FlagBundle,
     ProjBundle,
     SchemeExpr,
     _as_cells,
 )
-from .fields import BaseField, NumberField
+from .fields import BaseField
 from .lfuncs import lfactorization_of
 from .weights import chi, weight_table_of
 
@@ -242,25 +241,19 @@ def compositions(n: int) -> Iterable[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _as_base(b: BaseField) -> SchemeExpr:
-    return BasePoint(b) if isinstance(b, NumberField) else FiniteBase(b)
-
-
 def flag_family(bases: Sequence[BaseField], max_n: int) -> list[SchemeExpr]:
     """Every flag bundle of every type of rank 1..max_n over each base."""
     out = []
     for b in bases:
         for n in range(1, max_n + 1):
             for parts in compositions(n):
-                out.append(FlagBundle(_as_base(b), parts))
+                out.append(FlagBundle(BasePoint(b), parts))
     return out
 
 
 def proj_family(bases: Sequence[BaseField], max_d: int) -> list[SchemeExpr]:
-    return [
-        ProjBundle(_as_base(b), d) for b in bases for d in range(max_d + 1)
-    ]
+    return [ProjBundle(BasePoint(b), d) for b in bases for d in range(max_d + 1)]
 
 
 def affine_family(bases: Sequence[BaseField], max_d: int) -> list[SchemeExpr]:
-    return [Affine(_as_base(b), d) for b in bases for d in range(max_d + 1)]
+    return [Affine(BasePoint(b), d) for b in bases for d in range(max_d + 1)]

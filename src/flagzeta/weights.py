@@ -37,7 +37,7 @@ from functools import cached_property
 from typing import Iterator, Mapping
 
 from .cells import CellsOrScheme, _as_cells
-from .fields import BaseField, FiniteField, NumberField
+from .fields import BaseField, FiniteField
 
 __all__ = [
     "WeightTable",
@@ -145,17 +145,16 @@ def _base_entries(
 
 
 def borel_weight_table(
-    field: NumberField, j_min: int = DEFAULT_J_MIN, j_max: int = DEFAULT_J_MAX
+    field: BaseField, j_min: int = DEFAULT_J_MIN, j_max: int = DEFAULT_J_MAX
 ) -> WeightTable:
-    """The weight table of Spec of the ring of integers of a number field."""
+    """The weight table of Spec of a base: Borel/Dirichlet for the ring of
+    integers of a number field, rationally just the class of the point
+    (degree 0, weight 0) for a finite field."""
     return WeightTable(dict(_base_entries(field, j_min, j_max)), j_min, j_max)
 
 
-def finite_field_weight_table(
-    field: FiniteField, j_min: int = DEFAULT_J_MIN, j_max: int = DEFAULT_J_MAX
-) -> WeightTable:
-    """Spec F_q: rationally just the class of the point, degree 0, weight 0."""
-    return WeightTable(dict(_base_entries(field, j_min, j_max)), j_min, j_max)
+# One rule serves both kinds of base; this name reads it over F_q.
+finite_field_weight_table = borel_weight_table
 
 
 def weight_table_of(

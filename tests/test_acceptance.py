@@ -15,7 +15,6 @@ from flagzeta.cells import (
     Affine,
     BasePoint,
     CellDecomposition,
-    FiniteBase,
     FlagBundle,
     ProjBundle,
     brute_force_flag_count,
@@ -142,7 +141,7 @@ def test_criterion_5_weil_zeta():
     """Series-vs-rational zeta agreement and brute-force point counts."""
     order = 8
     for q in (2, 3):
-        base = FiniteBase(FiniteField(q))
+        base = BasePoint(FiniteField(q))
         for n in range(1, 5):
             for parts in compositions(n):
                 x = FlagBundle(base, parts)

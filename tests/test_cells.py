@@ -14,7 +14,6 @@ from flagzeta.cells import (
     BasePoint,
     CellDecomposition,
     DisjointUnion,
-    FiniteBase,
     FlagBundle,
     Grassmannian,
     ProjBundle,
@@ -219,7 +218,7 @@ def test_union_merges_equal_cells():
 
 
 def test_union_keeps_distinct_bases_sorted():
-    cells = cells_of(DisjointUnion((FiniteBase(F3), BasePoint(Q), FiniteBase(F2))))
+    cells = cells_of(DisjointUnion((BasePoint(F3), BasePoint(Q), BasePoint(F2))))
     assert [s.base for s in cells] == [Q, F2, F3]
 
 
@@ -241,7 +240,7 @@ def test_constructor_puts_strata_in_canonical_form():
 
 
 def test_flag_tower_gives_same_cells():
-    for base in (BasePoint(Q), FiniteBase(F2)):
+    for base in (BasePoint(Q), BasePoint(F2)):
         for n in range(1, 6):
             for parts in compositions(n):
                 direct = cells_of(FlagBundle(base, parts))
@@ -261,12 +260,12 @@ def test_nested_bundles_compose():
 
 
 def test_point_count_projective_line():
-    x = ProjBundle(FiniteBase(F2), 1)
+    x = ProjBundle(BasePoint(F2), 1)
     assert [point_count(x, r) for r in (1, 2, 3)] == [3, 5, 9]
 
 
 def test_point_count_grassmannian_matches_enumeration():
-    x = Grassmannian(FiniteBase(F2), 2, 4)
+    x = Grassmannian(BasePoint(F2), 2, 4)
     assert point_count(x, 1) == 35 == brute_force_flag_count((2, 2), 2, 4)
 
 
@@ -274,7 +273,7 @@ def test_point_count_rejects_number_field_bases():
     with pytest.raises(ValueError, match="finite-field"):
         point_count(ProjBundle(BasePoint(Q), 1), 1)
     with pytest.raises(ValueError):
-        point_count(FiniteBase(F2), 0)
+        point_count(BasePoint(F2), 0)
 
 
 # -- expression validation ----------------------------------------------------------
@@ -282,7 +281,7 @@ def test_point_count_rejects_number_field_bases():
 
 def test_expression_validation():
     with pytest.raises(ValueError, match="cannot take"):
-        Grassmannian(FiniteBase(F2), 5, 4)
+        Grassmannian(BasePoint(F2), 5, 4)
     with pytest.raises(ValueError):
         FlagBundle(BasePoint(Q), ())
     with pytest.raises(ValueError):
@@ -294,4 +293,4 @@ def test_expression_validation():
 def test_expression_rendering():
     x = FlagBundle(Affine(BasePoint(QI), 2), (1, 1, 1))
     assert str(x) == "flag(affine(Q(sqrt -1), 2), 1+1+1)"
-    assert str(Grassmannian(FiniteBase(F2), 2, 4)) == "grass(F(2), 2, 4)"
+    assert str(Grassmannian(BasePoint(F2), 2, 4)) == "grass(F(2), 2, 4)"

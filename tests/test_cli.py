@@ -2,6 +2,7 @@
 
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -158,6 +159,42 @@ def test_oversized_inputs_exit_3_quickly(capsys, scheme, bound):
     assert bound in err
 
 
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["zeta", "proj(F(2),200)", "--order", "200"], "MAX_SERIES_DIGITS = 1000"),
+        (["zeta", "F(2)", "--order", "3000"], "MAX_SERIES_ORDER = 500"),
+        (["zeta", "proj(F(2),40)", "--order", "1000"], "MAX_SERIES_ORDER = 500"),
+        (["zeta", "proj(F(101),1)", "--order", "500"], "MAX_SERIES_DIGITS = 1000"),
+        (["special", "Q", "--at=-1201"], "MAX_BERNOULLI_INDEX = 500"),
+        (["special", "Q", "--at=3000"], "MAX_BERNOULLI_INDEX = 500"),
+        (["lfun", "Q", "--eval-at", "3", "--prime-bound", "30000000"],
+         "MAX_PRIME_BOUND = 2000000"),
+    ],
+)
+def test_oversized_numeric_work_exits_3_quickly(capsys, argv, bound):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert bound in err
+
+
+def test_special_value_beyond_a_float_prints_exactly(capsys):
+    # zeta(-301) = -B_302/302 is an exact rational far outside the float range
+    code, out, err = run(capsys, "special", "Q", "--at=-301", "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["approx"] is None
+    assert payload["kind"] == "exact-rational"
+    assert abs(Fraction(payload["rational"])) > 10**308
+    code, out, _ = run(capsys, "special", "Q", "--at=-301")
+    assert code == 0  # the approx column is left empty
+    assert out.splitlines()[1].split() == ["exact-rational", payload["rational"], "0", "0"]
+    code, out, _ = run(capsys, "special", "Q", "--at=400", "--format", "json")
+    assert code == 0 and json.loads(out)["pi_power"] == 400
+
+
 def test_large_prime_field_answers(capsys):
     start = time.perf_counter()
     code, out, _ = run(capsys, "cells", "F(2147483647)")
@@ -180,6 +217,20 @@ def test_special_over_finite_base_is_unsupported(capsys):
     code, _, err = run(capsys, "special", "F(2)", "--at", "0")
     assert code == 4
     assert "number-field bases" in err
+
+
+@pytest.mark.parametrize(
+    "splitting, key",
+    [({"2": 5}, "'2'"), ({"x": [1]}, "'x'"), ({"3": ["y"]}, "'3'")],
+)
+def test_bad_splitting_entry_names_field_and_key(capsys, tmp_path, splitting, key):
+    config = tmp_path / "fields.json"
+    config.write_text(json.dumps({"fields": [
+        {"label": "K", "degree": 3, "r1": 1, "r2": 1, "splitting": splitting}
+    ]}))
+    code, out, err = run(capsys, "cells", "K", "--field-config", str(config))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: field 'K': splitting entry {key}")
 
 
 def test_field_config_labels_usable(capsys, tmp_path):

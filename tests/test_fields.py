@@ -8,6 +8,7 @@ import pytest
 from flagzeta.cells import BasePoint
 from flagzeta.fields import (
     MAX_FACTORED,
+    MAX_PRIME_BOUND,
     EulerFactor,
     FiniteField,
     NumberField,
@@ -197,6 +198,22 @@ def test_partial_zeta_rejects_divergent_s():
         zeta_partial_eval(Q, 1.0, 100)
 
 
+def test_partial_zeta_of_finite_field_is_the_closed_form():
+    for q in (2, 9, 49):
+        for s in (1.5, 2.0, 3.25):
+            expected = 1.0 / (1.0 - q ** (-s))
+            for bound in (0, 10, MAX_PRIME_BOUND):
+                assert zeta_partial_eval(finite_field(q), s, bound) == expected
+    with pytest.raises(ValueError, match="s > 1"):
+        zeta_partial_eval(finite_field(2), 1.0, 100)
+
+
+def test_partial_zeta_refuses_large_prime_bounds():
+    for fld in (Q, finite_field(2)):
+        with pytest.raises(ValueError, match="MAX_PRIME_BOUND"):
+            zeta_partial_eval(fld, 2.0, MAX_PRIME_BOUND + 1)
+
+
 # -- integer orders ----------------------------------------------------------
 
 
@@ -213,6 +230,14 @@ def test_ord_at_integer_quadratic():
     assert ord_at_integer(Q2, 0) == 1
     assert [ord_at_integer(Q2, -n) for n in range(1, 5)] == [0, 2, 0, 2]
     assert ord_at_integer(Q2, 1) == -1
+
+
+def test_ord_at_integer_finite_field():
+    # 1/(1 - q^(-s)) has its only integer pole at s = 0 and no zeros
+    for q in (2, 4, 7):
+        assert [ord_at_integer(finite_field(q), k) for k in range(-30, 10)] == [
+            -1 if k == 0 else 0 for k in range(-30, 10)
+        ]
 
 
 def test_pole_is_the_only_negative_order():

@@ -10,7 +10,6 @@ from flagzeta.cells import (
     Affine,
     BasePoint,
     DisjointUnion,
-    FiniteBase,
     FlagBundle,
     ProjBundle,
     Stratum,
@@ -21,8 +20,11 @@ from flagzeta.fields import (
     UnsupportedFieldError,
     quadratic_field,
     rationals,
+    zeta_partial_eval,
 )
 from flagzeta.lfuncs import (
+    MAX_SERIES_DIGITS,
+    MAX_SERIES_ORDER,
     LFactorization,
     RationalZeta,
     lfactorization_of,
@@ -73,8 +75,8 @@ def test_factorization_group_structure():
 
 
 def test_identical_cells_give_identical_factorizations():
-    assert lfactorization_of(ProjBundle(FiniteBase(F2), 1)) == lfactorization_of(
-        FlagBundle(FiniteBase(F2), (1, 1))
+    assert lfactorization_of(ProjBundle(BasePoint(F2), 1)) == lfactorization_of(
+        FlagBundle(BasePoint(F2), (1, 1))
     )
 
 
@@ -97,7 +99,7 @@ def test_projective_line_orders():
 
 
 def test_finite_field_factor_orders():
-    f = lfactorization_of(Affine(FiniteBase(F2), 3))
+    f = lfactorization_of(Affine(BasePoint(F2), 3))
     assert f.ord_at(3) == -1
     assert all(f.ord_at(k) == 0 for k in range(-5, 6) if k != 3)
 
@@ -112,12 +114,12 @@ def test_orders_vanish_far_right():
 
 
 def test_weil_series_projective_line():
-    z = weil_zeta_series(ProjBundle(FiniteBase(F2), 1), 4)
+    z = weil_zeta_series(ProjBundle(BasePoint(F2), 1), 4)
     assert z == TruncSeries(4, [1, 3, 7, 15, 31])
 
 
 def test_rational_form_matches_series():
-    x = ProjBundle(FiniteBase(F2), 1)
+    x = ProjBundle(BasePoint(F2), 1)
     rz = weil_zeta_rational(x)
     assert rz == RationalZeta.build(2, denom=[(0, 1), (1, 1)])
     assert rz.expand(4) == weil_zeta_series(x, 4)
@@ -125,16 +127,16 @@ def test_rational_form_matches_series():
 
 
 def test_rational_form_of_complete_flag():
-    rz = weil_zeta_rational(FlagBundle(FiniteBase(F3), (1, 1, 1)))
+    rz = weil_zeta_rational(FlagBundle(BasePoint(F3), (1, 1, 1)))
     assert rz.denom == ((0, 1), (1, 2), (2, 2), (3, 1))
     assert rz.expand(6) == weil_zeta_series(
-        FlagBundle(FiniteBase(F3), (1, 1, 1)), 6
+        FlagBundle(BasePoint(F3), (1, 1, 1)), 6
     )
 
 
 def test_union_multiplies_zeta_series():
-    x = FiniteBase(F2)
-    y = Affine(FiniteBase(F2), 1)
+    x = BasePoint(F2)
+    y = Affine(BasePoint(F2), 1)
     both = DisjointUnion((x, y))
     n = 5
     assert weil_zeta_series(both, n) == weil_zeta_series(x, n) * weil_zeta_series(
@@ -168,7 +170,7 @@ def test_expand_of_polynomial_numerator_terminates():
 
 
 def test_weil_series_accepts_cells():
-    x = FlagBundle(FiniteBase(F2), (2, 1))
+    x = FlagBundle(BasePoint(F2), (2, 1))
     assert weil_zeta_series(cells_of(x), 7) == weil_zeta_series(x, 7)
 
 
@@ -176,9 +178,26 @@ def test_weil_rejects_bad_bases():
     with pytest.raises(ValueError, match="finite fields only"):
         weil_zeta_rational(BasePoint(Q))
     with pytest.raises(ValueError, match="mixed finite bases"):
-        weil_zeta_rational(DisjointUnion((FiniteBase(F2), FiniteBase(F3))))
+        weil_zeta_rational(DisjointUnion((BasePoint(F2), BasePoint(F3))))
     with pytest.raises(ValueError, match="order"):
-        weil_zeta_series(FiniteBase(F2), 0)
+        weil_zeta_series(BasePoint(F2), 0)
+
+
+def test_series_size_bounds_refuse_before_work():
+    point, big = BasePoint(F2), ProjBundle(BasePoint(F2), 200)
+    for order, x, bound in [
+        (MAX_SERIES_ORDER + 1, point, "MAX_SERIES_ORDER"),
+        (200, big, "MAX_SERIES_DIGITS"),
+    ]:
+        with pytest.raises(ValueError, match=bound):
+            weil_zeta_series(x, order)
+        with pytest.raises(ValueError, match=bound):
+            weil_zeta_rational(x).expand(order)
+    # the digits bound reads the largest cell: order x shift x log10 q
+    shift = int(MAX_SERIES_DIGITS / (10 * math.log10(2)))
+    assert weil_zeta_rational(Affine(point, shift)).expand(10)[10] == 2 ** (10 * shift)
+    with pytest.raises(ValueError, match="MAX_SERIES_DIGITS"):
+        weil_zeta_rational(Affine(point, shift + 1)).expand(10)
 
 
 # -- numeric evaluation ---------------------------------------------------------------
@@ -198,8 +217,24 @@ def test_partial_eval_respects_convergence_region():
 
 
 def test_partial_eval_finite_field_factor_exact():
-    f = lfactorization_of(FiniteBase(F2))
+    f = lfactorization_of(BasePoint(F2))
     assert lfun_partial_eval(f, 3.0, 10) == pytest.approx(1 / (1 - 2**-3))
+
+
+def test_partial_eval_is_the_same_float_as_the_per_kind_product():
+    # reference: the per-kind product, with each finite-field factor's
+    # closed form written at its shift, 1/(1 - q^(shift - s))
+    x = DisjointUnion((ProjBundle(BasePoint(QI), 2), Affine(BasePoint(F3), 4)))
+    f = lfactorization_of(x) / lfactorization_of(Affine(BasePoint(F2), 1))
+    for s in (5.5, 6.125, 7.0, 9.3):
+        expected = 1.0
+        for factor in f:
+            if isinstance(factor.base, FiniteField):
+                v = 1.0 / (1.0 - factor.base.q ** (factor.shift - s))
+            else:
+                v = zeta_partial_eval(factor.base, s - factor.shift, 500)
+            expected *= v**factor.multiplicity
+        assert lfun_partial_eval(f, s, 500) == expected
 
 
 # -- special values --------------------------------------------------------------------
@@ -255,7 +290,7 @@ def test_special_value_empty_product_is_one():
 
 def test_special_value_rejects_finite_fields():
     with pytest.raises(UnsupportedFieldError, match="number-field"):
-        special_value_product(lfactorization_of(FiniteBase(F2)), 0)
+        special_value_product(lfactorization_of(BasePoint(F2)), 0)
 
 
 def test_special_value_cancelling_orders_stays_symbolic():

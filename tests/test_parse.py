@@ -8,7 +8,6 @@ from flagzeta.cells import (
     Affine,
     BasePoint,
     DisjointUnion,
-    FiniteBase,
     FlagBundle,
     Grassmannian,
     ProjBundle,
@@ -23,16 +22,16 @@ def test_parse_bases():
     assert parse_scheme("Q") == BasePoint(Q)
     assert parse_scheme("Q(sqrt -1)") == BasePoint(quadratic_field(-1))
     assert parse_scheme("Q( sqrt 5 )") == BasePoint(quadratic_field(5))
-    assert parse_scheme("F(9)") == FiniteBase(FiniteField(3, 2))
+    assert parse_scheme("F(9)") == BasePoint(FiniteField(3, 2))
 
 
 def test_parse_constructors():
     assert parse_scheme("proj(Q, 2)") == ProjBundle(BasePoint(Q), 2)
-    assert parse_scheme("affine(F(2), 3)") == Affine(FiniteBase(FiniteField(2)), 3)
+    assert parse_scheme("affine(F(2), 3)") == Affine(BasePoint(FiniteField(2)), 3)
     assert parse_scheme("grass(Q, 2, 4)") == Grassmannian(BasePoint(Q), 2, 4)
     assert parse_scheme("flag(Q, 2+1+1)") == FlagBundle(BasePoint(Q), (2, 1, 1))
     assert parse_scheme("union(Q, F(2))") == DisjointUnion(
-        (BasePoint(Q), FiniteBase(FiniteField(2)))
+        (BasePoint(Q), BasePoint(FiniteField(2)))
     )
 
 

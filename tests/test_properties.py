@@ -12,13 +12,20 @@ from flagzeta.cells import (
     BasePoint,
     CellDecomposition,
     DisjointUnion,
-    FiniteBase,
     FlagBundle,
     Grassmannian,
     ProjBundle,
+    Stratum,
     cells_of,
+    flag_as_grassmannian_tower,
 )
-from flagzeta.fields import NumberField, finite_field, quadratic_field, rationals
+from flagzeta.fields import (
+    NumberField,
+    finite_field,
+    ord_at_integer,
+    quadratic_field,
+    rationals,
+)
 from flagzeta.parse import parse_scheme
 from flagzeta.verify import SupportRow, check_soule
 from flagzeta.weights import (
@@ -35,7 +42,7 @@ FINITE_FIELDS = [finite_field(q) for q in (2, 3, 4)]
 
 bases = st.one_of(
     st.sampled_from(NUMBER_FIELDS).map(BasePoint),
-    st.sampled_from(FINITE_FIELDS).map(FiniteBase),
+    st.sampled_from(FINITE_FIELDS).map(BasePoint),
 )
 
 
@@ -130,6 +137,35 @@ def test_one_pass_table_matches_per_cell_tables(c):
         for j in range(lo, hi + 1)
     )
     assert check_soule(c, WINDOW).support == support
+
+
+def per_kind_ord_at(cells, k):
+    """The reference order: number-field strata read the functional-equation
+    table, and a finite-field stratum has its one pole at k == shift."""
+    total = 0
+    for s in cells:
+        if isinstance(s.base, NumberField):
+            total += s.multiplicity * ord_at_integer(s.base, k - s.shift)
+        elif k == s.shift:
+            total -= s.multiplicity
+    return total
+
+
+@given(
+    _signed_classes(), st.sampled_from(FINITE_FIELDS), st.integers(0, 3), st.integers(-2, 2)
+)
+def test_ord_at_matches_per_kind_orders(c, fq, shift, mult):
+    # a nonzero mult adds an F_q cell, signed, to the drawn class
+    c = c * CellDecomposition((Stratum(fq, shift, mult),)) if mult else c
+    for k in range(WINDOW[0], WINDOW[1] + 1):
+        assert c.ord_at(k) == per_kind_ord_at(c, k)
+
+
+@given(schemes, st.lists(st.integers(1, 3), min_size=1, max_size=3))
+def test_flag_bundle_is_its_grassmannian_tower(x, parts):
+    assert cells_of(FlagBundle(x, tuple(parts))) == cells_of(
+        flag_as_grassmannian_tower(x, parts)
+    )
 
 
 @given(schemes)

@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from flagzeta.series import TruncSeries, bernoulli
+from flagzeta.series import MAX_BERNOULLI_INDEX, TruncSeries, bernoulli
 
 
 def rand_unit(rng: Random, order: int) -> TruncSeries:
@@ -199,6 +199,11 @@ def test_bernoulli_defining_recurrence():
     for k in range(1, 41):
         total = sum(comb(k + 1, j) * bernoulli(j) for j in range(k + 1))
         assert total == 0
+
+
+def test_bernoulli_index_is_bounded():
+    with pytest.raises(ValueError, match="MAX_BERNOULLI_INDEX"):
+        bernoulli(MAX_BERNOULLI_INDEX + 1)
 
 
 def test_bernoulli_odd_vanishing():

@@ -8,7 +8,6 @@ from flagzeta.cells import (
     Affine,
     BasePoint,
     DisjointUnion,
-    FiniteBase,
     FlagBundle,
     ProjBundle,
     cells_of,
@@ -54,7 +53,7 @@ def test_projective_line_report_values():
 
 
 def test_finite_field_base_verifies():
-    report = check_soule(FiniteBase(F2), (-3, 3))
+    report = check_soule(BasePoint(F2), (-3, 3))
     by_k = {r.k: (r.chi, r.ord) for r in report.rows}
     assert by_k[0] == (-1, -1)
     assert all(v == (0, 0) for k, v in by_k.items() if k != 0)
@@ -62,7 +61,7 @@ def test_finite_field_base_verifies():
 
 
 def test_mixed_union_verifies():
-    x = DisjointUnion((BasePoint(QI), Affine(FiniteBase(F2), 2)))
+    x = DisjointUnion((BasePoint(QI), Affine(BasePoint(F2), 2)))
     report = check_soule(x, (-6, 3))
     assert report.ok
 
@@ -90,7 +89,7 @@ def test_report_support_scan():
     [
         (ProjBundle(BasePoint(QM5), 3), (-6, 2)),
         (FlagBundle(BasePoint(Q2), (1, 2, 1)), (-15, 5)),
-        (DisjointUnion((ProjBundle(BasePoint(QI), 2), Affine(FiniteBase(F3), 1))), (-9, 4)),
+        (DisjointUnion((ProjBundle(BasePoint(QI), 2), Affine(BasePoint(F3), 1))), (-9, 4)),
         (ProjBundle(BasePoint(Q), 3), (6, 10)),
     ],
 )

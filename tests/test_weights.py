@@ -7,7 +7,6 @@ from flagzeta.cells import (
     BasePoint,
     CellDecomposition,
     DisjointUnion,
-    FiniteBase,
     ProjBundle,
     cells_of,
 )
