@@ -522,8 +522,8 @@ def point_count(x: CellsOrScheme, r: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _gf_tables(q: int) -> tuple[tuple, tuple, tuple[int, ...], tuple[int, ...]]:
-    """(add, mul, inv, neg) tables for F_q, elements encoded as 0..q-1.
+def _gf_tables(q: int) -> tuple[tuple, tuple]:
+    """(add, mul) tables for F_q, elements encoded as 0..q-1.
 
     Prime q is modular arithmetic.  For q = p^f the element i encodes the
     base-p digit vector of a polynomial over F_p, reduced modulo a monic
@@ -594,39 +594,7 @@ def _gf_tables(q: int) -> tuple[tuple, tuple, tuple[int, ...], tuple[int, ...]]:
             for a in range(q)
         )
         mul = tuple(tuple(mul_elems(a, b) for b in range(q)) for a in range(q))
-    inv = [0] * q
-    for a in range(1, q):
-        inv[a] = next(b for b in range(1, q) if mul[a][b] == 1)
-    neg = tuple(add[a].index(0) for a in range(q))
-    return add, mul, tuple(inv), neg
-
-
-def _rref(rows: Sequence[Sequence[int]], q: int) -> tuple[tuple[int, ...], ...]:
-    """Reduced row-echelon form over F_q; zero rows dropped."""
-    add, mul, inv, neg = _gf_tables(q)
-    mat = [list(r) for r in rows]
-    n = len(mat[0]) if mat else 0
-    pivot_row = 0
-    for col in range(n):
-        sel = next(
-            (r for r in range(pivot_row, len(mat)) if mat[r][col] != 0), None
-        )
-        if sel is None:
-            continue
-        mat[pivot_row], mat[sel] = mat[sel], mat[pivot_row]
-        scale = inv[mat[pivot_row][col]]
-        if scale != 1:
-            mat[pivot_row] = [mul[scale][x] for x in mat[pivot_row]]
-        for r in range(len(mat)):
-            if r != pivot_row and mat[r][col] != 0:
-                minus_c = neg[mat[r][col]]
-                mat[r] = [
-                    add[x][mul[minus_c][y]] for x, y in zip(mat[r], mat[pivot_row])
-                ]
-        pivot_row += 1
-        if pivot_row == len(mat):
-            break
-    return tuple(tuple(r) for r in mat[:pivot_row] if any(r))
+    return add, mul
 
 
 @lru_cache(maxsize=None)
@@ -658,7 +626,8 @@ def _all_subspaces(q: int, n: int, k: int) -> tuple[tuple[tuple[int, ...], ...],
 
 
 def _mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], q: int):
-    add, mul, _, _ = _gf_tables(q)
+    """The matrix product a·b over F_q, as a tuple of row tuples."""
+    add, mul = _gf_tables(q)
     out = []
     for row in a:
         acc = [0] * len(b[0])
@@ -666,8 +635,8 @@ def _mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], q: int):
             if x:
                 mx = mul[x]
                 acc = [add[t][mx[y]] for t, y in zip(acc, brow)]
-        out.append(acc)
-    return out
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -681,21 +650,24 @@ def _chain_counts(q: int, n: int, dims: tuple[int, ...]):
     inner = _all_subspaces(q, b, a)
     out = {}
     for w in _all_subspaces(q, n, b):
-        total = 0
-        for m in inner:
-            sub = _rref(_mat_mul(m, w, q), q)
-            total += prev[sub]
-        out[w] = total
+        # m and w are RREF of full rank, so m·w is already the RREF basis
+        # of its span: row i leads with a 1 in w's pivot column at m's
+        # pivot i, and in w's pivot columns m·w equals m, so each of its
+        # own pivot columns is zero outside its row.  A product that was
+        # not canonical would miss prev and raise KeyError, not miscount.
+        out[w] = sum(prev[_mat_mul(m, w, q)] for m in inner)
     return out
 
 
 def brute_force_flag_count(parts: Sequence[int], q: int, n: int) -> int:
     """Count flags of type (n_1, ..., n_l) in F_q^n by explicit enumeration.
 
-    Subspaces are listed as reduced row-echelon bases and nested chains
-    are counted directly, with no appeal to the product formula.  Refused
-    when q^n exceeds 3000, the point at which enumeration stops being a
-    sensible oracle.
+    Subspaces are listed as reduced row-echelon bases.  The a-subspaces
+    of a b-subspace W are the products M·W over the RREF a x b matrices
+    M, and each product is already the RREF basis of its span, so nested
+    chains are counted by dictionary lookup, with no row reduction and no
+    appeal to the product formula.  Refused when q^n exceeds 3000, the
+    point at which enumeration stops being a sensible oracle.
     """
     parts = tuple(parts)
     if not parts or any(p < 1 for p in parts):

@@ -36,9 +36,9 @@ import itertools
 import json
 import re
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .cells import BasePoint, SchemeExpr, cells_of
+from .cells import BasePoint, CellDecomposition, SchemeExpr, cells_of
 from .fields import UnsupportedFieldError
 from .lfuncs import (
     lfactorization_of,
@@ -71,17 +71,39 @@ DEFAULT_K = "{}..{}".format(*DEFAULT_K_RANGE)
 DEFAULT_ORDER = 16
 DEFAULT_PRIME_BOUND = 10_000
 
+# Work bounds, checked before any table or family is built, each sized so
+# the largest accepted input answers in about a second: the strata of the
+# schemes a command checks times the width of its --k window, summed over
+# a sweep's family, and the number of schemes in that family.
+MAX_WINDOW_WORK = 25_000
+MAX_SWEEP_SCHEMES = 4_000
+
 _K_RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
+# a comma not inside parentheses, so 'Q,Q(sqrt -1)' is two specs
+_FIELD_SEP_RE = re.compile(r",(?![^()]*\))")
 
 
-def _parse_k_range(text: str) -> tuple[int, int]:
-    m = _K_RANGE_RE.match(text)
+def _cells_in_window(
+    args, schemes: Iterable[SchemeExpr]
+) -> tuple[list[CellDecomposition], int, int]:
+    """The cells of each scheme and the --k window, refused as soon as
+    strata x window summed over the schemes passes MAX_WINDOW_WORK."""
+    m = _K_RANGE_RE.match(args.k)
     if m is None:
-        raise ValueError(f"bad range {text!r}; expected LO..HI, e.g. -10..2")
+        raise ValueError(f"bad range {args.k!r}; expected LO..HI, e.g. -10..2")
     lo, hi = int(m.group(1)), int(m.group(2))
     if lo > hi:
-        raise ValueError(f"empty range {text!r}")
-    return lo, hi
+        raise ValueError(f"empty range {args.k!r}")
+    out, strata = [], 0
+    for x in schemes:
+        out.append(cells_of(x))
+        strata += len(out[-1].strata)
+        if strata * (hi - lo + 1) > MAX_WINDOW_WORK:
+            raise ValueError(
+                f"at least {strata} strata over a window of {hi - lo + 1} weights: "
+                f"strata x window is above MAX_WINDOW_WORK = {MAX_WINDOW_WORK}"
+            )
+    return out, lo, hi
 
 
 # -- output rendering --------------------------------------------------------
@@ -133,8 +155,8 @@ def _registry(args) -> dict:
 
 
 def _cmd_ranks(x: SchemeExpr, args):
-    lo, hi = _parse_k_range(args.k)
-    table = weight_table_of(cells_of(x), lo, hi)
+    [cells], lo, hi = _cells_in_window(args, [x])
+    table = weight_table_of(cells, lo, hi)
     rows = [(m, j, dim) for (m, j), dim in table.items()]
     return _keyed(("m", "j", "dim"), rows, j_min=lo, j_max=hi)
 
@@ -145,15 +167,15 @@ def _cmd_cells(x: SchemeExpr, args):
 
 
 def _cmd_chi(x: SchemeExpr, args):
-    lo, hi = _parse_k_range(args.k)
-    fn = chi(weight_table_of(cells_of(x), lo, hi))
+    [cells], lo, hi = _cells_in_window(args, [x])
+    fn = chi(weight_table_of(cells, lo, hi))
     rows = [(k, fn.value(k)) for k in range(lo, hi + 1)]
     return _keyed(("k", "chi"), rows, k_min=lo, k_max=hi)
 
 
 def _cmd_ord(x: SchemeExpr, args):
-    lo, hi = _parse_k_range(args.k)
-    lfun = lfactorization_of(cells_of(x))
+    [cells], lo, hi = _cells_in_window(args, [x])
+    lfun = lfactorization_of(cells)
     rows = [(k, lfun.ord_at(k)) for k in range(lo, hi + 1)]
     return _keyed(("k", "ord"), rows, k_min=lo, k_max=hi)
 
@@ -219,36 +241,31 @@ def _cmd_special(x: SchemeExpr, args):
 
 
 def _cmd_verify(x: SchemeExpr, args):
-    report = check_soule(x, _parse_k_range(args.k))
+    [cells], lo, hi = _cells_in_window(args, [x])
+    report = check_soule(cells, (lo, hi))  # main stamps the scheme's own name
     rows = [(r.k, r.chi, r.ord, "yes" if r.match else "NO") for r in report.rows]
     footer = [f"summary: {report.matched} matched, {report.mismatched} mismatched"]
     return ("k", "chi", "ord", "match"), rows, report.to_dict(), footer, report.ok
 
 
-def _split_fields(text: str) -> list[str]:
-    """Split on commas outside parentheses, so 'Q,Q(sqrt -1)' gives two specs."""
-    out, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            out.append(text[start:i])
-            start = i + 1
-    out.append(text[start:])
-    return [s for s in (piece.strip() for piece in out) if s]
-
-
 def _sweep_family(args) -> list[SchemeExpr]:
     registry = _registry(args)
     bases = []
-    for spec in _split_fields(args.fields):
+    for spec in filter(None, map(str.strip, _FIELD_SEP_RE.split(args.fields))):
         expr = parse_scheme(spec, registry)
         if not isinstance(expr, BasePoint):
             raise ValueError(f"sweep bases must be plain fields, got {spec!r}")
         bases.append(expr.field)
-    if args.family == "flags":
+    # 2^n - 1 flag types of rank <= n per base; the exponent is capped so
+    # a huge --max-n is refused without computing the power
+    flags = args.family == "flags"
+    size = len(bases) * (2 ** min(args.max_n, 64) - 1 if flags else args.max_d + 1)
+    if size > MAX_SWEEP_SCHEMES:
+        raise ValueError(
+            f"a family of at least {size} schemes is above "
+            f"MAX_SWEEP_SCHEMES = {MAX_SWEEP_SCHEMES}"
+        )
+    if flags:
         return flag_family(bases, args.max_n)
     if args.family == "proj":
         return proj_family(bases, args.max_d)
@@ -257,7 +274,8 @@ def _sweep_family(args) -> list[SchemeExpr]:
 
 def _cmd_sweep(x: None, args):
     family = _sweep_family(args)
-    report = sweep(family, _parse_k_range(args.k))
+    _, lo, hi = _cells_in_window(args, family)
+    report = sweep(family, (lo, hi))
     rows = [
         (r.scheme, r.matched, r.mismatched, "yes" if r.ok else "NO")
         for r in report.reports

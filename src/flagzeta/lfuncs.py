@@ -206,10 +206,13 @@ def lfun_partial_eval(
     """The product of every factor's ``zeta_partial_eval`` at real s.
 
     Requires s - shift > 1 for each factor so all the partial products
-    sit in the convergence region.
+    sit in the convergence region, and a prime bound of at least 2 so no
+    Euler product is empty.
     """
     if not math.isfinite(s):
         raise ValueError(f"s = {s} is not a finite real number")
+    if prime_bound < 2:
+        raise ValueError(f"prime bound {prime_bound} is below 2: an empty product")
     for factor in f:
         if s - factor.shift <= 1:
             raise ValueError(

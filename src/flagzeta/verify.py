@@ -122,13 +122,6 @@ class VerificationReport:
         }
 
 
-def _k_range(k_range: tuple[int, int]) -> tuple[int, int]:
-    k_min, k_max = k_range
-    if k_min > k_max:
-        raise ValueError(f"empty k-range [{k_min}, {k_max}]")
-    return k_min, k_max
-
-
 def check_soule(
     x: CellsOrScheme, k_range: tuple[int, int] = DEFAULT_K_RANGE
 ) -> VerificationReport:
@@ -138,7 +131,9 @@ def check_soule(
     computed once and shared; everything after that point is two disjoint
     exact computations.
     """
-    k_min, k_max = _k_range(k_range)
+    k_min, k_max = k_range
+    if k_min > k_max:
+        raise ValueError(f"empty k-range [{k_min}, {k_max}]")
     cells = _as_cells(x)
     table = weight_table_of(cells, k_min, k_max)
     chi_fn = chi(table)
@@ -223,9 +218,8 @@ def sweep(
     """check_soule across a family, in the family's given order."""
     if not schemes:
         raise ValueError("empty family")
-    k_min, k_max = _k_range(k_range)
-    reports = tuple(check_soule(x, (k_min, k_max)) for x in schemes)
-    return SweepReport(reports, k_min, k_max)
+    reports = tuple(check_soule(x, k_range) for x in schemes)
+    return SweepReport(reports, *k_range)
 
 
 # -- family builders --------------------------------------------------------------

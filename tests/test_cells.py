@@ -182,6 +182,36 @@ def test_enumeration_does_not_use_the_product_formula(monkeypatch):
     assert brute_force_flag_count((1, 2, 1), 3, 4) == 40 * 13
 
 
+def is_rref(rows):
+    """Each row leads with a 1, right of the row above's, and no other row
+    has a nonzero entry in that column."""
+    leads = [next((c for c, x in enumerate(row) if x), None) for row in rows]
+    return (
+        None not in leads
+        and leads == sorted(set(leads))
+        and all(row[c] == 1 for row, c in zip(rows, leads))
+        and all(sum(1 for row in rows if row[c]) == 1 for c in leads)
+    )
+
+
+@pytest.mark.parametrize("q, max_n", [(2, 5), (3, 4), (4, 4), (8, 3), (9, 3)])
+def test_products_of_rref_bases_are_rref(q, max_n):
+    # The oracle looks up M·W as it stands: for RREF M (a x b) and W (b x n)
+    # of full rank, the products over all M are RREF keys of the a-subspaces
+    # of F_q^n, one for each a-subspace of W.
+    cells = flagzeta.cells
+    for n in range(1, max_n + 1):
+        for b in range(n + 1):
+            for a in range(b + 1):
+                keys = set(cells._all_subspaces(q, n, a))
+                assert all(is_rref(key) for key in keys), (q, n, a)
+                inner = cells._all_subspaces(q, b, a)
+                for w in cells._all_subspaces(q, n, b):
+                    products = {cells._mat_mul(m, w, q) for m in inner}
+                    assert len(products) == len(inner), (q, n, a, b, w)
+                    assert products <= keys, (q, n, a, b, w)
+
+
 # -- cell decompositions --------------------------------------------------------
 
 

@@ -170,6 +170,24 @@ def test_oversized_inputs_exit_3_quickly(capsys, scheme, bound):
         (["special", "Q", "--at=3000"], "MAX_BERNOULLI_INDEX = 500"),
         (["lfun", "Q", "--eval-at", "3", "--prime-bound", "30000000"],
          "MAX_PRIME_BOUND = 2000000"),
+        (["verify", "Q", "--k=-100000..2"], "MAX_WINDOW_WORK = 25000"),
+        (["verify", "proj(Q(sqrt -1), 20)", "--k=-100000..2"], "MAX_WINDOW_WORK = 25000"),
+        (["chi", "Q(sqrt -1)", "--k=-1000000..2"], "MAX_WINDOW_WORK = 25000"),
+        (["chi", "Q", "--k=-100000000..2"], "MAX_WINDOW_WORK = 25000"),
+        (["ord", "Q", "--k=-100000000..2"], "MAX_WINDOW_WORK = 25000"),
+        (["ranks", "proj(Q, 400)", "--k=-100..2"], "MAX_WINDOW_WORK = 25000"),
+        (["sweep", "--family", "flags", "--fields", "Q", "--max-n", "11"],
+         "MAX_WINDOW_WORK = 25000"),
+        (["sweep", "--family", "flags", "--fields", "Q", "--max-n", "12"],
+         "MAX_SWEEP_SCHEMES = 4000"),
+        (["sweep", "--family", "proj", "--fields", "Q", "--max-d", "3000"],
+         "MAX_WINDOW_WORK = 25000"),
+        (["sweep", "--family", "flags", "--fields", "Q", "--max-n", "14"],
+         "MAX_SWEEP_SCHEMES = 4000"),
+        (["sweep", "--family", "proj", "--fields", "Q", "--max-d", "100000000"],
+         "MAX_SWEEP_SCHEMES = 4000"),
+        (["sweep", "--family", "flags", "--fields", "Q", "--max-n", "100000000"],
+         "MAX_SWEEP_SCHEMES = 4000"),
     ],
 )
 def test_oversized_numeric_work_exits_3_quickly(capsys, argv, bound):
@@ -178,6 +196,42 @@ def test_oversized_numeric_work_exits_3_quickly(capsys, argv, bound):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
     assert bound in err
+
+
+def test_window_work_bound_is_strata_times_width(capsys):
+    # one stratum: 25 000 weights answer, one more is refused
+    assert run(capsys, "ord", "Q", "--k=-24997..2")[0] == 0
+    assert run(capsys, "ord", "Q", "--k=-24998..2")[0] == 3
+    # proj(Q, 9) has 10 strata: the same bound allows a tenth of the window
+    assert run(capsys, "chi", "proj(Q, 9)", "--k=-2497..2")[0] == 0
+    assert run(capsys, "chi", "proj(Q, 9)", "--k=-2498..2")[0] == 3
+    # a sweep sums over its family: affine(Q, 0..4) is 5 strata
+    sweep = ("sweep", "--family", "affine", "--fields", "Q", "--max-d", "4")
+    assert run(capsys, *sweep, "--k=-4997..2")[0] == 0
+    assert run(capsys, *sweep, "--k=-4998..2")[0] == 3
+
+
+def test_sweep_family_bound_counts_schemes_before_building(capsys, monkeypatch):
+    monkeypatch.setattr(flagzeta.cli, "MAX_SWEEP_SCHEMES", 6)
+    built = []
+    build = flagzeta.cli.flag_family
+    monkeypatch.setattr(flagzeta.cli, "flag_family", lambda *a: built.append(a) or build(*a))
+    # flags of rank <= 2 are 3 types per base
+    argv = ("sweep", "--family", "flags", "--max-n", "2", "--format", "json")
+    code, _, err = run(capsys, *argv, "--fields", "Q,F(2),F(3)")
+    assert (code, built) == (3, [])
+    assert "a family of at least 9 schemes is above MAX_SWEEP_SCHEMES = 6" in err
+    code, out, _ = run(capsys, *argv, "--fields", "Q,F(2)")
+    assert (code, len(built), json.loads(out)["schemes"]) == (0, 1, 6)
+
+
+@pytest.mark.parametrize("scheme", ["Q", "F(2)"])
+@pytest.mark.parametrize("bound", ["0", "1", "-5"])
+def test_prime_bound_below_2_exits_3(capsys, scheme, bound):
+    code, out, err = run(capsys, "lfun", scheme, "--eval-at", "4", "--prime-bound", bound)
+    assert (code, out) == (3, "")
+    assert err == f"error: prime bound {bound} is below 2: an empty product\n"
+    assert run(capsys, "lfun", scheme, "--eval-at", "4", "--prime-bound", "2")[0] == 0
 
 
 def test_special_value_beyond_a_float_prints_exactly(capsys):

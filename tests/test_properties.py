@@ -4,7 +4,10 @@ Each expression is a small tree of affine, projective, Grassmannian, flag
 and union nodes over a handful of number-field and finite-field bases.
 """
 
-from hypothesis import given
+import contextlib
+import io
+
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagzeta.cells import (
@@ -26,6 +29,7 @@ from flagzeta.fields import (
     quadratic_field,
     rationals,
 )
+from flagzeta.cli import main
 from flagzeta.parse import parse_scheme
 from flagzeta.verify import SupportRow, check_soule
 from flagzeta.weights import (
@@ -171,3 +175,56 @@ def test_flag_bundle_is_its_grassmannian_tower(x, parts):
 @given(schemes)
 def test_parse_inverts_str(x):
     assert parse_scheme(str(x)) == x
+
+
+# -- random command lines ------------------------------------------------------
+
+# Edge values sit next to ordinary ones: an inverted or huge --k, a zero
+# order or prime bound, non-finite points, families past their bounds.
+_COMMON = {
+    "--k": ["-3..1", "0..0", "-6..2", "2..1", "-100000000..2", "x"],
+    "--order": ["0", "-1", "1", "6", "100000"],
+    "--prime-bound": ["0", "1", "-5", "2", "50", "30000000"],
+    "--format": ["plain", "json", "csv"],
+}
+_EXTRA = {
+    "lfun": {"--eval-at": ["0.5", "2.5", "6", "nan", "inf"]},
+    "special": {"--at": ["-3", "0", "1", "2", "-100000"]},
+    "sweep": {
+        "--family": ["flags", "proj", "affine"],
+        "--max-n": ["-1", "0", "2", "100000000"],
+        "--max-d": ["-1", "0", "2", "100000000"],
+    },
+}
+_LABELS = [str(BasePoint(f)) for f in NUMBER_FIELDS + FINITE_FIELDS] + ["K9", "proj(Q, 1)"]
+_COMMANDS = ["ranks", "cells", "chi", "ord", "lfun", "zeta", "special", "verify", "sweep"]
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(_COMMANDS))
+    argv = [command]
+    if command == "sweep":
+        labels = draw(st.lists(st.sampled_from(_LABELS), min_size=1, max_size=2))
+        argv.append("--fields=" + ",".join(labels))
+    elif draw(st.integers(0, 4)):
+        argv.append(str(draw(schemes)))
+    else:
+        argv.append(draw(st.sampled_from(["K9", "proj(Q, 2"])))
+    required = ("--family", "--at")
+    for name, values in {**_COMMON, **_EXTRA.get(command, {})}.items():
+        if name in required or draw(st.booleans()):
+            argv.append(f"{name}={draw(st.sampled_from(values))}")
+    return argv
+
+
+@settings(max_examples=150)
+@given(_argv())
+def test_cli_exits_with_a_documented_code(argv):
+    # No input here can hold a real chi/ord mismatch, so exit 1 never fits,
+    # and exit 5 would be a fault in flagzeta itself.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
