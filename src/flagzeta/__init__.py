@@ -72,7 +72,6 @@ from .weights import (
     WeightTable,
     borel_weight_table,
     chi,
-    finite_field_weight_table,
     weight_table_of,
 )
 

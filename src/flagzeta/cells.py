@@ -338,10 +338,6 @@ class CellDecomposition:
         object.__setattr__(self, "strata", strata)
 
     @classmethod
-    def build(cls, raw: Iterable[Stratum]) -> "CellDecomposition":
-        return cls(tuple(raw))
-
-    @classmethod
     def one(cls) -> "CellDecomposition":
         return cls(())
 
@@ -383,7 +379,7 @@ class CellDecomposition:
         return self.strata
 
     def __mul__(self, other: "CellDecomposition") -> "CellDecomposition":
-        return CellDecomposition.build(self.strata + other.strata)
+        return CellDecomposition(self.strata + other.strata)
 
     def inverse(self) -> "CellDecomposition":
         return CellDecomposition(
@@ -421,7 +417,7 @@ class CellDecomposition:
                 continue
             for s in self.strata:
                 out.append(Stratum(s.base, s.shift + e, s.multiplicity * c))
-        return CellDecomposition.build(out)
+        return CellDecomposition(tuple(out))
 
     @property
     def total_multiplicity(self) -> int:
@@ -464,7 +460,7 @@ def cells_of(x: SchemeExpr) -> CellDecomposition:
         out: list[Stratum] = []
         for c in x.children:
             out.extend(cells_of(c).strata)
-        return CellDecomposition.build(out)
+        return CellDecomposition(tuple(out))
     raise TypeError(f"not a scheme expression: {x!r}")
 
 

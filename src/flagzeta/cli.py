@@ -1,22 +1,9 @@
 """Command-line interface.
 
-Subcommands
-    ranks    weight table of a scheme (degree, weight, rank rows)
-    cells    cell decomposition (base, shift, multiplicity rows)
-    chi      Euler characteristic by weight
-    ord      vanishing order of the L-function at each integer
-    lfun     L-function factorization, optionally evaluated numerically
-    zeta     zeta function of a scheme over a finite field, series and
-             rational form side by side
-    special  exact special value of the L-function at an integer
-    verify   compare chi against ord over a k-range
-    sweep    run verify across a generated family of schemes
-
-Common options: --format {plain,json,csv} (default plain), --k=LO..HI
-(default -10..2; note the '=' since ranges may start with '-'),
---order N (series truncation, default 16), --prime-bound N (default
-10000), --field-config PATH (JSON field catalogue for extra base
-labels).
+The subcommands (ranks, cells, chi, ord, lfun, zeta, special, verify,
+sweep) and their options are listed by ``--help`` and in the README's
+command-line section, which a test keeps in step with the parser.  Every
+subcommand accepts the common options and ignores those it does not read.
 
 Each subcommand returns its table as ``(headers, rows, payload, footer,
 ok)``.  ``main`` is the one dispatcher: it parses the scheme, runs the
@@ -49,14 +36,13 @@ from .lfuncs import (
 )
 from .parse import SchemeSyntaxError, load_field_registry, parse_scheme
 from .verify import (
-    DEFAULT_K_RANGE,
     affine_family,
     check_soule,
     flag_family,
     proj_family,
     sweep,
 )
-from .weights import chi, weight_table_of
+from .weights import DEFAULT_K_RANGE, chi, weight_table_of
 
 __all__ = ["main"]
 
@@ -242,7 +228,7 @@ def _cmd_special(x: SchemeExpr, args):
 
 def _cmd_verify(x: SchemeExpr, args):
     [cells], lo, hi = _cells_in_window(args, [x])
-    report = check_soule(cells, (lo, hi))  # main stamps the scheme's own name
+    report = check_soule(cells, (lo, hi), name=str(x))
     rows = [(r.k, r.chi, r.ord, "yes" if r.match else "NO") for r in report.rows]
     footer = [f"summary: {report.matched} matched, {report.mismatched} mismatched"]
     return ("k", "chi", "ord", "match"), rows, report.to_dict(), footer, report.ok
@@ -274,8 +260,8 @@ def _sweep_family(args) -> list[SchemeExpr]:
 
 def _cmd_sweep(x: None, args):
     family = _sweep_family(args)
-    _, lo, hi = _cells_in_window(args, family)
-    report = sweep(family, (lo, hi))
+    cells, lo, hi = _cells_in_window(args, family)
+    report = sweep(family, (lo, hi), cells)
     rows = [
         (r.scheme, r.matched, r.mismatched, "yes" if r.ok else "NO")
         for r in report.reports

@@ -15,7 +15,8 @@ the first two functions below, to ``base_sort_key`` and to the rank rule
   each integer, a simple pole counting as -1;
 * ``zeta_partial_eval`` evaluates it at real s > 1, for floating-point
   sanity checks only: a finite Euler product over primes up to a bound,
-  or over F_q the closed form;
+  one sieve for all the points asked of a base, or over F_q the closed
+  form.  It refuses all but finite s > 1 and bounds in [2, MAX_PRIME_BOUND];
 * ``special_value_rational`` and ``special_value_even`` return the exact
   classical values zeta(1-k) = -B_k/k (k >= 2) and
   zeta(2m) = (-1)^(m-1) (2 pi)^(2m) B_{2m} / (2 (2m)!).
@@ -29,7 +30,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Optional, Union
+from numbers import Real
+from typing import Mapping, Optional, Sequence, Union
 
 from .series import bernoulli
 
@@ -296,15 +298,15 @@ def euler_factor(fld: NumberField, p: int) -> EulerFactor:
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _euler_factor(fld, p)
+    return EulerFactor(p, _residue_degrees(fld, p))
 
 
-def _euler_factor(fld: NumberField, p: int) -> EulerFactor:
+def _residue_degrees(fld: NumberField, p: int) -> tuple[tuple[int, int], ...]:
     if fld.degree == 1:
-        return EulerFactor(p, ((1, 1),))
+        return ((1, 1),)
     table = dict(fld.splitting)
     if p in table:
-        return EulerFactor(p, tuple(sorted(Counter(table[p]).items())))
+        return tuple(sorted(Counter(table[p]).items()))
     if fld.degree == 2:
         if fld.disc is None:
             raise UnsupportedFieldError(
@@ -312,37 +314,54 @@ def _euler_factor(fld: NumberField, p: int) -> EulerFactor:
             )
         disc = fld.disc
         if disc % p == 0:
-            return EulerFactor(p, ((1, 1),))  # ramified: one prime, f = 1
+            return ((1, 1),)  # ramified: one prime, f = 1
         if p == 2:
             split = disc % 8 == 1
         else:
             split = pow(disc % p, (p - 1) // 2, p) == 1
-        return EulerFactor(p, ((1, 2),) if split else ((2, 1),))
+        return ((1, 2),) if split else ((2, 1),)
     raise UnsupportedFieldError(
         f"field {fld.label!r} has degree {fld.degree} and no splitting entry "
         f"for p={p}"
     )
 
 
-def zeta_partial_eval(fld: BaseField, s: float, prime_bound: int) -> float:
-    """The zeta function of the base at real s > 1, as a float.
+def zeta_partial_eval(
+    fld: BaseField, s: Union[float, Sequence[float]], prime_bound: int
+) -> Union[float, list[float]]:
+    """The zeta function of the base at real s > 1, as a float; for a
+    sequence of points s, the list of their values.
 
     For a number field, the finite Euler product prod_{p <= bound} of
     local factors: monotone increasing in the bound, a diagnostic only.
     F_q has the one local factor 1/(1 - q^(-s)), returned exactly.
+    Points that are not finite reals > 1, and bounds outside
+    [2, MAX_PRIME_BOUND], are refused before any work.  A number field
+    then costs one sieve, one local factor per prime, and one local
+    value per prime and point.
     """
-    if s <= 1:
-        raise ValueError("the Euler product only converges for s > 1")
+    points = (s,) if isinstance(s, Real) else tuple(s)
+    for x in points:
+        if not 1 < x < math.inf:  # nan too
+            raise ValueError(f"s = {x}: an Euler product needs a finite s > 1")
+    if prime_bound < 2:
+        raise ValueError(f"prime bound {prime_bound} is below 2: an empty product")
     if prime_bound > MAX_PRIME_BOUND:
         raise ValueError(
             f"prime bound {prime_bound} is above MAX_PRIME_BOUND = {MAX_PRIME_BOUND}"
         )
     if isinstance(fld, FiniteField):
-        return 1.0 / (1.0 - fld.q ** (-s))
-    out = 1.0
-    for p in primes_upto(prime_bound):
-        out *= _euler_factor(fld, p).value(s)
-    return out
+        values = [1.0 / (1.0 - fld.q ** (-x)) for x in points]
+    else:
+        values = [1.0] * len(points)
+        for p in primes_upto(prime_bound):
+            degrees = _residue_degrees(fld, p)
+            for i, x in enumerate(points):
+                local = 1.0
+                for f, g in degrees:
+                    local *= (1.0 - p ** (-f * x)) ** (-g)
+                values[i] *= local
+    return values[0] if isinstance(s, Real) else values
 
 
 # -- integer orders and special values ------------------------------------

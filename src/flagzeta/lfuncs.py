@@ -23,6 +23,7 @@ coefficient by coefficient.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -205,14 +206,12 @@ def lfun_partial_eval(
 ) -> float:
     """The product of every factor's ``zeta_partial_eval`` at real s.
 
-    Requires s - shift > 1 for each factor so all the partial products
-    sit in the convergence region, and a prime bound of at least 2 so no
-    Euler product is empty.
+    Requires a finite s with s - shift > 1 for each factor.  The factors
+    of a base are evaluated together: one sieve per number-field base, one
+    local factor per base and prime, one local value per factor and prime.
     """
     if not math.isfinite(s):
         raise ValueError(f"s = {s} is not a finite real number")
-    if prime_bound < 2:
-        raise ValueError(f"prime bound {prime_bound} is below 2: an empty product")
     for factor in f:
         if s - factor.shift <= 1:
             raise ValueError(
@@ -220,9 +219,12 @@ def lfun_partial_eval(
                 f"region s - {factor.shift} > 1"
             )
     out = 1.0
-    for factor in f:
-        v = zeta_partial_eval(factor.base, s - factor.shift, prime_bound)
-        out *= v**factor.multiplicity
+    # the strata are sorted by base, so each base's factors are adjacent
+    for base, group in itertools.groupby(f, key=lambda factor: factor.base):
+        factors = list(group)
+        values = zeta_partial_eval(base, [s - c.shift for c in factors], prime_bound)
+        for factor, v in zip(factors, values):
+            out *= v**factor.multiplicity
     return out
 
 

@@ -30,6 +30,7 @@ from typing import Iterable, Sequence
 from .cells import (
     Affine,
     BasePoint,
+    CellDecomposition,
     CellsOrScheme,
     FlagBundle,
     ProjBundle,
@@ -38,7 +39,7 @@ from .cells import (
 )
 from .fields import BaseField
 from .lfuncs import lfactorization_of
-from .weights import chi, weight_table_of
+from .weights import DEFAULT_K_RANGE, chi, weight_table_of
 
 __all__ = [
     "SouleRow",
@@ -52,8 +53,6 @@ __all__ = [
     "proj_family",
     "affine_family",
 ]
-
-DEFAULT_K_RANGE = (-10, 2)
 
 
 @dataclass(frozen=True)
@@ -123,13 +122,13 @@ class VerificationReport:
 
 
 def check_soule(
-    x: CellsOrScheme, k_range: tuple[int, int] = DEFAULT_K_RANGE
+    x: CellsOrScheme, k_range: tuple[int, int] = DEFAULT_K_RANGE, name: str = ""
 ) -> VerificationReport:
     """Compare chi(X, k) with ord_{s=k} L(X, s) for each k in the range.
 
     ``x`` is a scheme or a signed cell class.  The cell decomposition is
     computed once and shared; everything after that point is two disjoint
-    exact computations.
+    exact computations.  The report is named ``name``, or else ``str(x)``.
     """
     k_min, k_max = k_range
     if k_min > k_max:
@@ -146,7 +145,7 @@ def check_soule(
         pairs = table.support_at(j)
         degrees = tuple(m for m, _ in pairs)
         support.append(SupportRow(j, degrees, sum(d for _, d in pairs)))
-    return VerificationReport(str(x), k_min, k_max, rows, tuple(support))
+    return VerificationReport(name or str(x), k_min, k_max, rows, tuple(support))
 
 
 @dataclass(frozen=True)
@@ -213,12 +212,16 @@ class SweepReport:
 
 
 def sweep(
-    schemes: Sequence[SchemeExpr], k_range: tuple[int, int] = DEFAULT_K_RANGE
+    schemes: Sequence[SchemeExpr],
+    k_range: tuple[int, int] = DEFAULT_K_RANGE,
+    cells: Sequence[CellDecomposition] = (),
 ) -> SweepReport:
-    """check_soule across a family, in the family's given order."""
+    """check_soule across a family, in the family's given order; ``cells``
+    may hold the family's cell classes, already built, in the same order."""
     if not schemes:
         raise ValueError("empty family")
-    reports = tuple(check_soule(x, k_range) for x in schemes)
+    pairs = zip(schemes, cells or schemes, strict=True)  # else check_soule builds
+    reports = tuple(check_soule(c, k_range, name=str(x)) for x, c in pairs)
     return SweepReport(reports, *k_range)
 
 

@@ -43,7 +43,6 @@ __all__ = [
     "WeightTable",
     "ChiFunction",
     "borel_weight_table",
-    "finite_field_weight_table",
     "weight_table_of",
     "chi",
 ]
@@ -120,8 +119,8 @@ class WeightTable:
         )
 
 
-DEFAULT_J_MIN = -32
-DEFAULT_J_MAX = 8
+# The one default weight window: of weight_table_of, verify and --k.
+DEFAULT_K_RANGE = (-10, 2)
 
 
 def _base_entries(
@@ -144,21 +143,15 @@ def _base_entries(
             yield (2 * i - 1, j), dim
 
 
-def borel_weight_table(
-    field: BaseField, j_min: int = DEFAULT_J_MIN, j_max: int = DEFAULT_J_MAX
-) -> WeightTable:
+def borel_weight_table(field: BaseField, j_min: int, j_max: int) -> WeightTable:
     """The weight table of Spec of a base: Borel/Dirichlet for the ring of
     integers of a number field, rationally just the class of the point
     (degree 0, weight 0) for a finite field."""
     return WeightTable(dict(_base_entries(field, j_min, j_max)), j_min, j_max)
 
 
-# One rule serves both kinds of base; this name reads it over F_q.
-finite_field_weight_table = borel_weight_table
-
-
 def weight_table_of(
-    x: CellsOrScheme, j_min: int = DEFAULT_J_MIN, j_max: int = DEFAULT_J_MAX
+    x: CellsOrScheme, j_min: int = DEFAULT_K_RANGE[0], j_max: int = DEFAULT_K_RANGE[1]
 ) -> WeightTable:
     """Weight table of a scheme or signed cell class: the signed sum over
     its cells of the base entries shifted up by the cell dimension."""

@@ -254,15 +254,15 @@ def test_union_keeps_distinct_bases_sorted():
 
 def test_canonicalization_is_idempotent():
     raw = [Stratum(Q, 1, 1), Stratum(Q, 0, 1), Stratum(Q, 1, 2)]
-    once = CellDecomposition.build(raw)
-    again = CellDecomposition.build(once.strata)
+    once = CellDecomposition(raw)
+    again = CellDecomposition(once.strata)
     assert once == again
     assert once.strata == (Stratum(Q, 0, 1), Stratum(Q, 1, 3))
 
 
 def test_constructor_puts_strata_in_canonical_form():
     hand = CellDecomposition((Stratum(Q, 1, 1), Stratum(Q, 0, 1), Stratum(Q, 0, 1)))
-    assert hand == CellDecomposition.build(hand.strata)
+    assert hand == CellDecomposition(hand.strata)
     assert hand.strata == (Stratum(Q, 0, 2), Stratum(Q, 1, 1))
     assert str(hand) == "L(Q, s)^2 * L(Q, s-1)"
     # cancelling multiplicities drop out, leaving the empty class

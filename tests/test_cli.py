@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+import flagzeta.cells
 import flagzeta.cli
+import flagzeta.fields
 import flagzeta.verify
 from flagzeta.cli import main
 from flagzeta.series import TruncSeries
@@ -308,6 +310,53 @@ def test_sweep_ok_and_nonvacuous(capsys):
     assert payload["ok"] is True
     assert payload["rows_nonzero"] >= 1
     assert payload["min_chi"] <= -1
+
+
+def _count_top_level_calls(monkeypatch, module, name, *also):
+    """Wrap module.name (and the same name bound in the modules ``also``)
+    and record the argument of every call not made from inside another."""
+    calls, depth = [], [0]
+    inner = getattr(module, name)
+
+    def counted(*args):
+        if not depth[0]:
+            calls.append(args[0])
+        depth[0] += 1
+        try:
+            return inner(*args)
+        finally:
+            depth[0] -= 1
+
+    for m in (module, *also):
+        monkeypatch.setattr(m, name, counted)
+    return calls
+
+
+def test_sweep_builds_each_member_once(capsys, monkeypatch):
+    # cells_of recurses through the module global, so nested calls are skipped
+    calls = _count_top_level_calls(monkeypatch, flagzeta.cells, "cells_of", flagzeta.cli)
+    code, out, _ = run(
+        capsys, "sweep", "--family", "flags", "--fields", "Q,F(2)", "--max-n", "3",
+        "--format", "json",
+    )
+    assert code == 0
+    names = [report["scheme"] for report in json.loads(out)["reports"]]
+    assert len(names) == 14
+    assert [str(x) for x in calls] == names
+
+
+def test_lfun_eval_sieves_once_per_number_field_base(capsys, monkeypatch):
+    sieves = _count_top_level_calls(monkeypatch, flagzeta.fields, "primes_upto")
+    local = _count_top_level_calls(monkeypatch, flagzeta.fields, "_residue_degrees")
+    code, out, _ = run(
+        capsys, "lfun", "union(proj(Q(sqrt -1), 3), proj(Q(sqrt 2), 2))",
+        "--eval-at", "8", "--prime-bound", "100",
+    )
+    assert code == 0
+    assert "L(Q(sqrt -1), s-3) * L(Q(sqrt 2), s) *" in out  # 7 factors, 2 bases
+    assert sieves == [100, 100]
+    # one local factor per base and prime: 25 primes up to 100
+    assert len(local) == 2 * 25
 
 
 def test_sweep_plain(capsys):

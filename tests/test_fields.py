@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import flagzeta.fields
 from flagzeta.cells import BasePoint
 from flagzeta.fields import (
     MAX_FACTORED,
@@ -202,10 +203,33 @@ def test_partial_zeta_of_finite_field_is_the_closed_form():
     for q in (2, 9, 49):
         for s in (1.5, 2.0, 3.25):
             expected = 1.0 / (1.0 - q ** (-s))
-            for bound in (0, 10, MAX_PRIME_BOUND):
+            for bound in (2, 10, MAX_PRIME_BOUND):
                 assert zeta_partial_eval(finite_field(q), s, bound) == expected
     with pytest.raises(ValueError, match="s > 1"):
         zeta_partial_eval(finite_field(2), 1.0, 100)
+
+
+@pytest.mark.parametrize("fld", [Q, finite_field(4)], ids=str)
+@pytest.mark.parametrize(
+    "s, bound, message",
+    [
+        (2.0, 0, "below 2"),
+        (2.0, 1, "below 2"),
+        (2.0, -5, "below 2"),
+        (math.nan, 100, "finite s > 1"),
+        (math.inf, 100, "finite s > 1"),
+        (-math.inf, 100, "finite s > 1"),
+    ],
+)
+def test_partial_zeta_refuses_before_any_sieve(monkeypatch, fld, s, bound, message):
+    def no_sieve(n):
+        raise AssertionError("sieved before refusing")
+
+    monkeypatch.setattr(flagzeta.fields, "primes_upto", no_sieve)
+    with pytest.raises(ValueError, match=message):
+        zeta_partial_eval(fld, s, bound)
+    with pytest.raises(ValueError, match=message):
+        zeta_partial_eval(fld, [3.0, s], bound)
 
 
 def test_partial_zeta_refuses_large_prime_bounds():

@@ -7,7 +7,7 @@ and union nodes over a handful of number-field and finite-field bases.
 import contextlib
 import io
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flagzeta.cells import (
@@ -24,19 +24,21 @@ from flagzeta.cells import (
 )
 from flagzeta.fields import (
     NumberField,
+    euler_factor,
     finite_field,
     ord_at_integer,
+    primes_upto,
     quadratic_field,
     rationals,
 )
 from flagzeta.cli import main
+from flagzeta.lfuncs import lfun_partial_eval
 from flagzeta.parse import parse_scheme
 from flagzeta.verify import SupportRow, check_soule
 from flagzeta.weights import (
     WeightTable,
     borel_weight_table,
     chi,
-    finite_field_weight_table,
     weight_table_of,
 )
 
@@ -107,7 +109,7 @@ def per_cell_weight_table(cells, j_min, j_max):
         if isinstance(s.base, NumberField):
             table = borel_weight_table(s.base, lo, hi)
         else:
-            table = finite_field_weight_table(s.base, lo, hi)
+            table = borel_weight_table(s.base, lo, hi)
         for (m, j), dim in table.items():
             key = (m, j + s.shift)
             entries[key] = entries.get(key, 0) + dim * s.multiplicity
@@ -163,6 +165,40 @@ def test_ord_at_matches_per_kind_orders(c, fq, shift, mult):
     c = c * CellDecomposition((Stratum(fq, shift, mult),)) if mult else c
     for k in range(WINDOW[0], WINDOW[1] + 1):
         assert c.ord_at(k) == per_kind_ord_at(c, k)
+
+
+def per_factor_euler_product(cells, s, bound):
+    """The reference value, factor by factor: a number field's factor is
+    the product of its public local factors over the primes up to the
+    bound, an F_q factor its closed form 1/(1 - q^-(s - shift))."""
+    out = 1.0
+    for factor in cells:
+        x = s - factor.shift
+        if isinstance(factor.base, NumberField):
+            v = 1.0
+            for p in primes_upto(bound):
+                v *= euler_factor(factor.base, p).value(x)
+        else:
+            v = 1.0 / (1.0 - factor.base.q ** (-x))
+        out *= v**factor.multiplicity
+    return out
+
+
+# largest convergence edge s = 5
+_MIXED = cells_of(parse_scheme("union(proj(Q(sqrt -1), 2), affine(F(3), 4))")) / cells_of(
+    parse_scheme("affine(F(2), 1)")
+)
+
+
+@example(_MIXED, 0.5, 500)
+@example(_MIXED, 1.125, 500)
+@example(_MIXED, 2.0, 500)
+@example(_MIXED, 4.3, 500)
+@given(_signed_classes(), st.floats(0.001, 1.0), st.integers(2, 300))
+def test_partial_eval_is_the_same_float_as_the_per_factor_product(c, margin, bound):
+    # s lies just past the largest convergence edge, max shift + 1
+    s = c.max_shift() + 1 + margin
+    assert lfun_partial_eval(c, s, bound) == per_factor_euler_product(c, s, bound)
 
 
 @given(schemes, st.lists(st.integers(1, 3), min_size=1, max_size=3))

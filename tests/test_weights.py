@@ -14,7 +14,7 @@ from flagzeta.fields import FiniteField, quadratic_field, rationals
 from flagzeta.weights import (
     borel_weight_table,
     chi,
-    finite_field_weight_table,
+    borel_weight_table,
     weight_table_of,
 )
 
@@ -62,7 +62,7 @@ def test_borel_table_ranks_by_degree_mod_four():
 
 
 def test_finite_field_table():
-    t = finite_field_weight_table(FiniteField(3, 2), -2, 2)
+    t = borel_weight_table(FiniteField(3, 2), -2, 2)
     assert t.items() == [((0, 0), 1)]
 
 
@@ -144,7 +144,7 @@ def test_chi_of_real_quadratic():
 
 
 def test_chi_of_finite_field():
-    c = chi(finite_field_weight_table(FiniteField(5), -2, 2))
+    c = chi(borel_weight_table(FiniteField(5), -2, 2))
     assert c.value(0) == -1
     assert c.value(1) == 0
 
