@@ -519,78 +519,41 @@ def point_count(x: CellsOrScheme, r: int) -> int:
 
 @lru_cache(maxsize=None)
 def _gf_tables(q: int) -> tuple[tuple, tuple]:
-    """(add, mul) tables for F_q, elements encoded as 0..q-1.
+    """(add, mul) tables for F_q, q = p^f with f <= 3, elements encoded as 0..q-1.
 
-    Prime q is modular arithmetic.  For q = p^f the element i encodes the
-    base-p digit vector of a polynomial over F_p, reduced modulo a monic
-    irreducible of degree f found by search (degree 2 and 3 polynomials
-    are irreducible exactly when they have no roots).
+    Element i is the polynomial of degree < f over F_p whose coefficient of
+    x^j is the j-th base-p digit of i, so addition is digitwise mod p.
+    Products are reduced by x^f = -low(x), where x^f + low(x) is the first
+    monic polynomial, in the encoding order of low, with no root in F_p.
+    For f <= 3 that makes it irreducible: a factorisation would need a
+    factor of degree 1, that is a root.  (Every x + c has a root; for f = 1
+    nothing is reduced and the modulus x serves.)  Row a of mul follows
+    Horner's rule over the digits of b: a*b = b_0*a + x*(a*(b div p)).
     """
     field = finite_field(q)
     p, f = field.p, field.f
-    if f == 1:
-        add = tuple(tuple((a + b) % q for b in range(q)) for a in range(q))
-        mul = tuple(tuple((a * b) % q for b in range(q)) for a in range(q))
-    else:
-        if f > 3:
-            raise ValueError("finite fields beyond cubic extensions not needed here")
-
-        def digits(x: int) -> list[int]:
-            out = []
-            for _ in range(f + 1):
-                out.append(x % p)
-                x //= p
-            return out
-
-        def undigits(ds: Sequence[int]) -> int:
-            out = 0
-            for d in reversed(ds):
-                out = out * p + d
-            return out
-
-        def poly_eval(ds: Sequence[int], x: int) -> int:
-            out = 0
-            for d in reversed(ds):
-                out = (out * x + d) % p
-            return out
-
-        # monic x^f + lower, no roots in F_p => irreducible for f in {2, 3}
-        modulus = None
-        for lower in range(p**f):
-            ds = digits(lower)[:f] + [1]
-            if all(poly_eval(ds, x) != 0 for x in range(p)):
-                modulus = ds
-                break
-        assert modulus is not None
-
-        def reduce_poly(ds: list[int]) -> list[int]:
-            ds = ds[:]
-            for i in range(len(ds) - 1, f - 1, -1):
-                c = ds[i]
-                if c:
-                    ds[i] = 0
-                    for j in range(f + 1):
-                        ds[i - f + j] = (ds[i - f + j] - c * modulus[j]) % p
-            return ds[:f]
-
-        def mul_elems(a: int, b: int) -> int:
-            da, db = digits(a)[:f], digits(b)[:f]
-            prod = [0] * (2 * f)
-            for i, x in enumerate(da):
-                if x:
-                    for j, y in enumerate(db):
-                        prod[i + j] = (prod[i + j] + x * y) % p
-            return undigits(reduce_poly(prod))
-
-        add = tuple(
-            tuple(
-                undigits([(x + y) % p for x, y in zip(digits(a)[:f], digits(b)[:f])])
-                for b in range(q)
-            )
-            for a in range(q)
-        )
-        mul = tuple(tuple(mul_elems(a, b) for b in range(q)) for a in range(q))
-    return add, mul
+    if f > 3:
+        raise ValueError("finite fields beyond cubic extensions not needed here")
+    digits = [(i % p, i // p % p, i // p // p) for i in range(q)]  # 0 from x^f on
+    add = tuple(
+        tuple((a + x) % p + (b + y) % p * p + (c + z) % p * p * p for x, y, z in digits)
+        for a, b, c in digits
+    )
+    scale = [  # scale[s][a] = s*a for s in F_p
+        [s * a % p + s * b % p * p + s * c % p * p * p for a, b, c in digits]
+        for s in range(p)
+    ]
+    low = next((i for i, (a, b, c) in enumerate(digits)
+                if all((x**f + a + b * x + c * x * x) % p for x in range(p))), 0)
+    top = q // p  # x * c shifts c's digits up; its top digit c // top wraps to -low
+    times_x = [add[c % top * p][scale[-(c // top) % p][low]] for c in range(q)]
+    mul = []
+    for a in range(q):
+        row = [0] * q
+        for b in range(1, q):
+            row[b] = add[times_x[row[b // p]]][scale[b % p][a]]
+        mul.append(tuple(row))
+    return add, tuple(mul)
 
 
 @lru_cache(maxsize=None)

@@ -158,20 +158,32 @@ class RationalZeta:
         return f"{top} / ({side(self.denom)})"
 
 
+def _single_q(cells: CellDecomposition) -> int:
+    """The order q of the one finite field under every cell of a zeta class."""
+    if not cells.strata:
+        raise ValueError("no cells")
+    qs = set()
+    for s in cells:
+        if not isinstance(s.base, FiniteField):
+            raise ValueError(f"zeta over finite fields only, found {s.base}")
+        qs.add(s.base.q)
+    if len(qs) != 1:
+        raise ValueError(f"mixed finite bases {sorted(qs)}; no single q")
+    return qs.pop()
+
+
 def weil_zeta_series(x: CellsOrScheme, order: int) -> TruncSeries:
     """exp(sum_{r=1}^{order} N_r t^r / r) with N_r the point counts of x.
 
     This is the transcendental route to the zeta function; it never looks
     at the rational form, so agreement with ``weil_zeta_rational`` is a
-    genuine consistency check.
+    genuine consistency check.  It refuses the classes the rational form
+    refuses, with the same messages.
     """
     if order < 1:
         raise ValueError("series order must be >= 1")
     cells = _as_cells(x)
-    # number-field bases are skipped here and refused by point_count
-    top = max((s.shift * math.log10(s.base.q) for s in cells
-               if isinstance(s.base, FiniteField)), default=0)
-    _check_series_size(order, top)
+    _check_series_size(order, cells.max_shift() * math.log10(_single_q(cells)))
     u = TruncSeries(
         order, [0] + [Fraction(point_count(cells, r), r) for r in range(1, order + 1)]
     )
@@ -184,17 +196,8 @@ def weil_zeta_rational(x: CellsOrScheme) -> RationalZeta:
     All cells must live over one and the same finite field.
     """
     cells = _as_cells(x)
-    if not cells.strata:
-        raise ValueError("no cells")
-    qs = set()
-    for s in cells:
-        if not isinstance(s.base, FiniteField):
-            raise ValueError(f"zeta over finite fields only, found {s.base}")
-        qs.add(s.base.q)
-    if len(qs) != 1:
-        raise ValueError(f"mixed finite bases {sorted(qs)}; no single q")
     return RationalZeta.build(
-        qs.pop(), denom=[(s.shift, s.multiplicity) for s in cells]
+        _single_q(cells), denom=[(s.shift, s.multiplicity) for s in cells]
     )
 
 

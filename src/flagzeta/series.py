@@ -93,10 +93,6 @@ class TruncSeries:
             raise IndexError(f"coefficient index {i} outside 0..{self.order}")
         return self._coeffs[i]
 
-    @property
-    def constant(self) -> Fraction:
-        return self._coeffs[0]
-
     @classmethod
     def zero(cls, order: int) -> "TruncSeries":
         return cls(order)

@@ -179,12 +179,12 @@ class SweepReport:
     @property
     def rows_pole(self) -> int:
         """Rows whose order is negative: honest poles in the family."""
-        return sum(1 for r in self.reports for row in r.rows if row.chi <= -1)
+        return sum(1 for r in self.reports for row in r.rows if row.ord <= -1)
 
     @property
     def rows_zero(self) -> int:
         """Rows with positive order: honest zeros in the family."""
-        return sum(1 for r in self.reports for row in r.rows if row.chi >= 1)
+        return sum(1 for r in self.reports for row in r.rows if row.ord >= 1)
 
     @property
     def max_chi(self) -> int:

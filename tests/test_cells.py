@@ -26,7 +26,7 @@ from flagzeta.cells import (
     gaussian_multinomial,
     point_count,
 )
-from flagzeta.fields import FiniteField, quadratic_field, rationals
+from flagzeta.fields import FiniteField, finite_field, quadratic_field, rationals
 
 Q = rationals()
 QI = quadratic_field(-1)
@@ -158,8 +158,42 @@ def test_brute_force_refuses_large_spaces():
         brute_force_flag_count((1, 1, 1, 1, 1), 5, 5)
 
 
+# the flag oracle's fields: every prime power q <= 53 of degree f <= 3 over F_p
+ORACLE_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49, 53)
+
+
+@pytest.mark.parametrize("q", ORACLE_QS)
+def test_gf_tables_are_a_field(q):
+    add, mul = flagzeta.cells._gf_tables(q)
+    elements, nonzero = range(q), range(1, q)
+    for a in elements:
+        assert add[a][0] == a and mul[a][1] == a and mul[a][0] == 0
+        assert all(add[a][b] == add[b][a] and mul[a][b] == mul[b][a] for b in elements)
+        assert 0 in add[a]  # additive inverse
+    assert all(1 in mul[a] for a in nonzero)  # inverses
+    assert all(mul[a][b] for a in nonzero for b in nonzero)  # no zero divisors
+    p = finite_field(q).p
+    sums = [0]  # 1 added p times is the first 0
+    for _ in range(p):
+        sums.append(add[sums[-1]][1])
+    assert sums.index(0, 1) == p
+    if q == p:
+        return
+    for a, b, c in itertools.product(elements, repeat=3):
+        assert add[add[a][b]][c] == add[a][add[b][c]], (a, b, c)
+        assert mul[mul[a][b]][c] == mul[a][mul[b][c]], (a, b, c)
+        assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]], (a, b, c)
+
+
+def test_gf_tables_refuse_beyond_cubic_extensions():
+    with pytest.raises(ValueError, match="beyond cubic extensions"):
+        brute_force_flag_count((1,), 81, 1)
+    with pytest.raises(ValueError, match="not a prime power"):
+        brute_force_flag_count((1,), 6, 1)
+
+
 def test_gaussian_matches_enumeration_everywhere_feasible():
-    for q in (2, 3, 4, 5):
+    for q in (2, 3, 4, 5, 8, 9, 25, 27, 49):
         for n in range(1, 6):
             if q**n > 3000:
                 continue

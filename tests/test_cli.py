@@ -1,8 +1,12 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -464,7 +468,7 @@ def test_sweep_mismatch_exits_1(capsys, chi_off_by_one):
         "proj(Q, 0)  0        4           NO\n"
         "proj(Q, 1)  0        4           NO\n"
         "schemes: 2, rows: 8, mismatched: 8\n"
-        "chi range: [0, 2]; rows with poles: 0, with zeros: 6\n"
+        "chi range: [0, 2]; rows with poles: 2, with zeros: 3\n"
     )
     assert err == (
         "mismatch: proj(Q, 0) at k=-2: chi=2 ord=1\n"
@@ -476,6 +480,19 @@ def test_sweep_mismatch_exits_1(capsys, chi_off_by_one):
         "mismatch: proj(Q, 1) at k=0: chi=1 ord=0\n"
         "mismatch: proj(Q, 1) at k=1: chi=0 ord=-1\n"
     )
+
+
+def test_sweep_counts_poles_and_zeros_by_order(capsys, chi_off_by_one):
+    # chi is one above ord on every row, so counting chi would differ
+    code, out, _ = run(
+        capsys, "sweep", "--family", "proj", "--fields", "Q,F(2)", "--max-d", "2",
+        "--k=-3..1", "--format", "json",
+    )
+    assert code == 1
+    payload = json.loads(out)
+    orders = [row["ord"] for r in payload["reports"] for row in r["rows"]]
+    assert payload["rows_pole"] == sum(1 for o in orders if o < 0)
+    assert payload["rows_zero"] == sum(1 for o in orders if o > 0)
 
 
 def test_zeta_disagreement_exits_1_without_mismatch_lines(capsys, monkeypatch):
@@ -524,3 +541,22 @@ def test_range_is_parsed_only_where_used(capsys):
     assert run(capsys, "lfun", "Q", "--k=junk")[0] == 0
     code, _, err = run(capsys, "ranks", "proj(Q,", "--k=2..1")
     assert (code, err.split(":")[0]) == (2, "syntax error")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", "proj(Q, 1)", "--k=-4..2"], 0),
+        (["chi", "Q", "--k=2..1"], 3),
+        (["cells", "proj(Q,"], 2),
+    ],
+)
+def test_module_entry_point_matches_main(capsys, argv, code):
+    # the README's uninstalled entry point, python3 -m flagzeta.cli
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    child = subprocess.run(
+        [sys.executable, "-m", "flagzeta.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (child.returncode, child.stdout, child.stderr) == run(capsys, *argv)
+    assert child.returncode == code

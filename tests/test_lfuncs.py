@@ -174,12 +174,17 @@ def test_weil_series_accepts_cells():
 
 
 def test_weil_rejects_bad_bases():
+    mixed = DisjointUnion((BasePoint(F2), BasePoint(F3)))
     with pytest.raises(ValueError, match="finite fields only"):
         weil_zeta_rational(BasePoint(Q))
     with pytest.raises(ValueError, match="mixed finite bases"):
-        weil_zeta_rational(DisjointUnion((BasePoint(F2), BasePoint(F3))))
+        weil_zeta_rational(mixed)
     with pytest.raises(ValueError, match="order"):
         weil_zeta_series(BasePoint(F2), 0)
+    with pytest.raises(ValueError, match="finite fields only"):
+        weil_zeta_series(BasePoint(Q), 4)
+    with pytest.raises(ValueError, match=r"mixed finite bases \[2, 3\]; no single q"):
+        weil_zeta_series(mixed, 4)
 
 
 def test_series_size_bounds_refuse_before_work():

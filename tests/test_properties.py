@@ -7,6 +7,7 @@ and union nodes over a handful of number-field and finite-field bases.
 import contextlib
 import io
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +33,7 @@ from flagzeta.fields import (
     rationals,
 )
 from flagzeta.cli import main
-from flagzeta.lfuncs import lfun_partial_eval
+from flagzeta.lfuncs import lfun_partial_eval, weil_zeta_rational, weil_zeta_series
 from flagzeta.parse import parse_scheme
 from flagzeta.verify import SupportRow, check_soule
 from flagzeta.weights import (
@@ -199,6 +200,29 @@ def test_partial_eval_is_the_same_float_as_the_per_factor_product(c, margin, bou
     # s lies just past the largest convergence edge, max shift + 1
     s = c.max_shift() + 1 + margin
     assert lfun_partial_eval(c, s, bound) == per_factor_euler_product(c, s, bound)
+
+
+def _one_q_classes():
+    """Classes over one F_q: a tree, or a signed quotient of two trees,
+    whose negative cells are numerator factors of the zeta function."""
+    def over(q):
+        trees = st.recursive(st.just(BasePoint(finite_field(q))), _nodes, max_leaves=4)
+        return st.one_of(
+            trees.map(cells_of),
+            st.tuples(trees, trees).map(lambda ab: cells_of(ab[0]) / cells_of(ab[1])),
+        )
+
+    return st.one_of(*(over(q) for q in (2, 3, 4, 5, 7, 8, 9)))
+
+
+@given(_one_q_classes(), st.integers(1, 12))
+def test_weil_zeta_series_is_the_rational_form_expanded(c, order):
+    if not c.strata:  # a quotient of equal trees
+        for zeta in (weil_zeta_rational, lambda c: weil_zeta_series(c, order)):
+            with pytest.raises(ValueError, match="no cells"):
+                zeta(c)
+        return
+    assert weil_zeta_series(c, order) == weil_zeta_rational(c).expand(order)
 
 
 @given(schemes, st.lists(st.integers(1, 3), min_size=1, max_size=3))
