@@ -15,64 +15,21 @@ the Euler characteristic at weight k equals the vanishing order of the
 L-function at s = k, integer by integer.
 """
 
-from .cells import (
-    Affine,
-    BasePoint,
-    CellDecomposition,
-    DisjointUnion,
-    FlagBundle,
-    Grassmannian,
-    ProjBundle,
-    SchemeExpr,
-    Stratum,
-    brute_force_flag_count,
-    cells_of,
-    flag_as_grassmannian_tower,
-    gaussian_binomial,
-    gaussian_multinomial,
-    point_count,
-)
-from .fields import (
-    FiniteField,
-    NumberField,
-    SpecialValue,
-    UnsupportedFieldError,
-    euler_factor,
-    finite_field,
-    make_number_field,
-    ord_at_integer,
-    quadratic_field,
-    rationals,
-    special_value_even,
-    special_value_rational,
-    zeta_partial_eval,
-)
-from .lfuncs import (
-    LFactorization,
-    RationalZeta,
-    lfactorization_of,
-    lfun_partial_eval,
-    special_value_product,
-    weil_zeta_rational,
-    weil_zeta_series,
-)
-from .parse import SchemeSyntaxError, load_field_registry, parse_scheme
-from .series import TruncSeries, bernoulli
-from .verify import (
-    SweepReport,
-    VerificationReport,
-    affine_family,
-    check_soule,
-    flag_family,
-    proj_family,
-    sweep,
-)
-from .weights import (
-    ChiFunction,
-    WeightTable,
-    borel_weight_table,
-    chi,
-    weight_table_of,
-)
+# The root re-exports each library module's public names, and only those:
+# one list per module, its ``__all__``.
+from . import cells, fields, lfuncs, parse, series, verify, weights
+from .cells import *  # noqa: F401,F403
+from .fields import *  # noqa: F401,F403
+from .lfuncs import *  # noqa: F401,F403
+from .parse import *  # noqa: F401,F403
+from .series import *  # noqa: F401,F403
+from .verify import *  # noqa: F401,F403
+from .weights import *  # noqa: F401,F403
+
+__all__ = [
+    name
+    for module in (cells, fields, lfuncs, parse, series, verify, weights)
+    for name in module.__all__
+]
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .fields import (
     BaseField,
@@ -144,6 +144,17 @@ def gaussian_binomial(n: int, k: int) -> QPolynomial:
     return QPolynomial(tuple(row[k]))
 
 
+def _flag_type(parts: Sequence[int], n: Optional[int] = None) -> tuple[int, ...]:
+    """The flag type as a tuple, refused unless its blocks are positive and,
+    when n is given, sum to n."""
+    parts = tuple(parts)
+    if not parts or any(p < 1 for p in parts):
+        raise ValueError(f"flag type {parts} must list positive block sizes")
+    if n is not None and sum(parts) != n:
+        raise ValueError(f"flag type {parts} does not sum to {n}")
+    return parts
+
+
 def gaussian_multinomial(n: int, parts: Sequence[int]) -> QPolynomial:
     """[n; n_1, ..., n_l]_q as the telescoping product of Gaussian binomials
 
@@ -153,11 +164,7 @@ def gaussian_multinomial(n: int, parts: Sequence[int]) -> QPolynomial:
     of flags of type (n_1, ..., n_l); the total degree is
     (n^2 - sum n_i^2) / 2 and the coefficient sequence is palindromic.
     """
-    parts = tuple(parts)
-    if not parts or any(p < 1 for p in parts):
-        raise ValueError("flag type must be a non-empty tuple of positive parts")
-    if sum(parts) != n:
-        raise ValueError(f"flag type {parts} does not sum to {n}")
+    parts = _flag_type(parts, n)
     out = ONE
     remaining = n
     for p in parts:
@@ -244,10 +251,7 @@ class FlagBundle(SchemeExpr):
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
-        if not parts or any(p < 1 for p in parts):
-            raise ValueError("flag type must list positive block sizes")
+        object.__setattr__(self, "parts", _flag_type(self.parts))
 
     @property
     def rank(self) -> int:
@@ -628,11 +632,7 @@ def brute_force_flag_count(parts: Sequence[int], q: int, n: int) -> int:
     appeal to the product formula.  Refused when q^n exceeds 3000, the
     point at which enumeration stops being a sensible oracle.
     """
-    parts = tuple(parts)
-    if not parts or any(p < 1 for p in parts):
-        raise ValueError("flag type must list positive block sizes")
-    if sum(parts) != n:
-        raise ValueError(f"flag type {parts} does not sum to {n}")
+    parts = _flag_type(parts, n)
     if q**n > 3000:
         raise ValueError(
             f"enumeration bound exceeded: q^n = {q**n} > 3000"

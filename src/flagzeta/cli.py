@@ -154,8 +154,7 @@ def _cmd_cells(x: SchemeExpr, args):
 
 def _cmd_chi(x: SchemeExpr, args):
     [cells], lo, hi = _cells_in_window(args, [x])
-    fn = chi(weight_table_of(cells, lo, hi))
-    rows = [(k, fn.value(k)) for k in range(lo, hi + 1)]
+    rows = list(chi(weight_table_of(cells, lo, hi)).items())
     return _keyed(("k", "chi"), rows, k_min=lo, k_max=hi)
 
 

@@ -43,6 +43,7 @@ __all__ = [
     "EulerFactor",
     "rationals",
     "quadratic_field",
+    "finite_field",
     "make_number_field",
     "euler_factor",
     "zeta_partial_eval",
@@ -205,19 +206,30 @@ def rationals() -> NumberField:
     return NumberField("Q", 1, 1, 0, disc=1)
 
 
-def quadratic_field(d: int, label: Optional[str] = None) -> NumberField:
-    """Q(sqrt d) for squarefree d not in {0, 1}.
+def _fundamental_discriminant(d: int) -> int:
+    """The discriminant of Q(sqrt d) for squarefree d: d when d = 1 mod 4,
+    and 4d otherwise."""
+    return d if d % 4 == 1 else 4 * d
 
-    The fundamental discriminant is d when d = 1 mod 4 and 4d otherwise;
-    the signature is (2, 0) for real fields and (0, 1) for imaginary ones.
+
+def quadratic_field(d: int, label: Optional[str] = None) -> NumberField:
+    """Q(sqrt d) for squarefree d not in {0, 1}, with its fundamental
+    discriminant; the signature is (2, 0) for real fields and (0, 1) for
+    imaginary ones.
     """
     if d in (0, 1):
         raise ValueError("d must be a squarefree integer other than 0 and 1")
     if _squarefree_part(d) != d:
         raise ValueError(f"{d} is not squarefree")
-    disc = d if d % 4 == 1 else 4 * d
     r1, r2 = (2, 0) if d > 0 else (0, 1)
-    return NumberField(label or f"Q(sqrt {d})", 2, r1, r2, disc=disc)
+    return NumberField(
+        label or f"Q(sqrt {d})", 2, r1, r2, disc=_fundamental_discriminant(d)
+    )
+
+
+def _is_int(value: object) -> bool:
+    """A true integer: JSON's true and false are not, nor is 1.5."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def make_number_field(record: Mapping[str, object]) -> NumberField:
@@ -225,25 +237,29 @@ def make_number_field(record: Mapping[str, object]) -> NumberField:
 
     Expected keys: label, degree, r1, r2; disc is required for quadratic
     fields and optional above that; splitting is an optional mapping from
-    prime to list of residue degrees.  A non-fundamental quadratic
-    discriminant is normalized to the fundamental one with a warning.
+    prime to list of residue degrees.  Every integer must be an ``int``
+    (not a bool); a wrong type is refused, naming the field and the key.
+    A non-fundamental quadratic discriminant is normalized to the
+    fundamental one with a warning.
     """
-    try:
-        label = str(record["label"])
-        degree = int(record["degree"])  # type: ignore[arg-type]
-        r1 = int(record["r1"])  # type: ignore[arg-type]
-        r2 = int(record["r2"])  # type: ignore[arg-type]
-    except KeyError as exc:
-        raise ValueError(f"field record is missing key {exc.args[0]!r}") from None
-    disc = record.get("disc")
-    disc = int(disc) if disc is not None else None  # type: ignore[arg-type]
+    if not isinstance(record, Mapping):
+        raise ValueError(f"field record {record!r} is not an object")
+    for key in ("label", "degree", "r1", "r2"):
+        if key not in record:
+            raise ValueError(f"field record is missing key {key!r}")
+    label = str(record["label"])
+    ints = {key: record.get(key) for key in ("degree", "r1", "r2", "disc")}
+    for key, value in ints.items():
+        if not (_is_int(value) or (key == "disc" and value is None)):
+            raise ValueError(f"field {label!r}: {key!r} must be an integer, got {value!r}")
+    degree, r1, r2, disc = ints.values()
     if degree == 2:
         if disc is None:
             raise ValueError(f"field {label!r}: quadratic records must carry disc")
         d = _squarefree_part(disc)
         if d in (0, 1):
             raise ValueError(f"field {label!r}: disc {disc} is degenerate")
-        fixed = d if d % 4 == 1 else 4 * d  # the discriminant of Q(sqrt d)
+        fixed = _fundamental_discriminant(d)
         if fixed != disc:
             warnings.warn(
                 f"field {label!r}: discriminant {disc} is not fundamental; "
@@ -257,12 +273,15 @@ def make_number_field(record: Mapping[str, object]) -> NumberField:
     splitting = []
     for p, fs in splitting_raw.items():
         try:
-            splitting.append((int(p), tuple(int(f) for f in fs)))
-        except (TypeError, ValueError):
+            prime = p if _is_int(p) else int(str(p))
+            if not isinstance(fs, (list, tuple)) or not all(map(_is_int, fs)):
+                raise ValueError
+        except ValueError:
             raise ValueError(
                 f"field {label!r}: splitting entry {p!r}: {fs!r} is not an "
                 "integer prime and a list of integer degrees"
             ) from None
+        splitting.append((prime, tuple(fs)))
     splitting.sort()
     return NumberField(label, degree, r1, r2, disc=disc, splitting=tuple(splitting))
 

@@ -17,7 +17,9 @@ grammar, so parse and pretty-print are mutually inverse.
 Syntax errors carry the 1-based column at which parsing failed;
 anything structurally valid but mathematically wrong (a non-squarefree
 radicand, a flag block of size zero) surfaces as the underlying
-``ValueError`` instead.
+``ValueError`` instead.  So does an expression whose parentheses nest
+deeper than ``MAX_DEPTH``: it is refused from its tokens, before the
+recursive descent (or any later recursion over the tree) starts.
 """
 
 from __future__ import annotations
@@ -47,6 +49,12 @@ from .fields import (
 )
 
 __all__ = ["SchemeSyntaxError", "parse_scheme", "load_field_registry"]
+
+# Parentheses nested deeper than this are refused before parsing, so the
+# parser, str() and cells_of, which recurse once per level, stay far from
+# Python's recursion limit: at depth 100 every command runs within about
+# 310 frames of the default 1000.
+MAX_DEPTH = 100
 
 _KEYWORDS = frozenset({"affine", "proj", "grass", "flag", "union"})
 
@@ -89,6 +97,20 @@ def _tokenize(text: str) -> list[_Token]:
         pos = m.end()
     out.append(_Token("end", "", len(text)))
     return out
+
+
+def _check_depth(tokens: list[_Token]) -> None:
+    depth = 0
+    for tok in tokens:
+        if tok.value == ")":
+            depth -= 1
+        elif tok.value == "(":
+            depth += 1
+            if depth > MAX_DEPTH:
+                raise ValueError(
+                    f"parentheses nested deeper than MAX_DEPTH = {MAX_DEPTH} "
+                    f"(column {tok.pos + 1})"
+                )
 
 
 class _Parser:
@@ -191,8 +213,11 @@ def parse_scheme(
 
     ``fields`` maps extra base labels (from a field catalogue) to their
     fields; the built-in forms Q, Q(sqrt d) and F(q) always work.
+    Parentheses nested deeper than MAX_DEPTH raise ``ValueError``.
     """
-    return _Parser(_tokenize(text), fields or {}).parse()
+    tokens = _tokenize(text)
+    _check_depth(tokens)
+    return _Parser(tokens, fields or {}).parse()
 
 
 def load_field_registry(path: Union[str, Path]) -> dict[str, NumberField]:
@@ -207,6 +232,8 @@ def load_field_registry(path: Union[str, Path]) -> dict[str, NumberField]:
             raw = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ValueError(f"field catalogue {path}: {exc}") from None
+        except RecursionError:
+            raise ValueError(f"field catalogue {path}: JSON nested too deeply") from None
     records = raw.get("fields") if isinstance(raw, dict) else None
     if not isinstance(records, list):
         raise ValueError(f'field catalogue {path}: expected {{"fields": [...]}}')

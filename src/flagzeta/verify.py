@@ -38,7 +38,6 @@ from .cells import (
     _as_cells,
 )
 from .fields import BaseField
-from .lfuncs import lfactorization_of
 from .weights import DEFAULT_K_RANGE, chi, weight_table_of
 
 __all__ = [
@@ -135,11 +134,7 @@ def check_soule(
         raise ValueError(f"empty k-range [{k_min}, {k_max}]")
     cells = _as_cells(x)
     table = weight_table_of(cells, k_min, k_max)
-    chi_fn = chi(table)
-    lfun = lfactorization_of(cells)
-    rows = tuple(
-        SouleRow(k, chi_fn.value(k), lfun.ord_at(k)) for k in range(k_min, k_max + 1)
-    )
+    rows = tuple(SouleRow(k, c, cells.ord_at(k)) for k, c in chi(table).items())
     support = []
     for j in range(k_min, k_max + 1):
         pairs = table.support_at(j)

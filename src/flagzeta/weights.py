@@ -28,12 +28,12 @@ and chi at one weight each read a single column.
 The Euler characteristic of a table at weight k is
 chi(k) = sum_m (-1)^(m+1) dim(m, k), the sign chosen so that
 chi(Spec Z, 1) = -1 matches the pole of the zeta function at s = 1.
+``chi(table)`` returns the plain dict {k: chi(k)} for every k in the
+table's window, so a weight outside it is simply absent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Mapping
 
 from .cells import CellsOrScheme, _as_cells
@@ -41,8 +41,6 @@ from .fields import BaseField, FiniteField
 
 __all__ = [
     "WeightTable",
-    "ChiFunction",
-    "borel_weight_table",
     "weight_table_of",
     "chi",
 ]
@@ -143,13 +141,6 @@ def _base_entries(
             yield (2 * i - 1, j), dim
 
 
-def borel_weight_table(field: BaseField, j_min: int, j_max: int) -> WeightTable:
-    """The weight table of Spec of a base: Borel/Dirichlet for the ring of
-    integers of a number field, rationally just the class of the point
-    (degree 0, weight 0) for a finite field."""
-    return WeightTable(dict(_base_entries(field, j_min, j_max)), j_min, j_max)
-
-
 def weight_table_of(
     x: CellsOrScheme, j_min: int = DEFAULT_K_RANGE[0], j_max: int = DEFAULT_K_RANGE[1]
 ) -> WeightTable:
@@ -163,37 +154,11 @@ def weight_table_of(
     return WeightTable(entries, j_min, j_max)
 
 
-@dataclass(frozen=True)
-class ChiFunction:
-    """Euler characteristics by weight, valid on an explicit window.
-
-    Stored sparsely as sorted (weight, value) pairs with nonzero values;
-    a query outside the window is refused, since the table it came from
-    holds no information there.
-    """
-
-    values: tuple[tuple[int, int], ...]
-    j_min: int
-    j_max: int
-
-    def value(self, k: int) -> int:
-        if not self.j_min <= k <= self.j_max:
-            raise ValueError(
-                f"weight {k} outside window [{self.j_min}, {self.j_max}]"
-            )
-        return self._by_weight.get(k, 0)
-
-    @cached_property
-    def _by_weight(self) -> dict[int, int]:
-        return dict(self.values)
-
-
-def chi(table: WeightTable) -> ChiFunction:
-    """chi(k) = sum_m (-1)^(m+1) dim(m, k) on the table's window: the
-    signed sum of the column at weight k."""
-    values = []
-    for j, col in sorted(table._columns.items()):
-        v = sum(dim if m % 2 else -dim for m, dim in col.items())
-        if v:
-            values.append((j, v))
-    return ChiFunction(tuple(values), table.j_min, table.j_max)
+def chi(table: WeightTable) -> dict[int, int]:
+    """{k: chi(k)} for every weight k of the table's window, where
+    chi(k) = sum_m (-1)^(m+1) dim(m, k) is the signed sum of the column
+    at weight k."""
+    out = dict.fromkeys(range(table.j_min, table.j_max + 1), 0)
+    for j, col in table._columns.items():
+        out[j] = sum(dim if m % 2 else -dim for m, dim in col.items())
+    return out

@@ -15,6 +15,7 @@ import flagzeta.cli
 import flagzeta.fields
 import flagzeta.verify
 from flagzeta.cli import main
+from flagzeta.parse import MAX_DEPTH
 from flagzeta.series import TruncSeries
 
 
@@ -281,7 +282,14 @@ def test_special_over_finite_base_is_unsupported(capsys):
 
 @pytest.mark.parametrize(
     "splitting, key",
-    [({"2": 5}, "'2'"), ({"x": [1]}, "'x'"), ({"3": ["y"]}, "'3'")],
+    [
+        ({"2": 5}, "'2'"),
+        ({"x": [1]}, "'x'"),
+        ({"3": ["y"]}, "'3'"),
+        ({"2": [True, 2]}, "'2'"),
+        ({"2": [1.5]}, "'2'"),
+        ({"2": "12"}, "'2'"),
+    ],
 )
 def test_bad_splitting_entry_names_field_and_key(capsys, tmp_path, splitting, key):
     config = tmp_path / "fields.json"
@@ -291,6 +299,53 @@ def test_bad_splitting_entry_names_field_and_key(capsys, tmp_path, splitting, ke
     code, out, err = run(capsys, "cells", "K", "--field-config", str(config))
     assert (code, out) == (3, "")
     assert err.startswith(f"error: field 'K': splitting entry {key}")
+
+
+def _nested(depth):
+    """proj(...proj(Q, 1)..., 1), its parentheses nested depth deep."""
+    return "proj(" * depth + "Q" + ", 1)" * depth
+
+
+@pytest.mark.parametrize(
+    "command, last_line",
+    [("cells", f"Q     {MAX_DEPTH}    1"), ("verify", "summary: 5 matched, 0 mismatched")],
+)
+def test_expression_at_max_depth_answers(capsys, command, last_line):
+    code, out, err = run(capsys, command, _nested(MAX_DEPTH), "--k=-2..2")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == last_line
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 5000])
+def test_deeper_expression_exits_3_before_parsing(capsys, depth):
+    code, out, err = run(capsys, "cells", _nested(depth))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: parentheses nested deeper than MAX_DEPTH = {MAX_DEPTH} ")
+
+
+_CUBIC = {"label": "K", "degree": 3, "r1": 1, "r2": 1}
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        (1, "field record 1 is not an object"),
+        ({**_CUBIC, "degree": None}, "field 'K': 'degree' must be an integer, got None"),
+        ({**_CUBIC, "degree": 1.5}, "field 'K': 'degree' must be an integer, got 1.5"),
+        ({**_CUBIC, "degree": True}, "field 'K': 'degree' must be an integer, got True"),
+        ({**_CUBIC, "r2": "1"}, "field 'K': 'r2' must be an integer, got '1'"),
+        (
+            {"label": "K", "degree": 2, "r1": 2, "r2": 0, "disc": []},
+            "field 'K': 'disc' must be an integer, got []",
+        ),
+    ],
+)
+def test_bad_field_record_type_names_field_and_key(capsys, tmp_path, record, message):
+    config = tmp_path / "fields.json"
+    config.write_text(json.dumps({"fields": [record]}))
+    code, out, err = run(capsys, "cells", "K", "--field-config", str(config))
+    assert (code, out) == (3, "")
+    assert err == f"error: {message}\n"
 
 
 def test_field_config_labels_usable(capsys, tmp_path):
@@ -392,20 +447,13 @@ def test_output_is_deterministic(capsys):
     assert first == second
 
 
-class _OffByOne:
-    """A chi function one above the true one at every weight."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def value(self, k):
-        return self.fn.value(k) + 1
-
-
 @pytest.fixture
 def chi_off_by_one(monkeypatch):
+    """A chi one above the true one at every weight."""
     real = flagzeta.verify.chi
-    monkeypatch.setattr(flagzeta.verify, "chi", lambda table: _OffByOne(real(table)))
+    monkeypatch.setattr(
+        flagzeta.verify, "chi", lambda table: {k: c + 1 for k, c in real(table).items()}
+    )
 
 
 VERIFY_Q_OFF_BY_ONE = """\

@@ -13,7 +13,12 @@ from flagzeta.cells import (
     ProjBundle,
 )
 from flagzeta.fields import FiniteField, quadratic_field, rationals
-from flagzeta.parse import SchemeSyntaxError, load_field_registry, parse_scheme
+from flagzeta.parse import (
+    MAX_DEPTH,
+    SchemeSyntaxError,
+    load_field_registry,
+    parse_scheme,
+)
 
 Q = rationals()
 
@@ -83,6 +88,17 @@ def test_validation_errors_are_not_syntax_errors():
         parse_scheme("F(6)")
 
 
+def test_depth_counts_every_parenthesis():
+    # Q(sqrt d) nests one level of its own
+    def nested(depth):
+        return "affine(" * (depth - 1) + "Q(sqrt -1)" + ", 0)" * (depth - 1)
+
+    assert str(parse_scheme(nested(MAX_DEPTH))) == nested(MAX_DEPTH)
+    with pytest.raises(ValueError, match=f"MAX_DEPTH = {MAX_DEPTH}") as exc:
+        parse_scheme(nested(MAX_DEPTH + 1))
+    assert not isinstance(exc.value, SchemeSyntaxError)
+
+
 def test_field_registry(tmp_path):
     config = {
         "fields": [
@@ -128,4 +144,7 @@ def test_field_registry_rejects_duplicates_and_shapes(tmp_path):
         load_field_registry(path)
     path.write_text("not json")
     with pytest.raises(ValueError):
+        load_field_registry(path)
+    path.write_text('{"fields": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    with pytest.raises(ValueError, match="nested too deeply"):
         load_field_registry(path)

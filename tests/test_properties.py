@@ -34,14 +34,9 @@ from flagzeta.fields import (
 )
 from flagzeta.cli import main
 from flagzeta.lfuncs import lfun_partial_eval, weil_zeta_rational, weil_zeta_series
-from flagzeta.parse import parse_scheme
+from flagzeta.parse import MAX_DEPTH, parse_scheme
 from flagzeta.verify import SupportRow, check_soule
-from flagzeta.weights import (
-    WeightTable,
-    borel_weight_table,
-    chi,
-    weight_table_of,
-)
+from flagzeta.weights import WeightTable, chi, weight_table_of
 
 WINDOW = (-12, 4)
 NUMBER_FIELDS = [rationals()] + [quadratic_field(d) for d in (-1, 2, -5, 5)]
@@ -86,7 +81,7 @@ def test_chi_is_linear_on_signed_classes(a, b):
     difference = _chi(cells_of(a) / cells_of(b))
     chi_a, chi_b = _chi(a), _chi(b)
     for k in range(WINDOW[0], WINDOW[1] + 1):
-        assert difference.value(k) == chi_a.value(k) - chi_b.value(k)
+        assert difference[k] == chi_a[k] - chi_b[k]
 
 
 @given(schemes, schemes)
@@ -107,11 +102,7 @@ def per_cell_weight_table(cells, j_min, j_max):
     entries = {}
     for s in cells:
         lo, hi = j_min - s.shift, j_max - s.shift
-        if isinstance(s.base, NumberField):
-            table = borel_weight_table(s.base, lo, hi)
-        else:
-            table = borel_weight_table(s.base, lo, hi)
-        for (m, j), dim in table.items():
+        for (m, j), dim in weight_table_of(BasePoint(s.base), lo, hi).items():
             key = (m, j + s.shift)
             entries[key] = entries.get(key, 0) + dim * s.multiplicity
     return WeightTable(entries, j_min, j_max)
@@ -134,7 +125,7 @@ def test_one_pass_table_matches_per_cell_tables(c):
     chi_fn = chi(table)
     for k in range(lo, hi + 1):
         expected = sum((-1) ** (m + 1) * d for (m, j), d in reference.items() if j == k)
-        assert chi_fn.value(k) == expected
+        assert chi_fn[k] == expected
     support = tuple(
         SupportRow(
             j,
@@ -278,7 +269,13 @@ def _argv(draw):
     return argv
 
 
+def _nested(depth):
+    return "proj(" * depth + "Q" + ", 1)" * depth
+
+
 @settings(max_examples=150)
+@example(["cells", _nested(5000)])
+@example(["verify", _nested(MAX_DEPTH + 1)])
 @given(_argv())
 def test_cli_exits_with_a_documented_code(argv):
     # No input here can hold a real chi/ord mismatch, so exit 1 never fits,
