@@ -204,11 +204,7 @@ def _cmd_zeta(x: SchemeExpr, args):
 
 def _cmd_special(x: SchemeExpr, args):
     value = special_value_product(lfactorization_of(cells_of(x)), args.at)
-    approx: Optional[float]
-    try:
-        approx = value.approx()
-    except (ValueError, OverflowError):  # symbolic, or beyond a float
-        approx = None
+    approx = value.approx()
     headers = ("kind", "rational", "pi_power", "order", "approx")
     row = (value.kind, str(value.rational), value.pi_power, value.order,
            "" if approx is None else repr(approx))

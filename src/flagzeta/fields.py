@@ -9,7 +9,7 @@ degree above two.  A ``FiniteField`` is a prime power q = p^f.
 The module owns the L-side rules of every base kind, so the cell
 calculus never asks which kind a base is (a new kind adds a branch to
 the first two functions below, to ``base_sort_key`` and to the rank rule
-``weights._base_entries``):
+``weights._base_entries``, and to the third if it has closed forms):
 
 * ``ord_at_integer`` is the vanishing order of the base zeta function at
   each integer, a simple pole counting as -1;
@@ -17,9 +17,11 @@ the first two functions below, to ``base_sort_key`` and to the rank rule
   sanity checks only: a finite Euler product over primes up to a bound,
   one sieve for all the points asked of a base, or over F_q the closed
   form.  It refuses all but finite s > 1 and bounds in [2, MAX_PRIME_BOUND];
-* ``special_value_rational`` and ``special_value_even`` return the exact
-  classical values zeta(1-k) = -B_k/k (k >= 2) and
-  zeta(2m) = (-1)^(m-1) (2 pi)^(2m) B_{2m} / (2 (2m)!).
+* ``zeta_value_at`` is its exact value at an integer as a ``SpecialValue``
+  (rational * pi^a), where that value is finite, nonzero and known in
+  closed form, and None elsewhere.  It reads the classical formulas
+  ``special_value_rational``, zeta(1-k) = -B_k/k (k >= 2), and
+  ``special_value_even``, zeta(2m) = (-1)^(m-1) (2 pi)^(2m) B_{2m} / (2 (2m)!).
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ __all__ = [
     "ord_at_integer",
     "special_value_rational",
     "special_value_even",
+    "zeta_value_at",
     "primes_upto",
 ]
 
@@ -408,51 +411,48 @@ def ord_at_integer(fld: BaseField, k: int) -> int:
 
 @dataclass(frozen=True)
 class SpecialValue:
-    """An exact (or deliberately symbolic) zeta or L value at an integer.
+    """An exact zeta or L value at an integer: the monomial
 
-    kind: "exact-rational" | "rational-times-pi-power" | "symbolic-product".
-    For the first two kinds the value is rational * pi^pi_power.  A
-    symbolic product keeps unevaluated (field label, point, exponent)
-    triples next to whatever rational prefactor was evaluable.  ``order``
-    is the vanishing order at the point (negative at a pole); whenever
-    order != 0 the value itself is 0 or undefined and the order is the
-    informative part.
+        rational * pi^pi_power * prod L(label, s at point)^exponent
+
+    over the (label, point, exponent) triples in ``factors``, the values
+    kept unevaluated, together with ``order``, the vanishing order at the
+    integer (negative at a pole).  Whenever order != 0 the value itself is
+    0 or undefined and the order is the informative part.
     """
 
-    kind: str
-    rational: Fraction = Fraction(0)
+    rational: Fraction
     pi_power: int = 0
     factors: tuple[tuple[str, int, int], ...] = ()
     order: int = 0
 
-    def approx(self) -> float:
-        if self.kind == "exact-rational":
-            return float(self.rational)
-        if self.kind == "rational-times-pi-power":
+    @property
+    def kind(self) -> str:
+        """Read off the data: "symbolic-product" if a factor is kept
+        unevaluated, else "rational-times-pi-power" or "exact-rational"."""
+        if self.factors:
+            return "symbolic-product"
+        return "rational-times-pi-power" if self.pi_power else "exact-rational"
+
+    def approx(self) -> Optional[float]:
+        """The value as a float; None if it is symbolic or beyond a float."""
+        if self.factors:
+            return None
+        try:
             return float(self.rational) * math.pi**self.pi_power
-        raise ValueError(f"no numeric value for kind {self.kind!r}")
+        except OverflowError:
+            return None
 
     def __str__(self) -> str:
-        if self.kind == "exact-rational":
-            if self.rational == 0 and self.order:
-                return f"0 (order {self.order})"
-            return str(self.rational)
-        if self.kind == "rational-times-pi-power":
-            return f"{self.rational} * pi^{self.pi_power}"
-        parts = " * ".join(
-            f"L({label}, s at {point})^{e}" if e != 1 else f"L({label}, s at {point})"
-            for label, point, e in self.factors
-        )
-        prefix = ""
-        if self.rational != 1 or self.pi_power:
-            prefix = f"{self.rational}"
-            if self.pi_power:
-                prefix += f" * pi^{self.pi_power}"
-            prefix += " * "
-        body = f"{prefix}{parts}" if parts else prefix.rstrip(" *")
-        if self.order:
-            body += f" (order {self.order})"
-        return body
+        parts = []
+        if self.rational != 1 or self.pi_power or not self.factors:
+            parts.append(str(self.rational))
+        if self.pi_power:
+            parts.append(f"pi^{self.pi_power}")
+        for label, point, e in self.factors:
+            parts.append(f"L({label}, s at {point})" + (f"^{e}" if e != 1 else ""))
+        body = " * ".join(parts)
+        return f"{body} (order {self.order})" if self.order else body
 
 
 def special_value_rational(k: int) -> SpecialValue:
@@ -464,9 +464,7 @@ def special_value_rational(k: int) -> SpecialValue:
     if k < 2:
         raise ValueError("defined for k >= 2 only")
     value = -bernoulli(k) / k
-    return SpecialValue(
-        "exact-rational", rational=value, order=1 if value == 0 else 0
-    )
+    return SpecialValue(value, order=1 if value == 0 else 0)
 
 
 def special_value_even(m: int) -> SpecialValue:
@@ -480,7 +478,31 @@ def special_value_even(m: int) -> SpecialValue:
         Fraction((-1) ** (m - 1) * 2 ** (2 * m - 1), math.factorial(2 * m))
         * bernoulli(2 * m)
     )
-    return SpecialValue("rational-times-pi-power", rational=rational, pi_power=2 * m)
+    return SpecialValue(rational, pi_power=2 * m)
+
+
+def zeta_value_at(base: BaseField, k: int) -> Optional[SpecialValue]:
+    """The zeta function of the base at s = k in closed form, or None.
+
+    Only finite, nonzero values are returned, and only the Riemann zeta
+    function has them here: -B_(1-k) / (1-k) at odd k <= -1, -1/2 at 0,
+    and rational * pi^k at even k >= 2.  Every other base, the odd
+    k >= 3, the pole and the trivial zeros give None.
+
+    >>> print(zeta_value_at(rationals(), -1))
+    -1/12
+    >>> print(zeta_value_at(rationals(), 2))
+    1/6 * pi^2
+    >>> print(zeta_value_at(rationals(), 3))
+    None
+    """
+    if not isinstance(base, NumberField) or base.degree != 1 or ord_at_integer(base, k):
+        return None
+    if k <= -1:
+        return special_value_rational(1 - k)
+    if k == 0:
+        return SpecialValue(Fraction(-1, 2))
+    return special_value_even(k // 2) if k % 2 == 0 else None
 
 
 BaseField = Union[NumberField, FiniteField]
@@ -489,5 +511,9 @@ BaseField = Union[NumberField, FiniteField]
 def base_sort_key(base: BaseField) -> tuple:
     """Deterministic ordering key for mixed number-field/finite-field bases."""
     if isinstance(base, NumberField):
-        return (0, base.label, base.degree, base.r1, base.r2, base.disc or 0)
+        # every field of the dataclass, so equal keys mean equal bases
+        return (
+            0, base.label, base.degree, base.r1, base.r2,
+            base.disc is None, base.disc or 0, base.splitting,
+        )
     return (1, base.q, base.label)

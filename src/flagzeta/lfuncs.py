@@ -40,10 +40,8 @@ from .fields import (
     NumberField,
     SpecialValue,
     UnsupportedFieldError,
-    ord_at_integer,
-    special_value_even,
-    special_value_rational,
     zeta_partial_eval,
+    zeta_value_at,
 )
 from .series import TruncSeries
 
@@ -231,75 +229,40 @@ def lfun_partial_eval(
     return out
 
 
-def _zeta_q_value_at(point: int) -> SpecialValue | None:
-    """Exact value of the Riemann zeta function at an integer, when classical.
-
-    Known exactly at integers <= 0 and at positive even integers; odd
-    integers >= 3 (and the pole at 1) return None and stay symbolic.
-    """
-    if point <= -1:
-        return special_value_rational(1 - point)
-    if point == 0:
-        return SpecialValue("exact-rational", rational=Fraction(-1, 2))
-    if point >= 2 and point % 2 == 0:
-        return special_value_even(point // 2)
-    return None
-
-
 def special_value_product(f: CellDecomposition, m: int) -> SpecialValue:
     """The value of the factorization at s = m, as exactly as possible.
 
     If the total vanishing order at m is positive the value is exactly 0
     (order reported); a negative total order is a pole and the result
-    stays symbolic with the order attached.  Otherwise factors over Q at
-    evaluable points multiply into rational * pi^k and anything else
-    (odd positive points, non-rational base fields) is kept as a
-    symbolic (label, point, exponent) triple, the whole product being
-    well defined modulo nonzero rationals.  Finite-field factors have no
-    special-value convention here and are rejected.
+    stays symbolic with the order attached.  Otherwise the product is
+    folded factor by factor: each factor's closed form from
+    ``fields.zeta_value_at`` multiplies into rational * pi^k, and a factor
+    with none (an odd positive point over Q, another base, or a factor
+    that vanishes or has a pole on its own, cancelled in the total) is
+    kept as a symbolic (label, point, exponent) triple.  Finite-field
+    factors have no special-value convention here and are rejected.
     """
     for factor in f:
         if not isinstance(factor.base, NumberField):
             raise UnsupportedFieldError(
                 f"special values need number-field bases, found {factor.base}"
             )
-    total_order = f.ord_at(m)
-    if total_order > 0:
-        return SpecialValue("exact-rational", rational=Fraction(0), order=total_order)
-    if total_order < 0:
+    order = f.ord_at(m)
+    if order > 0:
+        return SpecialValue(Fraction(0), order=order)
+    if order < 0:
         return SpecialValue(
-            "symbolic-product",
-            rational=Fraction(1),
-            factors=tuple(
-                (fc.base.label, m - fc.shift, fc.multiplicity) for fc in f
-            ),
-            order=total_order,
+            Fraction(1),
+            factors=tuple((fc.base.label, m - fc.shift, fc.multiplicity) for fc in f),
+            order=order,
         )
-    symbolic: list[tuple[str, int, int]] = []
-    rational = Fraction(1)
-    pi_power = 0
+    rational, pi_power, symbolic = Fraction(1), 0, []
     for factor in f:
         point = m - factor.shift
-        value = None
-        if factor.base.degree == 1 and ord_at_integer(factor.base, point) == 0:
-            value = _zeta_q_value_at(point)  # the Riemann zeta function itself
+        value = zeta_value_at(factor.base, point)
         if value is None:
-            # not over Q, an odd positive point, or a factor that vanishes or
-            # has a pole on its own (cancelled in the total): its finite
-            # value is beyond this table
             symbolic.append((factor.base.label, point, factor.multiplicity))
-            continue
-        rational *= value.rational**factor.multiplicity
-        pi_power += value.pi_power * factor.multiplicity
-    if symbolic or pi_power < 0:
-        return SpecialValue(
-            "symbolic-product",
-            rational=rational,
-            pi_power=pi_power,
-            factors=tuple(symbolic),
-        )
-    if pi_power > 0:
-        return SpecialValue(
-            "rational-times-pi-power", rational=rational, pi_power=pi_power
-        )
-    return SpecialValue("exact-rational", rational=rational)
+        else:
+            rational *= value.rational**factor.multiplicity
+            pi_power += value.pi_power * factor.multiplicity
+    return SpecialValue(rational, pi_power, tuple(symbolic))

@@ -31,6 +31,10 @@ COMMANDS = (
     ("lfun", "proj(Q(sqrt 5), 1)", "--eval-at=3.5", "--prime-bound=50"),
     ("zeta", "flag(F(3), 1+1)", "--order=5"),
     ("special", "proj(Q, 2)", "--at=-1"),
+    ("special", "proj(Q, 1)", "--at=1"),
+    ("special", "proj(Q, 1)", "--at=3"),
+    ("special", "Q(sqrt 5)", "--at=-1"),
+    ("special", "Q", "--at=4"),
     ("verify", "flag(Q(sqrt -3), 1+1)", "--k=-3..2"),
     ("sweep", "--family", "proj", "--fields", "Q,F(2)", "--max-d", "1", "--k=-2..1"),
     ("sweep", "--family", "flags", "--fields", "Q(sqrt -1)", "--max-n", "2", "--k=-3..1"),

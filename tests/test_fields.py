@@ -6,14 +6,16 @@ from fractions import Fraction
 import pytest
 
 import flagzeta.fields
-from flagzeta.cells import BasePoint
+from flagzeta.cells import BasePoint, DisjointUnion, cells_of
 from flagzeta.fields import (
     MAX_FACTORED,
     MAX_PRIME_BOUND,
     EulerFactor,
     FiniteField,
     NumberField,
+    SpecialValue,
     UnsupportedFieldError,
+    base_sort_key,
     euler_factor,
     finite_field,
     make_number_field,
@@ -24,11 +26,12 @@ from flagzeta.fields import (
     special_value_even,
     special_value_rational,
     zeta_partial_eval,
+    zeta_value_at,
     _is_prime,
     _smallest_prime_factor,
     _squarefree_part,
 )
-from flagzeta.lfuncs import lfactorization_of, special_value_product
+from flagzeta.lfuncs import lfactorization_of, lfun_partial_eval, special_value_product
 
 Q = rationals()
 QI = quadratic_field(-1)
@@ -179,6 +182,19 @@ def test_euler_factor_from_splitting_table():
         euler_factor(cubic, 7)
 
 
+def test_bases_that_differ_only_in_data_stay_apart():
+    # same label and signature, different splitting at 2 (inert vs 1 + 2)
+    a = NumberField("K", 3, 1, 1, splitting=((2, (3,)),))
+    b = NumberField("K", 3, 1, 1, splitting=((2, (1, 2)),))
+    cells = cells_of(DisjointUnion((BasePoint(a), BasePoint(b))))
+    assert len(cells.strata) == 2
+    assert lfun_partial_eval(cells, 3, 2) == zeta_partial_eval(a, 3, 2) * zeta_partial_eval(b, 3, 2)
+    # a missing discriminant is not disc = 0
+    c, d = NumberField("K", 3, 1, 1), NumberField("K", 3, 1, 1, disc=0)
+    assert base_sort_key(c) != base_sort_key(d)
+    assert len(cells_of(DisjointUnion((BasePoint(c), BasePoint(d)))).strata) == 2
+
+
 def test_partial_zeta_of_q_matches_basel():
     approx = zeta_partial_eval(Q, 2.0, 10_000)
     assert abs(approx - math.pi**2 / 6) < 1e-3
@@ -297,3 +313,32 @@ def test_special_values_at_even_positive_integers():
 def test_zeta_at_zero():
     value = special_value_product(lfactorization_of(BasePoint(Q)), 0)
     assert value.rational == Fraction(-1, 2)
+
+
+def test_zeta_value_at_is_the_finite_nonzero_closed_form_over_q():
+    for k in range(-12, 13):
+        value = zeta_value_at(Q, k)
+        if k == 1 or (k < 0 and k % 2 == 0) or (k >= 3 and k % 2 == 1):
+            assert value is None, k  # the pole, a trivial zero, or zeta(odd)
+        elif k <= 0:
+            expected = special_value_rational(1 - k) if k else SpecialValue(Fraction(-1, 2))
+            assert value == expected and value.kind == "exact-rational"
+        else:
+            assert value == special_value_even(k // 2)
+            assert value.kind == "rational-times-pi-power"
+    for fld in (QI, Q5, FiniteField(2)):
+        assert all(zeta_value_at(fld, k) is None for k in range(-12, 13))
+
+
+def test_special_value_kind_is_read_off_its_data():
+    assert SpecialValue(Fraction(3, 2)).kind == "exact-rational"
+    assert SpecialValue(Fraction(6), pi_power=-2).kind == "rational-times-pi-power"
+    symbolic = SpecialValue(Fraction(1), 2, (("Q", 3, 1), ("K", 0, -2)))
+    assert symbolic.kind == "symbolic-product"
+    assert symbolic.approx() is None
+    assert str(symbolic) == "1 * pi^2 * L(Q, s at 3) * L(K, s at 0)^-2"
+    assert str(SpecialValue(Fraction(1), factors=(("Q", 3, 1),), order=-1)) == (
+        "L(Q, s at 3) (order -1)"
+    )
+    assert str(SpecialValue(Fraction(0), order=2)) == "0 (order 2)"
+    assert SpecialValue(Fraction(10**400)).approx() is None  # beyond a float

@@ -6,9 +6,12 @@ and union nodes over a handful of number-field and finite-field bases.
 
 import contextlib
 import io
+import math
+from collections import Counter
+from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flagzeta.cells import (
@@ -33,7 +36,12 @@ from flagzeta.fields import (
     rationals,
 )
 from flagzeta.cli import main
-from flagzeta.lfuncs import lfun_partial_eval, weil_zeta_rational, weil_zeta_series
+from flagzeta.lfuncs import (
+    lfun_partial_eval,
+    special_value_product,
+    weil_zeta_rational,
+    weil_zeta_series,
+)
 from flagzeta.parse import MAX_DEPTH, parse_scheme
 from flagzeta.verify import SupportRow, check_soule
 from flagzeta.weights import WeightTable, chi, weight_table_of
@@ -226,6 +234,62 @@ def test_flag_bundle_is_its_grassmannian_tower(x, parts):
 @given(schemes)
 def test_parse_inverts_str(x):
     assert parse_scheme(str(x)) == x
+
+
+# -- special values ------------------------------------------------------------
+
+_SPECIAL_TREES = st.recursive(
+    st.sampled_from([rationals(), quadratic_field(-1), quadratic_field(5)]).map(BasePoint),
+    _nodes,
+    max_leaves=3,
+)
+
+
+@st.composite
+def _finite_pairs(draw):
+    """Trees a, b and a point m in -12..12 where neither vanishes nor has a pole."""
+    a, b = draw(_SPECIAL_TREES), draw(_SPECIAL_TREES)
+    points = [m for m in range(-12, 13) if cells_of(a).ord_at(m) == cells_of(b).ord_at(m) == 0]
+    assume(points)
+    return a, b, draw(st.sampled_from(points))
+
+
+def _exponents(factors):
+    """{(label, point): exponent}, summed over repeated symbols."""
+    out = Counter()
+    for label, point, e in factors:
+        out[label, point] += e
+    return out
+
+
+_QQ = BasePoint(rationals())
+
+
+@example((ProjBundle(_QQ, 1), _QQ, 0))  # zeta(0) zeta(-1) times zeta(0)
+@example((Affine(_QQ, 2), _QQ, 4))  # zeta(2) times zeta(4)
+@given(_finite_pairs())
+def test_special_value_of_a_union_is_the_product_of_its_parts(pair):
+    a, b, m = pair
+    va, vb = (special_value_product(cells_of(x), m) for x in (a, b))
+    v = special_value_product(cells_of(DisjointUnion((a, b))), m)
+    assert v.order == 0
+    assert v.rational == va.rational * vb.rational
+    assert v.pi_power == va.pi_power + vb.pi_power
+    assert _exponents(v.factors) == _exponents(va.factors + vb.factors)
+    if va.factors or vb.factors:
+        assert v.kind == "symbolic-product" and v.approx() is None
+    else:
+        assert v.kind == ("rational-times-pi-power" if v.pi_power else "exact-rational")
+        assert v.approx() == pytest.approx(va.approx() * vb.approx(), rel=1e-12)
+
+
+def test_special_value_of_one_over_zeta_2():
+    v = special_value_product(CellDecomposition((Stratum(rationals(), 0, -1),)), 2)
+    assert (v.kind, v.rational, v.pi_power, v.factors) == (
+        "rational-times-pi-power", Fraction(6), -2, ()
+    )
+    assert v.approx() == pytest.approx(6 / math.pi**2, rel=1e-15)
+    assert str(v) == "6 * pi^-2"
 
 
 # -- random command lines ------------------------------------------------------
