@@ -42,12 +42,10 @@ __all__ = [
     "NumberField",
     "SpecialValue",
     "UnsupportedFieldError",
-    "EulerFactor",
     "rationals",
     "quadratic_field",
     "finite_field",
     "make_number_field",
-    "euler_factor",
     "zeta_partial_eval",
     "ord_at_integer",
     "special_value_rational",
@@ -163,8 +161,11 @@ class NumberField:
 
     ``splitting`` maps a rational prime p to the tuple of residue degrees
     of the primes above p (ramification is implicit in the sum falling
-    short of the degree); it is only consulted for degree >= 3, where the
-    discriminant alone does not determine the local factors.
+    short of the degree).  It is only for degree >= 3, where the
+    discriminant alone does not determine the local factors, and lists
+    each prime once; a table on a smaller degree, or one naming a prime
+    twice, is refused.  It is stored sorted by p, each entry's degrees
+    sorted, so equal fields compare equal whatever order they were given in.
     """
 
     label: str
@@ -189,15 +190,26 @@ class NumberField:
                     "quadratic discriminant sign must match the signature: "
                     "disc > 0 iff r1 = 2"
                 )
+        where = f"field {self.label!r}:"
+        if self.splitting and self.degree <= 2:
+            raise ValueError(
+                f"{where} degree {self.degree} splits by its discriminant, not a table"
+            )
+        seen = set()
         for p, fs in self.splitting:
+            if p in seen:
+                raise ValueError(f"{where} splitting table lists p={p} twice")
+            seen.add(p)
             if not _is_prime(p):
-                raise ValueError(f"splitting table key {p} is not prime")
+                raise ValueError(f"{where} splitting table key {p} is not prime")
             if not fs or any(f < 1 for f in fs):
-                raise ValueError(f"splitting entry for p={p} must list degrees >= 1")
+                raise ValueError(f"{where} splitting entry for p={p} needs degrees >= 1")
             if sum(fs) > self.degree:
                 raise ValueError(
-                    f"residue degrees above p={p} sum past the field degree"
+                    f"{where} residue degrees above p={p} sum past the field degree"
                 )
+        canonical = tuple(sorted((p, tuple(sorted(fs))) for p, fs in self.splitting))
+        object.__setattr__(self, "splitting", canonical)
 
     def __str__(self) -> str:
         return self.label
@@ -240,7 +252,9 @@ def make_number_field(record: Mapping[str, object]) -> NumberField:
 
     Expected keys: label, degree, r1, r2; disc is required for quadratic
     fields and optional above that; splitting is an optional mapping from
-    prime to list of residue degrees.  Every integer must be an ``int``
+    prime to list of residue degrees, for degree >= 3 only, each prime
+    listed once (``NumberField`` refuses anything else and sorts the
+    table).  Every integer must be an ``int``
     (not a bool); a wrong type is refused, naming the field and the key.
     A non-fundamental quadratic discriminant is normalized to the
     fundamental one with a warning.
@@ -285,50 +299,19 @@ def make_number_field(record: Mapping[str, object]) -> NumberField:
                 "integer prime and a list of integer degrees"
             ) from None
         splitting.append((prime, tuple(fs)))
-    splitting.sort()
     return NumberField(label, degree, r1, r2, disc=disc, splitting=tuple(splitting))
 
 
-# -- Euler factors -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EulerFactor:
-    """The shape of the local factor of a Dedekind zeta function at p.
-
-    ``primes`` lists (residue degree f, multiplicity g) pairs, one pair
-    per residue degree occurring among the primes above p; the local
-    factor is prod (1 - p^(-f s))^(-g).
-    """
-
-    p: int
-    primes: tuple[tuple[int, int], ...]
-
-    def value(self, s: float) -> float:
-        out = 1.0
-        for f, g in self.primes:
-            out *= (1.0 - self.p ** (-f * s)) ** (-g)
-        return out
-
-
-def euler_factor(fld: NumberField, p: int) -> EulerFactor:
-    """Residue-degree data of the primes above p.
-
-    Degree 1 is immediate; quadratic fields read the answer off the
-    Kronecker symbol of the discriminant; anything larger must carry an
-    explicit splitting entry for p or the call is refused.
-    """
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return EulerFactor(p, _residue_degrees(fld, p))
+# -- Euler products ------------------------------------------------------
 
 
 def _residue_degrees(fld: NumberField, p: int) -> tuple[tuple[int, int], ...]:
+    """The primes above p as (residue degree f, count g) pairs, the local
+    factor being prod (1 - p^(-f s))^(-g): one pair over Q, the Kronecker
+    symbol of the discriminant for a quadratic field, and above that the
+    splitting table, which must list p or the call is refused."""
     if fld.degree == 1:
         return ((1, 1),)
-    table = dict(fld.splitting)
-    if p in table:
-        return tuple(sorted(Counter(table[p]).items()))
     if fld.degree == 2:
         if fld.disc is None:
             raise UnsupportedFieldError(
@@ -342,10 +325,13 @@ def _residue_degrees(fld: NumberField, p: int) -> tuple[tuple[int, int], ...]:
         else:
             split = pow(disc % p, (p - 1) // 2, p) == 1
         return ((1, 2),) if split else ((2, 1),)
-    raise UnsupportedFieldError(
-        f"field {fld.label!r} has degree {fld.degree} and no splitting entry "
-        f"for p={p}"
-    )
+    table = dict(fld.splitting)
+    if p not in table:
+        raise UnsupportedFieldError(
+            f"field {fld.label!r} has degree {fld.degree} and no splitting entry "
+            f"for p={p}"
+        )
+    return tuple(sorted(Counter(table[p]).items()))
 
 
 def zeta_partial_eval(
@@ -438,10 +424,22 @@ class SpecialValue:
         """The value as a float; None if it is symbolic or beyond a float."""
         if self.factors:
             return None
+        r = self.rational
+        if not r:
+            return 0.0
         try:
-            return float(self.rational) * math.pi**self.pi_power
+            value = float(r) * math.pi**self.pi_power
+        except OverflowError:
+            value = math.inf
+        if math.isfinite(value):
+            return value
+        # the rational, pi^a or their float product overflows: use logarithms
+        log = math.log(abs(r.numerator)) - math.log(r.denominator)
+        try:
+            value = math.exp(log + self.pi_power * math.log(math.pi))
         except OverflowError:
             return None
+        return -value if r < 0 else value
 
     def __str__(self) -> str:
         parts = []

@@ -224,8 +224,9 @@ def load_field_registry(path: Union[str, Path]) -> dict[str, NumberField]:
     """Read a JSON field catalogue: {"fields": [record, ...]}.
 
     Each record needs label/degree/r1/r2, disc for quadratic fields, and
-    may carry a splitting table {prime: [residue degrees]}.  Labels must
-    be plain identifiers, unique, and must not shadow the grammar.
+    above degree 2 may carry a splitting table {prime: [residue degrees]},
+    each prime once.  Labels must be plain identifiers, unique, and must
+    not shadow the grammar.
     """
     with open(path, "r", encoding="utf-8") as handle:
         try:

@@ -254,6 +254,16 @@ def test_special_value_beyond_a_float_prints_exactly(capsys):
     assert out.splitlines()[1].split() == ["exact-rational", payload["rational"], "0", "0"]
     code, out, _ = run(capsys, "special", "Q", "--at=400", "--format", "json")
     assert code == 0 and json.loads(out)["pi_power"] == 400
+    # zeta(400) * zeta(398) is near 1, though pi^798 alone is beyond a float
+    code, out, _ = run(capsys, "special", "union(Q, affine(Q, 2))", "--at=400",
+                       "--format", "json")
+    payload = json.loads(out)
+    assert (code, payload["pi_power"]) == (0, 798)
+    assert abs(payload["approx"] - 1) < 1e-12
+    # zeta(300) * zeta(-299) is beyond a float, though each part fits in one
+    code, out, _ = run(capsys, "special", "union(Q, affine(Q, 599))", "--at=300",
+                       "--format", "json")
+    assert (code, json.loads(out)["approx"]) == (0, None)
 
 
 def test_large_prime_field_answers(capsys):
@@ -299,6 +309,30 @@ def test_bad_splitting_entry_names_field_and_key(capsys, tmp_path, splitting, ke
     code, out, err = run(capsys, "cells", "K", "--field-config", str(config))
     assert (code, out) == (3, "")
     assert err.startswith(f"error: field 'K': splitting entry {key}")
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        (  # the discriminant, not a table, splits a quadratic field
+            {"label": "K", "degree": 2, "r1": 0, "r2": 1, "disc": -4,
+             "splitting": {"5": [2], "3": [1, 1]}},
+            "error: field 'K': degree 2 splits by its discriminant, not a table\n",
+        ),
+        (  # one prime three times, spelled three ways
+            {"label": "K", "degree": 3, "r1": 1, "r2": 1,
+             "splitting": {"2": [3], "02": [1, 2], "+2": [1, 1, 1]}},
+            "error: field 'K': splitting table lists p=2 twice\n",
+        ),
+    ],
+    ids=["quadratic", "prime-twice"],
+)
+def test_an_unusable_splitting_table_exits_3(capsys, tmp_path, record, message):
+    config = tmp_path / "fields.json"
+    config.write_text(json.dumps({"fields": [record]}))
+    code, out, err = run(capsys, "lfun", "K", "--eval-at", "2", "--prime-bound", "10",
+                         "--field-config", str(config))
+    assert (code, out, err) == (3, "", message)
 
 
 def _nested(depth):

@@ -40,6 +40,7 @@ COMMANDS = (
     ("sweep", "--family", "flags", "--fields", "Q(sqrt -1)", "--max-n", "2", "--k=-3..1"),
     ("sweep", "--family", "affine", "--fields", "Q,F(3)", "--max-d", "2", "--k=-2..2"),
     ("verify", "union(proj(K, 1), Q)", "--k=-4..2", "--field-config=golden_fields.json"),
+    ("lfun", "proj(C, 1)", "--eval-at=3.5", "--prime-bound=7", "--field-config=golden_fields.json"),
 )
 ERRORS = (
     ("verify", "proj(Q, "),  # exit 2: syntax error

@@ -1,4 +1,4 @@
-"""Tests for number-field data, Euler factors, and zeta special values."""
+"""Tests for number-field data, residue degrees, and zeta special values."""
 
 import math
 from fractions import Fraction
@@ -10,13 +10,11 @@ from flagzeta.cells import BasePoint, DisjointUnion, cells_of
 from flagzeta.fields import (
     MAX_FACTORED,
     MAX_PRIME_BOUND,
-    EulerFactor,
     FiniteField,
     NumberField,
     SpecialValue,
     UnsupportedFieldError,
     base_sort_key,
-    euler_factor,
     finite_field,
     make_number_field,
     ord_at_integer,
@@ -28,6 +26,7 @@ from flagzeta.fields import (
     zeta_partial_eval,
     zeta_value_at,
     _is_prime,
+    _residue_degrees,
     _smallest_prime_factor,
     _squarefree_part,
 )
@@ -133,40 +132,50 @@ def test_primes_upto():
     assert primes_upto(1) == []
 
 
-# -- Euler factors ---------------------------------------------------------
+# -- residue degrees ------------------------------------------------------
 
 
-def test_euler_factor_rationals():
-    assert euler_factor(Q, 7) == EulerFactor(7, ((1, 1),))
+def test_residue_degrees_rationals():
+    assert _residue_degrees(Q, 7) == ((1, 1),)
 
 
-def test_euler_factor_gaussian_integers():
+def test_residue_degrees_gaussian_integers():
     # p splits in Q(sqrt -1) iff p = 1 mod 4; 2 ramifies.
-    assert euler_factor(QI, 5).primes == ((1, 2),)
-    assert euler_factor(QI, 3).primes == ((2, 1),)
-    assert euler_factor(QI, 2).primes == ((1, 1),)
+    assert _residue_degrees(QI, 5) == ((1, 2),)
+    assert _residue_degrees(QI, 3) == ((2, 1),)
+    assert _residue_degrees(QI, 2) == ((1, 1),)
 
 
-def test_euler_factor_trichotomy_matches_square_search():
-    # Independent oracle: for odd p not dividing disc, the splitting is
-    # decided by whether disc is a square mod p, found by brute search.
-    for fld in (QI, QM5, Q2, Q5):
-        disc = fld.disc
+def _root_count(d, p):
+    """Roots mod p of the minimal polynomial of a generator of the ring of
+    integers of Q(sqrt d): x^2 - x + (1 - d)/4 when d = 1 mod 4, else
+    x^2 - d."""
+    if d % 4 == 1:
+        return sum((x * x - x + (1 - d) // 4) % p == 0 for x in range(p))
+    return sum((x * x - d) % p == 0 for x in range(p))
+
+
+def test_residue_degrees_trichotomy_matches_root_counting():
+    # Independent oracle, p = 2 included (Dedekind-Kummer): p ramifies iff
+    # it divides the discriminant, else it splits iff the minimal
+    # polynomial has two roots mod p and is inert iff it has none.
+    # -7, 17 and -15 are 1 mod 8, so 2 splits in their fields.
+    at_two = set()
+    for d in (-1, -5, 2, 5, -7, 17, -15):
+        fld = quadratic_field(d)
         for p in primes_upto(500):
-            ef = euler_factor(fld, p)
-            total = sum(f * g for f, g in ef.primes)
-            if disc % p == 0:
-                assert ef.primes == ((1, 1),)
-                continue
-            assert total == 2
-            if p == 2:
-                is_square = disc % 8 == 1
+            degrees = _residue_degrees(fld, p)
+            if fld.disc % p == 0:
+                assert degrees == ((1, 1),)
             else:
-                is_square = any((x * x - disc) % p == 0 for x in range(p))
-            assert ef.primes == (((1, 2),) if is_square else ((2, 1),))
+                roots = _root_count(d, p)
+                assert roots in (0, 2)
+                assert degrees == (((1, 2),) if roots == 2 else ((2, 1),))
+        at_two.add(_residue_degrees(fld, 2))
+    assert len(at_two) == 3  # 2 ramifies, splits and stays inert among them
 
 
-def test_euler_factor_from_splitting_table():
+def test_residue_degrees_from_splitting_table():
     cubic = make_number_field(
         {
             "label": "C",
@@ -176,10 +185,37 @@ def test_euler_factor_from_splitting_table():
             "splitting": {"2": [1, 2], "5": [3]},
         }
     )
-    assert euler_factor(cubic, 2).primes == ((1, 1), (2, 1))
-    assert euler_factor(cubic, 5).primes == ((3, 1),)
+    assert _residue_degrees(cubic, 2) == ((1, 1), (2, 1))
+    assert _residue_degrees(cubic, 5) == ((3, 1),)
     with pytest.raises(UnsupportedFieldError):
-        euler_factor(cubic, 7)
+        _residue_degrees(cubic, 7)
+
+
+def test_a_quadratic_field_splits_by_its_discriminant_alone():
+    # the discriminant, not a table, splits a field of degree <= 2
+    record = {"label": "K", "degree": 2, "r1": 0, "r2": 1, "disc": -4,
+              "splitting": {"5": [2], "3": [1, 1]}}
+    with pytest.raises(ValueError, match="field 'K': degree 2 splits by its disc"):
+        make_number_field(record)
+    with pytest.raises(ValueError, match="field 'Q': degree 1 splits"):
+        NumberField("Q", 1, 1, 0, disc=1, splitting=((2, (1,)),))
+    with pytest.raises(UnsupportedFieldError, match="no discriminant"):
+        _residue_degrees(NumberField("K", 2, 0, 1), 3)
+
+
+def test_a_splitting_table_lists_each_prime_once():
+    record = {"label": "K", "degree": 3, "r1": 1, "r2": 1,
+              "splitting": {"2": [3], "02": [1, 2], "+2": [1, 1, 1]}}
+    with pytest.raises(ValueError, match="field 'K': splitting table lists p=2 twice"):
+        make_number_field(record)
+
+
+def test_a_splitting_table_is_stored_in_one_order():
+    a = NumberField("K", 3, 1, 1, splitting=((2, (3,)), (5, (1, 2))))
+    b = NumberField("K", 3, 1, 1, splitting=((5, (2, 1)), (2, (3,))))
+    assert a == b and a.splitting == ((2, (3,)), (5, (1, 2)))
+    union = cells_of(DisjointUnion((BasePoint(a), BasePoint(b))))
+    assert [(s.base, s.multiplicity) for s in union.strata] == [(a, 2)]
 
 
 def test_bases_that_differ_only_in_data_stay_apart():

@@ -28,12 +28,12 @@ from flagzeta.cells import (
 )
 from flagzeta.fields import (
     NumberField,
-    euler_factor,
     finite_field,
     ord_at_integer,
     primes_upto,
     quadratic_field,
     rationals,
+    _residue_degrees,
 )
 from flagzeta.cli import main
 from flagzeta.lfuncs import (
@@ -169,15 +169,19 @@ def test_ord_at_matches_per_kind_orders(c, fq, shift, mult):
 
 def per_factor_euler_product(cells, s, bound):
     """The reference value, factor by factor: a number field's factor is
-    the product of its public local factors over the primes up to the
-    bound, an F_q factor its closed form 1/(1 - q^-(s - shift))."""
+    the product of its local factors prod (1 - p^(-f x))^(-g) over the
+    primes up to the bound, an F_q factor its closed form
+    1/(1 - q^-(s - shift))."""
     out = 1.0
     for factor in cells:
         x = s - factor.shift
         if isinstance(factor.base, NumberField):
             v = 1.0
             for p in primes_upto(bound):
-                v *= euler_factor(factor.base, p).value(x)
+                local = 1.0
+                for f, g in _residue_degrees(factor.base, p):
+                    local *= (1 - p ** (-f * x)) ** (-g)
+                v *= local
         else:
             v = 1.0 / (1.0 - factor.base.q ** (-x))
         out *= v**factor.multiplicity

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import pathlib
 import re
 import shlex
@@ -9,6 +10,8 @@ import shlex
 import pytest
 
 from flagzeta.cli import main
+from flagzeta.parse import load_field_registry, parse_scheme
+from flagzeta.verify import check_soule
 
 README = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -43,3 +46,18 @@ def test_library_quick_tour_runs():
     assert out.getvalue() == (
         "L(Q(sqrt -1), s) * L(Q(sqrt -1), s-1) * L(Q(sqrt -1), s-2)\n"
     )
+
+
+def test_field_registry_example_loads_and_its_error_is_quoted(tmp_path):
+    config = tmp_path / "fields.json"
+    config.write_text(_block("### Field registry JSON", "json"))
+    registry = load_field_registry(config)
+    assert check_soule(parse_scheme("proj(K6, 1)", registry)).ok
+    record = json.loads(config.read_text())
+    record["fields"][0]["splitting"] = {"2": 5}
+    config.write_text(json.dumps(record))
+    quoted = re.search(r"`(error: field 'K6'[^`]*)`", README).group(1)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["cells", "K6", "--field-config", str(config)])
+    assert (code, err.getvalue()) == (3, quoted + "\n")
