@@ -83,7 +83,7 @@ class VerificationReport:
     support: tuple[SupportRow, ...]
 
     @cached_property
-    def _mismatches(self) -> tuple[SouleRow, ...]:
+    def mismatches(self) -> tuple[SouleRow, ...]:
         return tuple(r for r in self.rows if not r.match)
 
     @property
@@ -92,14 +92,11 @@ class VerificationReport:
 
     @property
     def mismatched(self) -> int:
-        return len(self._mismatches)
+        return len(self.mismatches)
 
     @property
     def ok(self) -> bool:
-        return not self._mismatches
-
-    def mismatches(self) -> tuple[SouleRow, ...]:
-        return self._mismatches
+        return not self.mismatches
 
     def to_dict(self) -> dict:
         return {

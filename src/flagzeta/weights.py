@@ -22,8 +22,10 @@ on classes, as ``ord_at`` is; that is all the cell calculus needs.
 Tables are materialized over an explicit weight window [j_min, j_max]
 because the full table has entries at every sufficiently negative
 weight; inside the window every query is exact and complete.  A table
-is built in one pass over the cells and kept by weight, so the support
-and chi at one weight each read a single column.
+is kept by weight, as one column of nonzero (m, rank) pairs sorted by m
+per weight; ``weight_table_of`` alone builds these columns, in one pass
+over the cells, so the support and chi at one weight each read a single
+stored column.
 
 The Euler characteristic of a table at weight k is
 chi(k) = sum_m (-1)^(m+1) dim(m, k), the sign chosen so that
@@ -34,6 +36,7 @@ table's window, so a weight outside it is simply absent.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .cells import CellsOrScheme, _as_cells
@@ -46,75 +49,47 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
 class WeightTable:
     """Ranks dim_Q of K-groups by (degree m, weight j), on a weight window.
 
     Ranks of a signed cell class are virtual and may be negative.  They
-    are kept by weight, as one column {m: rank} per weight.  Zero
-    entries are not stored; queries inside the window return 0 for absent
+    are kept by weight: ``columns[j]`` is the tuple of (m, rank) pairs
+    with a nonzero rank at weight j, sorted by m, and a weight whose
+    ranks are all zero has no column.  ``weight_table_of`` alone builds
+    these columns.  Queries inside the window return 0 for absent
     entries and queries outside the window are refused, since the table
     holds no information there.
     """
 
-    __slots__ = ("_columns", "_j_min", "_j_max")
+    columns: Mapping[int, tuple[tuple[int, int], ...]]
+    j_min: int
+    j_max: int
 
-    def __init__(
-        self, entries: Mapping[tuple[int, int], int], j_min: int, j_max: int
-    ) -> None:
-        if j_min > j_max:
+    def __post_init__(self) -> None:
+        if self.j_min > self.j_max:
             raise ValueError("empty weight window")
-        columns: dict[int, dict[int, int]] = {}
-        for (m, j), dim in entries.items():
-            if dim == 0:
-                continue
-            if not j_min <= j <= j_max:
-                raise ValueError(f"entry at weight {j} outside window [{j_min}, {j_max}]")
-            columns.setdefault(j, {})[m] = dim
-        self._columns = columns
-        self._j_min = j_min
-        self._j_max = j_max
-
-    @property
-    def j_min(self) -> int:
-        return self._j_min
-
-    @property
-    def j_max(self) -> int:
-        return self._j_max
+        for j in self.columns:
+            self._check_window(j)
 
     def _check_window(self, j: int) -> None:
-        if not self._j_min <= j <= self._j_max:
+        if not self.j_min <= j <= self.j_max:
             raise ValueError(
-                f"weight {j} outside table window [{self._j_min}, {self._j_max}]"
+                f"weight {j} outside table window [{self.j_min}, {self.j_max}]"
             )
 
     def dim(self, m: int, j: int) -> int:
-        self._check_window(j)
-        return self._columns.get(j, {}).get(m, 0)
+        return dict(self.support_at(j)).get(m, 0)
 
     def items(self) -> list[tuple[tuple[int, int], int]]:
         return sorted(
-            ((m, j), dim) for j, col in self._columns.items() for m, dim in col.items()
+            ((m, j), dim) for j, col in self.columns.items() for m, dim in col
         )
 
     def support_at(self, j: int) -> tuple[tuple[int, int], ...]:
         """All (m, dim) pairs with a nonzero rank at weight j, sorted by m."""
         self._check_window(j)
-        return tuple(sorted(self._columns.get(j, {}).items()))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WeightTable):
-            return NotImplemented
-        return (
-            self._columns == other._columns
-            and (self._j_min, self._j_max) == (other._j_min, other._j_max)
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"WeightTable({dict(self.items())!r}, j_min={self._j_min}, "
-            f"j_max={self._j_max})"
-        )
+        return self.columns.get(j, ())
 
 
 # The one default weight window: of weight_table_of, verify and --k.
@@ -146,12 +121,17 @@ def weight_table_of(
 ) -> WeightTable:
     """Weight table of a scheme or signed cell class: the signed sum over
     its cells of the base entries shifted up by the cell dimension."""
-    entries: dict[tuple[int, int], int] = {}
+    acc: dict[int, dict[int, int]] = {}
     for s in _as_cells(x):
         for (m, j), dim in _base_entries(s.base, j_min - s.shift, j_max - s.shift):
-            key = (m, j + s.shift)
-            entries[key] = entries.get(key, 0) + dim * s.multiplicity
-    return WeightTable(entries, j_min, j_max)
+            col = acc.setdefault(j + s.shift, {})
+            col[m] = col.get(m, 0) + dim * s.multiplicity
+    columns = {}
+    for j in sorted(acc):
+        col = tuple(sorted((m, dim) for m, dim in acc[j].items() if dim))
+        if col:
+            columns[j] = col
+    return WeightTable(columns, j_min, j_max)
 
 
 def chi(table: WeightTable) -> dict[int, int]:
@@ -159,6 +139,6 @@ def chi(table: WeightTable) -> dict[int, int]:
     chi(k) = sum_m (-1)^(m+1) dim(m, k) is the signed sum of the column
     at weight k."""
     out = dict.fromkeys(range(table.j_min, table.j_max + 1), 0)
-    for j, col in table._columns.items():
-        out[j] = sum(dim if m % 2 else -dim for m, dim in col.items())
+    for j, col in table.columns.items():
+        out[j] = sum(dim if m % 2 else -dim for m, dim in col)
     return out

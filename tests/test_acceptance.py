@@ -53,7 +53,7 @@ def test_criterion_1_base_cases():
     start = time.perf_counter()
     for fld in FIELDS:
         report = check_soule(BasePoint(fld), (-20, 2))
-        assert report.ok, (fld.label, report.mismatches())
+        assert report.ok, (fld.label, report.mismatches)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"took {elapsed:.3f}s"
     print(f"\nPASS criterion 1: base cases over {len(FIELDS)} fields, "

@@ -10,8 +10,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from flagzeta.cells import ProjBundle
+from flagzeta.cells import BasePoint, ProjBundle, cells_of
+from flagzeta.fields import quadratic_field, rationals
 from flagzeta.parse import parse_scheme
+from flagzeta.weights import weight_table_of
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -50,6 +52,18 @@ def test_size_counters_read_their_results():
     for _, module, attr, counter, size in tracer.FUNCTIONS:
         if counter is not None:
             assert size(_function(module, attr)(x)) > 0
+
+
+def test_table_entries_counts_the_stored_ranks():
+    (table_entries,) = [
+        size for _, _, _, counter, size in tracer.FUNCTIONS
+        if counter == "weights.table_entries"
+    ]
+    cancelling = cells_of(BasePoint(rationals())) / cells_of(BasePoint(quadratic_field(-1)))
+    for x in (ProjBundle(parse_scheme("Q(sqrt -1)"), 2), cancelling):
+        table = weight_table_of(x, -10, 4)
+        assert table_entries(table) == sum(len(col) for col in table.columns.values())
+        assert all(dim != 0 for col in table.columns.values() for _, dim in col)
 
 
 def test_traced_caches_report_cache_info():

@@ -44,7 +44,10 @@ def test_library_quick_tour_runs():
     with contextlib.redirect_stdout(out):
         exec(_block("## Library quick tour", "python"), {})
     assert out.getvalue() == (
+        "1\n"
         "L(Q(sqrt -1), s) * L(Q(sqrt -1), s-1) * L(Q(sqrt -1), s-2)\n"
+        "3\n"
+        "-1\n"
     )
 
 

@@ -38,7 +38,7 @@ FIELDS = [Q, QI, QM5, Q2, Q5]
 def test_base_points_verify():
     for fld in FIELDS:
         report = check_soule(BasePoint(fld), (-20, 2))
-        assert report.ok, report.mismatches()
+        assert report.ok, report.mismatches
         assert report.matched == 23
 
 

@@ -1,5 +1,7 @@
 """Tests for weight tables and Euler characteristics by weight."""
 
+from pathlib import Path
+
 import pytest
 
 from flagzeta.cells import (
@@ -10,13 +12,16 @@ from flagzeta.cells import (
     ProjBundle,
     cells_of,
 )
-from flagzeta.fields import FiniteField, quadratic_field, rationals
-from flagzeta.weights import chi, weight_table_of
+from flagzeta.fields import FiniteField, finite_field, quadratic_field, rationals
+from flagzeta.lfuncs import lfactorization_of
+from flagzeta.parse import load_field_registry
+from flagzeta.weights import WeightTable, _base_entries, chi, weight_table_of
 
 Q = rationals()
 QI = quadratic_field(-1)
 Q2 = quadratic_field(2)
 QM5 = quadratic_field(-5)
+CUBIC = load_field_registry(Path(__file__).with_name("golden_fields.json"))["C"]
 
 
 # -- base tables -------------------------------------------------------------
@@ -69,6 +74,26 @@ def test_window_is_enforced():
         t.support_at(-9)
 
 
+def test_an_empty_window_is_refused():
+    with pytest.raises(ValueError, match="empty weight window"):
+        weight_table_of(BasePoint(Q), 2, 1)
+
+
+def test_a_column_outside_the_window_is_refused():
+    with pytest.raises(ValueError, match=r"weight 5 outside table window \[-4, 2\]"):
+        WeightTable({5: ((0, 1),)}, -4, 2)
+
+
+@pytest.mark.parametrize("base", [Q, Q2, QI, finite_field(4), CUBIC], ids=lambda b: b.label)
+@pytest.mark.parametrize("window", [(-3, 3), (0, 2), (-1, 1), (-2, 0), (2, 6), (-9, -2)])
+def test_base_entries_stay_inside_their_window(base, window):
+    # weight_table_of relies on this instead of re-checking each entry
+    lo, hi = window
+    entries = sorted(_base_entries(base, lo, hi))
+    assert all(lo <= j <= hi for (_, j), _ in entries)
+    assert entries == weight_table_of(BasePoint(base), lo, hi).items()
+
+
 # -- tables of cellular schemes ------------------------------------------------
 
 
@@ -113,6 +138,18 @@ def test_signed_class_has_virtual_ranks():
         ((9, -3), 1),
     ]
     assert [chi(t)[k] for k in range(-4, 3)] == [-1, 1, -1, 1, 0, 1, -1]
+
+
+def test_cancelling_ranks_leave_no_column():
+    # Z[i] and Z share the rank-1 entries in degrees 1 mod 4 and in degree 0
+    c = cells_of(BasePoint(Q)) / cells_of(BasePoint(QI))
+    t = weight_table_of(c, -3, 2)
+    assert t.items() == [((3, -1), -1), ((7, -3), -1)]
+    assert t.support_at(1) == ()
+    assert t.support_at(-2) == ()
+    assert chi(t) == {-3: -1, -2: 0, -1: -1, 0: 0, 1: 0, 2: 0}
+    lf = lfactorization_of(c)
+    assert chi(t) == {k: lf.ord_at(k) for k in range(-3, 3)}
 
 
 def test_table_accepts_cells_or_expression():
