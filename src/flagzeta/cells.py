@@ -131,6 +131,8 @@ def gaussian_binomial(n: int, k: int) -> QPolynomial:
     if k > n:
         return QPolynomial(())
     k = min(k, n - k)  # [n k]_q = [n n-k]_q: the shorter rows
+    if k == 0:
+        return ONE
     # row[j] holds the coefficients of [i+j choose j]_q, starting at i = 0
     row = [[1]] * (k + 1)
     for _ in range(n - k):

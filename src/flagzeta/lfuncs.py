@@ -27,7 +27,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .cells import (
     CellDecomposition,
@@ -92,29 +91,25 @@ def lfactorization_of(x: CellsOrScheme) -> CellDecomposition:
 class RationalZeta:
     """Z(X, t) = prod (1 - q^d t)^m over numer, / prod over denom.
 
-    Kept with numerator and denominator factor lists disjoint (no shared
-    (d, m) content); for cellular schemes the numerator is empty.
+    The constructor makes the record canonical: it nets the exponents of
+    each d, keeps numerator and denominator disjoint and sorts both, so
+    equal functions compare equal.  For cellular schemes the numerator is
+    empty.
     """
 
     q: int
-    numer: tuple[tuple[int, int], ...]
-    denom: tuple[tuple[int, int], ...]
+    numer: tuple[tuple[int, int], ...] = ()
+    denom: tuple[tuple[int, int], ...] = ()
 
-    @classmethod
-    def build(
-        cls,
-        q: int,
-        numer: Iterable[tuple[int, int]] = (),
-        denom: Iterable[tuple[int, int]] = (),
-    ) -> "RationalZeta":
-        top: dict[int, int] = {}
-        for d, m in numer:
-            top[d] = top.get(d, 0) + m
-        for d, m in denom:
-            top[d] = top.get(d, 0) - m
-        numer_out = tuple(sorted((d, m) for d, m in top.items() if m > 0))
-        denom_out = tuple(sorted((d, -m) for d, m in top.items() if m < 0))
-        return cls(q, numer_out, denom_out)
+    def __post_init__(self) -> None:
+        net: dict[int, int] = {}
+        for d, m in self.numer:
+            net[d] = net.get(d, 0) + m
+        for d, m in self.denom:
+            net[d] = net.get(d, 0) - m
+        pairs = sorted(net.items())
+        object.__setattr__(self, "numer", tuple((d, m) for d, m in pairs if m > 0))
+        object.__setattr__(self, "denom", tuple((d, -m) for d, m in pairs if m < 0))
 
     def expand(self, order: int) -> TruncSeries:
         """The power series of Z(X, t) to t^order, in exact integers.
@@ -194,7 +189,7 @@ def weil_zeta_rational(x: CellsOrScheme) -> RationalZeta:
     All cells must live over one and the same finite field.
     """
     cells = _as_cells(x)
-    return RationalZeta.build(
+    return RationalZeta(
         _single_q(cells), denom=[(s.shift, s.multiplicity) for s in cells]
     )
 
@@ -210,6 +205,8 @@ def lfun_partial_eval(
     Requires a finite s with s - shift > 1 for each factor.  The factors
     of a base are evaluated together: one sieve per number-field base, one
     local factor per base and prime, one local value per factor and prime.
+    A product beyond a float (overflowing, or underflowing to 0) raises
+    ``ValueError``.
     """
     if not math.isfinite(s):
         raise ValueError(f"s = {s} is not a finite real number")
@@ -225,7 +222,15 @@ def lfun_partial_eval(
         factors = list(group)
         values = zeta_partial_eval(base, [s - c.shift for c in factors], prime_bound)
         for factor, v in zip(factors, values):
-            out *= v**factor.multiplicity
+            try:
+                out *= v**factor.multiplicity
+            except OverflowError:
+                out = math.inf
+    if not 0 < out < math.inf:
+        raise ValueError(
+            f"the Euler product at s = {s} over primes <= {prime_bound} "
+            "is beyond a float"
+        )
     return out
 
 

@@ -36,26 +36,27 @@ recurrence sum_{j=0}^{k} C(k+1, j) B_j = 0 for k >= 1 with B_0 = 1.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Union
 
 __all__ = ["TruncSeries", "bernoulli"]
-
-Scalar = Union[int, Fraction]
 
 # B_k sums k fractions that grow with k; larger indices are refused.
 MAX_BERNOULLI_INDEX = 500
 
 
+@dataclass(frozen=True, slots=True)
 class TruncSeries:
     """An element of Q[t]/(t^(order+1)), held as exact rational coefficients.
 
-    Instances are immutable.  Binary operations insist that both operands
-    share the same truncation order; mixing orders raises ``ValueError``
-    rather than silently coercing, since a coerced result would carry
-    fewer trustworthy coefficients than its order claims.
+    A frozen record of exactly order + 1 Fractions: the constructor takes
+    any iterable of scalars, reduces it mod t^(order+1) and pads it with
+    zeros.  Binary operations insist that both operands share the same
+    truncation order; mixing orders raises ``ValueError`` rather than
+    silently coercing, since a coerced result would carry fewer
+    trustworthy coefficients than its order claims.
 
     >>> a = TruncSeries(3, [1, -1])          # 1 - t
     >>> b = TruncSeries(3, [1, -2])          # 1 - 2t
@@ -63,35 +64,23 @@ class TruncSeries:
     1 + 3*t + 7*t^2 + 15*t^3
     """
 
-    __slots__ = ("_coeffs",)
+    order: int
+    coeffs: tuple[Fraction, ...] = ()
 
-    def __init__(self, order: int, coeffs: Iterable[Scalar] = ()) -> None:
-        if order < 0:
+    def __post_init__(self) -> None:
+        if self.order < 0:
             raise ValueError("truncation order must be non-negative")
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > order + 1:
-            # Constructing from a longer list is reduction mod t^(order+1).
-            cs = cs[: order + 1]
-        cs.extend([Fraction(0)] * (order + 1 - len(cs)))
-        object.__setattr__(self, "_coeffs", tuple(cs))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("TruncSeries is immutable")
+        # Constructing from a longer list is reduction mod t^(order+1).
+        cs = [Fraction(c) for c in self.coeffs][: self.order + 1]
+        cs.extend([Fraction(0)] * (self.order + 1 - len(cs)))
+        object.__setattr__(self, "coeffs", tuple(cs))
 
     # -- basic structure ------------------------------------------------
-
-    @property
-    def order(self) -> int:
-        return len(self._coeffs) - 1
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
 
     def __getitem__(self, i: int) -> Fraction:
         if not 0 <= i <= self.order:
             raise IndexError(f"coefficient index {i} outside 0..{self.order}")
-        return self._coeffs[i]
+        return self.coeffs[i]
 
     @classmethod
     def zero(cls, order: int) -> "TruncSeries":
@@ -116,20 +105,20 @@ class TruncSeries:
 
     def __add__(self, other: object) -> "TruncSeries":
         if isinstance(other, (int, Fraction)):
-            cs = list(self._coeffs)
+            cs = list(self.coeffs)
             cs[0] += other
             return TruncSeries(self.order, cs)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._same_order(other)
         return TruncSeries(
-            self.order, [a + b for a, b in zip(self._coeffs, other._coeffs)]
+            self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
         )
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncSeries":
-        return TruncSeries(self.order, [-a for a in self._coeffs])
+        return TruncSeries(self.order, [-a for a in self.coeffs])
 
     def __sub__(self, other: object) -> "TruncSeries":
         if isinstance(other, (int, Fraction)):
@@ -145,17 +134,17 @@ class TruncSeries:
 
     def __mul__(self, other: object) -> "TruncSeries":
         if isinstance(other, (int, Fraction)):
-            return TruncSeries(self.order, [a * other for a in self._coeffs])
+            return TruncSeries(self.order, [a * other for a in self.coeffs])
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._same_order(other)
         n = self.order
         out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self._coeffs):
+        for i, a in enumerate(self.coeffs):
             if not a:
                 continue
             for j in range(n + 1 - i):
-                b = other._coeffs[j]
+                b = other.coeffs[j]
                 if b:
                     out[i + j] += a * b
         return TruncSeries(n, out)
@@ -182,7 +171,7 @@ class TruncSeries:
         Uses the triangular recurrence b_0 = 1/a_0,
         b_m = -(1/a_0) * sum_{k=1}^{m} a_k b_{m-k}.
         """
-        a0 = self._coeffs[0]
+        a0 = self.coeffs[0]
         if a0 == 0:
             raise ValueError("series with zero constant term is not invertible")
         n = self.order
@@ -191,8 +180,8 @@ class TruncSeries:
         for m in range(1, n + 1):
             acc = Fraction(0)
             for k in range(1, m + 1):
-                if self._coeffs[k]:
-                    acc += self._coeffs[k] * out[m - k]
+                if self.coeffs[k]:
+                    acc += self.coeffs[k] * out[m - k]
             out[m] = -acc / a0
         return TruncSeries(n, out)
 
@@ -202,7 +191,7 @@ class TruncSeries:
         Solves g' = l' g for l = log(g):
         m l_m = m g_m - sum_{k=1}^{m-1} k l_k g_{m-k}.
         """
-        g = self._coeffs
+        g = self.coeffs
         if g[0] != 1:
             raise ValueError("log requires constant term 1")
         n = self.order
@@ -221,7 +210,7 @@ class TruncSeries:
         Solves a' = u' a for a = exp(u):
         m a_m = sum_{k=1}^{m} k u_k a_{m-k}, a_0 = 1.
         """
-        u = self._coeffs
+        u = self.coeffs
         if u[0] != 0:
             raise ValueError("exp requires constant term 0")
         n = self.order
@@ -235,22 +224,11 @@ class TruncSeries:
             a[m] = acc / m
         return TruncSeries(n, a)
 
-    # -- comparison / display --------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def __repr__(self) -> str:
-        return f"TruncSeries({self.order}, {[str(c) for c in self._coeffs]})"
+    # -- display ---------------------------------------------------------
 
     def __str__(self) -> str:
         terms = []
-        for i, c in enumerate(self._coeffs):
+        for i, c in enumerate(self.coeffs):
             if c == 0:
                 continue
             if i == 0:

@@ -85,6 +85,19 @@ def test_gaussian_binomial_has_no_recursion_depth_limit():
     assert gaussian_binomial(995, 2)(1) == 995 * 994 // 2
 
 
+def test_degree_zero_nodes_answer_at_once():
+    # [n 0]_q = [n n]_q = 1 without walking n rows of the q-Pascal triangle
+    n = 10**24
+    assert gaussian_binomial(n, 0) == QPolynomial((1,))
+    assert gaussian_binomial(n, n) == QPolynomial((1,))
+    for x in (
+        Grassmannian(BasePoint(Q), 0, n),
+        Grassmannian(BasePoint(Q), n, n),
+        FlagBundle(BasePoint(Q), (n,)),
+    ):
+        assert cells_of(x).strata == (Stratum(Q, 0, 1),)
+
+
 def test_cell_polynomial_degree_is_bounded():
     assert cells_of(ProjBundle(BasePoint(Q), MAX_CELL_DEGREE)).max_shift() == 4096
     for x in (

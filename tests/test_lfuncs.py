@@ -120,9 +120,14 @@ def test_weil_series_projective_line():
 def test_rational_form_matches_series():
     x = ProjBundle(BasePoint(F2), 1)
     rz = weil_zeta_rational(x)
-    assert rz == RationalZeta.build(2, denom=[(0, 1), (1, 1)])
+    assert rz == RationalZeta(2, denom=[(0, 1), (1, 1)])
     assert rz.expand(4) == weil_zeta_series(x, 4)
     assert str(rz) == "1 / ((1 - t)(1 - 2*t))"
+    # the constructor is canonical: equal functions compare equal
+    assert rz == RationalZeta(2, denom=((1, 1), (0, 1)))
+    one = RationalZeta(2, ((0, 1),), ((0, 1),))
+    assert one == RationalZeta(2)
+    assert str(one) == "1"
 
 
 def test_rational_form_of_complete_flag():
@@ -151,7 +156,7 @@ def test_expand_matches_product_of_truncated_powers():
         q = rng.choice((2, 3, 4, 5, 7, 8, 9))
         numer = [(rng.randint(0, 4), rng.randint(1, 5)) for _ in range(rng.randint(0, 2))]
         denom = [(rng.randint(0, 4), rng.randint(1, 5)) for _ in range(rng.randint(0, 3))]
-        rz = RationalZeta.build(q, numer, denom)
+        rz = RationalZeta(q, numer, denom)
         order = rng.randint(0, 20)
         expected = TruncSeries.one(order)
         for d, m in rz.numer:
@@ -163,7 +168,7 @@ def test_expand_matches_product_of_truncated_powers():
 
 def test_expand_of_polynomial_numerator_terminates():
     # (1 - t)^2 (1 - 3t) = 1 - 5t + 7t^2 - 3t^3, then zeros
-    rz = RationalZeta.build(3, numer=[(0, 2), (1, 1)])
+    rz = RationalZeta(3, numer=[(0, 2), (1, 1)])
     assert rz.expand(5) == TruncSeries(5, [1, -5, 7, -3])
     assert rz.expand(0) == TruncSeries.one(0)
 
@@ -218,6 +223,12 @@ def test_partial_eval_of_projective_line():
 def test_partial_eval_respects_convergence_region():
     with pytest.raises(ValueError, match="convergence"):
         lfun_partial_eval(P1, 2.0, 100)  # zeta(s-1) at s=2 diverges
+
+
+def test_partial_eval_beyond_a_float_is_refused():
+    x = DisjointUnion((BasePoint(Q),) * 250 + (Affine(BasePoint(Q), 1),) * 250)
+    with pytest.raises(ValueError, match="beyond a float"):
+        lfun_partial_eval(lfactorization_of(x), 2.001, 10_000)
 
 
 def test_partial_eval_finite_field_factor_exact():

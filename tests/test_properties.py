@@ -344,6 +344,7 @@ def _nested(depth):
 @settings(max_examples=150)
 @example(["cells", _nested(5000)])
 @example(["verify", _nested(MAX_DEPTH + 1)])
+@example(["lfun", "union(" + ", ".join(["Q"] * 300) + ")", "--eval-at=1.001"])
 @given(_argv())
 def test_cli_exits_with_a_documented_code(argv):
     # No input here can hold a real chi/ord mismatch, so exit 1 never fits,

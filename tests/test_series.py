@@ -180,7 +180,28 @@ def test_non_unit_has_no_inverse_or_log():
 
 
 def test_constructor_reduces_long_input():
-    assert TruncSeries(2, [1, 2, 3, 4, 5]) == TruncSeries(2, [1, 2, 3])
+    long, short = TruncSeries(2, [1, 2, 3, 4]), TruncSeries(2, [1, 2, 3])
+    assert long == short
+    assert hash(long) == hash(short)
+    assert len({long, short}) == 1
+
+
+def test_negative_order_is_refused():
+    with pytest.raises(ValueError, match="non-negative"):
+        TruncSeries(-1)
+
+
+def test_index_outside_the_order_is_refused():
+    s = TruncSeries(3, [1, 2])
+    for i in (-1, s.order + 1):
+        with pytest.raises(IndexError):
+            s[i]
+
+
+def test_series_is_frozen():
+    s = TruncSeries(2, [1, 2])
+    with pytest.raises(AttributeError):
+        s.coeffs = (Fraction(0),) * 3
 
 
 # -- Bernoulli numbers ---------------------------------------------------
