@@ -49,7 +49,6 @@ __all__ = [
     "cells_of",
     "point_count",
     "brute_force_flag_count",
-    "flag_as_grassmannian_tower",
 ]
 
 
@@ -79,10 +78,6 @@ class QPolynomial:
         if any(c < 0 for c in cs):
             raise ValueError("cell counts cannot be negative")
         object.__setattr__(self, "coeffs", cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def __mul__(self, other: "QPolynomial") -> "QPolynomial":
         if not self.coeffs or not other.coeffs:
@@ -425,10 +420,6 @@ class CellDecomposition:
                 out.append(Stratum(s.base, s.shift + e, s.multiplicity * c))
         return CellDecomposition(tuple(out))
 
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(s.multiplicity for s in self.strata)
-
     def max_shift(self) -> int:
         return max((s.shift for s in self.strata), default=0)
 
@@ -483,23 +474,6 @@ CellsOrScheme = Union[CellDecomposition, SchemeExpr]
 
 def _as_cells(x: CellsOrScheme) -> CellDecomposition:
     return x if isinstance(x, CellDecomposition) else cells_of(x)
-
-
-def flag_as_grassmannian_tower(child: SchemeExpr, parts: Sequence[int]) -> SchemeExpr:
-    """The flag bundle rebuilt as an iterated Grassmannian tower.
-
-    Choosing the flag one step at a time, W_1 inside the full bundle, then
-    the next block inside the quotient, multiplies the cell polynomials;
-    this is kept as an independent construction path for cross-checking
-    cells_of.
-    """
-    parts = FlagBundle(child, parts).parts  # validates the flag type
-    expr = child
-    remaining = sum(parts)
-    for p in parts[:-1]:
-        expr = Grassmannian(expr, p, remaining)
-        remaining -= p
-    return expr
 
 
 def point_count(x: CellsOrScheme, r: int) -> int:

@@ -16,7 +16,8 @@ the first two functions below, to ``base_sort_key`` and to the rank rule
 * ``zeta_partial_eval`` evaluates it at real s > 1, for floating-point
   sanity checks only: a finite Euler product over primes up to a bound,
   one sieve for all the points asked of a base, or over F_q the closed
-  form.  It refuses all but finite s > 1 and bounds in [2, MAX_PRIME_BOUND];
+  form.  It refuses all but finite s > 1 and bounds in [2, MAX_PRIME_BOUND],
+  and caps its work at MAX_EULER_WORK;
 * ``zeta_value_at`` is its exact value at an integer as a ``SpecialValue``
   (rational * pi^a), where that value is finite, nonzero and known in
   closed form, and None elsewhere.  It reads the classical formulas
@@ -74,9 +75,12 @@ def primes_upto(n: int) -> list[int]:
 # Integers are factored by trial division up to their square root, so
 # larger ones (field sizes, radicands, discriminants, splitting keys) are
 # refused rather than left to run for minutes.  An Euler product sieves
-# every prime up to its bound, so that bound is capped too.
+# every prime up to its bound, so that bound is capped too; over a number
+# field it then computes one local factor per base and prime and one local
+# value per point and prime, so (bases + points) x bound is capped as well.
 MAX_FACTORED = 10**12
 MAX_PRIME_BOUND = 2_000_000
+MAX_EULER_WORK = 10_000_000
 
 
 def _smallest_prime_factor(n: int) -> int:
@@ -334,6 +338,23 @@ def _residue_degrees(fld: NumberField, p: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(Counter(table[p]).items()))
 
 
+def _check_euler_work(prime_bound: int, work: int) -> None:
+    """Refuse a prime bound outside [2, MAX_PRIME_BOUND], then an Euler
+    product whose ``work`` per prime (its number-field bases plus their
+    points) times the bound is above MAX_EULER_WORK."""
+    if prime_bound < 2:
+        raise ValueError(f"prime bound {prime_bound} is below 2: an empty product")
+    if prime_bound > MAX_PRIME_BOUND:
+        raise ValueError(
+            f"prime bound {prime_bound} is above MAX_PRIME_BOUND = {MAX_PRIME_BOUND}"
+        )
+    if work * prime_bound > MAX_EULER_WORK:
+        raise ValueError(
+            f"Euler product of (bases + points) x prime bound = {work} x "
+            f"{prime_bound} is above MAX_EULER_WORK = {MAX_EULER_WORK}"
+        )
+
+
 def zeta_partial_eval(
     fld: BaseField, s: Union[float, Sequence[float]], prime_bound: int
 ) -> Union[float, list[float]]:
@@ -343,21 +364,17 @@ def zeta_partial_eval(
     For a number field, the finite Euler product prod_{p <= bound} of
     local factors: monotone increasing in the bound, a diagnostic only.
     F_q has the one local factor 1/(1 - q^(-s)), returned exactly.
-    Points that are not finite reals > 1, and bounds outside
-    [2, MAX_PRIME_BOUND], are refused before any work.  A number field
-    then costs one sieve, one local factor per prime, and one local
-    value per prime and point.
+    Points that are not finite reals > 1, bounds outside
+    [2, MAX_PRIME_BOUND], and a number field whose (1 + points) x bound is
+    above MAX_EULER_WORK are refused before any work.  A number field
+    costs one sieve, one local factor per prime, and one local value per
+    prime and point.
     """
     points = (s,) if isinstance(s, Real) else tuple(s)
     for x in points:
         if not 1 < x < math.inf:  # nan too
             raise ValueError(f"s = {x}: an Euler product needs a finite s > 1")
-    if prime_bound < 2:
-        raise ValueError(f"prime bound {prime_bound} is below 2: an empty product")
-    if prime_bound > MAX_PRIME_BOUND:
-        raise ValueError(
-            f"prime bound {prime_bound} is above MAX_PRIME_BOUND = {MAX_PRIME_BOUND}"
-        )
+    _check_euler_work(prime_bound, 0 if isinstance(fld, FiniteField) else 1 + len(points))
     if isinstance(fld, FiniteField):
         values = [1.0 / (1.0 - fld.q ** (-x)) for x in points]
     else:
@@ -472,10 +489,8 @@ def special_value_even(m: int) -> SpecialValue:
     """
     if m < 1:
         raise ValueError("defined for m >= 1 only")
-    rational = (
-        Fraction((-1) ** (m - 1) * 2 ** (2 * m - 1), math.factorial(2 * m))
-        * bernoulli(2 * m)
-    )
+    b = bernoulli(2 * m)  # first, so its bound refuses a large m before any work
+    rational = Fraction((-1) ** (m - 1) * 2 ** (2 * m - 1), math.factorial(2 * m)) * b
     return SpecialValue(rational, pi_power=2 * m)
 
 

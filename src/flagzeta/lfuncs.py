@@ -39,6 +39,7 @@ from .fields import (
     NumberField,
     SpecialValue,
     UnsupportedFieldError,
+    _check_euler_work,
     zeta_partial_eval,
     zeta_value_at,
 )
@@ -205,8 +206,9 @@ def lfun_partial_eval(
     Requires a finite s with s - shift > 1 for each factor.  The factors
     of a base are evaluated together: one sieve per number-field base, one
     local factor per base and prime, one local value per factor and prime.
-    A product beyond a float (overflowing, or underflowing to 0) raises
-    ``ValueError``.
+    That work, summed over the number-field bases, is refused above
+    ``fields.MAX_EULER_WORK`` before any of it is done.  A product beyond a
+    float (overflowing, or underflowing to 0) raises ``ValueError``.
     """
     if not math.isfinite(s):
         raise ValueError(f"s = {s} is not a finite real number")
@@ -216,10 +218,12 @@ def lfun_partial_eval(
                 f"s = {s} puts factor {factor} outside the convergence "
                 f"region s - {factor.shift} > 1"
             )
-    out = 1.0
     # the strata are sorted by base, so each base's factors are adjacent
-    for base, group in itertools.groupby(f, key=lambda factor: factor.base):
-        factors = list(group)
+    groups = [(b, list(g)) for b, g in itertools.groupby(f, key=lambda c: c.base)]
+    work = sum(1 + len(fs) for b, fs in groups if isinstance(b, NumberField))
+    _check_euler_work(prime_bound, work)
+    out = 1.0
+    for base, factors in groups:
         values = zeta_partial_eval(base, [s - c.shift for c in factors], prime_bound)
         for factor, v in zip(factors, values):
             try:

@@ -12,9 +12,10 @@ integer k:
 ``check_soule`` computes the cell decomposition once, hands it to the
 two independent pipelines, and compares the resulting integers exactly
 over a k-range; the reports it returns are plain frozen data, rendered
-identically on every run.  The same report carries the weight-table
-support in each weight: the degrees where the ranks of the scheme live,
-read off the table's column at that weight.
+identically on every run.  A report carries the weight table it read,
+whose window is the report's k-range; ``to_dict`` renders the support in
+each weight from it: the degrees where the ranks of the scheme live, read
+off the table's column at that weight.
 
 ``sweep`` runs the check across a family of schemes and aggregates, so a
 single exit status can certify, say, every flag bundle of rank <= 5 over
@@ -38,11 +39,10 @@ from .cells import (
     _as_cells,
 )
 from .fields import BaseField
-from .weights import DEFAULT_K_RANGE, chi, weight_table_of
+from .weights import DEFAULT_K_RANGE, WeightTable, chi, weight_table_of
 
 __all__ = [
     "SouleRow",
-    "SupportRow",
     "VerificationReport",
     "SweepReport",
     "check_soule",
@@ -66,21 +66,10 @@ class SouleRow:
 
 
 @dataclass(frozen=True)
-class SupportRow:
-    """Degrees carrying nonzero rank at one weight."""
-
-    j: int
-    degrees: tuple[int, ...]
-    total_dim: int
-
-
-@dataclass(frozen=True)
 class VerificationReport:
     scheme: str
-    k_min: int
-    k_max: int
+    table: WeightTable
     rows: tuple[SouleRow, ...]
-    support: tuple[SupportRow, ...]
 
     @cached_property
     def mismatches(self) -> tuple[SouleRow, ...]:
@@ -99,17 +88,21 @@ class VerificationReport:
         return not self.mismatches
 
     def to_dict(self) -> dict:
+        table = self.table
+        supports = (
+            (j, table.support_at(j)) for j in range(table.j_min, table.j_max + 1)
+        )
         return {
             "scheme": self.scheme,
-            "k_min": self.k_min,
-            "k_max": self.k_max,
+            "k_min": table.j_min,
+            "k_max": table.j_max,
             "rows": [
                 {"k": r.k, "chi": r.chi, "ord": r.ord, "match": r.match}
                 for r in self.rows
             ],
             "support": [
-                {"j": s.j, "degrees": list(s.degrees), "total_dim": s.total_dim}
-                for s in self.support
+                {"j": j, "degrees": [m for m, _ in col], "total_dim": sum(d for _, d in col)}
+                for j, col in supports
             ],
             "matched": self.matched,
             "mismatched": self.mismatched,
@@ -132,19 +125,12 @@ def check_soule(
     cells = _as_cells(x)
     table = weight_table_of(cells, k_min, k_max)
     rows = tuple(SouleRow(k, c, cells.ord_at(k)) for k, c in chi(table).items())
-    support = []
-    for j in range(k_min, k_max + 1):
-        pairs = table.support_at(j)
-        degrees = tuple(m for m, _ in pairs)
-        support.append(SupportRow(j, degrees, sum(d for _, d in pairs)))
-    return VerificationReport(name or str(x), k_min, k_max, rows, tuple(support))
+    return VerificationReport(name or str(x), table, rows)
 
 
 @dataclass(frozen=True)
 class SweepReport:
     reports: tuple[VerificationReport, ...]
-    k_min: int
-    k_max: int
 
     @property
     def schemes(self) -> int:
@@ -187,9 +173,10 @@ class SweepReport:
         return min(row.chi for r in self.reports for row in r.rows)
 
     def to_dict(self) -> dict:
+        table = self.reports[0].table  # every report shares the sweep's window
         return {
-            "k_min": self.k_min,
-            "k_max": self.k_max,
+            "k_min": table.j_min,
+            "k_max": table.j_max,
             "schemes": self.schemes,
             "total_rows": self.total_rows,
             "mismatched": self.mismatched,
@@ -214,7 +201,7 @@ def sweep(
         raise ValueError("empty family")
     pairs = zip(schemes, cells or schemes, strict=True)  # else check_soule builds
     reports = tuple(check_soule(c, k_range, name=str(x)) for x, c in pairs)
-    return SweepReport(reports, *k_range)
+    return SweepReport(reports)
 
 
 # -- family builders --------------------------------------------------------------

@@ -21,12 +21,12 @@ from flagzeta.cells import (
     Stratum,
     brute_force_flag_count,
     cells_of,
-    flag_as_grassmannian_tower,
     gaussian_binomial,
     gaussian_multinomial,
     point_count,
 )
 from flagzeta.fields import FiniteField, finite_field, quadratic_field, rationals
+from oracles import flag_as_grassmannian_tower
 
 Q = rationals()
 QI = quadratic_field(-1)
@@ -142,7 +142,7 @@ def test_multinomial_is_monic_palindromic_with_known_degree():
             cs = poly.coeffs
             assert cs[0] == 1 and cs[-1] == 1
             assert cs == tuple(reversed(cs))
-            assert poly.degree == (n * n - sum(p * p for p in parts)) // 2
+            assert len(cs) - 1 == (n * n - sum(p * p for p in parts)) // 2
 
 
 def test_multinomial_rejects_bad_type():
@@ -285,7 +285,7 @@ def test_cells_of_flag_bundle():
             Stratum(Q, 4, 1),
         )
     )
-    assert cells.total_multiplicity == 6
+    assert sum(s.multiplicity for s in cells) == 6
     assert cells.max_shift() == 4
 
 

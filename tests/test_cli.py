@@ -175,8 +175,11 @@ def test_oversized_inputs_exit_3_quickly(capsys, scheme, bound):
         (["zeta", "proj(F(101),1)", "--order", "500"], "MAX_SERIES_DIGITS = 1000"),
         (["special", "Q", "--at=-1201"], "MAX_BERNOULLI_INDEX = 500"),
         (["special", "Q", "--at=3000"], "MAX_BERNOULLI_INDEX = 500"),
+        (["special", "Q", "--at=10000000"], "MAX_BERNOULLI_INDEX = 500"),
         (["lfun", "Q", "--eval-at", "3", "--prime-bound", "30000000"],
          "MAX_PRIME_BOUND = 2000000"),
+        (["lfun", "proj(Q, 400)", "--eval-at=405", "--prime-bound=2000000"],
+         "MAX_EULER_WORK = 10000000"),
         (["verify", "Q", "--k=-100000..2"], "MAX_WINDOW_WORK = 25000"),
         (["verify", "proj(Q(sqrt -1), 20)", "--k=-100000..2"], "MAX_WINDOW_WORK = 25000"),
         (["chi", "Q(sqrt -1)", "--k=-1000000..2"], "MAX_WINDOW_WORK = 25000"),
@@ -216,6 +219,17 @@ def test_window_work_bound_is_strata_times_width(capsys):
     sweep = ("sweep", "--family", "affine", "--fields", "Q", "--max-d", "4")
     assert run(capsys, *sweep, "--k=-4997..2")[0] == 0
     assert run(capsys, *sweep, "--k=-4998..2")[0] == 3
+
+
+def test_euler_work_bound_is_bases_plus_points_times_prime_bound(capsys, monkeypatch):
+    monkeypatch.setattr(flagzeta.fields, "MAX_EULER_WORK", 600)
+    lfun = ("lfun", "--eval-at=4", "--format=json")
+    # proj(Q, 1): one base and two points; a finite field costs nothing
+    for scheme, bound in [("proj(Q, 1)", 200), ("union(proj(Q, 1), F(2))", 200),
+                          ("union(proj(Q, 1), Q(sqrt -1))", 120)]:
+        assert run(capsys, *lfun, scheme, f"--prime-bound={bound}")[0] == 0
+        code, _, err = run(capsys, *lfun, scheme, f"--prime-bound={bound + 1}")
+        assert code == 3 and "MAX_EULER_WORK = 600" in err
 
 
 def test_sweep_family_bound_counts_schemes_before_building(capsys, monkeypatch):

@@ -14,7 +14,6 @@ from flagzeta.cells import (
 )
 from flagzeta.fields import FiniteField, quadratic_field, rationals
 from flagzeta.verify import (
-    SupportRow,
     affine_family,
     check_soule,
     compositions,
@@ -22,7 +21,7 @@ from flagzeta.verify import (
     proj_family,
     sweep,
 )
-from flagzeta.weights import weight_table_of
+from flagzeta.weights import WeightTable, weight_table_of
 
 Q = rationals()
 QI = quadratic_field(-1)
@@ -77,11 +76,11 @@ def test_signed_class_verifies():
 
 def test_report_support_scan():
     report = check_soule(ProjBundle(BasePoint(QM5), 3), (-6, 2))
-    support = {row.j: row.degrees for row in report.support}
-    assert support[-4] == (9, 11, 13, 15)
+    support = {row["j"]: row["degrees"] for row in report.to_dict()["support"]}
+    assert support[-4] == [9, 11, 13, 15]
     # weight 2 sees the rank class of the shift-1 stratum and K_3 of the
     # shift-3 stratum (its weight -1 entry, rank r2 = 1)
-    assert support[2] == (0, 3)
+    assert support[2] == [0, 3]
 
 
 @pytest.mark.parametrize(
@@ -96,20 +95,43 @@ def test_report_support_scan():
 def test_support_rows_match_per_weight_support_at(x, window):
     lo, hi = window
     table = weight_table_of(cells_of(x), lo, hi)
-    expected = tuple(
-        SupportRow(
-            j,
-            tuple(m for m, _ in table.support_at(j)),
-            sum(d for _, d in table.support_at(j)),
-        )
+    report = check_soule(x, window)
+    assert report.table == table
+    expected = [
+        {
+            "j": j,
+            "degrees": [m for m, _ in table.support_at(j)],
+            "total_dim": sum(d for _, d in table.support_at(j)),
+        }
         for j in range(lo, hi + 1)
-    )
-    assert check_soule(x, window).support == expected
+    ]
+    out = report.to_dict()
+    assert (out["k_min"], out["k_max"]) == window
+    assert out["support"] == expected
 
 
 def test_support_at_far_weight_is_empty():
-    rows = check_soule(ProjBundle(BasePoint(Q), 3), (6, 10)).support
-    assert all(row.degrees == () for row in rows)
+    rows = check_soule(ProjBundle(BasePoint(Q), 3), (6, 10)).to_dict()["support"]
+    assert [row["j"] for row in rows] == [6, 7, 8, 9, 10]
+    assert all(row["degrees"] == [] and row["total_dim"] == 0 for row in rows)
+
+
+def test_check_soule_reads_no_support(monkeypatch):
+    # the support is rendered by to_dict alone, so a caller reading .ok
+    # pays for no per-weight scan
+    calls = []
+    support_at = WeightTable.support_at
+
+    def counted(table, j):
+        calls.append(j)
+        return support_at(table, j)
+
+    monkeypatch.setattr(WeightTable, "support_at", counted)
+    report = check_soule(ProjBundle(BasePoint(QM5), 3), (-6, 2))
+    assert report.ok
+    assert calls == []
+    report.to_dict()
+    assert calls == list(range(-6, 3))
 
 
 def test_empty_k_range_rejected():
