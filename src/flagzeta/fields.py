@@ -29,11 +29,13 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Real
+from operator import itemgetter
 from typing import Mapping, Optional, Sequence, Union
 
 from .series import bernoulli
@@ -329,13 +331,14 @@ def _residue_degrees(fld: NumberField, p: int) -> tuple[tuple[int, int], ...]:
         else:
             split = pow(disc % p, (p - 1) // 2, p) == 1
         return ((1, 2),) if split else ((2, 1),)
-    table = dict(fld.splitting)
-    if p not in table:
+    table = fld.splitting  # sorted by p
+    i = bisect_left(table, p, key=itemgetter(0))
+    if i == len(table) or table[i][0] != p:
         raise UnsupportedFieldError(
             f"field {fld.label!r} has degree {fld.degree} and no splitting entry "
             f"for p={p}"
         )
-    return tuple(sorted(Counter(table[p]).items()))
+    return tuple(sorted(Counter(table[i][1]).items()))
 
 
 def _check_euler_work(prime_bound: int, work: int) -> None:

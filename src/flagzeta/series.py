@@ -24,6 +24,15 @@ coefficient, which is O(n^2):
 JACM 1978; Knuth, TAOCP vol. 2, section 4.7).  The arithmetic is exact,
 so the coefficients equal those of the power sums.
 
+The four O(n^2) loops (the product, the inverse and those two
+recurrences) build no Fraction inside an inner sum.  Each reads its
+operands' numerators and denominators once, as lists of ints; each output
+coefficient scales its term products to the lcm of their denominators,
+sums the integers, and builds one Fraction, which reduces it.  A Fraction
+per term would pay a gcd and a normalisation per term, most of the cost of
+a series operation; the coefficients are the same either way, since a
+rational has one form in lowest terms.
+
 >>> g = TruncSeries(4, [1, -1])          # 1 - t
 >>> print(g.log())
 -t - 1/2*t^2 - 1/3*t^3 - 1/4*t^4
@@ -39,7 +48,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, lcm
+from typing import Sequence
 
 __all__ = ["TruncSeries", "bernoulli"]
 
@@ -47,13 +57,43 @@ __all__ = ["TruncSeries", "bernoulli"]
 MAX_BERNOULLI_INDEX = 500
 
 
+def _split(cs: Sequence[Fraction]) -> tuple[list[int], list[int]]:
+    """The numerators and the denominators of a list of Fractions."""
+    return [c.numerator for c in cs], [c.denominator for c in cs]
+
+
+def _dot(
+    xn: list[int], xd: list[int], ks: list[int], yn: list[int], yd: list[int], m: int
+) -> tuple[int, int]:
+    """sum_{k in ks, k <= m} x_k y_{m-k} as an integer numerator and denominator.
+
+    x and y are given as numerator and denominator lists, and ``ks`` lists
+    in ascending order the indices where x is nonzero; terms with
+    y_{m-k} = 0 are skipped.  Each product is scaled to the lcm of the
+    term denominators and the integers are summed, so no Fraction is built:
+    the caller builds one from the result, which reduces it.
+    """
+    nums, dens = [], []
+    for k in ks:
+        if k > m:
+            break
+        b = yn[m - k]
+        if b:
+            nums.append(xn[k] * b)
+            dens.append(xd[k] * yd[m - k])
+    den = lcm(*dens)
+    return sum([n * (den // d) for n, d in zip(nums, dens)]), den
+
+
 @dataclass(frozen=True, slots=True)
 class TruncSeries:
     """An element of Q[t]/(t^(order+1)), held as exact rational coefficients.
 
     A frozen record of exactly order + 1 Fractions: the constructor takes
-    any iterable of scalars, reduces it mod t^(order+1) and pads it with
-    zeros.  Binary operations insist that both operands share the same
+    any iterable of ints and Fractions, reduces it mod t^(order+1) and pads
+    it with zeros; any other scalar (a float, a string, a bool) is refused
+    with ``TypeError``, since it would enter the ring inexactly or by a
+    parse.  Binary operations insist that both operands share the same
     truncation order; mixing orders raises ``ValueError`` rather than
     silently coercing, since a coerced result would carry fewer
     trustworthy coefficients than its order claims.
@@ -70,8 +110,15 @@ class TruncSeries:
     def __post_init__(self) -> None:
         if self.order < 0:
             raise ValueError("truncation order must be non-negative")
+        cs = []
+        for c in self.coeffs:
+            if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+                raise TypeError(
+                    f"series coefficients are ints or Fractions, not {type(c).__name__}"
+                )
+            cs.append(Fraction(c))
         # Constructing from a longer list is reduction mod t^(order+1).
-        cs = [Fraction(c) for c in self.coeffs][: self.order + 1]
+        del cs[self.order + 1 :]
         cs.extend([Fraction(0)] * (self.order + 1 - len(cs)))
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -138,16 +185,13 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._same_order(other)
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncSeries(n, out)
+        an, ad = _split(self.coeffs)
+        bn, bd = _split(other.coeffs)
+        ks = [k for k, a in enumerate(an) if a]
+        return TruncSeries(
+            self.order,
+            [Fraction(*_dot(an, ad, ks, bn, bd, m)) for m in range(self.order + 1)],
+        )
 
     __rmul__ = __mul__
 
@@ -174,16 +218,17 @@ class TruncSeries:
         a0 = self.coeffs[0]
         if a0 == 0:
             raise ValueError("series with zero constant term is not invertible")
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        out[0] = 1 / a0
-        for m in range(1, n + 1):
-            acc = Fraction(0)
-            for k in range(1, m + 1):
-                if self.coeffs[k]:
-                    acc += self.coeffs[k] * out[m - k]
-            out[m] = -acc / a0
-        return TruncSeries(n, out)
+        an, ad = _split(self.coeffs)
+        ks = [k for k, a in enumerate(an) if a and k]
+        out = [1 / a0]
+        bn, bd = _split(out)
+        for m in range(1, self.order + 1):
+            num, den = _dot(an, ad, ks, bn, bd, m)
+            b = Fraction(-num * ad[0], den * an[0])
+            out.append(b)
+            bn.append(b.numerator)
+            bd.append(b.denominator)
+        return TruncSeries(self.order, out)
 
     def log(self) -> "TruncSeries":
         """log of a one-unit: requires constant term exactly 1.
@@ -195,14 +240,18 @@ class TruncSeries:
         if g[0] != 1:
             raise ValueError("log requires constant term 1")
         n = self.order
-        kl = [Fraction(0)] * (n + 1)  # kl[k] = k * l_k
+        gn, gd = _split(g)
+        ks = [j for j, c in enumerate(gn) if c and j]
+        kln, kld = [0] * (n + 1), [1] * (n + 1)  # k * l_k in lowest terms
+        out = [Fraction(0)]
         for m in range(1, n + 1):
-            acc = m * g[m]
-            for k in range(1, m):
-                if kl[k] and g[m - k]:
-                    acc -= kl[k] * g[m - k]
-            kl[m] = acc
-        return TruncSeries(n, [0] + [kl[m] / m for m in range(1, n + 1)])
+            # the j = m term meets k * l_k at k = 0, which is zero
+            num, den = _dot(gn, gd, ks, kln, kld, m)
+            l = Fraction(m * gn[m] * den - num * gd[m], gd[m] * den * m)
+            out.append(l)
+            common = gcd(m, l.denominator)
+            kln[m], kld[m] = l.numerator * (m // common), l.denominator // common
+        return TruncSeries(n, out)
 
     def exp(self) -> "TruncSeries":
         """exp of a series with zero constant term.
@@ -214,15 +263,16 @@ class TruncSeries:
         if u[0] != 0:
             raise ValueError("exp requires constant term 0")
         n = self.order
-        ku = [k * c for k, c in enumerate(u)]
-        a = [Fraction(1)] + [Fraction(0)] * n
+        kun, kud = _split([k * c for k, c in enumerate(u)])
+        ks = [k for k, c in enumerate(kun) if c]
+        an, ad = [1] + [0] * n, [1] * (n + 1)
+        out = [Fraction(1)]
         for m in range(1, n + 1):
-            acc = Fraction(0)
-            for k in range(1, m + 1):
-                if ku[k] and a[m - k]:
-                    acc += ku[k] * a[m - k]
-            a[m] = acc / m
-        return TruncSeries(n, a)
+            num, den = _dot(kun, kud, ks, an, ad, m)
+            a = Fraction(num, den * m)
+            out.append(a)
+            an[m], ad[m] = a.numerator, a.denominator
+        return TruncSeries(n, out)
 
     # -- display ---------------------------------------------------------
 

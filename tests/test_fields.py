@@ -1,6 +1,7 @@
 """Tests for number-field data, residue degrees, and zeta special values."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -189,6 +190,30 @@ def test_residue_degrees_from_splitting_table():
     assert _residue_degrees(cubic, 5) == ((3, 1),)
     with pytest.raises(UnsupportedFieldError):
         _residue_degrees(cubic, 7)
+
+
+def test_residue_degrees_read_each_entry_of_a_long_table():
+    # every prime to 2000 but each fifth (2 among them) is listed, with
+    # entries of every shape; a listed p reads its own entry, any other p is
+    # refused by name, below, inside and beyond the listed range alike
+    primes = primes_upto(2000)
+    shapes = ([1, 1, 1], [1, 2], [3], [2, 1], [1, 1, 1])
+    listed = {p: shapes[i % 5] for i, p in enumerate(primes) if i % 5}
+    cubic = make_number_field(
+        {"label": "C", "degree": 3, "r1": 1, "r2": 1,
+         "splitting": {str(p): fs for p, fs in reversed(listed.items())}}
+    )
+    for p in primes:
+        if p in listed:
+            expected = tuple(sorted(Counter(listed[p]).items()))
+            assert _residue_degrees(cubic, p) == expected, p
+        else:
+            message = rf"^field 'C' has degree 3 and no splitting entry for p={p}$"
+            with pytest.raises(UnsupportedFieldError, match=message):
+                _residue_degrees(cubic, p)
+    assert 2 not in listed and 3 in listed
+    with pytest.raises(UnsupportedFieldError, match="no splitting entry for p=2003$"):
+        _residue_degrees(cubic, 2003)
 
 
 def test_a_quadratic_field_splits_by_its_discriminant_alone():

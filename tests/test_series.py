@@ -1,7 +1,9 @@
 """Tests for the exact truncated-series kernel and Bernoulli numbers."""
 
+from decimal import Decimal
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import comb, gcd
 from random import Random
 
 import pytest
@@ -79,6 +81,90 @@ def test_log_exp_of_sparse_series_match_power_sums():
         mono = TruncSeries(n, [0] * i + [Fraction(-3, 2)])
         assert (1 + mono).log() == log_by_power_sum(1 + mono)
         assert mono.exp() == exp_by_power_sum(mono)
+
+
+# -- reference oracles for * and inverse: schoolbook Fraction sums ---------
+
+
+def mul_by_schoolbook(a: TruncSeries, b: TruncSeries) -> list[Fraction]:
+    """The truncated Cauchy product, one Fraction operation per term."""
+    n = a.order
+    out = [Fraction(0)] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a.coeffs[i] * b.coeffs[j]
+    return out
+
+
+def inverse_by_schoolbook(a: TruncSeries) -> list[Fraction]:
+    """b_0 = 1/a_0, b_m = -(1/a_0) sum_{k=1}^{m} a_k b_{m-k}, in Fractions."""
+    a0 = a.coeffs[0]
+    out = [1 / a0]
+    for m in range(1, a.order + 1):
+        acc = Fraction(0)
+        for k in range(1, m + 1):
+            acc += a.coeffs[k] * out[m - k]
+        out.append(-acc / a0)
+    return out
+
+
+def coprime_denominators(rng: Random, count: int) -> list[int]:
+    """``count`` pairwise coprime integers between 10^9 and 10^12."""
+    out: list[int] = []
+    while len(out) < count:
+        d = rng.randint(10**9, 10**12)
+        if all(gcd(d, e) == 1 for e in out):
+            out.append(d)
+    return out
+
+
+def coefficient_families(rng: Random, order: int) -> dict[str, list[Fraction]]:
+    """One coefficient list per kind of input the kernel meets, each of
+    length order + 1 with a nonzero constant term."""
+
+    def nonzero(lo: int, hi: int) -> int:
+        return rng.randint(lo, hi) or hi
+
+    smooth = [2**a * 3**b for a in range(20) for b in range(13) if 2**a * 3**b <= 10**6]
+    coprime = coprime_denominators(rng, order + 1)
+    return {
+        "rational": [Fraction(nonzero(-9, 9), rng.randint(1, 9))]
+        + [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(order)],
+        "smooth": [
+            Fraction(nonzero(-(10**6), 10**6), rng.choice(smooth)) for _ in range(order + 1)
+        ],
+        "coprime": [Fraction(nonzero(-(10**6), 10**6), d) for d in coprime],
+        "integer": [Fraction(rng.choice((1, -1)))]
+        + [Fraction(rng.randint(-(10**12), 10**12)) for _ in range(order)],
+        "gappy": list(rand_gappy(rng, order, nonzero(-3, 3)).coeffs),
+    }
+
+
+def assert_lowest_terms(s: TruncSeries) -> None:
+    for c in s.coeffs:
+        assert type(c) is Fraction
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 7, 16])
+def test_mul_and_inverse_match_schoolbook(order):
+    rng = Random(3000 + order)
+    for _ in range(2):
+        families = coefficient_families(rng, order)
+        for (name_a, ca), (name_b, cb) in product(families.items(), repeat=2):
+            a, b = TruncSeries(order, ca), TruncSeries(order, cb)
+            shifted = b - b[0]  # zero constant term: a product of positive valuation
+            for right in (b, shifted):
+                prod = a * right
+                assert list(prod.coeffs) == mul_by_schoolbook(a, right), (name_a, name_b)
+                assert_lowest_terms(prod)
+        for name, ca in families.items():
+            a = TruncSeries(order, ca)
+            inv = a.inverse()
+            assert list(inv.coeffs) == inverse_by_schoolbook(a), name
+            unit = a * (1 / a[0])
+            for result in (inv, unit.log(), (a - a[0]).exp()):
+                assert_lowest_terms(result)
 
 
 # -- worked examples ----------------------------------------------------
@@ -184,6 +270,13 @@ def test_constructor_reduces_long_input():
     assert long == short
     assert hash(long) == hash(short)
     assert len({long, short}) == 1
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, "1/3", True, Decimal("0.5"), None])
+def test_constructor_refuses_inexact_scalars(bad):
+    # a float would enter as its binary expansion, a string by a parse
+    with pytest.raises(TypeError, match="ints or Fractions"):
+        TruncSeries(2, [1, bad])
 
 
 def test_negative_order_is_refused():
