@@ -182,21 +182,22 @@ class NumberField:
     splitting: tuple[tuple[int, tuple[int, ...]], ...] = field(default=())
 
     def __post_init__(self) -> None:
+        where = f"field {self.label!r}:"
         if self.degree < 1:
-            raise ValueError("degree must be >= 1")
+            raise ValueError(f"{where} degree must be >= 1")
         if self.r1 < 0 or self.r2 < 0:
-            raise ValueError("r1 and r2 must be non-negative")
+            raise ValueError(f"{where} r1 and r2 must be non-negative")
         if self.r1 + 2 * self.r2 != self.degree:
             raise ValueError(
-                f"r1 + 2*r2 = {self.r1 + 2 * self.r2} does not match degree {self.degree}"
+                f"{where} r1 + 2*r2 = {self.r1 + 2 * self.r2} "
+                f"does not match degree {self.degree}"
             )
         if self.degree == 2 and self.disc is not None:
             if (self.disc > 0) != (self.r1 == 2):
                 raise ValueError(
-                    "quadratic discriminant sign must match the signature: "
+                    f"{where} quadratic discriminant sign must match the signature: "
                     "disc > 0 iff r1 = 2"
                 )
-        where = f"field {self.label!r}:"
         if self.splitting and self.degree <= 2:
             raise ValueError(
                 f"{where} degree {self.degree} splits by its discriminant, not a table"
@@ -233,7 +234,7 @@ def _fundamental_discriminant(d: int) -> int:
     return d if d % 4 == 1 else 4 * d
 
 
-def quadratic_field(d: int, label: Optional[str] = None) -> NumberField:
+def quadratic_field(d: int) -> NumberField:
     """Q(sqrt d) for squarefree d not in {0, 1}, with its fundamental
     discriminant; the signature is (2, 0) for real fields and (0, 1) for
     imaginary ones.
@@ -243,9 +244,7 @@ def quadratic_field(d: int, label: Optional[str] = None) -> NumberField:
     if _squarefree_part(d) != d:
         raise ValueError(f"{d} is not squarefree")
     r1, r2 = (2, 0) if d > 0 else (0, 1)
-    return NumberField(
-        label or f"Q(sqrt {d})", 2, r1, r2, disc=_fundamental_discriminant(d)
-    )
+    return NumberField(f"Q(sqrt {d})", 2, r1, r2, disc=_fundamental_discriminant(d))
 
 
 def _is_int(value: object) -> bool:

@@ -14,19 +14,21 @@ LABEL refers to a field catalogue entry supplied separately (a JSON file
 of number-field records).  ``str`` of any scheme expression re-emits this
 grammar, so parse and pretty-print are mutually inverse.
 
+Each constructor is declared once, as a row of ``_CTORS``, the table that
+the parser and the field catalogue's reserved words both read.
+
 Syntax errors carry the 1-based column at which parsing failed;
 anything structurally valid but mathematically wrong (a non-squarefree
 radicand, a flag block of size zero) surfaces as the underlying
 ``ValueError`` instead.  So does an expression whose parentheses nest
-deeper than ``MAX_DEPTH``: it is refused from its tokens, before the
-recursive descent (or any later recursion over the tree) starts.
+deeper than ``MAX_DEPTH``: it is refused after a bad character anywhere,
+but before the recursive descent (or any recursion over the tree) starts.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Union
 
@@ -56,11 +58,25 @@ __all__ = ["SchemeSyntaxError", "parse_scheme", "load_field_registry"]
 # 310 frames of the default 1000.
 MAX_DEPTH = 100
 
-_KEYWORDS = frozenset({"affine", "proj", "grass", "flag", "union"})
+# keyword -> (node class, argument shape).  The arguments are separated by
+# commas and passed to the class in order: "expr" is a scheme expression,
+# "int" an integer, and a kind followed by a separator ("int+", "expr,")
+# one or more of that kind joined by it, passed as one tuple.
+_CTORS = {
+    "affine": (Affine, ("expr", "int")),
+    "proj": (ProjBundle, ("expr", "int")),
+    "grass": (Grassmannian, ("expr", "int", "int")),
+    "flag": (FlagBundle, ("expr", "int+")),
+    "union": (DisjointUnion, ("expr,",)),
+}
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>-?\d+)|(?P<punct>[(),+]))"
 )
+
+# The tokens still to read, each (kind, value, 0-based column), the next
+# one last; kind is "name", "int", "punct", or "end" for the bottom one.
+_Stack = list[tuple[str, str, int]]
 
 
 class SchemeSyntaxError(ValueError):
@@ -71,139 +87,77 @@ class SchemeSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "name" | "int" | "punct" | "end"
-    value: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad_at = len(text) - len(stripped)
-            raise SchemeSyntaxError(f"unexpected character {text[bad_at]!r}", bad_at)
-        for kind in ("name", "int", "punct"):
-            value = m.group(kind)
-            if value is not None:
-                out.append(_Token(kind, value, m.start(kind)))
-                break
-        pos = m.end()
-    out.append(_Token("end", "", len(text)))
-    return out
-
-
-def _check_depth(tokens: list[_Token]) -> None:
-    depth = 0
-    for tok in tokens:
-        if tok.value == ")":
-            depth -= 1
-        elif tok.value == "(":
+def _scan(text: str) -> _Stack:
+    """Tokenize in one pass; a bad character anywhere beats a too-deep nesting."""
+    tokens, depth, too_deep, pos = [], 0, None, 0
+    while m := _TOKEN_RE.match(text, pos):
+        kind, pos = m.lastgroup, m.end()
+        value, column = m.group(kind), m.start(kind)
+        if value == "(":
             depth += 1
-            if depth > MAX_DEPTH:
-                raise ValueError(
-                    f"parentheses nested deeper than MAX_DEPTH = {MAX_DEPTH} "
-                    f"(column {tok.pos + 1})"
-                )
+            if depth > MAX_DEPTH and too_deep is None:
+                too_deep = column
+        elif value == ")":
+            depth -= 1
+        tokens.append((kind, value, column))
+    rest = text[pos:].lstrip()
+    if rest:
+        raise SchemeSyntaxError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
+    if too_deep is not None:
+        raise ValueError(
+            f"parentheses nested deeper than MAX_DEPTH = {MAX_DEPTH} "
+            f"(column {too_deep + 1})"
+        )
+    tokens.append(("end", "", len(text)))
+    return tokens[::-1]
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token], fields: Mapping[str, BaseField]) -> None:
-        self._tokens = tokens
-        self._i = 0
-        self._fields = fields
+def _expect(tokens: _Stack, wanted: str, what: str = "") -> str:
+    """Pop the next token, of kind ``wanted`` ("name" or "int") or else the
+    punctuation mark ``wanted``, and return its text; ``what`` names it."""
+    kind, value, column = tokens[-1]
+    if (kind if wanted in ("name", "int") else value) != wanted:
+        found = "end of input" if kind == "end" else repr(value)
+        raise SchemeSyntaxError(f"expected {what or repr(wanted)}, found {found}", column)
+    return tokens.pop()[1]
 
-    def _peek(self, ahead: int = 0) -> _Token:
-        return self._tokens[min(self._i + ahead, len(self._tokens) - 1)]
 
-    def _next(self) -> _Token:
-        tok = self._tokens[self._i]
-        if tok.kind != "end":
-            self._i += 1
-        return tok
+def _arg(tokens: _Stack, fields: Mapping[str, BaseField], kind: str):
+    return _expr(tokens, fields) if kind == "expr" else int(_expect(tokens, "int"))
 
-    def _expect(self, kind: str, value: Optional[str] = None) -> _Token:
-        tok = self._next()
-        want = value if value is not None else kind
-        if tok.kind != kind or (value is not None and tok.value != value):
-            got = repr(tok.value) if tok.kind != "end" else "end of input"
-            raise SchemeSyntaxError(f"expected {want!r}, found {got}", tok.pos)
-        return tok
 
-    def _int(self) -> int:
-        return int(self._expect("int").value)
-
-    def parse(self) -> SchemeExpr:
-        expr = self._expr()
-        trailing = self._peek()
-        if trailing.kind != "end":
-            raise SchemeSyntaxError(
-                f"unexpected trailing input {trailing.value!r}", trailing.pos
-            )
-        return expr
-
-    def _expr(self) -> SchemeExpr:
-        tok = self._peek()
-        if tok.kind != "name":
-            got = repr(tok.value) if tok.kind != "end" else "end of input"
-            raise SchemeSyntaxError(f"expected a scheme expression, found {got}", tok.pos)
-        if tok.value in _KEYWORDS:
-            return self._ctor()
-        return self._base()
-
-    def _ctor(self) -> SchemeExpr:
-        name = self._next().value
-        self._expect("punct", "(")
-        child = self._expr()
-        if name == "union":
-            children = [child]
-            while self._peek().kind == "punct" and self._peek().value == ",":
-                self._next()
-                children.append(self._expr())
-            self._expect("punct", ")")
-            return DisjointUnion(tuple(children))
-        self._expect("punct", ",")
-        if name != "flag":
-            ints = [self._int()]
-            if name == "grass":
-                self._expect("punct", ",")
-                ints.append(self._int())
-            self._expect("punct", ")")
-            return {"affine": Affine, "proj": ProjBundle, "grass": Grassmannian}[name](
-                child, *ints
-            )
-        parts = [self._int()]
-        while self._peek().value == "+" and self._peek().kind == "punct":
-            self._next()
-            parts.append(self._int())
-        self._expect("punct", ")")
-        return FlagBundle(child, tuple(parts))
-
-    def _base(self) -> SchemeExpr:
-        tok = self._next()
-        name = tok.value
-        if name == "Q":
-            if self._peek().value == "(" and self._peek(1).value == "sqrt":
-                self._next()
-                self._next()
-                d = self._int()
-                self._expect("punct", ")")
-                return BasePoint(quadratic_field(d))
-            return BasePoint(rationals())
-        if name == "F" and self._peek().value == "(":
-            self._next()
-            q = self._int()
-            self._expect("punct", ")")
-            return BasePoint(finite_field(q))
-        if name in self._fields:
-            return BasePoint(self._fields[name])
-        raise SchemeSyntaxError(f"unknown field label {name!r}", tok.pos)
+def _expr(tokens: _Stack, fields: Mapping[str, BaseField]) -> SchemeExpr:
+    column = tokens[-1][2]
+    name = _expect(tokens, "name", "a scheme expression")
+    if name in _CTORS:
+        cls, shape = _CTORS[name]
+        args = []
+        for i, arg in enumerate(shape):
+            _expect(tokens, "," if i else "(")
+            kind = arg.rstrip("+,")
+            sep = arg[len(kind):]
+            items = [_arg(tokens, fields, kind)]
+            while sep and tokens[-1][1] == sep:
+                tokens.pop()
+                items.append(_arg(tokens, fields, kind))
+            args.append(tuple(items) if sep else items[0])
+        _expect(tokens, ")")
+        return cls(*args)
+    if name == "Q" and tokens[-1][1] == "(" and tokens[-2][1] == "sqrt":
+        del tokens[-2:]
+        d = int(_expect(tokens, "int"))
+        _expect(tokens, ")")
+        return BasePoint(quadratic_field(d))
+    if name == "Q":
+        return BasePoint(rationals())
+    if name == "F" and tokens[-1][1] == "(":
+        tokens.pop()
+        q = int(_expect(tokens, "int"))
+        _expect(tokens, ")")
+        return BasePoint(finite_field(q))
+    if name in fields:
+        return BasePoint(fields[name])
+    raise SchemeSyntaxError(f"unknown field label {name!r}", column)
 
 
 def parse_scheme(
@@ -215,9 +169,12 @@ def parse_scheme(
     fields; the built-in forms Q, Q(sqrt d) and F(q) always work.
     Parentheses nested deeper than MAX_DEPTH raise ``ValueError``.
     """
-    tokens = _tokenize(text)
-    _check_depth(tokens)
-    return _Parser(tokens, fields or {}).parse()
+    tokens = _scan(text)
+    expr = _expr(tokens, fields or {})
+    kind, value, column = tokens[-1]
+    if kind != "end":
+        raise SchemeSyntaxError(f"unexpected trailing input {value!r}", column)
+    return expr
 
 
 def load_field_registry(path: Union[str, Path]) -> dict[str, NumberField]:
@@ -244,7 +201,7 @@ def load_field_registry(path: Union[str, Path]) -> dict[str, NumberField]:
         label = fld.label
         if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", label):
             raise ValueError(f"field label {label!r} is not a plain identifier")
-        if label in _KEYWORDS or label in {"Q", "F", "sqrt"}:
+        if label in _CTORS or label in {"Q", "F", "sqrt"}:
             raise ValueError(f"field label {label!r} shadows the grammar")
         if label in registry:
             raise ValueError(f"duplicate field label {label!r}")

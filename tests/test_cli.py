@@ -396,6 +396,46 @@ def test_bad_field_record_type_names_field_and_key(capsys, tmp_path, record, mes
     assert err == f"error: {message}\n"
 
 
+_IMAGINARY = {"label": "K", "degree": 2, "r1": 0, "r2": 1, "disc": -4}
+
+
+@pytest.mark.parametrize(
+    "argv, record, message",
+    [
+        (["verify", "Q", "--k=abc"], None,
+         "bad range 'abc'; expected LO..HI, e.g. -10..2"),
+        (["cells", "F(1)"], None, "1 is not a prime power"),
+        (["cells", "F(0)"], None, "0 is not a prime power"),
+        (["cells", "F(-3)"], None, "-3 is not a prime power"),
+        (["cells", "K"], {k: v for k, v in _IMAGINARY.items() if k != "disc"},
+         "field 'K': quadratic records must carry disc"),
+        (["cells", "K"], {**_IMAGINARY, "disc": 4}, "field 'K': disc 4 is degenerate"),
+        (["cells", "K"], {**_CUBIC, "splitting": [[2, [1, 2]]]},
+         "field 'K': splitting must map primes to degree lists"),
+        (["cells", "K"], {**_CUBIC, "splitting": {"4": [1]}},
+         "field 'K': splitting table key 4 is not prime"),
+        (["cells", "K"], {**_CUBIC, "splitting": {"2": []}},
+         "field 'K': splitting entry for p=2 needs degrees >= 1"),
+        (["cells", "K"], {**_CUBIC, "splitting": {"2": [2, 2]}},
+         "field 'K': residue degrees above p=2 sum past the field degree"),
+        (["cells", "K"], {**_CUBIC, "degree": 0}, "field 'K': degree must be >= 1"),
+        (["cells", "K"], {**_CUBIC, "r1": -1, "r2": 1},
+         "field 'K': r1 and r2 must be non-negative"),
+        (["cells", "K"], {**_CUBIC, "r2": 2},
+         "field 'K': r1 + 2*r2 = 5 does not match degree 3"),
+        (["cells", "K"], {**_IMAGINARY, "r1": 2, "r2": 0},
+         "field 'K': quadratic discriminant sign must match the signature: "
+         "disc > 0 iff r1 = 2"),
+    ],
+)
+def test_refusal_exits_3_with_its_message(capsys, tmp_path, argv, record, message):
+    if record is not None:
+        config = tmp_path / "fields.json"
+        config.write_text(json.dumps({"fields": [record]}))
+        argv = [*argv, "--field-config", str(config)]
+    assert run(capsys, *argv) == (3, "", f"error: {message}\n")
+
+
 def test_field_config_labels_usable(capsys, tmp_path):
     config = tmp_path / "fields.json"
     config.write_text(json.dumps(

@@ -1,8 +1,11 @@
 """Tests for the scheme-expression grammar and the field catalogue loader."""
 
 import json
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flagzeta.cells import (
     Affine,
@@ -148,3 +151,83 @@ def test_field_registry_rejects_duplicates_and_shapes(tmp_path):
     path.write_text('{"fields": ' + "[" * 100_000 + "]" * 100_000 + "}")
     with pytest.raises(ValueError, match="nested too deeply"):
         load_field_registry(path)
+
+
+def test_scan_is_linear_in_the_input():
+    # A regex search from every position would make long runs of blanks
+    # quadratic: minutes here, against milliseconds for one pass.
+    start = time.perf_counter()
+    assert parse_scheme("Q" + " " * 200_000) == BasePoint(Q)
+    with pytest.raises(SchemeSyntaxError, match="column 200001"):
+        parse_scheme(" " * 200_000 + ";")
+    with pytest.raises(SchemeSyntaxError, match="column 200011"):
+        parse_scheme("proj(Q, 2)" + " " * 200_000 + "-")
+    assert time.perf_counter() - start < 1.0
+
+
+_TOO_DEEP = "affine(" * (MAX_DEPTH + 1) + "Q" + ", 0)" * (MAX_DEPTH + 1)
+
+
+@pytest.mark.parametrize(
+    "text, kind, message, position",
+    [
+        ("", SchemeSyntaxError,
+         "expected a scheme expression, found end of input (column 1)", 0),
+        ("   ", SchemeSyntaxError,
+         "expected a scheme expression, found end of input (column 4)", 3),
+        ("proj(, 2)", SchemeSyntaxError,
+         "expected a scheme expression, found ',' (column 6)", 5),
+        ("union(Q, )", SchemeSyntaxError,
+         "expected a scheme expression, found ')' (column 10)", 9),
+        ("proj(2, 1)", SchemeSyntaxError,
+         "expected a scheme expression, found '2' (column 6)", 5),
+        ("Q(sqrt)", SchemeSyntaxError, "expected 'int', found ')' (column 7)", 6),
+        ("F", SchemeSyntaxError, "unknown field label 'F' (column 1)", 0),
+        ("F(2", SchemeSyntaxError, "expected ')', found end of input (column 4)", 3),
+        ("flag(Q, 1+)", SchemeSyntaxError, "expected 'int', found ')' (column 11)", 10),
+        ("Q(", SchemeSyntaxError, "unexpected trailing input '(' (column 2)", 1),
+        ("proj(Q, 2) (", SchemeSyntaxError,
+         "unexpected trailing input '(' (column 12)", 11),
+        # a bad character anywhere is refused before the nesting depth,
+        # and the nesting depth before any grammar error
+        pytest.param(
+            _TOO_DEEP + " ;", SchemeSyntaxError, "unexpected character ';' (column 1114)",
+            1113, id="too-deep-and-bad-character",
+        ),
+        pytest.param(
+            _TOO_DEEP + ")", ValueError,
+            f"parentheses nested deeper than MAX_DEPTH = {MAX_DEPTH} (column 707)", None,
+            id="too-deep-and-unbalanced",
+        ),
+    ],
+)
+def test_every_refusal_is_pinned(text, kind, message, position):
+    with pytest.raises(ValueError) as err:
+        parse_scheme(text)
+    assert type(err.value) is kind
+    assert str(err.value) == message
+    assert getattr(err.value, "position", None) == position
+
+
+# The grammar's tokens, spelled a few ways, and characters it refuses
+# (a non-ASCII digit is a digit to the tokenizer).
+_PIECES = [
+    "affine(", "proj(", "grass(", "flag(", "union(", "Q", "F", "sqrt", "(", ")",
+    ",", "+", " ", "0", "1", "2", "3", "-1", "-5", "9", ";", "x", "\t", "\u0663",
+]
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(_PIECES), max_size=30).map("".join))
+@example("union(proj(Q, 2), flag(F(\u0663), 1+2), grass(Q(sqrt -5), 1, 3))")
+@example("flag(F(6), 1)")
+@example("union(Q")
+def test_parse_returns_a_tree_or_refuses_with_a_value_error(text):
+    try:
+        x = parse_scheme(text)
+    except SchemeSyntaxError as err:
+        assert 0 <= err.position <= len(text)
+    except ValueError:
+        pass
+    else:
+        assert parse_scheme(str(x)) == x
