@@ -564,18 +564,51 @@ def _all_subspaces(q: int, n: int, k: int) -> tuple[tuple[tuple[int, ...], ...],
     return tuple(out)
 
 
-def _mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], q: int):
-    """The matrix product a·b over F_q, as a tuple of row tuples."""
+@lru_cache(maxsize=None)
+def _row_plan(q: int, b: int, a: int):
+    """The RREF a x b matrices over F_q, written over their distinct rows.
+
+    Returns (steps, matrices).  Row 0 is the zero row; row j > 0 is
+    steps[j - 1] = (parent, col, x): the row whose last nonzero entry is x
+    in column col, and parent the index of the same row with that entry
+    cleared, which always comes first.  Each matrix is a tuple of row
+    indices.  The matrices of one (q, b, a) share few distinct rows.
+    """
+    index = {(0,) * b: 0}
+    steps = []
+
+    def row_index(row: tuple[int, ...]) -> int:
+        j = index.get(row)
+        if j is None:
+            col = max(c for c, x in enumerate(row) if x)
+            parent = row_index(row[:col] + (0,) + row[col + 1:])
+            j = index[row] = len(index)
+            steps.append((parent, col, row[col]))
+        return j
+
+    matrices = tuple(
+        tuple(row_index(row) for row in m) for m in _all_subspaces(q, b, a)
+    )
+    return tuple(steps), matrices
+
+
+def _products(w: tuple[tuple[int, ...], ...], a: int, q: int):
+    """The products M·W over the RREF a x b matrices M, as tuples of rows.
+
+    Each distinct row of the M's is combined with W's rows once, as its
+    parent's combination plus x times one row of W; a product is then the
+    tuple of its rows' combinations.
+    """
     add, mul = _gf_tables(q)
-    out = []
-    for row in a:
-        acc = [0] * len(b[0])
-        for x, brow in zip(row, b):
-            if x:
-                mx = mul[x]
-                acc = [add[t][mx[y]] for t, y in zip(acc, brow)]
-        out.append(tuple(acc))
-    return tuple(out)
+    steps, matrices = _row_plan(q, len(w), a)
+    # Tuples are built from lists: tuple() over a generator grows and
+    # shrinks its result, which fragments the heap (about 0.8 MB more
+    # peak RSS on one pass of the oracle grid) and runs slower.
+    combos = [(0,) * len(w[0]) if w else ()]  # the zero row
+    for parent, col, x in steps:
+        mx = mul[x]
+        combos.append(tuple([add[t][mx[y]] for t, y in zip(combos[parent], w[col])]))
+    return [tuple([combos[j] for j in m]) for m in matrices]
 
 
 @lru_cache(maxsize=None)
@@ -586,15 +619,16 @@ def _chain_counts(q: int, n: int, dims: tuple[int, ...]):
         return {w: 1 for w in _all_subspaces(q, n, dims[0])}
     prev = _chain_counts(q, n, dims[:-1])
     a, b = dims[-2], dims[-1]
-    inner = _all_subspaces(q, b, a)
     out = {}
     for w in _all_subspaces(q, n, b):
         # m and w are RREF of full rank, so m·w is already the RREF basis
         # of its span: row i leads with a 1 in w's pivot column at m's
         # pivot i, and in w's pivot columns m·w equals m, so each of its
-        # own pivot columns is zero outside its row.  A product that was
-        # not canonical would miss prev and raise KeyError, not miscount.
-        out[w] = sum(prev[_mat_mul(m, w, q)] for m in inner)
+        # own pivot columns is zero outside its row.  The products come
+        # from _products, which combines each distinct row of the m's with
+        # w once.  A product that was not canonical would miss prev and
+        # raise KeyError, not miscount.
+        out[w] = sum(map(prev.__getitem__, _products(w, a, q)))
     return out
 
 
@@ -605,8 +639,12 @@ def brute_force_flag_count(parts: Sequence[int], q: int, n: int) -> int:
     of a b-subspace W are the products M·W over the RREF a x b matrices
     M, and each product is already the RREF basis of its span, so nested
     chains are counted by dictionary lookup, with no row reduction and no
-    appeal to the product formula.  Refused when q^n exceeds 3000, the
-    point at which enumeration stops being a sensible oracle.
+    appeal to the product formula.  The M's of one (q, b, a) are listed
+    once as tuples of indices into their few distinct rows, each row its
+    parent plus one entry; per W every distinct row is combined with W's
+    rows once, by one vector addition, and M·W is the tuple of its rows'
+    combinations.  Refused when q^n exceeds 3000, the point at which
+    enumeration stops being a sensible oracle.
     """
     parts = _flag_type(parts, n)
     if q**n > 3000:

@@ -10,9 +10,11 @@ Grammar (whitespace-insensitive):
            | 'union'  '(' expr (',' expr)+ ')'
     base  := 'Q' | 'Q' '(' 'sqrt' INT ')' | 'F' '(' INT ')' | LABEL
 
-LABEL refers to a field catalogue entry supplied separately (a JSON file
-of number-field records).  ``str`` of any scheme expression re-emits this
-grammar, so parse and pretty-print are mutually inverse.
+INT is an optional '-' followed by ASCII digits; other Unicode digits
+are refused.  LABEL refers to a field catalogue entry supplied
+separately (a JSON file of number-field records).  ``str`` of any scheme
+expression re-emits this grammar, so parse and pretty-print are mutually
+inverse.
 
 Each constructor is declared once, as a row of ``_CTORS``, the table that
 the parser and the field catalogue's reserved words both read.
@@ -71,7 +73,7 @@ _CTORS = {
 }
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>-?\d+)|(?P<punct>[(),+]))"
+    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>-?[0-9]+)|(?P<punct>[(),+]))"
 )
 
 # The tokens still to read, each (kind, value, 0-based column), the next

@@ -206,7 +206,7 @@ def test_gf_tables_refuse_beyond_cubic_extensions():
 
 
 def test_gaussian_matches_enumeration_everywhere_feasible():
-    for q in (2, 3, 4, 5, 8, 9, 25, 27, 49):
+    for q in ORACLE_QS:
         for n in range(1, 6):
             if q**n > 3000:
                 continue
@@ -223,7 +223,8 @@ def test_enumeration_does_not_use_the_product_formula(monkeypatch):
     cells = flagzeta.cells
     monkeypatch.setattr(cells, "gaussian_binomial", forbidden)
     monkeypatch.setattr(cells, "gaussian_multinomial", forbidden)
-    for cache in (cells._gf_tables, cells._all_subspaces, cells._chain_counts):
+    caches = (cells._gf_tables, cells._all_subspaces, cells._row_plan, cells._chain_counts)
+    for cache in caches:
         cache.cache_clear()
     # a line of F_3^4 (40 choices), then a plane in the 3-dim quotient (13)
     assert brute_force_flag_count((1, 2, 1), 3, 4) == 40 * 13
@@ -241,11 +242,27 @@ def is_rref(rows):
     )
 
 
+def mat_mul(m, w, q):
+    """The matrix product m·w over F_q, one entry at a time."""
+    add, mul = flagzeta.cells._gf_tables(q)
+    out = []
+    for mrow in m:
+        entries = []
+        for c in range(len(w[0])):
+            total = 0
+            for x, wrow in zip(mrow, w):
+                total = add[total][mul[x][wrow[c]]]
+            entries.append(total)
+        out.append(tuple(entries))
+    return tuple(out)
+
+
 @pytest.mark.parametrize("q, max_n", [(2, 5), (3, 4), (4, 4), (8, 3), (9, 3)])
 def test_products_of_rref_bases_are_rref(q, max_n):
     # The oracle looks up M·W as it stands: for RREF M (a x b) and W (b x n)
     # of full rank, the products over all M are RREF keys of the a-subspaces
-    # of F_q^n, one for each a-subspace of W.
+    # of F_q^n, one for each a-subspace of W.  _products forms them from
+    # shared rows; each must equal the plain matrix product.
     cells = flagzeta.cells
     for n in range(1, max_n + 1):
         for b in range(n + 1):
@@ -254,8 +271,11 @@ def test_products_of_rref_bases_are_rref(q, max_n):
                 assert all(is_rref(key) for key in keys), (q, n, a)
                 inner = cells._all_subspaces(q, b, a)
                 for w in cells._all_subspaces(q, n, b):
-                    products = {cells._mat_mul(m, w, q) for m in inner}
+                    products = cells._products(w, a, q)
+                    assert products == [mat_mul(m, w, q) for m in inner], (q, n, a, b, w)
+                    products = set(products)
                     assert len(products) == len(inner), (q, n, a, b, w)
+                    assert all(is_rref(key) for key in products), (q, n, a, b, w)
                     assert products <= keys, (q, n, a, b, w)
 
 

@@ -141,6 +141,10 @@ def test_syntax_error_exit_code(capsys):
     assert "syntax error" in err
     code, _, err = run(capsys, "chi", "proj(R, 1)")
     assert code == 2
+    # a non-ASCII digit is not an integer, so F(U+0663) is not F(3)
+    code, out, err = run(capsys, "cells", "F(\u0663)")
+    assert (code, out) == (2, "")
+    assert err == "syntax error: unexpected character '\u0663' (column 3)\n"
 
 
 def test_validation_error_exit_code(capsys):

@@ -185,6 +185,9 @@ _TOO_DEEP = "affine(" * (MAX_DEPTH + 1) + "Q" + ", 0)" * (MAX_DEPTH + 1)
         ("F", SchemeSyntaxError, "unknown field label 'F' (column 1)", 0),
         ("F(2", SchemeSyntaxError, "expected ')', found end of input (column 4)", 3),
         ("flag(Q, 1+)", SchemeSyntaxError, "expected 'int', found ')' (column 11)", 10),
+        # an integer is ASCII digits only: U+0663 is not 3
+        ("F(\u0663)", SchemeSyntaxError, "unexpected character '\u0663' (column 3)", 2),
+        ("proj(Q, -\u0662)", SchemeSyntaxError, "unexpected character '-' (column 9)", 8),
         ("Q(", SchemeSyntaxError, "unexpected trailing input '(' (column 2)", 1),
         ("proj(Q, 2) (", SchemeSyntaxError,
          "unexpected trailing input '(' (column 12)", 11),
@@ -210,7 +213,7 @@ def test_every_refusal_is_pinned(text, kind, message, position):
 
 
 # The grammar's tokens, spelled a few ways, and characters it refuses
-# (a non-ASCII digit is a digit to the tokenizer).
+# (a non-ASCII digit among them).
 _PIECES = [
     "affine(", "proj(", "grass(", "flag(", "union(", "Q", "F", "sqrt", "(", ")",
     ",", "+", " ", "0", "1", "2", "3", "-1", "-5", "9", ";", "x", "\t", "\u0663",
