@@ -18,6 +18,7 @@ error.  Results go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
@@ -28,13 +29,12 @@ from typing import Iterable, Optional, Sequence
 from .cells import BasePoint, CellDecomposition, SchemeExpr, cells_of
 from .fields import UnsupportedFieldError
 from .lfuncs import (
-    lfactorization_of,
     lfun_partial_eval,
     special_value_product,
     weil_zeta_rational,
     weil_zeta_series,
 )
-from .parse import SchemeSyntaxError, load_field_registry, parse_scheme
+from .parse import _INT, SchemeSyntaxError, load_field_registry, parse_scheme
 from .verify import (
     affine_family,
     check_soule,
@@ -64,7 +64,7 @@ DEFAULT_PRIME_BOUND = 10_000
 MAX_WINDOW_WORK = 25_000
 MAX_SWEEP_SCHEMES = 4_000
 
-_K_RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
+_K_RANGE_RE = re.compile(rf"({_INT})\.\.({_INT})")
 # a comma not inside parentheses, so 'Q,Q(sqrt -1)' is two specs
 _FIELD_SEP_RE = re.compile(r",(?![^()]*\))")
 
@@ -74,7 +74,7 @@ def _cells_in_window(
 ) -> tuple[list[CellDecomposition], int, int]:
     """The cells of each scheme and the --k window, refused as soon as
     strata x window summed over the schemes passes MAX_WINDOW_WORK."""
-    m = _K_RANGE_RE.match(args.k)
+    m = _K_RANGE_RE.fullmatch(args.k)
     if m is None:
         raise ValueError(f"bad range {args.k!r}; expected LO..HI, e.g. -10..2")
     lo, hi = int(m.group(1)), int(m.group(2))
@@ -160,13 +160,12 @@ def _cmd_chi(x: SchemeExpr, args):
 
 def _cmd_ord(x: SchemeExpr, args):
     [cells], lo, hi = _cells_in_window(args, [x])
-    lfun = lfactorization_of(cells)
-    rows = [(k, lfun.ord_at(k)) for k in range(lo, hi + 1)]
+    rows = [(k, cells.ord_at(k)) for k in range(lo, hi + 1)]
     return _keyed(("k", "ord"), rows, k_min=lo, k_max=hi)
 
 
 def _cmd_lfun(x: SchemeExpr, args):
-    lfun = lfactorization_of(cells_of(x))
+    lfun = cells_of(x)
     rows = [(s.base.label, s.shift, s.multiplicity) for s in lfun]
     payload = {"display": str(lfun)}
     footer = [f"product: {lfun}"]
@@ -203,7 +202,7 @@ def _cmd_zeta(x: SchemeExpr, args):
 
 
 def _cmd_special(x: SchemeExpr, args):
-    value = special_value_product(lfactorization_of(cells_of(x)), args.at)
+    value = special_value_product(cells_of(x), args.at)
     approx = value.approx()
     headers = ("kind", "rational", "pi_power", "order", "approx")
     row = (value.kind, str(value.rational), value.pi_power, value.order,
@@ -274,6 +273,21 @@ def _cmd_sweep(x: None, args):
 # -- argument parsing ------------------------------------------------------------
 
 
+def _int_option(text: str) -> int:
+    """An integer option, read as the grammar reads INT: ASCII digits only."""
+    if re.fullmatch(_INT, text) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
+def _float_option(text: str) -> float:
+    """A real option in float's own syntax, but ASCII and without '_'."""
+    if text.isascii() and "_" not in text:
+        with contextlib.suppress(ValueError):
+            return float(text)
+    raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -285,11 +299,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"integer range, written --k=LO..HI (default {DEFAULT_K})",
     )
     common.add_argument(
-        "--order", type=int, default=DEFAULT_ORDER,
+        "--order", type=_int_option, default=DEFAULT_ORDER,
         help=f"series truncation order (default {DEFAULT_ORDER})",
     )
     common.add_argument(
-        "--prime-bound", type=int, default=DEFAULT_PRIME_BOUND,
+        "--prime-bound", type=_int_option, default=DEFAULT_PRIME_BOUND,
         help=f"Euler product cutoff (default {DEFAULT_PRIME_BOUND})",
     )
     common.add_argument(
@@ -319,13 +333,13 @@ def _build_parser() -> argparse.ArgumentParser:
     add("ord", _cmd_ord, "L-function vanishing order at each integer")
     p_lfun = add("lfun", _cmd_lfun, "L-function factorization")
     p_lfun.add_argument(
-        "--eval-at", type=float, default=None, metavar="S",
+        "--eval-at", type=_float_option, default=None, metavar="S",
         help="also evaluate the partial Euler product at real S",
     )
     add("zeta", _cmd_zeta, "zeta series and rational form over a finite field")
     p_special = add("special", _cmd_special, "exact special value at an integer")
     p_special.add_argument(
-        "--at", type=int, required=True, metavar="M",
+        "--at", type=_int_option, required=True, metavar="M",
         help="integer point, written --at=M",
     )
     add("verify", _cmd_verify, "compare chi with ord over the --k range")
@@ -337,9 +351,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--fields", required=True,
         help="comma-separated base fields, e.g. 'Q,Q(sqrt -1),F(2)'",
     )
-    p_sweep.add_argument("--max-n", type=int, default=4, help="flag rank bound")
+    p_sweep.add_argument("--max-n", type=_int_option, default=4, help="flag rank bound")
     p_sweep.add_argument(
-        "--max-d", type=int, default=4, help="dimension bound for proj/affine"
+        "--max-d", type=_int_option, default=4, help="dimension bound for proj/affine"
     )
     return parser
 
@@ -363,7 +377,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SchemeSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return EXIT_SYNTAX
-    except (UnsupportedFieldError, NotImplementedError) as exc:
+    except UnsupportedFieldError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except (ValueError, OSError) as exc:

@@ -7,9 +7,11 @@ wanted, and optionally an explicit prime-splitting table for fields of
 degree above two.  A ``FiniteField`` is a prime power q = p^f.
 
 The module owns the L-side rules of every base kind, so the cell
-calculus never asks which kind a base is (a new kind adds a branch to
-the first two functions below, to ``base_sort_key`` and to the rank rule
-``weights._base_entries``, and to the third if it has closed forms):
+calculus never asks which kind a base is.  A new kind adds a branch to
+the first two functions below (the third too if it has closed forms),
+``_check_euler_work``, ``base_sort_key`` and ``weights._base_entries``;
+outside this module only ``cells.point_count``, ``lfuncs._single_q``
+(finite fields) and ``lfuncs.special_value_product`` (number fields) ask:
 
 * ``ord_at_integer`` is the vanishing order of the base zeta function at
   each integer, a simple pole counting as -1;
@@ -36,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from numbers import Real
 from operator import itemgetter
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .series import bernoulli
 
@@ -257,12 +259,12 @@ def make_number_field(record: Mapping[str, object]) -> NumberField:
 
     Expected keys: label, degree, r1, r2; disc is required for quadratic
     fields and optional above that; splitting is an optional mapping from
-    prime to list of residue degrees, for degree >= 3 only, each prime
-    listed once (``NumberField`` refuses anything else and sorts the
-    table).  Every integer must be an ``int``
-    (not a bool); a wrong type is refused, naming the field and the key.
-    A non-fundamental quadratic discriminant is normalized to the
-    fundamental one with a warning.
+    prime (an ``int``, or ASCII digits as JSON writes it) to list of
+    residue degrees, for degree >= 3 only, each prime listed once
+    (``NumberField`` refuses anything else and sorts the table).  Every
+    integer must be an ``int`` (not a bool); a wrong type is refused,
+    naming the field and the key.  A non-fundamental quadratic
+    discriminant is normalized to the fundamental one with a warning.
     """
     if not isinstance(record, Mapping):
         raise ValueError(f"field record {record!r} is not an object")
@@ -294,16 +296,13 @@ def make_number_field(record: Mapping[str, object]) -> NumberField:
         raise ValueError(f"field {label!r}: splitting must map primes to degree lists")
     splitting = []
     for p, fs in splitting_raw.items():
-        try:
-            prime = p if _is_int(p) else int(str(p))
-            if not isinstance(fs, (list, tuple)) or not all(map(_is_int, fs)):
-                raise ValueError
-        except ValueError:
+        key_ok = _is_int(p) or (isinstance(p, str) and p.isascii() and p.isdigit())
+        if not key_ok or not isinstance(fs, (list, tuple)) or not all(map(_is_int, fs)):
             raise ValueError(
                 f"field {label!r}: splitting entry {p!r}: {fs!r} is not an "
                 "integer prime and a list of integer degrees"
-            ) from None
-        splitting.append((prime, tuple(fs)))
+            )
+        splitting.append((int(p), tuple(fs)))
     return NumberField(label, degree, r1, r2, disc=disc, splitting=tuple(splitting))
 
 
@@ -340,10 +339,12 @@ def _residue_degrees(fld: NumberField, p: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(Counter(table[i][1]).items()))
 
 
-def _check_euler_work(prime_bound: int, work: int) -> None:
+def _check_euler_work(prime_bound: int, bases: Iterable[tuple[BaseField, int]]) -> None:
     """Refuse a prime bound outside [2, MAX_PRIME_BOUND], then an Euler
-    product whose ``work`` per prime (its number-field bases plus their
-    points) times the bound is above MAX_EULER_WORK."""
+    product over ``bases``, (base, number of points) pairs, whose work per
+    prime times the bound is above MAX_EULER_WORK.  The work per prime is
+    1 per number-field base plus 1 per point on it; F_q costs nothing."""
+    work = sum(1 + n for base, n in bases if not isinstance(base, FiniteField))
     if prime_bound < 2:
         raise ValueError(f"prime bound {prime_bound} is below 2: an empty product")
     if prime_bound > MAX_PRIME_BOUND:
@@ -376,7 +377,7 @@ def zeta_partial_eval(
     for x in points:
         if not 1 < x < math.inf:  # nan too
             raise ValueError(f"s = {x}: an Euler product needs a finite s > 1")
-    _check_euler_work(prime_bound, 0 if isinstance(fld, FiniteField) else 1 + len(points))
+    _check_euler_work(prime_bound, [(fld, len(points))])
     if isinstance(fld, FiniteField):
         values = [1.0 / (1.0 - fld.q ** (-x)) for x in points]
     else:

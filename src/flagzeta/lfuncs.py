@@ -206,7 +206,7 @@ def lfun_partial_eval(
     Requires a finite s with s - shift > 1 for each factor.  The factors
     of a base are evaluated together: one sieve per number-field base, one
     local factor per base and prime, one local value per factor and prime.
-    That work, summed over the number-field bases, is refused above
+    That work, priced once for all bases by ``fields``, is refused above
     ``fields.MAX_EULER_WORK`` before any of it is done.  A product beyond a
     float (overflowing, or underflowing to 0) raises ``ValueError``.
     """
@@ -220,8 +220,7 @@ def lfun_partial_eval(
             )
     # the strata are sorted by base, so each base's factors are adjacent
     groups = [(b, list(g)) for b, g in itertools.groupby(f, key=lambda c: c.base)]
-    work = sum(1 + len(fs) for b, fs in groups if isinstance(b, NumberField))
-    _check_euler_work(prime_bound, work)
+    _check_euler_work(prime_bound, [(b, len(fs)) for b, fs in groups])
     out = 1.0
     for base, factors in groups:
         values = zeta_partial_eval(base, [s - c.shift for c in factors], prime_bound)

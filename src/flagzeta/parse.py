@@ -72,8 +72,10 @@ _CTORS = {
     "union": (DisjointUnion, ("expr,",)),
 }
 
+# the grammar's INT, which the CLI's integer options read too
+_INT = r"-?[0-9]+"
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>-?[0-9]+)|(?P<punct>[(),+]))"
+    rf"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>{_INT})|(?P<punct>[(),+]))"
 )
 
 # The tokens still to read, each (kind, value, 0-based column), the next

@@ -130,17 +130,8 @@ class TruncSeries:
         return self.coeffs[i]
 
     @classmethod
-    def zero(cls, order: int) -> "TruncSeries":
-        return cls(order)
-
-    @classmethod
     def one(cls, order: int) -> "TruncSeries":
         return cls(order, [1])
-
-    @classmethod
-    def var(cls, order: int) -> "TruncSeries":
-        """The coordinate t itself."""
-        return cls(order, [0, 1])
 
     def _same_order(self, other: "TruncSeries") -> None:
         if self.order != other.order:
@@ -173,11 +164,6 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other: object) -> "TruncSeries":
-        if isinstance(other, (int, Fraction)):
-            return (-self) + other
-        return NotImplemented
 
     def __mul__(self, other: object) -> "TruncSeries":
         if isinstance(other, (int, Fraction)):

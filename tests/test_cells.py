@@ -119,6 +119,12 @@ def test_convolution_size_is_bounded():
         cells_of(ProjBundle(ProjBundle(BasePoint(Q), 499), 500))
 
 
+def test_a_product_with_the_zero_polynomial_is_zero():
+    zero, one_plus_q = QPolynomial(()), QPolynomial((1, 1))
+    assert zero * one_plus_q == one_plus_q * zero == zero * zero == zero
+    assert (zero * one_plus_q).coeffs == (one_plus_q * zero).coeffs == ()
+
+
 def test_gaussian_multinomial_complete_flag():
     m = gaussian_multinomial(3, (1, 1, 1))
     assert m == QPolynomial((1, 2, 2, 1))

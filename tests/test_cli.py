@@ -317,6 +317,11 @@ def test_special_over_finite_base_is_unsupported(capsys):
         ({"2": [True, 2]}, "'2'"),
         ({"2": [1.5]}, "'2'"),
         ({"2": "12"}, "'2'"),
+        # a key is ASCII digits, nothing int() would also read
+        ({"1_1": [1]}, "'1_1'"),
+        ({" 5 ": [1]}, "' 5 '"),
+        ({"\u0667": [1]}, "'\u0667'"),
+        ({"+2": [1]}, "'+2'"),
     ],
 )
 def test_bad_splitting_entry_names_field_and_key(capsys, tmp_path, splitting, key):
@@ -339,7 +344,7 @@ def test_bad_splitting_entry_names_field_and_key(capsys, tmp_path, splitting, ke
         ),
         (  # one prime three times, spelled three ways
             {"label": "K", "degree": 3, "r1": 1, "r2": 1,
-             "splitting": {"2": [3], "02": [1, 2], "+2": [1, 1, 1]}},
+             "splitting": {"2": [3], "02": [1, 2], "002": [1, 1, 1]}},
             "error: field 'K': splitting table lists p=2 twice\n",
         ),
     ],
@@ -408,12 +413,20 @@ _IMAGINARY = {"label": "K", "degree": 2, "r1": 0, "r2": 1, "disc": -4}
     [
         (["verify", "Q", "--k=abc"], None,
          "bad range 'abc'; expected LO..HI, e.g. -10..2"),
+        # --k bounds are the grammar's INT: ASCII digits, nothing after
+        (["chi", "proj(Q, 1)", "--k=-\u0663..\u0662"], None,
+         "bad range '-\u0663..\u0662'; expected LO..HI, e.g. -10..2"),
+        (["chi", "Q", "--k=-3..2\n"], None,
+         "bad range '-3..2\\n'; expected LO..HI, e.g. -10..2"),
         (["cells", "F(1)"], None, "1 is not a prime power"),
         (["cells", "F(0)"], None, "0 is not a prime power"),
         (["cells", "F(-3)"], None, "-3 is not a prime power"),
         (["cells", "K"], {k: v for k, v in _IMAGINARY.items() if k != "disc"},
          "field 'K': quadratic records must carry disc"),
         (["cells", "K"], {**_IMAGINARY, "disc": 4}, "field 'K': disc 4 is degenerate"),
+        (["cells", "K"], {**_IMAGINARY, "disc": 0}, "field 'K': disc 0 is degenerate"),
+        (["cells", "proj(Q, -1)"], None, "projective dimension must be >= 0"),
+        (["cells", "grass(Q, -1, 2)"], None, "Grassmannian indices must be >= 0"),
         (["cells", "K"], {**_CUBIC, "splitting": [[2, [1, 2]]]},
          "field 'K': splitting must map primes to degree lists"),
         (["cells", "K"], {**_CUBIC, "splitting": {"4": [1]}},
@@ -660,6 +673,15 @@ def test_unexpected_exception_exits_5(capsys, monkeypatch):
     assert err == "internal error: RuntimeError: boom\n"
 
 
+def test_only_an_unsupported_field_exits_4(capsys, monkeypatch):
+    # nothing in flagzeta raises NotImplementedError, so one is a fault
+    def broken(x, args):
+        raise NotImplementedError("todo")
+
+    monkeypatch.setattr(flagzeta.cli, "_cmd_cells", broken)
+    assert run(capsys, "cells", "Q") == (5, "", "internal error: NotImplementedError: todo\n")
+
+
 @pytest.mark.parametrize(
     "argv, code, stream",
     [
@@ -674,6 +696,36 @@ def test_argparse_exits_are_returned(capsys, argv, code, stream):
     assert main(argv) == code
     captured = capsys.readouterr()
     assert getattr(captured, stream).startswith("usage:")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # an integer option is the grammar's INT: ASCII digits, no '+' or '_'
+        (["zeta", "F(2)", "--order", "\u0663"],
+         "argument --order: invalid int value: '\u0663'"),
+        (["zeta", "F(2)", "--order", "1_0"],
+         "argument --order: invalid int value: '1_0'"),
+        (["special", "Q", "--at=+2"], "argument --at: invalid int value: '+2'"),
+        (["special", "Q", "--at=-\u0663"],
+         "argument --at: invalid int value: '-\u0663'"),
+        (["lfun", "Q", "--eval-at=3", "--prime-bound=1_000"],
+         "argument --prime-bound: invalid int value: '1_000'"),
+        (["sweep", "--family", "flags", "--fields", "Q", "--max-n", "\u0662"],
+         "argument --max-n: invalid int value: '\u0662'"),
+        (["sweep", "--family", "proj", "--fields", "Q", "--max-d", " 2"],
+         "argument --max-d: invalid int value: ' 2'"),
+        # a real option is float's syntax in ASCII, without '_'
+        (["lfun", "Q", "--eval-at=\u0663.\u0665"],
+         "argument --eval-at: invalid float value: '\u0663.\u0665'"),
+        (["lfun", "Q", "--eval-at=1_0.5"],
+         "argument --eval-at: invalid float value: '1_0.5'"),
+    ],
+)
+def test_numeric_options_are_ascii(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: {message}\n")
 
 
 def test_range_is_parsed_only_where_used(capsys):

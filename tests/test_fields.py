@@ -231,7 +231,7 @@ def test_a_quadratic_field_splits_by_its_discriminant_alone():
 
 def test_a_splitting_table_lists_each_prime_once():
     record = {"label": "K", "degree": 3, "r1": 1, "r2": 1,
-              "splitting": {"2": [3], "02": [1, 2], "+2": [1, 1, 1]}}
+              "splitting": {"2": [3], "02": [1, 2], "002": [1, 1, 1]}}
     with pytest.raises(ValueError, match="field 'K': splitting table lists p=2 twice"):
         make_number_field(record)
 

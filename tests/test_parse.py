@@ -189,6 +189,9 @@ _TOO_DEEP = "affine(" * (MAX_DEPTH + 1) + "Q" + ", 0)" * (MAX_DEPTH + 1)
         ("F(\u0663)", SchemeSyntaxError, "unexpected character '\u0663' (column 3)", 2),
         ("proj(Q, -\u0662)", SchemeSyntaxError, "unexpected character '-' (column 9)", 8),
         ("Q(", SchemeSyntaxError, "unexpected trailing input '(' (column 2)", 1),
+        # well-formed but out of range: the node's own ValueError, no column
+        ("proj(Q, -1)", ValueError, "projective dimension must be >= 0", None),
+        ("grass(Q, -1, 2)", ValueError, "Grassmannian indices must be >= 0", None),
         ("proj(Q, 2) (", SchemeSyntaxError,
          "unexpected trailing input '(' (column 12)", 11),
         # a bad character anywhere is refused before the nesting depth,
