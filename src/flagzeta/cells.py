@@ -14,8 +14,11 @@ order at each integer.
 
 The number of d-dimensional cells of a flag bundle of type
 N = (n_1, ..., n_l) is the coefficient of q^d in the Gaussian
-multinomial [n; n_1, ..., n_l]_q, which this module computes exactly and
-cross-checks against literal enumeration of nested subspaces of F_q^n.
+multinomial [n; n_1, ..., n_l]_q; a projective bundle is the flag type
+(1, d) and a Grassmannian bundle (k, n - k).  This module builds that
+polynomial exactly as a product of quotients (1 - q^a) / (1 - q^b) of
+integer polynomials, and cross-checks it against literal enumeration of
+nested subspaces of F_q^n.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ __all__ = [
 
 
 # Size bounds, checked before any polynomial or stratum list is built:
-# the degree of one proj/grass/flag node's cell polynomial, and the strata
+# the degree of one cell polynomial (a proj/grass/flag node's, or a
+# Gaussian binomial's or multinomial's), and the strata
 # one convolution may produce before they are merged.
 MAX_CELL_DEGREE = 4096
 MAX_CONVOLUTION_STRATA = 250_000
@@ -79,13 +83,6 @@ class QPolynomial:
             raise ValueError("cell counts cannot be negative")
         object.__setattr__(self, "coeffs", cs)
 
-    def __mul__(self, other: "QPolynomial") -> "QPolynomial":
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return QPolynomial(tuple(out))
-
     def __call__(self, q: int) -> int:
         out = 0
         for c in reversed(self.coeffs):
@@ -106,37 +103,51 @@ class QPolynomial:
         return " + ".join(parts) if parts else "0"
 
 
-ONE = QPolynomial((1,))
+@lru_cache(maxsize=None)
+def _cell_polynomial(parts: tuple[int, ...]) -> QPolynomial:
+    """[n; n_1, ..., n_l]_q for n = sum n_i; blocks of size 0 are allowed.
+
+    A degree (n^2 - sum n_i^2) / 2 above MAX_CELL_DEGREE is refused
+    before any work.  The blocks are split off the rank m still left in
+    turn, each contributing
+
+        [m choose k]_q = prod_{i=1}^{k} (1 - q^(m-k+i)) / (1 - q^i),
+
+    with k = min(p, m - p) for a block of size p.  Each factor is one
+    integer pass that multiplies by 1 - q^(m-k+i) and one that divides by
+    1 - q^i, a running sum along every residue class mod i.  Each partial
+    product is a product of Gaussian binomials, so every division is exact.
+    """
+    n = sum(parts)
+    degree = (n * n - sum(p * p for p in parts)) // 2
+    if degree > MAX_CELL_DEGREE:
+        raise ValueError(
+            f"flag type {parts}: cell polynomial degree {degree} is above "
+            f"the bound MAX_CELL_DEGREE = {MAX_CELL_DEGREE}"
+        )
+    cs = [1]
+    m = n
+    for p in parts:
+        k = min(p, m - p)
+        for i in range(1, k + 1):
+            pad = [0] * (m - k + i)
+            cs = [x - y for x, y in zip(cs + pad, pad + cs)]
+            for r in range(i):
+                cs[r::i] = itertools.accumulate(cs[r::i])
+            del cs[len(cs) - i:]  # the quotient's top, all zeros
+        m -= p
+    return QPolynomial(tuple(cs))
 
 
 @lru_cache(maxsize=None)
 def gaussian_binomial(n: int, k: int) -> QPolynomial:
-    """The Gaussian binomial [n choose k]_q via the q-Pascal recurrence
-
-        [n k]_q = [n-1 k-1]_q + q^k [n-1 k]_q,
-
-    which stays in integer coefficients (no polynomial division).  The
-    triangle is built row by row, so the depth of the computation does
-    not grow with n.
-    """
+    """The Gaussian binomial [n choose k]_q, the cell polynomial of flag
+    type (k, n - k); zero when k > n."""
     if k < 0 or n < 0:
         raise ValueError("indices must be non-negative")
     if k > n:
         return QPolynomial(())
-    k = min(k, n - k)  # [n k]_q = [n n-k]_q: the shorter rows
-    if k == 0:
-        return ONE
-    # row[j] holds the coefficients of [i+j choose j]_q, starting at i = 0
-    row = [[1]] * (k + 1)
-    for _ in range(n - k):
-        new = [[1]]
-        for j in range(1, k + 1):
-            out = new[j - 1] + [0] * (j + len(row[j]) - len(new[j - 1]))
-            for e, c in enumerate(row[j], j):
-                out[e] += c
-            new.append(out)
-        row = new
-    return QPolynomial(tuple(row[k]))
+    return _cell_polynomial((k, n - k))
 
 
 def _flag_type(parts: Sequence[int], n: Optional[int] = None) -> tuple[int, ...]:
@@ -151,21 +162,13 @@ def _flag_type(parts: Sequence[int], n: Optional[int] = None) -> tuple[int, ...]
 
 
 def gaussian_multinomial(n: int, parts: Sequence[int]) -> QPolynomial:
-    """[n; n_1, ..., n_l]_q as the telescoping product of Gaussian binomials
-
-        prod_i [n - n_1 - ... - n_{i-1} choose n_i]_q.
+    """[n; n_1, ..., n_l]_q, the cell polynomial of the flag type.
 
     The coefficient of q^d counts the d-dimensional cells of the variety
     of flags of type (n_1, ..., n_l); the total degree is
     (n^2 - sum n_i^2) / 2 and the coefficient sequence is palindromic.
     """
-    parts = _flag_type(parts, n)
-    out = ONE
-    remaining = n
-    for p in parts:
-        out = out * gaussian_binomial(remaining, p)
-        remaining -= p
-    return out
+    return _cell_polynomial(_flag_type(parts, n))
 
 
 # -- scheme expressions -----------------------------------------------------
@@ -211,6 +214,11 @@ class ProjBundle(SchemeExpr):
         if self.d < 0:
             raise ValueError("projective dimension must be >= 0")
 
+    @property
+    def parts(self) -> tuple[int, int]:
+        """Read as the flag bundle of lines in rank d+1."""
+        return (1, self.d)
+
     def __str__(self) -> str:
         return f"proj({self.child}, {self.d})"
 
@@ -231,6 +239,11 @@ class Grassmannian(SchemeExpr):
                 f"cannot take {self.k}-planes inside rank {self.n}"
             )
 
+    @property
+    def parts(self) -> tuple[int, int]:
+        """Read as the flag bundle of type (k, n - k)."""
+        return (self.k, self.n - self.k)
+
     def __str__(self) -> str:
         return f"grass({self.child}, {self.k}, {self.n})"
 
@@ -244,10 +257,6 @@ class FlagBundle(SchemeExpr):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", _flag_type(self.parts))
-
-    @property
-    def rank(self) -> int:
-        return sum(self.parts)
 
     def __str__(self) -> str:
         return f"flag({self.child}, {'+'.join(str(p) for p in self.parts)})"
@@ -429,39 +438,21 @@ def cells_of(x: SchemeExpr) -> CellDecomposition:
     """The canonical cell decomposition of a scheme expression.
 
     Composition rules: an affine shift raises every cell dimension by d; a
-    projective bundle of dimension d replaces each cell by d+1 copies at
-    shifts 0..d; Grassmannian and flag bundles convolve with the Gaussian
-    binomial/multinomial coefficient polynomial; a union concatenates.
+    projective, Grassmannian or flag bundle, read as a flag type, convolves
+    with that type's Gaussian multinomial; a union concatenates.
     """
     if isinstance(x, BasePoint):
         return CellDecomposition((Stratum(x.field, 0, 1),))
     if isinstance(x, Affine):
         return cells_of(x.child).shifted(x.d)
-    if isinstance(x, ProjBundle):
-        _check_cell_degree("proj", x.d)
-        return cells_of(x.child).convolved(QPolynomial((1,) * (x.d + 1)))
-    if isinstance(x, Grassmannian):
-        _check_cell_degree("grass", x.k * (x.n - x.k))
-        return cells_of(x.child).convolved(gaussian_binomial(x.n, x.k))
-    if isinstance(x, FlagBundle):
-        _check_cell_degree("flag", (x.rank**2 - sum(p * p for p in x.parts)) // 2)
-        return cells_of(x.child).convolved(
-            gaussian_multinomial(x.rank, x.parts)
-        )
+    if isinstance(x, (ProjBundle, Grassmannian, FlagBundle)):
+        return cells_of(x.child).convolved(_cell_polynomial(x.parts))
     if isinstance(x, DisjointUnion):
         out: list[Stratum] = []
         for c in x.children:
             out.extend(cells_of(c).strata)
         return CellDecomposition(tuple(out))
     raise TypeError(f"not a scheme expression: {x!r}")
-
-
-def _check_cell_degree(kind: str, degree: int) -> None:
-    if degree > MAX_CELL_DEGREE:
-        raise ValueError(
-            f"{kind} node: cell polynomial degree {degree} is above the bound "
-            f"MAX_CELL_DEGREE = {MAX_CELL_DEGREE}"
-        )
 
 
 CellsOrScheme = Union[CellDecomposition, SchemeExpr]

@@ -66,15 +66,16 @@ MAX_SERIES_ORDER = 500
 MAX_SERIES_DIGITS = 1000
 
 
-def _check_series_size(order: int, top: float) -> None:
+def _check_series_size(order: int, top: int, q: int) -> None:
     if order > MAX_SERIES_ORDER:
         raise ValueError(
             f"series order {order} is above MAX_SERIES_ORDER = {MAX_SERIES_ORDER}"
         )
-    digits = order * top
+    # exact, so a top beyond a float's range is refused, not an OverflowError
+    digits = order * top * Fraction(math.log10(q))
     if digits > MAX_SERIES_DIGITS:
         raise ValueError(
-            f"series coefficients to order {order} have about {digits:.0f} digits, "
+            f"series coefficients to order {order} have about {round(digits)} digits, "
             f"above MAX_SERIES_DIGITS = {MAX_SERIES_DIGITS}"
         )
 
@@ -122,7 +123,7 @@ class RationalZeta:
         with ``weil_zeta_series`` compares two independent derivations.
         """
         top = max((d for d, _ in (*self.numer, *self.denom)), default=0)
-        _check_series_size(order, top * math.log10(self.q))
+        _check_series_size(order, top, self.q)
         out = [1] + [0] * order
         for d, e in [*self.numer, *((d, -m) for d, m in self.denom)]:
             a = self.q**d
@@ -177,7 +178,7 @@ def weil_zeta_series(x: CellsOrScheme, order: int) -> TruncSeries:
     if order < 1:
         raise ValueError("series order must be >= 1")
     cells = _as_cells(x)
-    _check_series_size(order, cells.max_shift() * math.log10(_single_q(cells)))
+    _check_series_size(order, cells.max_shift(), _single_q(cells))
     u = TruncSeries(
         order, [0] + [Fraction(point_count(cells, r), r) for r in range(1, order + 1)]
     )
@@ -213,7 +214,8 @@ def lfun_partial_eval(
     if not math.isfinite(s):
         raise ValueError(f"s = {s} is not a finite real number")
     for factor in f:
-        if s - factor.shift <= 1:
+        # shift >= s first: a shift beyond a float's range never meets s - shift
+        if factor.shift >= s or s - factor.shift <= 1:
             raise ValueError(
                 f"s = {s} puts factor {factor} outside the convergence "
                 f"region s - {factor.shift} > 1"

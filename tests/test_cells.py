@@ -2,7 +2,7 @@
 
 import itertools
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -77,6 +77,29 @@ def test_gaussian_binomial_matches_recursion():
             assert gaussian_binomial(n, k).coeffs == recursive_gaussian_binomial(n, k)
 
 
+def telescoping_gaussian_multinomial(n, parts):
+    """prod_i [n - n_1 - ... - n_{i-1} choose n_i]_q, each factor from the
+    recursion, multiplied out term by term: the reference for small n."""
+    out = (1,)
+    for p in parts:
+        factor = recursive_gaussian_binomial(n, p)
+        product = [0] * (len(out) + len(factor) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(factor):
+                product[i + j] += a * b
+        out = tuple(product)
+        n -= p
+    return out
+
+
+def test_gaussian_multinomial_matches_telescoping_product():
+    for n in range(1, 11):
+        for parts in compositions(n):
+            assert gaussian_multinomial(n, parts).coeffs == (
+                telescoping_gaussian_multinomial(n, parts)
+            ), parts
+
+
 def test_gaussian_binomial_has_no_recursion_depth_limit():
     # P^1199 as the Grassmannian of lines in rank 1200
     assert cells_of(Grassmannian(BasePoint(Q), 1, 1200)) == cells_of(
@@ -86,7 +109,7 @@ def test_gaussian_binomial_has_no_recursion_depth_limit():
 
 
 def test_degree_zero_nodes_answer_at_once():
-    # [n 0]_q = [n n]_q = 1 without walking n rows of the q-Pascal triangle
+    # [n 0]_q = [n n]_q = 1: degree 0, so no factor to multiply out
     n = 10**24
     assert gaussian_binomial(n, 0) == QPolynomial((1,))
     assert gaussian_binomial(n, n) == QPolynomial((1,))
@@ -119,10 +142,41 @@ def test_convolution_size_is_bounded():
         cells_of(ProjBundle(ProjBundle(BasePoint(Q), 499), 500))
 
 
-def test_a_product_with_the_zero_polynomial_is_zero():
-    zero, one_plus_q = QPolynomial(()), QPolynomial((1, 1))
-    assert zero * one_plus_q == one_plus_q * zero == zero * zero == zero
-    assert (zero * one_plus_q).coeffs == (one_plus_q * zero).coeffs == ()
+def test_public_gaussian_polynomials_are_bounded():
+    bound = "MAX_CELL_DEGREE = 4096"
+    for n in (5000, 10**24):
+        with pytest.raises(ValueError, match=bound):
+            gaussian_binomial(n, 1)
+    with pytest.raises(ValueError, match=bound):
+        gaussian_multinomial(5000, (1, 4999))
+
+
+# Large flag types of five shapes, with their degrees; 91 ones is the largest
+# complete flag under MAX_CELL_DEGREE.
+BIG_FLAG_TYPES = {
+    "91 ones": ((1,) * 91, 4095),
+    "nine blocks of 10": ((10,) * 9, 3600),
+    "1 to 12": (tuple(range(1, 13)), 2717),
+    "30+31+30": ((30, 31, 30), 2760),
+    "45+45": ((45, 45), 2025),
+}
+
+
+@pytest.mark.parametrize("parts, degree", BIG_FLAG_TYPES.values(), ids=BIG_FLAG_TYPES)
+def test_big_flag_types_match_closed_forms(parts, degree):
+    n = sum(parts)
+    poly = gaussian_multinomial(n, parts)
+    cs = poly.coeffs
+    assert len(cs) - 1 == degree == (n * n - sum(p * p for p in parts)) // 2
+    assert cs == tuple(reversed(cs)) and cs[0] == 1
+    assert poly(1) == factorial(n) // prod(map(factorial, parts))
+
+    def q_factorial(m, q):
+        return prod(q**i - 1 for i in range(1, m + 1))
+
+    for q in (2, 3):
+        flags, rest = divmod(q_factorial(n, q), prod(q_factorial(p, q) for p in parts))
+        assert rest == 0 and poly(q) == flags, q
 
 
 def test_gaussian_multinomial_complete_flag():
@@ -229,6 +283,7 @@ def test_enumeration_does_not_use_the_product_formula(monkeypatch):
     cells = flagzeta.cells
     monkeypatch.setattr(cells, "gaussian_binomial", forbidden)
     monkeypatch.setattr(cells, "gaussian_multinomial", forbidden)
+    monkeypatch.setattr(cells, "_cell_polynomial", forbidden)
     caches = (cells._gf_tables, cells._all_subspaces, cells._row_plan, cells._chain_counts)
     for cache in caches:
         cache.cache_clear()

@@ -177,6 +177,11 @@ def test_oversized_inputs_exit_3_quickly(capsys, scheme, bound):
         (["zeta", "F(2)", "--order", "3000"], "MAX_SERIES_ORDER = 500"),
         (["zeta", "proj(F(2),40)", "--order", "1000"], "MAX_SERIES_ORDER = 500"),
         (["zeta", "proj(F(101),1)", "--order", "500"], "MAX_SERIES_DIGITS = 1000"),
+        # a shift of 10^400 is beyond a float: compared exactly, never converted
+        (["zeta", "affine(F(2), 1" + "0" * 400 + ")", "--order=1"],
+         "MAX_SERIES_DIGITS = 1000"),
+        (["lfun", "affine(Q, 1" + "0" * 400 + ")", "--eval-at=5"],
+         "outside the convergence region"),
         (["special", "Q", "--at=-1201"], "MAX_BERNOULLI_INDEX = 500"),
         (["special", "Q", "--at=3000"], "MAX_BERNOULLI_INDEX = 500"),
         (["special", "Q", "--at=10000000"], "MAX_BERNOULLI_INDEX = 500"),
