@@ -26,7 +26,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from operator import attrgetter
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .fields import (
     BaseField,
@@ -397,10 +398,12 @@ class CellDecomposition:
     def ord_at(self, k: int) -> int:
         """Exact vanishing order of L(X, s) at s = k (negative at a pole):
         the signed sum of the base orders at k - shift."""
-        total = 0
-        for s in self.strata:
-            total += s.multiplicity * ord_at_integer(s.base, k - s.shift)
-        return total
+        return self.ord_window(k, k)[k]
+
+    def ord_window(self, lo: int, hi: int) -> dict[int, int]:
+        """{k: ord_at(k)} for k = lo..hi, in O(strata + width) per base:
+        ``_window_sums`` over the base orders at t = 1, 0, -1, -2."""
+        return _window_sums(self, lo, hi, _base_orders)
 
     def shifted(self, d: int) -> "CellDecomposition":
         return CellDecomposition(
@@ -460,6 +463,48 @@ CellsOrScheme = Union[CellDecomposition, SchemeExpr]
 
 def _as_cells(x: CellsOrScheme) -> CellDecomposition:
     return x if isinstance(x, CellDecomposition) else cells_of(x)
+
+
+def _window_sums(
+    cells: CellDecomposition,
+    lo: int,
+    hi: int,
+    rule: Callable[[BaseField], tuple[int, int, int, int]],
+) -> dict[int, int]:
+    """{k: sum of multiplicity * f(k - shift) over the strata} for k = lo..hi.
+
+    f is a per-base function of t = k - shift that vanishes for t >= 2,
+    has a head at t = 1 and t = 0, and below that a 2-periodic tail,
+    f(t) = f(t - 2) for t <= -1; ``rule(base)`` gives its four values
+    f(1), f(0), f(-1), f(-2).  Both sides of the identity have this shape.
+    The strata are sorted by base, so each base is one group, read once:
+    a stratum above hi enters one of two tail sums, split by the parity of
+    its distance from hi, and a stratum inside the window is kept at its
+    shift.  The walk then goes from k = hi down to lo: at each step down
+    the two parities swap and the stratum at the old k joins the odd sum.
+    The cost is O(strata + width) per base, whatever the size of a shift.
+    """
+    width = hi - lo + 1
+    out = [0] * width
+    for base, group in itertools.groupby(cells.strata, key=attrgetter("base")):
+        head1, head0, odd_tail, even_tail = rule(base)
+        at = [0] * (width + 1)  # at[i]: the multiplicity at shift lo - 1 + i
+        above = [0, 0]  # strata above hi, by the parity of shift - hi
+        for s in group:
+            if s.shift > hi:
+                above[(s.shift - hi) % 2] += s.multiplicity
+            elif s.shift >= lo - 1:
+                at[s.shift - lo + 1] = s.multiplicity
+        even, odd = above
+        for i in range(width, 0, -1):  # k = lo - 1 + i
+            here = at[i]
+            out[i - 1] += head1 * at[i - 1] + head0 * here + odd_tail * odd + even_tail * even
+            even, odd = odd, even + here
+    return dict(zip(range(lo, hi + 1), out))
+
+
+def _base_orders(base: BaseField) -> tuple[int, int, int, int]:
+    return tuple(ord_at_integer(base, t) for t in (1, 0, -1, -2))
 
 
 def point_count(x: CellsOrScheme, r: int) -> int:

@@ -34,7 +34,13 @@ from .lfuncs import (
     weil_zeta_rational,
     weil_zeta_series,
 )
-from .parse import _INT, SchemeSyntaxError, load_field_registry, parse_scheme
+from .parse import (
+    _INT,
+    SchemeSyntaxError,
+    _digits_refusal,
+    load_field_registry,
+    parse_scheme,
+)
 from .verify import (
     affine_family,
     check_soule,
@@ -77,6 +83,9 @@ def _cells_in_window(
     m = _K_RANGE_RE.fullmatch(args.k)
     if m is None:
         raise ValueError(f"bad range {args.k!r}; expected LO..HI, e.g. -10..2")
+    for text in m.groups():
+        if why := _digits_refusal(text):
+            raise ValueError(why)
     lo, hi = int(m.group(1)), int(m.group(2))
     if lo > hi:
         raise ValueError(f"empty range {args.k!r}")
@@ -160,7 +169,7 @@ def _cmd_chi(x: SchemeExpr, args):
 
 def _cmd_ord(x: SchemeExpr, args):
     [cells], lo, hi = _cells_in_window(args, [x])
-    rows = [(k, cells.ord_at(k)) for k in range(lo, hi + 1)]
+    rows = list(cells.ord_window(lo, hi).items())
     return _keyed(("k", "ord"), rows, k_min=lo, k_max=hi)
 
 
@@ -277,6 +286,8 @@ def _int_option(text: str) -> int:
     """An integer option, read as the grammar reads INT: ASCII digits only."""
     if re.fullmatch(_INT, text) is None:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if why := _digits_refusal(text):
+        raise argparse.ArgumentTypeError(why)
     return int(text)
 
 

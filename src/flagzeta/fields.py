@@ -25,6 +25,10 @@ outside this module only ``cells.point_count``, ``lfuncs._single_q``
   closed form, and None elsewhere.  It reads the classical formulas
   ``special_value_rational``, zeta(1-k) = -B_k/k (k >= 2), and
   ``special_value_even``, zeta(2m) = (-1)^(m-1) (2 pi)^(2m) B_{2m} / (2 (2m)!).
+
+A kind's order, and its K-side chi, must vanish at t >= 2 and satisfy
+f(t) = f(t - 2) for t <= -1: ``cells._window_sums`` reads a whole window
+from f(1), f(0), f(-1) and f(-2) alone.
 """
 
 from __future__ import annotations

@@ -23,7 +23,8 @@ Syntax errors carry the 1-based column at which parsing failed;
 anything structurally valid but mathematically wrong (a non-squarefree
 radicand, a flag block of size zero) surfaces as the underlying
 ``ValueError`` instead.  So does an expression whose parentheses nest
-deeper than ``MAX_DEPTH``: it is refused after a bad character anywhere,
+deeper than ``MAX_DEPTH``, or with an integer of more than
+``MAX_INT_DIGITS`` digits: it is refused after a bad character anywhere,
 but before the recursive descent (or any recursion over the tree) starts.
 """
 
@@ -74,6 +75,9 @@ _CTORS = {
 
 # the grammar's INT, which the CLI's integer options read too
 _INT = r"-?[0-9]+"
+# An INT of more digits is refused before int() reads it: in the grammar,
+# in --k and in the CLI's integer options.
+MAX_INT_DIGITS = 1000
 _TOKEN_RE = re.compile(
     rf"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>{_INT})|(?P<punct>[(),+]))"
 )
@@ -91,27 +95,36 @@ class SchemeSyntaxError(ValueError):
         self.position = position
 
 
+def _digits_refusal(text: str) -> Optional[str]:
+    """Why an INT text is refused before int() reads it, or None."""
+    digits = len(text) - text.startswith("-")
+    if digits <= MAX_INT_DIGITS:
+        return None
+    return f"an integer of {digits} digits is above MAX_INT_DIGITS = {MAX_INT_DIGITS}"
+
+
 def _scan(text: str) -> _Stack:
-    """Tokenize in one pass; a bad character anywhere beats a too-deep nesting."""
-    tokens, depth, too_deep, pos = [], 0, None, 0
+    """Tokenize in one pass.  A bad character anywhere beats a bound, and
+    of a too-deep nesting and a too-long integer the first one wins."""
+    tokens, depth, refusal, pos = [], 0, None, 0
     while m := _TOKEN_RE.match(text, pos):
         kind, pos = m.lastgroup, m.end()
         value, column = m.group(kind), m.start(kind)
         if value == "(":
             depth += 1
-            if depth > MAX_DEPTH and too_deep is None:
-                too_deep = column
+            if depth > MAX_DEPTH and refusal is None:
+                refusal = f"parentheses nested deeper than MAX_DEPTH = {MAX_DEPTH}", column
         elif value == ")":
             depth -= 1
+        elif kind == "int" and refusal is None and (why := _digits_refusal(value)):
+            refusal = why, column
         tokens.append((kind, value, column))
     rest = text[pos:].lstrip()
     if rest:
         raise SchemeSyntaxError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
-    if too_deep is not None:
-        raise ValueError(
-            f"parentheses nested deeper than MAX_DEPTH = {MAX_DEPTH} "
-            f"(column {too_deep + 1})"
-        )
+    if refusal is not None:
+        why, column = refusal
+        raise ValueError(f"{why} (column {column + 1})")
     tokens.append(("end", "", len(text)))
     return tokens[::-1]
 

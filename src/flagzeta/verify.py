@@ -12,10 +12,15 @@ integer k:
 ``check_soule`` computes the cell decomposition once, hands it to the
 two independent pipelines, and compares the resulting integers exactly
 over a k-range; the reports it returns are plain frozen data, rendered
-identically on every run.  A report carries the weight table it read,
+identically on every run.  Each side reads the whole window off the
+class in one head-and-tail convolution (``cells._window_sums``), in
+O(strata + width) per base, each with its own per-base rule: ``chi`` the
+rank entries of ``weights._base_entries``, ``ord_window`` the orders of
+``fields.ord_at_integer``.  A report carries the weight table it read,
 whose window is the report's k-range; ``to_dict`` renders the support in
 each weight from it: the degrees where the ranks of the scheme live, read
-off the table's column at that weight.
+off the table's column at that weight, the only step that builds the
+columns.
 
 ``sweep`` runs the check across a family of schemes and aggregates, so a
 single exit status can certify, say, every flag bundle of rank <= 5 over
@@ -117,14 +122,17 @@ def check_soule(
 
     ``x`` is a scheme or a signed cell class.  The cell decomposition is
     computed once and shared; everything after that point is two disjoint
-    exact computations.  The report is named ``name``, or else ``str(x)``.
+    exact computations, ``chi`` of its weight table and its
+    ``ord_window``, each O(strata + width) per base and neither building
+    the table's columns.  The report is named ``name``, or else ``str(x)``.
     """
     k_min, k_max = k_range
     if k_min > k_max:
         raise ValueError(f"empty k-range [{k_min}, {k_max}]")
     cells = _as_cells(x)
     table = weight_table_of(cells, k_min, k_max)
-    rows = tuple(SouleRow(k, c, cells.ord_at(k)) for k, c in chi(table).items())
+    ords = cells.ord_window(k_min, k_max)
+    rows = tuple(SouleRow(k, c, ords[k]) for k, c in chi(table).items())
     return VerificationReport(name or str(x), table, rows)
 
 

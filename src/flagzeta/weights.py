@@ -19,13 +19,16 @@ and tables of signed cell classes add with the multiplicities, so they
 hold virtual ranks (negative for an excised cell) and ``chi`` is linear
 on classes, as ``ord_at`` is; that is all the cell calculus needs.
 
-Tables are materialized over an explicit weight window [j_min, j_max]
-because the full table has entries at every sufficiently negative
-weight; inside the window every query is exact and complete.  A table
-is kept by weight, as one column of nonzero (m, rank) pairs sorted by m
-per weight; ``weight_table_of`` alone builds these columns, in one pass
-over the cells, so the support and chi at one weight each read a single
-stored column.
+A table covers an explicit weight window [j_min, j_max], because the
+full table has entries at every sufficiently negative weight; inside
+the window every query is exact and complete.  A table holds the cell
+class and its window.  ``chi`` reads the class directly: a base's signed
+column sums vanish above weight 1 and are 2-periodic below weight -1, so
+``cells._window_sums`` gives chi on the whole window in O(strata + width)
+per base, whatever the size of a shift.  The ranks themselves, one
+column of nonzero (m, rank) pairs sorted by m per weight, are built only
+when a caller reads them (``items``, ``dim``, ``support_at``), in one
+pass over the cells.
 
 The Euler characteristic of a table at weight k is
 chi(k) = sum_m (-1)^(m+1) dim(m, k), the sign chosen so that
@@ -37,9 +40,10 @@ table's window, so a weight outside it is simply absent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from functools import cached_property
+from typing import Iterator
 
-from .cells import CellsOrScheme, _as_cells
+from .cells import CellDecomposition, CellsOrScheme, _as_cells, _window_sums
 from .fields import BaseField, FiniteField
 
 __all__ = [
@@ -53,24 +57,40 @@ __all__ = [
 class WeightTable:
     """Ranks dim_Q of K-groups by (degree m, weight j), on a weight window.
 
-    Ranks of a signed cell class are virtual and may be negative.  They
-    are kept by weight: ``columns[j]`` is the tuple of (m, rank) pairs
-    with a nonzero rank at weight j, sorted by m, and a weight whose
-    ranks are all zero has no column.  ``weight_table_of`` alone builds
-    these columns.  Queries inside the window return 0 for absent
+    The table is the cell class ``cells`` read on [j_min, j_max].  Ranks
+    of a signed cell class are virtual and may be negative.  They are
+    kept by weight: ``columns[j]`` is the tuple of (m, rank) pairs with a
+    nonzero rank at weight j, sorted by m, and a weight whose ranks are
+    all zero has no column.  The columns are built on first read; ``chi``
+    never reads them.  Queries inside the window return 0 for absent
     entries and queries outside the window are refused, since the table
     holds no information there.
     """
 
-    columns: Mapping[int, tuple[tuple[int, int], ...]]
+    cells: CellDecomposition
     j_min: int
     j_max: int
 
     def __post_init__(self) -> None:
         if self.j_min > self.j_max:
             raise ValueError("empty weight window")
-        for j in self.columns:
-            self._check_window(j)
+
+    @cached_property
+    def columns(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """The signed sum over the cells of the base entries shifted up by
+        the cell dimension, in one pass, by weight."""
+        j_min, j_max = self.j_min, self.j_max
+        acc: dict[int, dict[int, int]] = {}
+        for s in self.cells:
+            for (m, j), dim in _base_entries(s.base, j_min - s.shift, j_max - s.shift):
+                col = acc.setdefault(j + s.shift, {})
+                col[m] = col.get(m, 0) + dim * s.multiplicity
+        columns = {}
+        for j in sorted(acc):
+            col = tuple(sorted((m, dim) for m, dim in acc[j].items() if dim))
+            if col:
+                columns[j] = col
+        return columns
 
     def _check_window(self, j: int) -> None:
         if not self.j_min <= j <= self.j_max:
@@ -119,26 +139,22 @@ def _base_entries(
 def weight_table_of(
     x: CellsOrScheme, j_min: int = DEFAULT_K_RANGE[0], j_max: int = DEFAULT_K_RANGE[1]
 ) -> WeightTable:
-    """Weight table of a scheme or signed cell class: the signed sum over
-    its cells of the base entries shifted up by the cell dimension."""
-    acc: dict[int, dict[int, int]] = {}
-    for s in _as_cells(x):
-        for (m, j), dim in _base_entries(s.base, j_min - s.shift, j_max - s.shift):
-            col = acc.setdefault(j + s.shift, {})
-            col[m] = col.get(m, 0) + dim * s.multiplicity
-    columns = {}
-    for j in sorted(acc):
-        col = tuple(sorted((m, dim) for m, dim in acc[j].items() if dim))
-        if col:
-            columns[j] = col
-    return WeightTable(columns, j_min, j_max)
+    """Weight table of a scheme or signed cell class on [j_min, j_max]: the
+    signed sum over its cells of the base entries shifted up by the cell
+    dimension."""
+    return WeightTable(_as_cells(x), j_min, j_max)
+
+
+def _base_chi(base: BaseField) -> tuple[int, int, int, int]:
+    """The base's chi at weights 1, 0, -1, -2: its signed column sums."""
+    out = dict.fromkeys((1, 0, -1, -2), 0)
+    for (m, j), dim in _base_entries(base, -2, 1):
+        out[j] += dim if m % 2 else -dim
+    return tuple(out.values())
 
 
 def chi(table: WeightTable) -> dict[int, int]:
     """{k: chi(k)} for every weight k of the table's window, where
     chi(k) = sum_m (-1)^(m+1) dim(m, k) is the signed sum of the column
-    at weight k."""
-    out = dict.fromkeys(range(table.j_min, table.j_max + 1), 0)
-    for j, col in table.columns.items():
-        out[j] = sum(dim if m % 2 else -dim for m, dim in col)
-    return out
+    at weight k, summed over the cells by ``cells._window_sums``."""
+    return _window_sums(table.cells, table.j_min, table.j_max, _base_chi)

@@ -217,6 +217,28 @@ def test_oversized_numeric_work_exits_3_quickly(capsys, argv, bound):
     assert bound in err
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["cells", "affine(Q, 1" + "0" * 5000 + ")"], 3),
+        (["verify", "Q", "--k=-1" + "0" * 5000 + "..2"], 3),
+        (["zeta", "F(2)", "--order=1" + "0" * 5000], 2),  # an option: a usage error
+    ],
+)
+def test_an_integer_of_too_many_digits_is_refused_by_name(capsys, argv, code):
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert "an integer of 5001 digits is above MAX_INT_DIGITS = 1000" in err
+
+
+def test_an_integer_of_max_int_digits_is_read(capsys):
+    nines = "9" * 1000
+    code, out, _ = run(capsys, "cells", f"affine(Q, {nines})", "--format=csv")
+    assert (code, out) == (0, f"base,shift,multiplicity\nQ,{nines},1\n")
+    code, _, err = run(capsys, "ord", "Q", f"--k=-{nines}..2")
+    assert code == 3 and "MAX_WINDOW_WORK" in err
+
+
 def test_window_work_bound_is_strata_times_width(capsys):
     # one stratum: 25 000 weights answer, one more is refused
     assert run(capsys, "ord", "Q", "--k=-24997..2")[0] == 0

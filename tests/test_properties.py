@@ -167,6 +167,47 @@ def test_ord_at_matches_per_kind_orders(c, fq, shift, mult):
         assert c.ord_at(k) == per_kind_ord_at(c, k)
 
 
+@st.composite
+def _class_and_window(draw):
+    """A signed class with number-field and F_q cells, and a window of one
+    of four shapes: width 1, wholly above the largest shift, wholly
+    negative, or straddling the shifts."""
+    c = draw(_signed_classes())
+    for base in (draw(st.sampled_from(FINITE_FIELDS)), draw(st.sampled_from(NUMBER_FIELDS))):
+        mult = draw(st.integers(-2, 2).filter(bool))
+        c = c * CellDecomposition((Stratum(base, draw(st.integers(0, 6)), mult),))
+    top = c.max_shift()
+    shape = draw(st.sampled_from(("width 1", "above", "negative", "straddling")))
+    if shape == "width 1":
+        lo = hi = draw(st.integers(-30, top + 3))
+    elif shape == "above":
+        lo = draw(st.integers(top + 1, top + 3))
+        hi = lo + draw(st.integers(0, 20))
+    elif shape == "negative":
+        hi = draw(st.integers(-30, -1))
+        lo = hi - draw(st.integers(0, 30))
+    else:
+        lo, hi = draw(st.integers(-30, 0)), draw(st.integers(top, top + 3))
+    return c, lo, hi
+
+
+_HUGE = cells_of(parse_scheme("union(affine(proj(Q(sqrt -1), 3), 1" + "0" * 21 + "), F(2))"))
+_HUGE = _HUGE / cells_of(parse_scheme("affine(F(3), 1)"))
+
+
+@example((_HUGE, -3, 1))
+@example((_HUGE, 10**21 - 3, 10**21 + 5))
+@given(_class_and_window())
+def test_window_sums_match_the_per_stratum_references(case):
+    c, lo, hi = case
+    window = list(range(lo, hi + 1))
+    reference = per_cell_weight_table(c, lo, hi)
+    expected = [sum((-1) ** (m + 1) * d for (m, j), d in reference if j == k) for k in window]
+    assert list(chi(weight_table_of(c, lo, hi)).items()) == list(zip(window, expected))
+    orders = [per_kind_ord_at(c, k) for k in window]
+    assert list(c.ord_window(lo, hi).items()) == list(zip(window, orders))
+
+
 def per_factor_euler_product(cells, s, bound):
     """The reference value, factor by factor: a number field's factor is
     the product of its local factors prod (1 - p^(-f x))^(-g) over the

@@ -134,6 +134,20 @@ def test_check_soule_reads_no_support(monkeypatch):
     assert calls == list(range(-6, 3))
 
 
+def test_check_soule_builds_no_columns(monkeypatch):
+    # chi and the orders are read off the class, so the per-weight columns
+    # are built only when the support is rendered
+    built = []
+    columns = vars(WeightTable)["columns"].func
+
+    monkeypatch.setattr(WeightTable, "columns", property(lambda t: built.append(t) or columns(t)))
+    report = check_soule(ProjBundle(BasePoint(QM5), 3), (-6, 2))
+    assert report.ok
+    assert built == []
+    report.to_dict()
+    assert built
+
+
 def test_empty_k_range_rejected():
     with pytest.raises(ValueError, match="empty k-range"):
         check_soule(BasePoint(Q), (3, -3))

@@ -12,7 +12,13 @@ from flagzeta.cells import (
     ProjBundle,
     cells_of,
 )
-from flagzeta.fields import FiniteField, finite_field, quadratic_field, rationals
+from flagzeta.fields import (
+    FiniteField,
+    finite_field,
+    ord_at_integer,
+    quadratic_field,
+    rationals,
+)
 from flagzeta.lfuncs import lfactorization_of
 from flagzeta.parse import load_field_registry
 from flagzeta.weights import WeightTable, _base_entries, chi, weight_table_of
@@ -80,8 +86,12 @@ def test_an_empty_window_is_refused():
 
 
 def test_a_column_outside_the_window_is_refused():
+    # the table holds a class, whose rank in degree 0 sits at weight 4: the
+    # columns it builds stay inside the window, and one outside is refused
+    t = WeightTable(cells_of(Affine(BasePoint(Q), 3)), -4, 2)
+    assert t.columns == {-3: ((13, 1),), -1: ((9, 1),), 1: ((5, 1),)}
     with pytest.raises(ValueError, match=r"weight 5 outside table window \[-4, 2\]"):
-        WeightTable({5: ((0, 1),)}, -4, 2)
+        t.support_at(5)
 
 
 @pytest.mark.parametrize("base", [Q, Q2, QI, finite_field(4), CUBIC], ids=lambda b: b.label)
@@ -92,6 +102,22 @@ def test_base_entries_stay_inside_their_window(base, window):
     entries = sorted(_base_entries(base, lo, hi))
     assert all(lo <= j <= hi for (_, j), _ in entries)
     assert entries == weight_table_of(BasePoint(base), lo, hi).items()
+
+
+def _base_chi(base, t):
+    """The base's chi at weight t alone: its signed column sum there."""
+    return sum(dim if m % 2 else -dim for (m, _), dim in _base_entries(base, t, t))
+
+
+@pytest.mark.parametrize("base", [Q, Q2, QI, CUBIC, finite_field(4)], ids=lambda b: b.label)
+def test_each_side_is_a_head_and_a_two_periodic_tail(base):
+    # The lemma the window kernel rests on: a base's order and its chi
+    # vanish from t = 2 on and repeat with period 2 from t = -1 down, so
+    # f(1), f(0), f(-1) and f(-2) determine them everywhere.
+    for f in (lambda t: ord_at_integer(base, t), lambda t: _base_chi(base, t)):
+        assert [f(t) for t in range(2, 21)] == [0] * 19
+        for t in range(-1, -501, -1):
+            assert f(t) == f(t - 2), t
 
 
 # -- tables of cellular schemes ------------------------------------------------
