@@ -7,10 +7,10 @@ disjoint unions.  The one leaf, ``BasePoint``, takes any kind of base
 on the kind live in ``fields`` (L-side) and ``weights`` (ranks).  Every
 node admits a decomposition into affine cells over its base, and that
 decomposition is the single piece of data both the K-theory side and the
-L-function side consume: a signed multiset of (base, dimension shift)
-pairs, ``CellDecomposition``.  Read as a product of shifted base zeta
-functions it is also the L-function of the scheme, with its vanishing
-order at each integer.
+L-function side consume: ``CellDecomposition``, one integer polynomial
+per base counting its signed cells by dimension.  Read as a product of
+shifted base zeta functions it is also the L-function of the scheme,
+with its vanishing order at each integer.
 
 The number of d-dimensional cells of a flag bundle of type
 N = (n_1, ..., n_l) is the coefficient of q^d in the Gaussian
@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import attrgetter
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .fields import (
@@ -58,7 +57,7 @@ __all__ = [
 
 # Size bounds, checked before any polynomial or stratum list is built:
 # the degree of one cell polynomial (a proj/grass/flag node's, or a
-# Gaussian binomial's or multinomial's), and the strata
+# Gaussian binomial's or multinomial's), and the terms (base, shift)
 # one convolution may produce before they are merged.
 MAX_CELL_DEGREE = 4096
 MAX_CONVOLUTION_STRATA = 250_000
@@ -305,13 +304,15 @@ class Stratum:
         return body if self.multiplicity == 1 else f"{body}^{self.multiplicity}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CellDecomposition:
     """A class in the Grothendieck group spanned by the cells [base x A^d].
 
-    The constructor puts the strata in canonical form: sorted by base
-    then shift, multiplicities merged, zero sums dropped; so equal
-    classes compare equal however they were built.
+    It is one sparse integer polynomial per base: ``polys`` holds pairs
+    (base, ((shift, multiplicity), ...)), each base once in
+    ``fields.base_sort_key`` order, shifts increasing, no zero terms, so
+    equal classes compare equal.  The constructor merges ``Stratum``
+    records in any order; ``strata`` is one per term, built when read.
 
     A cell of dimension d over a base contributes L_base(s - d) to the
     L-function, so the same class is the finite product
@@ -324,24 +325,27 @@ class CellDecomposition:
     ``str`` prints it.
     """
 
-    strata: tuple[Stratum, ...]
+    polys: tuple[tuple[BaseField, tuple[tuple[int, int], ...]], ...]
 
-    def __post_init__(self) -> None:
-        strata = tuple(self.strata)
-        keys = [(base_sort_key(s.base), s.shift) for s in strata]
-        # Strictly increasing keys are already canonical: one linear pass.
-        if any(a >= b for a, b in zip(keys, keys[1:])):
-            counts: dict[tuple, int] = {}
-            bases: dict[tuple, BaseField] = {}
-            for key, s in zip(keys, strata):
-                counts[key] = counts.get(key, 0) + s.multiplicity
-                bases[key] = s.base
-            strata = tuple(
-                Stratum(bases[key], key[1], counts[key])
-                for key in sorted(counts)
-                if counts[key]
-            )
-        object.__setattr__(self, "strata", strata)
+    def __init__(self, strata: Iterable[Stratum] = ()) -> None:
+        pairs = ((s.base, ((s.shift, s.multiplicity),)) for s in strata)
+        object.__setattr__(self, "polys", self._of(pairs).polys)
+
+    @classmethod
+    def _of(cls, pairs) -> "CellDecomposition":
+        """The sum of (base, terms) pairs in any order, with no Stratum."""
+        by_base: dict[BaseField, dict[int, int]] = {}
+        for base, terms in pairs:
+            acc = by_base.setdefault(base, {})
+            for d, m in terms:
+                acc[d] = acc.get(d, 0) + m
+        polys = []
+        for base in sorted(by_base, key=base_sort_key):
+            if poly := tuple([term for term in sorted(by_base[base].items()) if term[1]]):
+                polys.append((base, poly))
+        out = cls.__new__(cls)
+        object.__setattr__(out, "polys", tuple(polys))
+        return out
 
     @classmethod
     def one(cls) -> "CellDecomposition":
@@ -379,18 +383,21 @@ class CellDecomposition:
                 result = result * part if size % 2 == 1 else result / part
         return result
 
+    @cached_property
+    def strata(self) -> tuple[Stratum, ...]:
+        """One record per term, sorted by base then shift."""
+        return tuple(Stratum(b, d, m) for b, poly in self.polys for d, m in poly)
+
     @property
     def factors(self) -> tuple[Stratum, ...]:
         """The strata read as the factors of L(X, s)."""
         return self.strata
 
     def __mul__(self, other: "CellDecomposition") -> "CellDecomposition":
-        return CellDecomposition(self.strata + other.strata)
+        return self._of(self.polys + other.polys)
 
     def inverse(self) -> "CellDecomposition":
-        return CellDecomposition(
-            tuple(Stratum(s.base, s.shift, -s.multiplicity) for s in self.strata)
-        )
+        return self._of((b, [(d, -m) for d, m in poly]) for b, poly in self.polys)
 
     def __truediv__(self, other: "CellDecomposition") -> "CellDecomposition":
         return self * other.inverse()
@@ -401,34 +408,31 @@ class CellDecomposition:
         return self.ord_window(k, k)[k]
 
     def ord_window(self, lo: int, hi: int) -> dict[int, int]:
-        """{k: ord_at(k)} for k = lo..hi, in O(strata + width) per base:
+        """{k: ord_at(k)} for k = lo..hi, in O(terms + width) per base:
         ``_window_sums`` over the base orders at t = 1, 0, -1, -2."""
         return _window_sums(self, lo, hi, _base_orders)
 
     def shifted(self, d: int) -> "CellDecomposition":
-        return CellDecomposition(
-            tuple(Stratum(s.base, s.shift + d, s.multiplicity) for s in self.strata)
-        )
+        if any(poly[0][0] + d < 0 for _, poly in self.polys):
+            raise ValueError("cell dimension must be >= 0")
+        return self._of((b, [(e + d, m) for e, m in poly]) for b, poly in self.polys)
 
     def convolved(self, poly: QPolynomial) -> "CellDecomposition":
-        """Multiply by a cell-count polynomial: each coefficient c_e adds
-        c_e copies of every stratum shifted by e."""
-        size = len(self.strata) * sum(1 for c in poly.coeffs if c)
+        """Multiply each base's polynomial by a cell-count polynomial: each
+        coefficient c_e adds c_e copies of every term shifted by e."""
+        coeffs = [(e, c) for e, c in enumerate(poly.coeffs) if c]
+        size = sum(len(own) for _, own in self.polys) * len(coeffs)
         if size > MAX_CONVOLUTION_STRATA:
             raise ValueError(
                 f"a convolution of {size} strata is above the bound "
                 f"MAX_CONVOLUTION_STRATA = {MAX_CONVOLUTION_STRATA}"
             )
-        out = []
-        for e, c in enumerate(poly.coeffs):
-            if c == 0:
-                continue
-            for s in self.strata:
-                out.append(Stratum(s.base, s.shift + e, s.multiplicity * c))
-        return CellDecomposition(tuple(out))
+        return self._of(
+            (b, [(d + e, m * c) for e, c in coeffs for d, m in own]) for b, own in self.polys
+        )
 
     def max_shift(self) -> int:
-        return max((s.shift for s in self.strata), default=0)
+        return max((poly[-1][0] for _, poly in self.polys), default=0)
 
     def __iter__(self):
         return iter(self.strata)
@@ -441,8 +445,8 @@ def cells_of(x: SchemeExpr) -> CellDecomposition:
     """The canonical cell decomposition of a scheme expression.
 
     Composition rules: an affine shift raises every cell dimension by d; a
-    projective, Grassmannian or flag bundle, read as a flag type, convolves
-    with that type's Gaussian multinomial; a union concatenates.
+    projective, Grassmannian or flag bundle, read as a flag type, multiplies
+    each base's polynomial by its Gaussian multinomial; a union adds them.
     """
     if isinstance(x, BasePoint):
         return CellDecomposition((Stratum(x.field, 0, 1),))
@@ -451,10 +455,7 @@ def cells_of(x: SchemeExpr) -> CellDecomposition:
     if isinstance(x, (ProjBundle, Grassmannian, FlagBundle)):
         return cells_of(x.child).convolved(_cell_polynomial(x.parts))
     if isinstance(x, DisjointUnion):
-        out: list[Stratum] = []
-        for c in x.children:
-            out.extend(cells_of(c).strata)
-        return CellDecomposition(tuple(out))
+        return CellDecomposition._of(p for c in x.children for p in cells_of(c).polys)
     raise TypeError(f"not a scheme expression: {x!r}")
 
 
@@ -471,30 +472,30 @@ def _window_sums(
     hi: int,
     rule: Callable[[BaseField], tuple[int, int, int, int]],
 ) -> dict[int, int]:
-    """{k: sum of multiplicity * f(k - shift) over the strata} for k = lo..hi.
+    """{k: sum of multiplicity * f(k - shift) over the terms} for k = lo..hi.
 
     f is a per-base function of t = k - shift that vanishes for t >= 2,
     has a head at t = 1 and t = 0, and below that a 2-periodic tail,
     f(t) = f(t - 2) for t <= -1; ``rule(base)`` gives its four values
     f(1), f(0), f(-1), f(-2).  Both sides of the identity have this shape.
-    The strata are sorted by base, so each base is one group, read once:
-    a stratum above hi enters one of two tail sums, split by the parity of
-    its distance from hi, and a stratum inside the window is kept at its
-    shift.  The walk then goes from k = hi down to lo: at each step down
-    the two parities swap and the stratum at the old k joins the odd sum.
-    The cost is O(strata + width) per base, whatever the size of a shift.
+    Each base's polynomial is read once: a term above hi enters one of
+    two tail sums, split by the parity of its distance from hi, and a term
+    inside the window is kept at its shift.  The walk then goes from
+    k = hi down to lo: at each step down the two parities swap and the
+    term at the old k joins the odd sum.  The cost is O(terms + width)
+    per base, whatever the size of a shift.
     """
     width = hi - lo + 1
     out = [0] * width
-    for base, group in itertools.groupby(cells.strata, key=attrgetter("base")):
+    for base, poly in cells.polys:
         head1, head0, odd_tail, even_tail = rule(base)
         at = [0] * (width + 1)  # at[i]: the multiplicity at shift lo - 1 + i
-        above = [0, 0]  # strata above hi, by the parity of shift - hi
-        for s in group:
-            if s.shift > hi:
-                above[(s.shift - hi) % 2] += s.multiplicity
-            elif s.shift >= lo - 1:
-                at[s.shift - lo + 1] = s.multiplicity
+        above = [0, 0]  # terms above hi, by the parity of shift - hi
+        for shift, mult in poly:
+            if shift > hi:
+                above[(shift - hi) % 2] += mult
+            elif shift >= lo - 1:
+                at[shift - lo + 1] = mult
         even, odd = above
         for i in range(width, 0, -1):  # k = lo - 1 + i
             here = at[i]
@@ -516,12 +517,10 @@ def point_count(x: CellsOrScheme, r: int) -> int:
     if r < 1:
         raise ValueError("extension degree r must be >= 1")
     total = 0
-    for s in _as_cells(x):
-        if not isinstance(s.base, FiniteField):
-            raise ValueError(
-                f"point counting needs finite-field bases, found {s.base}"
-            )
-        total += s.multiplicity * (s.base.q**r) ** s.shift
+    for base, poly in _as_cells(x).polys:
+        if not isinstance(base, FiniteField):
+            raise ValueError(f"point counting needs finite-field bases, found {base}")
+        total += sum(m * (base.q**r) ** d for d, m in poly)
     return total
 
 

@@ -27,7 +27,7 @@ import sys
 from typing import Iterable, Optional, Sequence
 
 from .cells import BasePoint, CellDecomposition, SchemeExpr, cells_of
-from .fields import UnsupportedFieldError
+from .fields import UnsupportedFieldError, _digits_refusal, _read_int
 from .lfuncs import (
     lfun_partial_eval,
     special_value_product,
@@ -37,7 +37,6 @@ from .lfuncs import (
 from .parse import (
     _INT,
     SchemeSyntaxError,
-    _digits_refusal,
     load_field_registry,
     parse_scheme,
 )
@@ -83,16 +82,13 @@ def _cells_in_window(
     m = _K_RANGE_RE.fullmatch(args.k)
     if m is None:
         raise ValueError(f"bad range {args.k!r}; expected LO..HI, e.g. -10..2")
-    for text in m.groups():
-        if why := _digits_refusal(text):
-            raise ValueError(why)
-    lo, hi = int(m.group(1)), int(m.group(2))
+    lo, hi = map(_read_int, m.groups())
     if lo > hi:
         raise ValueError(f"empty range {args.k!r}")
     out, strata = [], 0
     for x in schemes:
         out.append(cells_of(x))
-        strata += len(out[-1].strata)
+        strata += sum(len(poly) for _, poly in out[-1].polys)
         if strata * (hi - lo + 1) > MAX_WINDOW_WORK:
             raise ValueError(
                 f"at least {strata} strata over a window of {hi - lo + 1} weights: "

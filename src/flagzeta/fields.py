@@ -89,6 +89,21 @@ def primes_upto(n: int) -> list[int]:
 MAX_FACTORED = 10**12
 MAX_PRIME_BOUND = 2_000_000
 MAX_EULER_WORK = 10_000_000
+MAX_INT_DIGITS = 1000  # of integer text (grammar, --k, options, catalogue), before int()
+
+
+def _digits_refusal(text: str) -> Optional[str]:
+    """Why an integer's text is refused before int() reads it, or None."""
+    if (digits := len(text) - text.startswith("-")) > MAX_INT_DIGITS:
+        return f"an integer of {digits} digits is above MAX_INT_DIGITS = {MAX_INT_DIGITS}"
+    return None
+
+
+def _read_int(text: str) -> int:
+    """int(text), refused by ``_digits_refusal`` before int() reads it."""
+    if why := _digits_refusal(text):
+        raise ValueError(why)
+    return int(text)
 
 
 def _smallest_prime_factor(n: int) -> int:
@@ -306,7 +321,7 @@ def make_number_field(record: Mapping[str, object]) -> NumberField:
                 f"field {label!r}: splitting entry {p!r}: {fs!r} is not an "
                 "integer prime and a list of integer degrees"
             )
-        splitting.append((int(p), tuple(fs)))
+        splitting.append((_read_int(p) if isinstance(p, str) else p, tuple(fs)))
     return NumberField(label, degree, r1, r2, disc=disc, splitting=tuple(splitting))
 
 

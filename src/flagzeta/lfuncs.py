@@ -7,12 +7,14 @@ L-function of any scheme expression here is a finite product
     L(X, s) = prod_i L_{base_i}(s - d_i)^(e_i)
 
 over the cells, and the cell class ``cells.CellDecomposition`` (also
-named ``LFactorization`` here) is that product: no second multiset is
-built.  Exponents are the signed cell multiplicities, so quotients from
-open covers and excision are exact.  The vanishing order at an integer k
-is the exact integer sum of the factor orders and a numeric value is the
-product of the factor values, each read off ``fields.ord_at_integer`` or
-``fields.zeta_partial_eval``, which hold the rules of every base kind.
+named ``LFactorization`` here) is that product, one integer polynomial
+per base whose coefficient of q^d is the exponent of L_base(s - d): no
+second multiset is built.  Exponents are the signed cell multiplicities,
+so quotients from open covers and excision are exact.  The vanishing
+order at an integer k is the exact integer sum of the factor orders and
+a numeric value is the product of the factor values, each read off
+``fields.ord_at_integer`` or ``fields.zeta_partial_eval``, which hold
+the rules of every base kind.
 
 Over a finite field the same cell data also gives the zeta function as a
 rational function of t = q^(-s), prod (1 - q^d t)^(-l); this module
@@ -23,7 +25,6 @@ coefficient by coefficient.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +32,7 @@ from fractions import Fraction
 from .cells import (
     CellDecomposition,
     CellsOrScheme,
+    Stratum,
     _as_cells,
     point_count,
 )
@@ -155,16 +157,14 @@ class RationalZeta:
 
 def _single_q(cells: CellDecomposition) -> int:
     """The order q of the one finite field under every cell of a zeta class."""
-    if not cells.strata:
+    if not cells.polys:
         raise ValueError("no cells")
-    qs = set()
-    for s in cells:
-        if not isinstance(s.base, FiniteField):
-            raise ValueError(f"zeta over finite fields only, found {s.base}")
-        qs.add(s.base.q)
-    if len(qs) != 1:
-        raise ValueError(f"mixed finite bases {sorted(qs)}; no single q")
-    return qs.pop()
+    for base, _ in cells.polys:
+        if not isinstance(base, FiniteField):
+            raise ValueError(f"zeta over finite fields only, found {base}")
+    if len(cells.polys) > 1:  # each base once, by q
+        raise ValueError(f"mixed finite bases {[b.q for b, _ in cells.polys]}; no single q")
+    return cells.polys[0][0].q
 
 
 def weil_zeta_series(x: CellsOrScheme, order: int) -> TruncSeries:
@@ -192,7 +192,7 @@ def weil_zeta_rational(x: CellsOrScheme) -> RationalZeta:
     """
     cells = _as_cells(x)
     return RationalZeta(
-        _single_q(cells), denom=[(s.shift, s.multiplicity) for s in cells]
+        _single_q(cells), denom=[term for _, poly in cells.polys for term in poly]
     )
 
 
@@ -205,30 +205,29 @@ def lfun_partial_eval(
     """The product of every factor's ``zeta_partial_eval`` at real s.
 
     Requires a finite s with s - shift > 1 for each factor.  The factors
-    of a base are evaluated together: one sieve per number-field base, one
-    local factor per base and prime, one local value per factor and prime.
-    That work, priced once for all bases by ``fields``, is refused above
-    ``fields.MAX_EULER_WORK`` before any of it is done.  A product beyond a
-    float (overflowing, or underflowing to 0) raises ``ValueError``.
+    of a base, its polynomial's terms, are evaluated together: one sieve
+    per number-field base, one local factor per base and prime, one local
+    value per factor and prime.  That work, priced once for all bases by
+    ``fields``, is refused above ``fields.MAX_EULER_WORK`` before any of it
+    is done.  A product beyond a float (overflowing, or underflowing to 0)
+    raises ``ValueError``.
     """
     if not math.isfinite(s):
         raise ValueError(f"s = {s} is not a finite real number")
-    for factor in f:
-        # shift >= s first: a shift beyond a float's range never meets s - shift
-        if factor.shift >= s or s - factor.shift <= 1:
-            raise ValueError(
-                f"s = {s} puts factor {factor} outside the convergence "
-                f"region s - {factor.shift} > 1"
-            )
-    # the strata are sorted by base, so each base's factors are adjacent
-    groups = [(b, list(g)) for b, g in itertools.groupby(f, key=lambda c: c.base)]
-    _check_euler_work(prime_bound, [(b, len(fs)) for b, fs in groups])
+    # shift >= s first: a shift beyond a float's range never meets s - shift
+    terms = ((b, d, m) for b, poly in f.polys for d, m in poly if d >= s or s - d <= 1)
+    if bad := next(terms, None):
+        raise ValueError(
+            f"s = {s} puts factor {Stratum(*bad)} outside the convergence "
+            f"region s - {bad[1]} > 1"
+        )
+    _check_euler_work(prime_bound, [(b, len(poly)) for b, poly in f.polys])
     out = 1.0
-    for base, factors in groups:
-        values = zeta_partial_eval(base, [s - c.shift for c in factors], prime_bound)
-        for factor, v in zip(factors, values):
+    for base, poly in f.polys:
+        values = zeta_partial_eval(base, [s - shift for shift, _ in poly], prime_bound)
+        for (_, m), v in zip(poly, values):
             try:
-                out *= v**factor.multiplicity
+                out *= v**m
             except OverflowError:
                 out = math.inf
     if not 0 < out < math.inf:
@@ -252,11 +251,8 @@ def special_value_product(f: CellDecomposition, m: int) -> SpecialValue:
     kept as a symbolic (label, point, exponent) triple.  Finite-field
     factors have no special-value convention here and are rejected.
     """
-    for factor in f:
-        if not isinstance(factor.base, NumberField):
-            raise UnsupportedFieldError(
-                f"special values need number-field bases, found {factor.base}"
-            )
+    if other := next((b for b, _ in f.polys if not isinstance(b, NumberField)), None):
+        raise UnsupportedFieldError(f"special values need number-field bases, found {other}")
     order = f.ord_at(m)
     if order > 0:
         return SpecialValue(Fraction(0), order=order)

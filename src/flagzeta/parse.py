@@ -47,6 +47,8 @@ from .cells import (
 from .fields import (
     BaseField,
     NumberField,
+    _digits_refusal,
+    _read_int,
     finite_field,
     make_number_field,
     quadratic_field,
@@ -75,9 +77,6 @@ _CTORS = {
 
 # the grammar's INT, which the CLI's integer options read too
 _INT = r"-?[0-9]+"
-# An INT of more digits is refused before int() reads it: in the grammar,
-# in --k and in the CLI's integer options.
-MAX_INT_DIGITS = 1000
 _TOKEN_RE = re.compile(
     rf"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>{_INT})|(?P<punct>[(),+]))"
 )
@@ -93,14 +92,6 @@ class SchemeSyntaxError(ValueError):
     def __init__(self, message: str, position: int) -> None:
         super().__init__(f"{message} (column {position + 1})")
         self.position = position
-
-
-def _digits_refusal(text: str) -> Optional[str]:
-    """Why an INT text is refused before int() reads it, or None."""
-    digits = len(text) - text.startswith("-")
-    if digits <= MAX_INT_DIGITS:
-        return None
-    return f"an integer of {digits} digits is above MAX_INT_DIGITS = {MAX_INT_DIGITS}"
 
 
 def _scan(text: str) -> _Stack:
@@ -199,13 +190,13 @@ def load_field_registry(path: Union[str, Path]) -> dict[str, NumberField]:
 
     Each record needs label/degree/r1/r2, disc for quadratic fields, and
     above degree 2 may carry a splitting table {prime: [residue degrees]},
-    each prime once.  Labels must be plain identifiers, unique, and must
-    not shadow the grammar.
+    each prime once, and no integer of more than ``MAX_INT_DIGITS`` digits.
+    Labels must be plain identifiers, unique, and must not shadow the grammar.
     """
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            raw = json.load(handle)
-        except json.JSONDecodeError as exc:
+            raw = json.load(handle, parse_int=_read_int)
+        except ValueError as exc:  # not JSON or not UTF-8, or an integer _read_int refused
             raise ValueError(f"field catalogue {path}: {exc}") from None
         except RecursionError:
             raise ValueError(f"field catalogue {path}: JSON nested too deeply") from None

@@ -13,10 +13,10 @@ integer k:
 two independent pipelines, and compares the resulting integers exactly
 over a k-range; the reports it returns are plain frozen data, rendered
 identically on every run.  Each side reads the whole window off the
-class in one head-and-tail convolution (``cells._window_sums``), in
-O(strata + width) per base, each with its own per-base rule: ``chi`` the
-rank entries of ``weights._base_entries``, ``ord_window`` the orders of
-``fields.ord_at_integer``.  A report carries the weight table it read,
+class, one polynomial per base, in one head-and-tail convolution per
+base (``cells._window_sums``), O(terms + width), each with its own rule:
+``chi`` the rank entries of ``weights._base_entries``, ``ord_window``
+the orders of ``fields.ord_at_integer``.  A report carries the weight table it read,
 whose window is the report's k-range; ``to_dict`` renders the support in
 each weight from it: the degrees where the ranks of the scheme live, read
 off the table's column at that weight, the only step that builds the
@@ -123,7 +123,7 @@ def check_soule(
     ``x`` is a scheme or a signed cell class.  The cell decomposition is
     computed once and shared; everything after that point is two disjoint
     exact computations, ``chi`` of its weight table and its
-    ``ord_window``, each O(strata + width) per base and neither building
+    ``ord_window``, each O(terms + width) per base and neither building
     the table's columns.  The report is named ``name``, or else ``str(x)``.
     """
     k_min, k_max = k_range

@@ -22,13 +22,13 @@ on classes, as ``ord_at`` is; that is all the cell calculus needs.
 A table covers an explicit weight window [j_min, j_max], because the
 full table has entries at every sufficiently negative weight; inside
 the window every query is exact and complete.  A table holds the cell
-class and its window.  ``chi`` reads the class directly: a base's signed
-column sums vanish above weight 1 and are 2-periodic below weight -1, so
-``cells._window_sums`` gives chi on the whole window in O(strata + width)
-per base, whatever the size of a shift.  The ranks themselves, one
-column of nonzero (m, rank) pairs sorted by m per weight, are built only
-when a caller reads them (``items``, ``dim``, ``support_at``), in one
-pass over the cells.
+class, one integer polynomial per base, and its window.  ``chi`` reads
+the class directly: a base's signed column sums vanish above weight 1
+and are 2-periodic below weight -1, so ``cells._window_sums`` gives chi
+on the window in O(terms + width) per base, however large a shift.  The
+ranks, one column of nonzero (m, rank) pairs sorted by m per weight, are
+built only when read (``items``, ``dim``, ``support_at``), in one pass
+over the polynomials.
 
 The Euler characteristic of a table at weight k is
 chi(k) = sum_m (-1)^(m+1) dim(m, k), the sign chosen so that
@@ -77,14 +77,15 @@ class WeightTable:
 
     @cached_property
     def columns(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """The signed sum over the cells of the base entries shifted up by
-        the cell dimension, in one pass, by weight."""
+        """The signed sum over each base's terms of the base entries
+        shifted up by the term's shift, in one pass, by weight."""
         j_min, j_max = self.j_min, self.j_max
         acc: dict[int, dict[int, int]] = {}
-        for s in self.cells:
-            for (m, j), dim in _base_entries(s.base, j_min - s.shift, j_max - s.shift):
-                col = acc.setdefault(j + s.shift, {})
-                col[m] = col.get(m, 0) + dim * s.multiplicity
+        for base, poly in self.cells.polys:
+            for shift, mult in poly:
+                for (m, j), dim in _base_entries(base, j_min - shift, j_max - shift):
+                    col = acc.setdefault(j + shift, {})
+                    col[m] = col.get(m, 0) + dim * mult
         columns = {}
         for j in sorted(acc):
             col = tuple(sorted((m, dim) for m, dim in acc[j].items() if dim))

@@ -26,6 +26,7 @@ from flagzeta.cells import (
     point_count,
 )
 from flagzeta.fields import FiniteField, finite_field, quadratic_field, rationals
+from flagzeta.verify import check_soule
 from oracles import flag_as_grassmannian_tower
 
 Q = rationals()
@@ -395,6 +396,33 @@ def test_constructor_puts_strata_in_canonical_form():
     assert str(hand) == "L(Q, s)^2 * L(Q, s-1)"
     # cancelling multiplicities drop out, leaving the empty class
     assert CellDecomposition([Stratum(F2, 3, 2), Stratum(F2, 3, -2)]) == CellDecomposition.one()
+
+
+# a union of 20 distinct imaginary quadratic fields: 41 nodes, 20 bases
+# and 4020 terms
+_SQUAREFREE = (1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 26, 29, 30, 31)
+_TWENTY_FIELDS = DisjointUnion(
+    tuple(ProjBundle(BasePoint(quadratic_field(-d)), 200) for d in _SQUAREFREE)
+)
+
+
+def test_cells_of_sorts_bases_per_node_not_per_term(monkeypatch):
+    calls = []
+    key = flagzeta.cells.base_sort_key
+    monkeypatch.setattr(flagzeta.cells, "base_sort_key", lambda b: calls.append(b) or key(b))
+    cells = cells_of(_TWENTY_FIELDS)
+    bases, nodes = 20, 41
+    assert len(calls) <= bases * nodes
+    assert len(cells.strata) == 20 * 201
+
+
+def test_check_soule_builds_one_stratum_per_leaf(monkeypatch):
+    # the class is read as polynomials; no Stratum record is built per term
+    built = []
+    post_init = Stratum.__post_init__
+    monkeypatch.setattr(Stratum, "__post_init__", lambda s: built.append(s) or post_init(s))
+    assert check_soule(_TWENTY_FIELDS, (-6, 2)).ok
+    assert len(built) <= 20
 
 
 def test_flag_tower_gives_same_cells():

@@ -231,6 +231,20 @@ def test_an_integer_of_too_many_digits_is_refused_by_name(capsys, argv, code):
     assert "an integer of 5001 digits is above MAX_INT_DIGITS = 1000" in err
 
 
+@pytest.mark.parametrize(
+    "tail",
+    ['"r2": 1' + "0" * 5000, '"r2": 1, "splitting": {"1' + "0" * 5000 + '": [3]}'],
+    ids=["r2", "splitting-prime"],
+)
+def test_a_catalogue_integer_of_too_many_digits_is_refused_by_name(capsys, tmp_path, tail):
+    # written by hand: json.dumps cannot print a 5001-digit int either
+    config = tmp_path / "fields.json"
+    config.write_text('{"fields": [{"label": "C", "degree": 3, "r1": 1, ' + tail + "}]}")
+    code, out, err = run(capsys, "cells", "C", "--field-config", str(config))
+    assert (code, out) == (3, "")
+    assert "an integer of 5001 digits is above MAX_INT_DIGITS = 1000" in err
+
+
 def test_an_integer_of_max_int_digits_is_read(capsys):
     nines = "9" * 1000
     code, out, _ = run(capsys, "cells", f"affine(Q, {nines})", "--format=csv")

@@ -22,11 +22,13 @@ from flagzeta.cells import (
     FlagBundle,
     Grassmannian,
     ProjBundle,
+    QPolynomial,
     Stratum,
     cells_of,
 )
 from flagzeta.fields import (
     NumberField,
+    base_sort_key,
     finite_field,
     ord_at_integer,
     primes_upto,
@@ -143,6 +145,77 @@ def test_one_pass_table_matches_per_cell_tables(c):
         for j in range(lo, hi + 1)
     ]
     assert check_soule(c, WINDOW).to_dict()["support"] == support
+
+
+def reference_canonical(strata):
+    """The former constructor: strata keyed by (base_sort_key, shift),
+    multiplicities merged, zero sums dropped, sorted by key."""
+    counts, bases = {}, {}
+    for s in strata:
+        key = (base_sort_key(s.base), s.shift)
+        counts[key] = counts.get(key, 0) + s.multiplicity
+        bases[key] = s.base
+    return tuple(Stratum(bases[key], key[1], counts[key]) for key in sorted(counts) if counts[key])
+
+
+def reference_convolved(strata, poly):
+    """The former per-stratum convolution: c_e copies of every stratum
+    shifted by e, then sorted and merged."""
+    return reference_canonical(
+        Stratum(s.base, s.shift + e, s.multiplicity * c)
+        for e, c in enumerate(poly.coeffs) if c for s in strata
+    )
+
+
+def assert_canonical(c):
+    keys = [base_sort_key(base) for base, _ in c.polys]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    for _, poly in c.polys:
+        assert all(d < e for (d, _), (e, _) in zip(poly, poly[1:]))
+        assert poly and all(m != 0 for _, m in poly)
+
+
+_raw_strata = st.lists(
+    st.builds(
+        Stratum,
+        st.sampled_from(FINITE_FIELDS + NUMBER_FIELDS),
+        st.one_of(st.integers(0, 8), st.just(10**21)),
+        st.integers(-3, 3).filter(bool),
+    ),
+    max_size=10,
+)
+_HUGE_STRATA = [Stratum(rationals(), 10**21, 2), Stratum(finite_field(2), 3, -1)]
+
+
+@example(_HUGE_STRATA, _HUGE_STRATA[::-1], 1, QPolynomial((1, 0, 2)), [BasePoint(rationals())] * 2)
+@given(
+    _raw_strata,
+    _raw_strata,
+    st.integers(0, 3),
+    st.lists(st.integers(0, 3), max_size=6).map(QPolynomial),
+    st.lists(schemes, min_size=2, max_size=3),
+)
+def test_class_operations_match_the_per_stratum_references(a, b, d, poly, children):
+    c, other = CellDecomposition(a), CellDecomposition(b)
+    negated = [Stratum(s.base, s.shift, -s.multiplicity) for s in b]
+    # every split is nonzero: m = 2m + (-m)
+    split = [Stratum(s.base, s.shift, k * s.multiplicity) for s in a for k in (2, -1)]
+    cases = [
+        (c, reference_canonical(a)),
+        (CellDecomposition(split[::-1]), reference_canonical(a)),
+        (c.shifted(d), reference_canonical(Stratum(s.base, s.shift + d, s.multiplicity) for s in a)),
+        (c.convolved(poly), reference_convolved(a, poly)),
+        (c * other, reference_canonical(a + b)),
+        (c / other, reference_canonical(a + negated)),
+        (other.inverse(), reference_canonical(negated)),
+        (
+            cells_of(DisjointUnion(tuple(children))),
+            reference_canonical(s for x in children for s in cells_of(x)),
+        ),
+    ]
+    for got, expected in cases:
+        assert got.strata == expected
+        assert_canonical(got)
 
 
 def per_kind_ord_at(cells, k):
