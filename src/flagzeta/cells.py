@@ -19,11 +19,25 @@ multinomial [n; n_1, ..., n_l]_q; a projective bundle is the flag type
 polynomial exactly as a product of quotients (1 - q^a) / (1 - q^b) of
 integer polynomials, and cross-checks it against literal enumeration of
 nested subspaces of F_q^n.
+
+A bundle node multiplies each base's polynomial by its cell polynomial
+P by Kronecker substitution (``CellDecomposition.convolved``), one
+big-integer product per base: the terms are cut into runs wherever a
+gap exceeds deg P, and the runs are laid out with room for their
+products, so the products never overlap.  The layout and P are
+evaluated at q = 2^(8 width), one signed coefficient per slot of width
+bytes, and multiplied; the product's slots, biased by 2^(8 width - 1)
+so negative coefficients decode exactly, are read back in shift order
+with nothing left to merge.  A ``QPolynomial`` keeps its coefficients
+in the narrowest machine integers that hold them, which pack into slots
+as they are and widen with zero bytes.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
@@ -57,8 +71,11 @@ __all__ = [
 
 # Size bounds, checked before any polynomial or stratum list is built:
 # the degree of one cell polynomial (a proj/grass/flag node's, or a
-# Gaussian binomial's or multinomial's), and the terms (base, shift)
-# one convolution may produce before they are merged.
+# Gaussian binomial's or multinomial's), and the terms (base, shift) of
+# a class times the degree + 1 of the polynomial it is convolved with,
+# which bounds the slots of the product.  A cell polynomial has no zero
+# coefficient up to its degree, so that count is the terms its
+# convolution produces before they are merged.
 MAX_CELL_DEGREE = 4096
 MAX_CONVOLUTION_STRATA = 250_000
 
@@ -66,26 +83,71 @@ MAX_CONVOLUTION_STRATA = 250_000
 # -- polynomials in q ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class QPolynomial:
     """A polynomial in q with non-negative integer coefficients.
 
-    Trailing zeros are stripped so equal polynomials compare equal.
+    The coefficients, lowest first, are kept as ``digits``: an array of
+    the narrowest signed machine integers that hold them, width bytes
+    each, or a tuple when none does.  Trailing zeros are stripped so equal
+    polynomials compare equal.
     """
 
-    coeffs: tuple[int, ...]
+    digits: Sequence[int]
 
-    def __post_init__(self) -> None:
-        cs = tuple(self.coeffs)
+    def __init__(self, coeffs: Iterable[int] = ()) -> None:
+        cs = list(coeffs)
         while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        if any(c < 0 for c in cs):
+            cs.pop()
+        if cs and min(cs) < 0:
             raise ValueError("cell counts cannot be negative")
-        object.__setattr__(self, "coeffs", cs)
+        fmt = _SLOT_FORMATS.get(_slot_width(max(cs) if cs else 0))
+        object.__setattr__(self, "digits", array(fmt, cs) if fmt else tuple(cs))
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    @property
+    def width(self) -> int:
+        """The slot width in bytes: the narrowest power of two whose signed
+        slots hold the largest coefficient."""
+        if isinstance(self.digits, array):
+            return self.digits.itemsize
+        return _slot_width(max(self.digits))
+
+    @property
+    def degree(self) -> int:
+        """The top exponent, -1 for the zero polynomial."""
+        return len(self.digits) - 1
+
+    @cached_property
+    def total(self) -> int:
+        """The sum of the coefficients, the value at q = 1."""
+        return sum(self.digits)
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        return tuple(self.digits)
+
+    def packed_in(self, width: int) -> int:
+        """The value at q = 2^(8 width), for a width of at least
+        ``self.width``: the coefficients in little-endian slots of width
+        bytes, each widened by zero bytes, since none is negative."""
+        own = self.width
+        raw = _slots(self.digits, own)
+        if width > own:
+            out = bytearray(width * len(self.digits))
+            for j in range(own):
+                out[j::width] = raw[j::own]
+            raw = out
+        return int.from_bytes(raw, "little")
+
+    def __repr__(self) -> str:
+        return f"QPolynomial({self.coeffs!r})"
 
     def __call__(self, q: int) -> int:
         out = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(self.digits):
             out = out * q + c
         return out
 
@@ -136,7 +198,7 @@ def _cell_polynomial(parts: tuple[int, ...]) -> QPolynomial:
                 cs[r::i] = itertools.accumulate(cs[r::i])
             del cs[len(cs) - i:]  # the quotient's top, all zeros
         m -= p
-    return QPolynomial(tuple(cs))
+    return QPolynomial(cs)
 
 
 @lru_cache(maxsize=None)
@@ -276,6 +338,45 @@ class DisjointUnion(SchemeExpr):
         return f"union({', '.join(str(c) for c in self.children)})"
 
 
+# -- Kronecker slots: integers read as signed fixed-width digits ----------------
+
+_SWAP = sys.byteorder == "big"  # slots are little-endian whatever the machine
+_SLOT_FORMATS = {array(f).itemsize: f for f in "bhiq"}  # signed machine ints
+
+
+def _slot_width(bound: int) -> int:
+    """The narrowest power-of-two byte width whose signed slots hold every
+    integer of absolute value at most bound."""
+    width = 1
+    while 8 * width <= bound.bit_length():
+        width *= 2
+    return width
+
+
+def _slots(values: Sequence[int], width: int) -> bytes:
+    """values as little-endian two's-complement slots of width bytes,
+    lowest first."""
+    if fmt := _SLOT_FORMATS.get(width):
+        out = array(fmt, values)
+        if _SWAP:
+            out.byteswap()
+        return out.tobytes()
+    return b"".join([v.to_bytes(width, "little", signed=True) for v in values])
+
+
+def _unslots(raw: bytes, width: int) -> Sequence[int]:
+    """The little-endian two's-complement slots of width bytes in raw,
+    lowest first."""
+    if fmt := _SLOT_FORMATS.get(width):
+        if not _SWAP:
+            return memoryview(raw).cast(fmt)
+        out = array(fmt, raw)
+        out.byteswap()
+        return out
+    return [int.from_bytes(raw[i:i + width], "little", signed=True)
+            for i in range(0, len(raw), width)]
+
+
 # -- cell decompositions ------------------------------------------------------
 
 
@@ -298,10 +399,14 @@ class Stratum:
             raise ValueError("multiplicity must be nonzero")
 
     def __str__(self) -> str:
-        """The cell's L-factor L_base(s - shift)^multiplicity."""
-        arg = f"s-{self.shift}" if self.shift else "s"
-        body = f"L({self.base.label}, {arg})"
-        return body if self.multiplicity == 1 else f"{body}^{self.multiplicity}"
+        return _factor(self.base, self.shift, self.multiplicity)
+
+
+def _factor(base: BaseField, shift: int, multiplicity: int) -> str:
+    """A cell's L-factor L_base(s - shift)^multiplicity."""
+    arg = f"s-{shift}" if shift else "s"
+    body = f"L({base.label}, {arg})"
+    return body if multiplicity == 1 else f"{body}^{multiplicity}"
 
 
 @dataclass(frozen=True, init=False)
@@ -343,6 +448,11 @@ class CellDecomposition:
         for base in sorted(by_base, key=base_sort_key):
             if poly := tuple([term for term in sorted(by_base[base].items()) if term[1]]):
                 polys.append((base, poly))
+        return cls._canonical(polys)
+
+    @classmethod
+    def _canonical(cls, polys) -> "CellDecomposition":
+        """The class whose ``polys`` are given, already in canonical form."""
         out = cls.__new__(cls)
         object.__setattr__(out, "polys", tuple(polys))
         return out
@@ -418,18 +528,55 @@ class CellDecomposition:
         return self._of((b, [(e + d, m) for e, m in poly]) for b, poly in self.polys)
 
     def convolved(self, poly: QPolynomial) -> "CellDecomposition":
-        """Multiply each base's polynomial by a cell-count polynomial: each
-        coefficient c_e adds c_e copies of every term shifted by e."""
-        coeffs = [(e, c) for e, c in enumerate(poly.coeffs) if c]
-        size = sum(len(own) for _, own in self.polys) * len(coeffs)
+        """Multiply each base's polynomial by a cell-count polynomial P: each
+        coefficient c_e adds c_e copies of every term shifted by e.
+
+        The product is one big-integer multiply per base, by Kronecker
+        substitution.  The terms are cut into runs: two neighbours share a
+        run when their gap is at most deg P, the only case in which their
+        products can overlap.  Each run is laid out over its shifts plus
+        deg P zero slots, room for its product, so the runs' products stay
+        apart and in order.  The layout and P are read at q = 2^(8 width)
+        as integers, one coefficient per slot of width bytes, multiplied
+        once, and the product read back slot by slot, run by run.  No
+        coefficient exceeds max|m| * P(1), and width is the narrowest power
+        of two whose signed slots hold that bound.  A slot holds a signed
+        coefficient as two's complement; with bias the integer that puts
+        2^(8 width - 1) in every slot, each biased slot is non-negative and
+        XOR with bias maps biased slots to two's complement and back, so
+        (T ^ bias) - bias reads the signed slots T and (N + bias) ^ bias
+        writes the product N.  A run of r terms fills at most
+        r * (deg P + 1) slots, the count MAX_CONVOLUTION_STRATA bounds.
+        """
+        size = sum(len(own) for _, own in self.polys) * (poly.degree + 1)
         if size > MAX_CONVOLUTION_STRATA:
             raise ValueError(
                 f"a convolution of {size} strata is above the bound "
                 f"MAX_CONVOLUTION_STRATA = {MAX_CONVOLUTION_STRATA}"
             )
-        return self._of(
-            (b, [(d + e, m * c) for e, c in coeffs for d, m in own]) for b, own in self.polys
-        )
+        if not poly.digits:
+            return self.one()
+        degree = poly.degree
+        polys = []
+        for base, own in self.polys:
+            width = _slot_width(max(abs(m) for _, m in own) * poly.total)
+            cuts = [i for i in range(1, len(own)) if own[i][0] - own[i - 1][0] > degree]
+            layout, shifts = [], []  # shifts: per run, the shifts of its slots
+            for lo, hi in zip([0, *cuts], [*cuts, len(own)]):
+                first = own[lo][0]
+                run = [0] * (own[hi - 1][0] - first + 1 + degree)
+                for d, m in own[lo:hi]:
+                    run[d - first] = m
+                layout += run
+                shifts.append(range(first, first + len(run)))
+            slot = (1 << 8 * width - 1).to_bytes(width, "little")
+            bias = int.from_bytes(slot * len(layout), "little")
+            a = (int.from_bytes(_slots(layout, width), "little") ^ bias) - bias
+            product = (a * poly.packed_in(width) + bias) ^ bias
+            out = _unslots(product.to_bytes(width * len(layout), "little"), width)
+            terms = zip(itertools.chain.from_iterable(shifts), out)
+            polys.append((base, tuple([t for t in terms if t[1]])))
+        return self._canonical(polys)
 
     def max_shift(self) -> int:
         return max((poly[-1][0] for _, poly in self.polys), default=0)
@@ -438,7 +585,8 @@ class CellDecomposition:
         return iter(self.strata)
 
     def __str__(self) -> str:
-        return " * ".join(str(s) for s in self.strata) or "1"
+        """The product of the terms' L-factors, read off ``polys``."""
+        return " * ".join(_factor(b, d, m) for b, poly in self.polys for d, m in poly) or "1"
 
 
 def cells_of(x: SchemeExpr) -> CellDecomposition:
@@ -449,7 +597,7 @@ def cells_of(x: SchemeExpr) -> CellDecomposition:
     each base's polynomial by its Gaussian multinomial; a union adds them.
     """
     if isinstance(x, BasePoint):
-        return CellDecomposition((Stratum(x.field, 0, 1),))
+        return CellDecomposition._canonical(((x.field, ((0, 1),)),))
     if isinstance(x, Affine):
         return cells_of(x.child).shifted(x.d)
     if isinstance(x, (ProjBundle, Grassmannian, FlagBundle)):

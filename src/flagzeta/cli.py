@@ -230,7 +230,8 @@ def _cmd_verify(x: SchemeExpr, args):
     report = check_soule(cells, (lo, hi), name=str(x))
     rows = [(r.k, r.chi, r.ord, "yes" if r.match else "NO") for r in report.rows]
     footer = [f"summary: {report.matched} matched, {report.mismatched} mismatched"]
-    return ("k", "chi", "ord", "match"), rows, report.to_dict(), footer, report.ok
+    payload = report.to_dict(support=args.format == "json")
+    return ("k", "chi", "ord", "match"), rows, payload, footer, report.ok
 
 
 def _sweep_family(args) -> list[SchemeExpr]:
@@ -265,7 +266,7 @@ def _cmd_sweep(x: None, args):
         (r.scheme, r.matched, r.mismatched, "yes" if r.ok else "NO")
         for r in report.reports
     ]
-    payload = {"family": args.family, **report.to_dict()}
+    payload = {"family": args.family, **report.to_dict(support=args.format == "json")}
     footer = [
         f"schemes: {report.schemes}, rows: {report.total_rows}, "
         f"mismatched: {report.mismatched}",

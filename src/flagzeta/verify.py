@@ -20,7 +20,8 @@ the orders of ``fields.ord_at_integer``.  A report carries the weight table it r
 whose window is the report's k-range; ``to_dict`` renders the support in
 each weight from it: the degrees where the ranks of the scheme live, read
 off the table's column at that weight, the only step that builds the
-columns.
+columns, which ``to_dict(support=False)`` leaves out (the CLI prints the
+support only as JSON).
 
 ``sweep`` runs the check across a family of schemes and aggregates, so a
 single exit status can certify, say, every flag bundle of rank <= 5 over
@@ -92,12 +93,11 @@ class VerificationReport:
     def ok(self) -> bool:
         return not self.mismatches
 
-    def to_dict(self) -> dict:
+    def to_dict(self, support: bool = True) -> dict:
+        """The report as JSON-ready data; ``support=False`` leaves out the
+        support rows, the one part that builds the table's columns."""
         table = self.table
-        supports = (
-            (j, table.support_at(j)) for j in range(table.j_min, table.j_max + 1)
-        )
-        return {
+        out = {
             "scheme": self.scheme,
             "k_min": table.j_min,
             "k_max": table.j_max,
@@ -105,14 +105,17 @@ class VerificationReport:
                 {"k": r.k, "chi": r.chi, "ord": r.ord, "match": r.match}
                 for r in self.rows
             ],
-            "support": [
-                {"j": j, "degrees": [m for m, _ in col], "total_dim": sum(d for _, d in col)}
-                for j, col in supports
-            ],
             "matched": self.matched,
             "mismatched": self.mismatched,
             "ok": self.ok,
         }
+        if support:
+            cols = ((j, table.support_at(j)) for j in range(table.j_min, table.j_max + 1))
+            out["support"] = [
+                {"j": j, "degrees": [m for m, _ in col], "total_dim": sum(d for _, d in col)}
+                for j, col in cols
+            ]
+        return out
 
 
 def check_soule(
@@ -124,7 +127,8 @@ def check_soule(
     computed once and shared; everything after that point is two disjoint
     exact computations, ``chi`` of its weight table and its
     ``ord_window``, each O(terms + width) per base and neither building
-    the table's columns.  The report is named ``name``, or else ``str(x)``.
+    the table's columns.  The report is named ``name``, or else ``str(x)``,
+    which for a class is printed from its polynomials, with no ``Stratum``.
     """
     k_min, k_max = k_range
     if k_min > k_max:
@@ -180,7 +184,7 @@ class SweepReport:
     def min_chi(self) -> int:
         return min(row.chi for r in self.reports for row in r.rows)
 
-    def to_dict(self) -> dict:
+    def to_dict(self, support: bool = True) -> dict:
         table = self.reports[0].table  # every report shares the sweep's window
         return {
             "k_min": table.j_min,
@@ -194,7 +198,7 @@ class SweepReport:
             "rows_zero": self.rows_zero,
             "min_chi": self.min_chi,
             "max_chi": self.max_chi,
-            "reports": [r.to_dict() for r in self.reports],
+            "reports": [r.to_dict(support) for r in self.reports],
         }
 
 

@@ -139,6 +139,10 @@ def test_convolution_size_is_bounded():
     bound = f"MAX_CONVOLUTION_STRATA = {MAX_CONVOLUTION_STRATA}"
     with pytest.raises(ValueError, match=bound):
         child.convolved(QPolynomial((1,) * 501))
+    # a polynomial with zero coefficients is counted by its degree, which
+    # sets the slots of the product: 500 x 502
+    with pytest.raises(ValueError, match="251000 strata"):
+        child.convolved(QPolynomial((1,) + (0,) * 500 + (1,)))
     with pytest.raises(ValueError, match="250500 strata"):
         cells_of(ProjBundle(ProjBundle(BasePoint(Q), 499), 500))
 
@@ -414,6 +418,21 @@ def test_cells_of_sorts_bases_per_node_not_per_term(monkeypatch):
     bases, nodes = 20, 41
     assert len(calls) <= bases * nodes
     assert len(cells.strata) == 20 * 201
+
+
+def test_convolution_merges_nothing_and_builds_no_records(monkeypatch):
+    # each run's product comes out of one multiply sorted and merged: no
+    # _of pass and no Stratum, not even for the leaf
+    merged, built = [], []
+    of = CellDecomposition._of.__func__
+    counted = classmethod(lambda cls, pairs: merged.append(1) or of(cls, pairs))
+    monkeypatch.setattr(CellDecomposition, "_of", counted)
+    post_init = Stratum.__post_init__
+    monkeypatch.setattr(Stratum, "__post_init__", lambda s: built.append(s) or post_init(s))
+    cells = cells_of(Grassmannian(ProjBundle(BasePoint(QI), 400), 8, 16))
+    assert merged == [] and built == []
+    [(base, poly)] = cells.polys
+    assert base == QI and [d for d, _ in poly] == list(range(400 + 8 * 8 + 1))
 
 
 def test_check_soule_builds_one_stratum_per_leaf(monkeypatch):

@@ -14,6 +14,7 @@ import flagzeta.cells
 import flagzeta.cli
 import flagzeta.fields
 import flagzeta.verify
+import flagzeta.weights
 from flagzeta.cli import main
 from flagzeta.parse import MAX_DEPTH
 from flagzeta.series import TruncSeries
@@ -642,6 +643,40 @@ summary: 0 matched, 33 mismatched
 
 
 def test_verify_mismatch_exits_1_and_caps_stderr(capsys, chi_off_by_one):
+    code, out, err = run(capsys, "verify", "Q", "--k=-30..2")
+    assert code == 1
+    assert out == VERIFY_Q_OFF_BY_ONE
+    rows = [line.split() for line in out.splitlines()[1:21]]
+    assert err == "".join(
+        f"mismatch: Q at k={k}: chi={c} ord={o}\n" for k, c, o, _ in rows
+    )
+
+
+def _refuse_columns(monkeypatch):
+    def refuse(table):
+        raise AssertionError("the support columns were built")
+
+    monkeypatch.setattr(flagzeta.weights.WeightTable, "columns", property(refuse))
+
+
+@pytest.mark.parametrize("fmt", ["plain", "csv"])
+def test_verify_and_sweep_build_no_columns_unless_json(capsys, monkeypatch, fmt):
+    # only JSON prints the support rows, the one part that reads the columns
+    commands = (
+        ["verify", "grass(proj(Q(sqrt -1), 3), 2, 4)", "--k=-6..2"],
+        ["sweep", "--family", "proj", "--fields", "Q,F(2)", "--k=-3..1"],
+    )
+    expected = [run(capsys, *argv, "--format", fmt) for argv in commands]
+    assert all(code == 0 for code, _, _ in expected)
+    _refuse_columns(monkeypatch)
+    for argv, want in zip(commands, expected):
+        assert run(capsys, *argv, "--format", fmt) == want
+    code, _, err = run(capsys, "verify", "Q", "--format", "json")
+    assert code == flagzeta.cli.EXIT_INTERNAL and "columns were built" in err
+
+
+def test_verify_mismatch_reports_without_columns(capsys, monkeypatch, chi_off_by_one):
+    _refuse_columns(monkeypatch)
     code, out, err = run(capsys, "verify", "Q", "--k=-30..2")
     assert code == 1
     assert out == VERIFY_Q_OFF_BY_ONE

@@ -218,6 +218,56 @@ def test_class_operations_match_the_per_stratum_references(a, b, d, poly, childr
         assert_canonical(got)
 
 
+_Q, _F2 = rationals(), finite_field(2)
+
+
+def _slot_edge(bits):
+    """Terms 0 and 1 of multiplicity 2^(bits - 2) times 1 + q: the middle
+    coefficient is 2^(bits - 1), one past what a signed slot of that many
+    bits holds."""
+    return [Stratum(_Q, 0, 2 ** (bits - 2)), Stratum(_Q, 1, 2 ** (bits - 2))], (1, 1)
+
+
+KERNEL_CASES = {
+    # multiplicities beyond 2^64, so slots wider than 8 bytes
+    "above 2^64": (
+        [Stratum(_Q, 0, 2**70), Stratum(_Q, 1, -(2**70) - 5), Stratum(_Q, 3, 2**64 + 1),
+         Stratum(_F2, 2, -(2**80))],
+        (1, 2, 1),
+    ),
+    # the middle coefficient is the bound max|m| * P(1), at each slot width
+    **{f"coefficient 2^{b - 1}": _slot_edge(b) for b in (8, 16, 32, 64, 128)},
+    "coefficient -2^63": ([Stratum(_Q, 0, -(2**62)), Stratum(_Q, 1, -(2**62))], (1, 1)),
+    # gap 2 = deg P overlaps at shift 2; gap 3 = deg P + 1 only touches
+    "gap equal to degree": ([Stratum(_Q, 0, 1), Stratum(_Q, 2, -4)], (1, 1, 1)),
+    "gap degree plus one": ([Stratum(_Q, 0, 1), Stratum(_Q, 3, -4)], (1, 1, 1)),
+    "gap equal to degree, three runs": (
+        [Stratum(_Q, 0, 5), Stratum(_Q, 3, -2), Stratum(_Q, 7, 1), Stratum(_Q, 10, -3)],
+        (2, 0, 1, 4),
+    ),
+    "constant": ([Stratum(_Q, 0, 3), Stratum(_Q, 1, -1), Stratum(_F2, 4, 2)], (5,)),
+    "one": ([Stratum(_Q, 0, -3), Stratum(_Q, 2, 1)], (1,)),
+    "zero polynomial": ([Stratum(_Q, 0, 3)], ()),
+    # (1 - q)(1 + q + q^2) = 1 - q^3: the products at 1 and 2 cancel
+    "cancelling run": ([Stratum(_Q, 0, 1), Stratum(_Q, 1, -1)], (1, 1, 1)),
+    "cancelling run, negative first": ([Stratum(_F2, 5, -7), Stratum(_F2, 6, 7)], (3, 3, 3, 3)),
+    "huge shift beside small ones": (
+        [Stratum(_Q, 0, 1), Stratum(_Q, 2, -3), Stratum(_Q, 10**21, 5),
+         Stratum(_Q, 10**21 + 1, -2), Stratum(_F2, 10**21, 1)],
+        (1, 3, 3, 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_convolution_kernel_matches_the_per_stratum_reference(name):
+    strata, coeffs = KERNEL_CASES[name]
+    poly = QPolynomial(coeffs)
+    got = CellDecomposition(strata).convolved(poly)
+    assert got.strata == reference_convolved(strata, poly)
+    assert_canonical(got)
+
+
 def per_kind_ord_at(cells, k):
     """The reference order: number-field strata read the functional-equation
     table, and a finite-field stratum has its one pole at k == shift."""

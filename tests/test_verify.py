@@ -10,6 +10,7 @@ from flagzeta.cells import (
     DisjointUnion,
     FlagBundle,
     ProjBundle,
+    Stratum,
     cells_of,
 )
 from flagzeta.fields import FiniteField, quadratic_field, rationals
@@ -146,6 +147,19 @@ def test_check_soule_builds_no_columns(monkeypatch):
     assert built == []
     report.to_dict()
     assert built
+
+
+def test_unnamed_report_over_a_class_builds_no_records(monkeypatch):
+    # the report is named str(class), read off the polynomials
+    expected = " * ".join(str(s) for s in cells_of(ProjBundle(BasePoint(QI), 4000)).strata)
+    cells = cells_of(ProjBundle(BasePoint(QI), 4000))
+    built = []
+    post_init = Stratum.__post_init__
+    monkeypatch.setattr(Stratum, "__post_init__", lambda s: built.append(s) or post_init(s))
+    report = check_soule(cells, (-3, 1))
+    assert report.ok
+    assert built == []
+    assert report.scheme == expected
 
 
 def test_empty_k_range_rejected():
