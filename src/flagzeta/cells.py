@@ -20,6 +20,12 @@ polynomial exactly as a product of quotients (1 - q^a) / (1 - q^b) of
 integer polynomials, and cross-checks it against literal enumeration of
 nested subspaces of F_q^n.
 
+Every operation on a class goes from canonical polynomials to canonical
+polynomials.  A shift or a sign flip maps each term in place; a union or
+a product adds per base, and only a base that two operands share has its
+terms merged; a bundle convolves.  No operation reads the class back as
+``Stratum`` records: those are built only by ``CellDecomposition.strata``.
+
 A bundle node multiplies each base's polynomial by its cell polynomial
 P by Kronecker substitution (``CellDecomposition.convolved``), one
 big-integer product per base: the terms are cut into runs wherever a
@@ -416,8 +422,13 @@ class CellDecomposition:
     It is one sparse integer polynomial per base: ``polys`` holds pairs
     (base, ((shift, multiplicity), ...)), each base once in
     ``fields.base_sort_key`` order, shifts increasing, no zero terms, so
-    equal classes compare equal.  The constructor merges ``Stratum``
-    records in any order; ``strata`` is one per term, built when read.
+    equal classes compare equal.  Each operation keeps that form: it
+    builds its result through ``_canonical`` when it already is canonical
+    (``shifted``, ``inverse``, ``convolved``), or through ``_of``, which
+    merges only the bases its operands share (``*``, union,
+    ``from_cover``).  The constructor takes ``Stratum`` records in any
+    order; ``strata`` is one record per term, built when read, for tests,
+    examples and tracing.
 
     A cell of dimension d over a base contributes L_base(s - d) to the
     L-function, so the same class is the finite product
@@ -438,15 +449,27 @@ class CellDecomposition:
 
     @classmethod
     def _of(cls, pairs) -> "CellDecomposition":
-        """The sum of (base, terms) pairs in any order, with no Stratum."""
-        by_base: dict[BaseField, dict[int, int]] = {}
+        """The sum of (base, terms) pairs, the bases in any order.
+
+        Precondition: each pair's terms are already canonical, a tuple of
+        (shift, multiplicity) with shifts strictly increasing and no zero
+        multiplicity.  A base that one pair alone holds keeps that tuple
+        as it is; only a base held by two or more pairs has its terms
+        added by shift, sorted and its zero sums dropped.
+        """
+        by_base: dict[BaseField, list] = {}
         for base, terms in pairs:
-            acc = by_base.setdefault(base, {})
-            for d, m in terms:
-                acc[d] = acc.get(d, 0) + m
+            by_base.setdefault(base, []).append(terms)
         polys = []
         for base in sorted(by_base, key=base_sort_key):
-            if poly := tuple([term for term in sorted(by_base[base].items()) if term[1]]):
+            poly, *more = by_base[base]
+            if more:
+                acc = dict(poly)
+                for terms in more:
+                    for d, m in terms:
+                        acc[d] = acc.get(d, 0) + m
+                poly = tuple([term for term in sorted(acc.items()) if term[1]])
+            if poly:
                 polys.append((base, poly))
         return cls._canonical(polys)
 
@@ -483,15 +506,15 @@ class CellDecomposition:
         indices = sorted(set().union(*normalized))
         if indices != list(range(1, len(indices) + 1)):
             raise ValueError("cover opens must be numbered 1..s")
-        result = cls.one()
+        pairs = []
         for size in range(1, len(indices) + 1):
             for combo in itertools.combinations(indices, size):
                 key = frozenset(combo)
                 if key not in normalized:
                     raise ValueError(f"missing intersection for subset {sorted(key)}")
                 part = normalized[key]
-                result = result * part if size % 2 == 1 else result / part
-        return result
+                pairs += (part if size % 2 == 1 else part.inverse()).polys
+        return cls._of(pairs)
 
     @cached_property
     def strata(self) -> tuple[Stratum, ...]:
@@ -507,7 +530,9 @@ class CellDecomposition:
         return self._of(self.polys + other.polys)
 
     def inverse(self) -> "CellDecomposition":
-        return self._of((b, [(d, -m) for d, m in poly]) for b, poly in self.polys)
+        return self._canonical(
+            (b, tuple([(d, -m) for d, m in poly])) for b, poly in self.polys
+        )
 
     def __truediv__(self, other: "CellDecomposition") -> "CellDecomposition":
         return self * other.inverse()
@@ -525,7 +550,9 @@ class CellDecomposition:
     def shifted(self, d: int) -> "CellDecomposition":
         if any(poly[0][0] + d < 0 for _, poly in self.polys):
             raise ValueError("cell dimension must be >= 0")
-        return self._of((b, [(e + d, m) for e, m in poly]) for b, poly in self.polys)
+        return self._canonical(
+            (b, tuple([(e + d, m) for e, m in poly])) for b, poly in self.polys
+        )
 
     def convolved(self, poly: QPolynomial) -> "CellDecomposition":
         """Multiply each base's polynomial by a cell-count polynomial P: each

@@ -153,7 +153,7 @@ def _cmd_ranks(x: SchemeExpr, args):
 
 
 def _cmd_cells(x: SchemeExpr, args):
-    rows = [(s.base.label, s.shift, s.multiplicity) for s in cells_of(x)]
+    rows = [(b.label, d, m) for b, poly in cells_of(x).polys for d, m in poly]
     return _keyed(("base", "shift", "multiplicity"), rows)
 
 
@@ -171,7 +171,7 @@ def _cmd_ord(x: SchemeExpr, args):
 
 def _cmd_lfun(x: SchemeExpr, args):
     lfun = cells_of(x)
-    rows = [(s.base.label, s.shift, s.multiplicity) for s in lfun]
+    rows = [(b.label, d, m) for b, poly in lfun.polys for d, m in poly]
     payload = {"display": str(lfun)}
     footer = [f"product: {lfun}"]
     if args.eval_at is not None:

@@ -32,8 +32,8 @@ from fractions import Fraction
 from .cells import (
     CellDecomposition,
     CellsOrScheme,
-    Stratum,
     _as_cells,
+    _factor,
     point_count,
 )
 from .fields import (
@@ -218,7 +218,7 @@ def lfun_partial_eval(
     terms = ((b, d, m) for b, poly in f.polys for d, m in poly if d >= s or s - d <= 1)
     if bad := next(terms, None):
         raise ValueError(
-            f"s = {s} puts factor {Stratum(*bad)} outside the convergence "
+            f"s = {s} puts factor {_factor(*bad)} outside the convergence "
             f"region s - {bad[1]} > 1"
         )
     _check_euler_work(prime_bound, [(b, len(poly)) for b, poly in f.polys])
@@ -259,16 +259,16 @@ def special_value_product(f: CellDecomposition, m: int) -> SpecialValue:
     if order < 0:
         return SpecialValue(
             Fraction(1),
-            factors=tuple((fc.base.label, m - fc.shift, fc.multiplicity) for fc in f),
+            factors=tuple((b.label, m - d, e) for b, poly in f.polys for d, e in poly),
             order=order,
         )
     rational, pi_power, symbolic = Fraction(1), 0, []
-    for factor in f:
-        point = m - factor.shift
-        value = zeta_value_at(factor.base, point)
-        if value is None:
-            symbolic.append((factor.base.label, point, factor.multiplicity))
-        else:
-            rational *= value.rational**factor.multiplicity
-            pi_power += value.pi_power * factor.multiplicity
+    for base, poly in f.polys:
+        for shift, e in poly:
+            value = zeta_value_at(base, m - shift)
+            if value is None:
+                symbolic.append((base.label, m - shift, e))
+            else:
+                rational *= value.rational**e
+                pi_power += value.pi_power * e
     return SpecialValue(rational, pi_power, tuple(symbolic))

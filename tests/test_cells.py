@@ -435,6 +435,28 @@ def test_convolution_merges_nothing_and_builds_no_records(monkeypatch):
     assert base == QI and [d for d, _ in poly] == list(range(400 + 8 * 8 + 1))
 
 
+def test_class_operations_keep_canonical_polynomials(monkeypatch):
+    # a base that one operand alone holds keeps its term tuple itself, and
+    # a shift or a sign flip maps the terms with no _of pass
+    children = (ProjBundle(BasePoint(Q), 3), Grassmannian(Affine(BasePoint(F2), 1), 2, 4))
+    built = {}
+    inner = flagzeta.cells.cells_of
+    monkeypatch.setattr(flagzeta.cells, "cells_of", lambda x: built.setdefault(x, inner(x)))
+    union = flagzeta.cells.cells_of(DisjointUnion(children))
+    for got in (union, built[children[0]] * built[children[1]]):
+        terms = dict(got.polys)
+        assert len(terms) == 2
+        assert all(terms[b] is poly for c in children for b, poly in built[c].polys)
+    expected = CellDecomposition(Stratum(s.base, s.shift + 3, -s.multiplicity) for s in union)
+    merged = []
+    of = CellDecomposition._of.__func__
+    counted = classmethod(lambda cls, pairs: merged.append(1) or of(cls, pairs))
+    monkeypatch.setattr(CellDecomposition, "_of", counted)
+    assert union.shifted(3).inverse() == expected
+    assert union.inverse().shifted(3) == expected
+    assert merged == []
+
+
 def test_check_soule_builds_one_stratum_per_leaf(monkeypatch):
     # the class is read as polynomials; no Stratum record is built per term
     built = []

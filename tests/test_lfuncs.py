@@ -15,6 +15,7 @@ from flagzeta.cells import (
     Stratum,
     cells_of,
 )
+from flagzeta.cli import main
 from flagzeta.fields import (
     FiniteField,
     UnsupportedFieldError,
@@ -298,3 +299,22 @@ def test_special_value_cancelling_orders_stays_symbolic():
     assert f.ord_at(-2) == 0
     assert v.kind == "symbolic-product"
     assert set(v.factors) == {("Q", -2, 1), ("Q", -4, -1)}
+
+
+def test_rows_and_values_are_read_off_polynomials(monkeypatch, capsys):
+    # the cells and lfun rows, the special values and the convergence
+    # refusal read the class's polynomials; no Stratum record is built
+    built = []
+    post_init = Stratum.__post_init__
+    monkeypatch.setattr(Stratum, "__post_init__", lambda s: built.append(s) or post_init(s))
+    x = "union(proj(Q, 2), affine(Q(sqrt -1), 1))"
+    for argv in (["cells", x], ["lfun", x, "--eval-at=4.5", "--prime-bound=50"]):
+        for fmt in ("plain", "csv", "json"):
+            assert main([*argv, "--format", fmt]) == 0
+    capsys.readouterr()
+    assert special_value_product(P1, -1).order == 1  # zero
+    assert special_value_product(P1, 2).order == -1  # pole
+    assert special_value_product(P1, 3).factors == (("Q", 3, 1),)  # fold
+    with pytest.raises(ValueError, match=r"factor L\(Q, s-1\) outside"):
+        lfun_partial_eval(P1, 2.0, 100)
+    assert built == []

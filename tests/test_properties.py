@@ -188,6 +188,19 @@ _HUGE_STRATA = [Stratum(rationals(), 10**21, 2), Stratum(finite_field(2), 3, -1)
 
 
 @example(_HUGE_STRATA, _HUGE_STRATA[::-1], 1, QPolynomial((1, 0, 2)), [BasePoint(rationals())] * 2)
+# union children that share a base (Q), and children over disjoint bases
+@example(
+    _HUGE_STRATA, [], 2, QPolynomial((1, 1)),
+    [
+        ProjBundle(BasePoint(rationals()), 2),
+        BasePoint(finite_field(2)),
+        Affine(BasePoint(rationals()), 1),
+    ],
+)
+@example(
+    [], _HUGE_STRATA, 0, QPolynomial(()),
+    [ProjBundle(BasePoint(quadratic_field(-1)), 2), Affine(BasePoint(finite_field(3)), 1)],
+)
 @given(
     _raw_strata,
     _raw_strata,
@@ -208,6 +221,13 @@ def test_class_operations_match_the_per_stratum_references(a, b, d, poly, childr
         (c * other, reference_canonical(a + b)),
         (c / other, reference_canonical(a + negated)),
         (other.inverse(), reference_canonical(negated)),
+        (
+            c.inverse().shifted(d),
+            reference_canonical(
+                Stratum(s.base, s.shift + d, -s.multiplicity) for s in a
+            ),
+        ),
+        (c * c.inverse(), CellDecomposition.one().strata),
         (
             cells_of(DisjointUnion(tuple(children))),
             reference_canonical(s for x in children for s in cells_of(x)),
