@@ -622,22 +622,37 @@ def cells_of(x: SchemeExpr) -> CellDecomposition:
     Composition rules: an affine shift raises every cell dimension by d; a
     projective, Grassmannian or flag bundle, read as a flag type, multiplies
     each base's polynomial by its Gaussian multinomial; a union adds them.
+
+    The class is built once per node.  A node is frozen, so its class
+    never changes: it is kept in the node's ``__dict__``, outside the
+    dataclass fields that ``==``, ``hash`` and ``repr`` read, and every
+    later call on the node, or on a tree that holds it, is a lookup.  It
+    lives as long as the node.  A build refused by a size bound keeps
+    nothing, so the node is refused again.
     """
+    memo = vars(x) if isinstance(x, SchemeExpr) else {}
+    if (cells := memo.get("_cells")) is not None:
+        return cells
     if isinstance(x, BasePoint):
-        return CellDecomposition._canonical(((x.field, ((0, 1),)),))
-    if isinstance(x, Affine):
-        return cells_of(x.child).shifted(x.d)
-    if isinstance(x, (ProjBundle, Grassmannian, FlagBundle)):
-        return cells_of(x.child).convolved(_cell_polynomial(x.parts))
-    if isinstance(x, DisjointUnion):
-        return CellDecomposition._of(p for c in x.children for p in cells_of(c).polys)
-    raise TypeError(f"not a scheme expression: {x!r}")
+        cells = CellDecomposition._canonical(((x.field, ((0, 1),)),))
+    elif isinstance(x, Affine):
+        cells = cells_of(x.child).shifted(x.d)
+    elif isinstance(x, (ProjBundle, Grassmannian, FlagBundle)):
+        cells = cells_of(x.child).convolved(_cell_polynomial(x.parts))
+    elif isinstance(x, DisjointUnion):
+        cells = CellDecomposition._of(p for c in x.children for p in cells_of(c).polys)
+    else:
+        raise TypeError(f"not a scheme expression: {x!r}")
+    memo["_cells"] = cells
+    return cells
 
 
 CellsOrScheme = Union[CellDecomposition, SchemeExpr]
 
 
 def _as_cells(x: CellsOrScheme) -> CellDecomposition:
+    """x itself if it is a class, else the class ``cells_of`` built once
+    for the node."""
     return x if isinstance(x, CellDecomposition) else cells_of(x)
 
 
@@ -687,7 +702,9 @@ def point_count(x: CellsOrScheme, r: int) -> int:
     """Number of points of x over the degree-r extension of each cell's base.
 
     Each cell of dimension d over F_q contributes (q^r)^d.  Any number
-    field base makes the count meaningless and is rejected.
+    field base makes the count meaningless and is rejected.  A scheme's
+    class is built by its first ``cells_of`` call; a count for another r
+    reads it back from the node.
     """
     if r < 1:
         raise ValueError("extension degree r must be >= 1")

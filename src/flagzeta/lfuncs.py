@@ -20,12 +20,16 @@ Over a finite field the same cell data also gives the zeta function as a
 rational function of t = q^(-s), prod (1 - q^d t)^(-l); this module
 both expands that closed form and rebuilds the series transcendentally
 as exp(sum_r N_r t^r / r) from point counts, so the two can be compared
-coefficient by coefficient.
+coefficient by coefficient.  The closed form N(t) / P(t) is expanded by
+multiplying out N and P once as integer polynomials, then reading the
+series off P c = N one coefficient at a time; the point counts all read
+the one class that ``cells.cells_of`` built for the scheme's node.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -116,30 +120,45 @@ class RationalZeta:
         object.__setattr__(self, "denom", tuple((d, -m) for d, m in pairs if m < 0))
 
     def expand(self, order: int) -> TruncSeries:
-        """The power series of Z(X, t) to t^order, in exact integers.
+        """The power series of Z(X, t) = N(t) / P(t) to t^order, in exact
+        integers.
 
-        Each factor (1 - a t)^e expands by the generalized binomial
-        theorem, c_0 = 1 and c_j = c_{j-1} (e - j + 1) (-a) / j, where the
-        division is exact because c_j = C(e, j) (-a)^j; the factors are
-        then convolved.  No log, exp or point count is used, so equality
-        with ``weil_zeta_series`` compares two independent derivations.
+        N and P are the products over numer and over denom of
+        (1 - q^d t)^m, each multiplied out once as an integer polynomial
+        (``_side``) and cut at t^min(order, sum m), so P is as long as
+        the denominator and never padded to the order.  Since P_0 = 1,
+        P c = N gives each coefficient from the ones before it:
+        c_i = N_i - sum_{j>=1} P_j c_{i-j}.  No log, exp or point count is
+        used, so equality with ``weil_zeta_series`` compares two
+        independent derivations.
         """
         top = max((d for d, _ in (*self.numer, *self.denom)), default=0)
         _check_series_size(order, top, self.q)
-        out = [1] + [0] * order
-        for d, e in [*self.numer, *((d, -m) for d, m in self.denom)]:
-            a = self.q**d
-            binom = [1]
-            for j in range(1, order + 1):
-                c = binom[-1] * (e - j + 1) * -a // j
-                if not c:
-                    break
-                binom.append(c)
-            out = [
-                sum(binom[j] * out[i - j] for j in range(min(i, len(binom) - 1) + 1))
-                for i in range(order + 1)
-            ]
+        numer = self._side(self.numer, order)
+        denom = self._side(self.denom, order)
+        out: list[int] = []
+        for i in range(order + 1):
+            k = min(i, len(denom) - 1)
+            tail = sum(map(operator.mul, denom[1:k + 1], reversed(out[i - k:])))
+            out.append((numer[i] if i < len(numer) else 0) - tail)
         return TruncSeries(order, out)
+
+    def _side(self, factors: tuple[tuple[int, int], ...], order: int) -> list[int]:
+        """prod (1 - q^d t)^m over factors, to t^order.  Each factor is
+        sum_j C(m, j) (-q^d)^j by the finite binomial theorem, each term
+        the one before times (m - j + 1) (-q^d) / j, an exact division."""
+        out = [1]
+        for d, m in factors:
+            a = -(self.q**d)
+            binom = [1]
+            for j in range(1, min(m, order) + 1):
+                binom.append(binom[-1] * (m - j + 1) * a // j)
+            product = [0] * min(len(out) + len(binom) - 1, order + 1)
+            for j, b in enumerate(binom):
+                for i, c in enumerate(out[:len(product) - j]):
+                    product[i + j] += b * c
+            out = product
+        return out
 
     def __str__(self) -> str:
         def side(factors: tuple[tuple[int, int], ...]) -> str:

@@ -3,6 +3,8 @@
 from typing import Sequence
 
 from flagzeta.cells import FlagBundle, Grassmannian, SchemeExpr
+from flagzeta.lfuncs import RationalZeta
+from flagzeta.series import TruncSeries
 
 
 def flag_as_grassmannian_tower(child: SchemeExpr, parts: Sequence[int]) -> SchemeExpr:
@@ -20,3 +22,29 @@ def flag_as_grassmannian_tower(child: SchemeExpr, parts: Sequence[int]) -> Schem
         expr = Grassmannian(expr, p, remaining)
         remaining -= p
     return expr
+
+
+def reference_expand(rz: RationalZeta, order: int) -> TruncSeries:
+    """Z(X, t) to t^order, one factor (1 - a t)^e at a time.
+
+    Each factor expands by the generalized binomial theorem, c_0 = 1 and
+    c_j = c_{j-1} (e - j + 1) (-a) / j, where the division is exact
+    because c_j = C(e, j) (-a)^j, a series for e < 0; the running product
+    is then convolved with it to t^order.  ``RationalZeta.expand`` instead
+    divides the numerator polynomial by the denominator polynomial, so
+    this is a second, independent reference for it.
+    """
+    out = [1] + [0] * order
+    for d, e in [*rz.numer, *((d, -m) for d, m in rz.denom)]:
+        a = rz.q**d
+        binom = [1]
+        for j in range(1, order + 1):
+            c = binom[-1] * (e - j + 1) * -a // j
+            if not c:
+                break
+            binom.append(c)
+        out = [
+            sum(binom[j] * out[i - j] for j in range(min(i, len(binom) - 1) + 1))
+            for i in range(order + 1)
+        ]
+    return TruncSeries(order, out)

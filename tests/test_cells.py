@@ -1,5 +1,6 @@
 """Tests for q-multinomials, cell decompositions, and flag enumeration."""
 
+import dataclasses
 import itertools
 from functools import lru_cache
 from math import factorial, prod
@@ -26,6 +27,8 @@ from flagzeta.cells import (
     point_count,
 )
 from flagzeta.fields import FiniteField, finite_field, quadratic_field, rationals
+from flagzeta.lfuncs import weil_zeta_rational, weil_zeta_series
+from flagzeta.parse import parse_scheme
 from flagzeta.verify import check_soule
 from oracles import flag_as_grassmannian_tower
 
@@ -402,19 +405,23 @@ def test_constructor_puts_strata_in_canonical_form():
     assert CellDecomposition([Stratum(F2, 3, 2), Stratum(F2, 3, -2)]) == CellDecomposition.one()
 
 
-# a union of 20 distinct imaginary quadratic fields: 41 nodes, 20 bases
-# and 4020 terms
 _SQUAREFREE = (1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 26, 29, 30, 31)
-_TWENTY_FIELDS = DisjointUnion(
-    tuple(ProjBundle(BasePoint(quadratic_field(-d)), 200) for d in _SQUAREFREE)
-)
+
+
+def _twenty_fields():
+    """A union of 20 distinct imaginary quadratic fields: 41 nodes, 20
+    bases and 4020 terms.  Built afresh per test, since a node keeps the
+    class built for it."""
+    return DisjointUnion(
+        tuple(ProjBundle(BasePoint(quadratic_field(-d)), 200) for d in _SQUAREFREE)
+    )
 
 
 def test_cells_of_sorts_bases_per_node_not_per_term(monkeypatch):
     calls = []
     key = flagzeta.cells.base_sort_key
     monkeypatch.setattr(flagzeta.cells, "base_sort_key", lambda b: calls.append(b) or key(b))
-    cells = cells_of(_TWENTY_FIELDS)
+    cells = cells_of(_twenty_fields())
     bases, nodes = 20, 41
     assert len(calls) <= bases * nodes
     assert len(cells.strata) == 20 * 201
@@ -462,7 +469,7 @@ def test_check_soule_builds_one_stratum_per_leaf(monkeypatch):
     built = []
     post_init = Stratum.__post_init__
     monkeypatch.setattr(Stratum, "__post_init__", lambda s: built.append(s) or post_init(s))
-    assert check_soule(_TWENTY_FIELDS, (-6, 2)).ok
+    assert check_soule(_twenty_fields(), (-6, 2)).ok
     assert len(built) <= 20
 
 
@@ -481,6 +488,58 @@ def test_nested_bundles_compose():
     assert cells_of(x) == CellDecomposition(
         (Stratum(Q, 0, 1), Stratum(Q, 1, 2), Stratum(Q, 2, 1))
     )
+
+
+# -- one class per node -------------------------------------------------------------
+
+
+def test_cells_of_builds_a_node_once():
+    x = FlagBundle(ProjBundle(BasePoint(F2), 2), (1, 1, 1))
+    assert cells_of(x) is cells_of(x)
+    assert cells_of(x.child) is cells_of(x.child)
+
+
+def test_zeta_calls_convolve_once_per_bundle_node(monkeypatch):
+    # the series, the rational form and 32 point counts all read the one
+    # class built for the tree: one convolution per bundle node
+    x = FlagBundle(Affine(ProjBundle(BasePoint(F2), 2), 1), (1, 2))
+    calls = []
+    convolved = CellDecomposition.convolved
+    monkeypatch.setattr(
+        CellDecomposition, "convolved", lambda c, p: calls.append(p) or convolved(c, p)
+    )
+    weil_zeta_series(x, 32)
+    weil_zeta_rational(x)
+    counts = [point_count(x, r) for r in range(1, 33)]
+    assert len(calls) == 2
+    assert counts == [point_count(cells_of(parse_scheme(str(x))), r) for r in range(1, 33)]
+
+
+def test_a_built_node_is_still_the_node_it_was():
+    text = "union(flag(affine(F(3), 1), 1+2), grass(proj(F(3), 2), 1, 3))"
+    x = parse_scheme(text)
+    cells = cells_of(x)
+    fresh = parse_scheme(text)
+    assert x == fresh and hash(x) == hash(fresh)
+    assert repr(x) == repr(fresh) and str(x) == str(fresh) == text
+    assert dataclasses.fields(x) == dataclasses.fields(fresh)
+    assert cells_of(fresh) == cells and cells_of(fresh) is not cells
+
+
+def test_a_refused_node_is_refused_again(monkeypatch):
+    x = ProjBundle(ProjBundle(BasePoint(Q), 9), 9)  # 10 terms times 10
+    monkeypatch.setattr(flagzeta.cells, "MAX_CONVOLUTION_STRATA", 99)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="MAX_CONVOLUTION_STRATA = 99"):
+            cells_of(x)
+    monkeypatch.setattr(flagzeta.cells, "MAX_CONVOLUTION_STRATA", 100)
+    assert len(cells_of(x).polys[0][1]) == 19
+
+
+def test_cells_of_refuses_what_is_not_a_node():
+    for bad in ("proj(Q, 1)", None, cells_of(BasePoint(Q))):
+        with pytest.raises(TypeError, match="not a scheme expression"):
+            cells_of(bad)
 
 
 # -- point counting ---------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Every subcommand runs in process in each output format, plus one case per
 error exit code; exit code, stdout and stderr must match ``cli_golden.json``
-byte for byte.  Cases run in this directory, so the field catalogue
-``golden_fields.json`` is named by a relative path.  After a deliberate
-change of output, regenerate the file with
+byte for byte, run alone and run again after every other case.  Cases run
+in this directory, so the field catalogue ``golden_fields.json`` is named
+by a relative path.  After a deliberate change of output, regenerate the
+file with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
@@ -70,6 +71,16 @@ def _golden() -> dict:
 def test_cli_output_matches_golden(argv, monkeypatch):
     monkeypatch.chdir(GOLDEN.parent)
     assert run(argv) == _golden()[tuple(argv)]
+
+
+def test_golden_commands_repeat_in_one_process(monkeypatch):
+    # no call may leave state that changes a later one (scheme nodes keep
+    # their built class): every golden command twice in one process,
+    # forward and then in reverse order
+    monkeypatch.chdir(GOLDEN.parent)
+    entries = list(_golden().values())
+    for entry in entries + entries[::-1]:
+        assert run(entry["argv"]) == entry
 
 
 if __name__ == "__main__":

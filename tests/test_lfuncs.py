@@ -34,6 +34,7 @@ from flagzeta.lfuncs import (
     weil_zeta_series,
 )
 from flagzeta.series import TruncSeries
+from oracles import reference_expand
 
 Q = rationals()
 QI = quadratic_field(-1)
@@ -149,22 +150,44 @@ def test_union_multiplies_zeta_series():
     )
 
 
-def test_expand_matches_product_of_truncated_powers():
-    # the closed-form binomial expansion against (1 - q^d t)^(+-m) built
-    # from the series ring's own products, inverse and powers
+def _expand_cases():
+    """(RationalZeta, order) pairs: small random records; multiplicities
+    up to 40, above the order; order 0; a denominator of total
+    multiplicity below the order; numerators and denominators with no d
+    in common."""
     rng = Random(31)
     for _ in range(60):
         q = rng.choice((2, 3, 4, 5, 7, 8, 9))
         numer = [(rng.randint(0, 4), rng.randint(1, 5)) for _ in range(rng.randint(0, 2))]
         denom = [(rng.randint(0, 4), rng.randint(1, 5)) for _ in range(rng.randint(0, 3))]
-        rz = RationalZeta(q, numer, denom)
-        order = rng.randint(0, 20)
+        yield RationalZeta(q, numer, denom), rng.randint(0, 20)
+    for _ in range(40):
+        q = rng.choice((2, 3, 4, 5, 7, 8, 9))
+        ds = rng.sample(range(6), rng.randint(0, 4))  # distinct: the sides share no d
+        cut = rng.randint(0, len(ds))
+        rz = RationalZeta(
+            q,
+            [(d, rng.randint(1, 40)) for d in ds[:cut]],
+            [(d, rng.randint(1, 40)) for d in ds[cut:]],
+        )
+        below = sum(m for _, m in rz.denom) + rng.randint(1, 5)  # P shorter than the series
+        for order in (0, rng.randint(1, 30), below):
+            yield rz, order
+
+
+def test_expand_matches_product_of_truncated_powers():
+    # the closed-form expansion against (1 - q^d t)^(+-m) built from the
+    # series ring's own products, inverse and powers, and against the
+    # generalized binomial series of each factor, convolved
+    for rz, order in _expand_cases():
+        q = rz.q
         expected = TruncSeries.one(order)
         for d, m in rz.numer:
             expected = expected * TruncSeries(order, [1, -(q**d)]) ** m
         for d, m in rz.denom:
             expected = expected * TruncSeries(order, [1, -(q**d)]) ** (-m)
         assert rz.expand(order) == expected
+        assert rz.expand(order) == reference_expand(rz, order)
 
 
 def test_expand_of_polynomial_numerator_terminates():
