@@ -20,6 +20,19 @@ polynomial exactly as a product of quotients (1 - q^a) / (1 - q^b) of
 integer polynomials, and cross-checks it against literal enumeration of
 nested subspaces of F_q^n.
 
+The enumerator, ``brute_force_flag_count``, never reads that polynomial.
+It lists every subspace of F_q^n, q = p^f, as its RREF basis, one int
+per row: the f base-p digits of each entry sit in slots of s + 1 bits,
+s = (2p - 2).bit_length(), so two vectors add slot by slot in one
+integer addition, and one biased shift and mask reduce every slot mod p
+at once (``_packing``).  The a-subspaces of a b-subspace W are the
+products M·W over the RREF a x b matrices M.  Each distinct row of the
+M's is its parent plus one F_p-basis vector x^d w_col of W's span, so
+per W it costs one packed addition; the M's are stored as columns of
+row indices (``_row_plan``), so the products are gathered by ``zip`` and
+``map`` and counted by dictionary lookup, with no Python-level loop per
+product.
+
 Every operation on a class goes from canonical polynomials to canonical
 polynomials.  A shift or a sign flip maps each term in place; a union or
 a product adds per base, and only a base that two operands share has its
@@ -759,30 +772,68 @@ def _gf_tables(q: int) -> tuple[tuple, tuple]:
 
 
 @lru_cache(maxsize=None)
-def _all_subspaces(q: int, n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Every k-dimensional subspace of F_q^n, as its unique RREF basis.
+def _packing(q: int, n: int) -> tuple[int, int, int, int, int]:
+    """(p, f, s, bias, lows): how a vector of F_q^n, q = p^f, packs into
+    one int.
+
+    Entry c of the vector is f base-p digits, its element encoding (see
+    ``_gf_tables``), and digit j goes to slot c f + j, lowest first.  A
+    slot is s + 1 bits with s = (2p - 2).bit_length(), so the sum of two
+    digits, at most 2p - 2, fits in its low s bits.  ``lows`` has a 1 at
+    the bottom of each of the n f slots and ``bias`` = (2^s - p) lows.  In
+    t = u + v every slot holds a digit sum t_j <= 2p - 2; adding bias
+    lifts it to t_j + 2^s - p < 2^(s + 1), with bit s set exactly when
+    t_j >= p and no carry into the next slot, so
+
+        t - (((t + bias) >> s) & lows) * p
+
+    is u + v, reduced mod p slot by slot.  The same code serves p = 2.
+    """
+    field = finite_field(q)
+    p, f = field.p, field.f
+    s = (2 * p - 2).bit_length()
+    lows = sum(1 << i * (s + 1) for i in range(n * f))
+    return p, f, s, ((1 << s) - p) * lows, lows
+
+
+def _pack(entries: Sequence[int], q: int) -> int:
+    """The packed form of a vector of F_q^n given by its element codes."""
+    p, f, s, _, _ = _packing(q, len(entries))
+    out = 0
+    for i, x in enumerate(entries):
+        for j in range(i * f, i * f + f):
+            out |= x % p << j * (s + 1)
+            x //= p
+    return out
+
+
+@lru_cache(maxsize=None)
+def _all_subspaces(q: int, n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Every k-dimensional subspace of F_q^n, as its unique RREF basis,
+    each row packed into one int by ``_packing``.
 
     Enumeration is by pivot-column pattern: row i has a 1 in its pivot,
     zeros under and left of it and in the pivot columns of later rows,
-    and arbitrary field entries elsewhere.
+    and arbitrary field entries elsewhere.  Each row's choices are listed
+    as packed ints, one sum per free entry, and a pattern's bases are
+    their product.
     """
     if k == 0:
         return ((),)
+    _, f, s, _, _ = _packing(q, n)
+    entry_bits = f * (s + 1)
+    entries = [_pack((x,), q) for x in range(q)]  # each at column 0
     out = []
     for pivots in itertools.combinations(range(n), k):
-        free_cells = []
-        for i, pc in enumerate(pivots):
+        rows = []
+        for pc in pivots:
+            row = [1 << pc * entry_bits]
             for col in range(pc + 1, n):
                 if col not in pivots:
-                    free_cells.append((i, col))
-        base = [[0] * n for _ in range(k)]
-        for i, pc in enumerate(pivots):
-            base[i][pc] = 1
-        for values in itertools.product(range(q), repeat=len(free_cells)):
-            rows = [row[:] for row in base]
-            for (i, col), v in zip(free_cells, values):
-                rows[i][col] = v
-            out.append(tuple(tuple(r) for r in rows))
+                    at_col = [e << col * entry_bits for e in entries]
+                    row = [r + e for r in row for e in at_col]
+            rows.append(row)
+        out += itertools.product(*rows)
     return tuple(out)
 
 
@@ -790,88 +841,126 @@ def _all_subspaces(q: int, n: int, k: int) -> tuple[tuple[tuple[int, ...], ...],
 def _row_plan(q: int, b: int, a: int):
     """The RREF a x b matrices over F_q, written over their distinct rows.
 
-    Returns (steps, matrices).  Row 0 is the zero row; row j > 0 is
-    steps[j - 1] = (parent, col, x): the row whose last nonzero entry is x
-    in column col, and parent the index of the same row with that entry
-    cleared, which always comes first.  Each matrix is a tuple of row
-    indices.  The matrices of one (q, b, a) share few distinct rows.
+    Returns (steps, columns).  Row 0 is the zero row; row j > 0 is
+    steps[j - 1] = (parent, k), where k is the slot of the row's top
+    nonzero digit: digit d = k mod f of its last nonzero entry, in column
+    k div f.  The parent is the row with that digit lowered by one, so it
+    always comes first, and as a vector over F_q the row is its parent
+    plus x^d (the element p^d) in that column: basis vector k of
+    ``_basis``.  ``columns`` holds the matrices transposed, one tuple per
+    row position: columns[i] lists row i of every matrix, as indices, in
+    ``_all_subspaces(q, b, a)`` order.  The matrices of one (q, b, a)
+    share few distinct rows.
     """
-    index = {(0,) * b: 0}
+    slot = _packing(q, b)[2] + 1
+    index = {0: 0}
     steps = []
 
-    def row_index(row: tuple[int, ...]) -> int:
+    def row_index(row: int) -> int:
         j = index.get(row)
         if j is None:
-            col = max(c for c, x in enumerate(row) if x)
-            parent = row_index(row[:col] + (0,) + row[col + 1:])
+            k = (row.bit_length() - 1) // slot
+            parent = row_index(row - (1 << k * slot))
             j = index[row] = len(index)
-            steps.append((parent, col, row[col]))
+            steps.append((parent, k))
         return j
 
-    matrices = tuple(
-        tuple(row_index(row) for row in m) for m in _all_subspaces(q, b, a)
+    columns = tuple(
+        tuple(map(row_index, rows)) for rows in zip(*_all_subspaces(q, b, a))
     )
-    return tuple(steps), matrices
+    return tuple(steps), columns
 
 
-def _products(w: tuple[tuple[int, ...], ...], a: int, q: int):
-    """The products M·W over the RREF a x b matrices M, as tuples of rows.
+@lru_cache(maxsize=None)
+def _x_powers(q: int) -> tuple[dict[int, int], ...]:
+    """For each d < f, the map from a packed entry to x^d times it, both
+    packed at column 0 (``_packing``), read off ``_gf_tables``."""
+    p, f = _packing(q, 1)[:2]
+    mul = _gf_tables(q)[1]
+    entries = [_pack((x,), q) for x in range(q)]
+    return tuple(
+        dict(zip(entries, [entries[y] for y in mul[p**d]])) for d in range(f)
+    )
 
-    Each distinct row of the M's is combined with W's rows once, as its
-    parent's combination plus x times one row of W; a product is then the
-    tuple of its rows' combinations.
+
+def _basis(w: tuple[int, ...], q: int, n: int):
+    """The F_p-basis of the span of W's rows w_col, packed: x^d w_col at
+    index col f + d, so that ``_row_plan``'s slot k picks basis vector k.
+    For prime q that is W's rows themselves."""
+    _, f, s, _, _ = _packing(q, n)
+    if f == 1:
+        return w
+    entry_bits = f * (s + 1)
+    mask = (1 << entry_bits) - 1
+    shifts = range(0, n * entry_bits, entry_bits)
+    return [
+        sum([times[row >> i & mask] << i for i in shifts])
+        for row in w for times in _x_powers(q)
+    ]
+
+
+def _products(w: tuple[int, ...], a: int, q: int, n: int):
+    """The products M·W over the RREF a x b matrices M, each a tuple of
+    packed rows, in ``_all_subspaces(q, b, a)`` order; an iterator.
+
+    Each distinct row of the M's is combined with W once, as its parent's
+    combination plus one ``_basis`` vector, by one packed addition.  The
+    products are then gathered column by column, with no Python-level
+    loop per product.
     """
-    add, mul = _gf_tables(q)
-    steps, matrices = _row_plan(q, len(w), a)
-    # Tuples are built from lists: tuple() over a generator grows and
-    # shrinks its result, which fragments the heap (about 0.8 MB more
-    # peak RSS on one pass of the oracle grid) and runs slower.
-    combos = [(0,) * len(w[0]) if w else ()]  # the zero row
-    for parent, col, x in steps:
-        mx = mul[x]
-        combos.append(tuple([add[t][mx[y]] for t, y in zip(combos[parent], w[col])]))
-    return [tuple([combos[j] for j in m]) for m in matrices]
+    p, _, s, bias, lows = _packing(q, n)
+    steps, columns = _row_plan(q, len(w), a)
+    basis = _basis(w, q, n)
+    combos = [0]  # the zero row
+    for parent, k in steps:
+        t = combos[parent] + basis[k]
+        combos.append(t - ((t + bias) >> s & lows) * p)
+    if not columns:
+        return iter([()])  # a = 0: the one empty matrix
+    get = combos.__getitem__
+    return zip(*[list(map(get, col)) for col in columns])
 
 
 @lru_cache(maxsize=None)
 def _chain_counts(q: int, n: int, dims: tuple[int, ...]):
-    """dict: subspace (RREF rows) of dim dims[-1] -> number of chains
-    0 < W_1 < ... ending at it with the given dimension profile."""
+    """dict: subspace (packed RREF rows) of dim dims[-1] -> number of
+    chains 0 < W_1 < ... ending at it with the given dimension profile."""
     if len(dims) == 1:
-        return {w: 1 for w in _all_subspaces(q, n, dims[0])}
-    prev = _chain_counts(q, n, dims[:-1])
+        return dict.fromkeys(_all_subspaces(q, n, dims[0]), 1)
+    prev = _chain_counts(q, n, dims[:-1]).__getitem__
     a, b = dims[-2], dims[-1]
-    out = {}
-    for w in _all_subspaces(q, n, b):
-        # m and w are RREF of full rank, so m·w is already the RREF basis
-        # of its span: row i leads with a 1 in w's pivot column at m's
-        # pivot i, and in w's pivot columns m·w equals m, so each of its
-        # own pivot columns is zero outside its row.  The products come
-        # from _products, which combines each distinct row of the m's with
-        # w once.  A product that was not canonical would miss prev and
-        # raise KeyError, not miscount.
-        out[w] = sum(map(prev.__getitem__, _products(w, a, q)))
-    return out
+    # m and w are RREF of full rank, so m·w is already the RREF basis of
+    # its span: row i leads with a 1 in w's pivot column at m's pivot i,
+    # and in w's pivot columns m·w equals m, so each of its own pivot
+    # columns is zero outside its row.  A product that was not canonical
+    # would miss prev and raise KeyError, not miscount.
+    return {
+        w: sum(map(prev, _products(w, a, q, n))) for w in _all_subspaces(q, n, b)
+    }
 
 
 def brute_force_flag_count(parts: Sequence[int], q: int, n: int) -> int:
     """Count flags of type (n_1, ..., n_l) in F_q^n by explicit enumeration.
 
-    Subspaces are listed as reduced row-echelon bases.  The a-subspaces
-    of a b-subspace W are the products M·W over the RREF a x b matrices
-    M, and each product is already the RREF basis of its span, so nested
-    chains are counted by dictionary lookup, with no row reduction and no
-    appeal to the product formula.  The M's of one (q, b, a) are listed
-    once as tuples of indices into their few distinct rows, each row its
-    parent plus one entry; per W every distinct row is combined with W's
-    rows once, by one vector addition, and M·W is the tuple of its rows'
-    combinations.  Refused when q^n exceeds 3000, the point at which
-    enumeration stops being a sensible oracle.
+    Subspaces are listed as reduced row-echelon bases, each row one int
+    holding the base-p digits of its entries in fixed-width slots
+    (``_packing``), so adding two vectors mod p is a few integer
+    operations and a basis is a tuple of small ints.  The a-subspaces of
+    a b-subspace W are the products M·W over the RREF a x b matrices M,
+    and each product is already the RREF basis of its span, so nested
+    chains are counted by dictionary lookup, with no row reduction and
+    no appeal to the product formula.  The M's of one (q, b, a) are
+    listed once as columns of indices into their few distinct rows, each
+    row its parent plus one F_p-basis vector x^d w_col of W; per W each
+    distinct row costs one packed addition, and the products are
+    gathered column by column.  Refused when q^n exceeds 3000, the point
+    at which enumeration stops being a sensible oracle; as q >= 2, any
+    n >= 12 is refused without forming the power.
     """
     parts = _flag_type(parts, n)
-    if q**n > 3000:
+    if q > 1 and (n >= 12 or q**n > 3000):
         raise ValueError(
-            f"enumeration bound exceeded: q^n = {q**n} > 3000"
+            f"enumeration bound exceeded: q^n > 3000 for q = {q}, n = {n}"
         )
     _gf_tables(q)  # validates q is a prime power we can handle
     dims = tuple(itertools.accumulate(parts))[:-1]

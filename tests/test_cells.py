@@ -237,6 +237,9 @@ def test_brute_force_small_counts():
 def test_brute_force_refuses_large_spaces():
     with pytest.raises(ValueError, match="enumeration bound"):
         brute_force_flag_count((1, 1, 1, 1, 1), 5, 5)
+    # refused without forming q^n, whose digits alone would not print
+    with pytest.raises(ValueError, match="enumeration bound.* q = 2, n = 1000000"):
+        brute_force_flag_count((10**6,), 2, 10**6)
 
 
 # the flag oracle's fields: every prime power q <= 53 of degree f <= 3 over F_p
@@ -289,12 +292,15 @@ def test_enumeration_does_not_use_the_product_formula(monkeypatch):
         raise AssertionError("the oracle called a Gaussian polynomial")
 
     cells = flagzeta.cells
+    # every cache of the module, found rather than listed, so that no
+    # enumerator cache is left warm
+    caches = [f for f in vars(cells).values() if hasattr(f, "cache_clear")]
+    assert cells._chain_counts in caches
+    for cache in caches:
+        cache.cache_clear()
     monkeypatch.setattr(cells, "gaussian_binomial", forbidden)
     monkeypatch.setattr(cells, "gaussian_multinomial", forbidden)
     monkeypatch.setattr(cells, "_cell_polynomial", forbidden)
-    caches = (cells._gf_tables, cells._all_subspaces, cells._row_plan, cells._chain_counts)
-    for cache in caches:
-        cache.cache_clear()
     # a line of F_3^4 (40 choices), then a plane in the 3-dim quotient (13)
     assert brute_force_flag_count((1, 2, 1), 3, 4) == 40 * 13
 
@@ -326,22 +332,91 @@ def mat_mul(m, w, q):
     return tuple(out)
 
 
+def unpack(v, q, n):
+    """The element codes of the packed vector v of F_q^n: entry c is
+    read from its f slots of s + 1 bits, top digit first."""
+    p, f, s, _, _ = flagzeta.cells._packing(q, n)
+    out = []
+    for c in range(n):
+        x = 0
+        for j in reversed(range(c * f, c * f + f)):
+            x = x * p + (v >> j * (s + 1) & (1 << s + 1) - 1)
+        out.append(x)
+    return tuple(out)
+
+
+def packed_sum(u, v, q, n):
+    """u + v by the reduction ``_packing`` documents."""
+    p, _, s, bias, lows = flagzeta.cells._packing(q, n)
+    t = u + v
+    return t - (((t + bias) >> s) & lows) * p
+
+
+@pytest.mark.parametrize("q", ORACLE_QS)
+def test_packed_vectors(q):
+    cells = flagzeta.cells
+    add, mul = cells._gf_tables(q)
+    p, f = finite_field(q).p, finite_field(q).f
+    for n in range(1, 4):
+        if q**n > 3000:
+            break
+        vectors = list(itertools.product(range(q), repeat=n))
+        packed = [cells._pack(v, q) for v in vectors]
+        assert len(set(packed)) == len(vectors), (q, n)  # injective
+        assert [unpack(v, q, n) for v in packed] == vectors, (q, n)
+    # every pair of digits meets in every slot of a 3-vector, next to
+    # slots that hold other sums, so a carry between slots would show
+    for x, y in itertools.product(range(q), repeat=2):
+        u, v = (x, y, x), (y, x, y)
+        total = packed_sum(cells._pack(u, q), cells._pack(v, q), q, 3)
+        assert unpack(total, q, 3) == tuple(add[a][b] for a, b in zip(u, v)), (q, u, v)
+        w = (cells._pack(u, q), cells._pack(v, q))
+        basis = cells._basis(w, q, 3)
+        assert len(basis) == 2 * f
+        for col, d in itertools.product(range(2), range(f)):
+            want = tuple(mul[p**d][e] for e in unpack(w[col], q, 3))
+            assert unpack(basis[col * f + d], q, 3) == want, (q, w, col, d)
+
+
+def test_packed_slots_hold_the_largest_digit_sum():
+    # p = 53, the widest digits of the oracle: 52 + 52 = 104 stays inside
+    # its slot, below the bit that flags a sum of at least p
+    cells = flagzeta.cells
+    _, _, s, _, _ = cells._packing(53, 3)
+    top = cells._pack((52, 52, 52), 53)
+    raw = top + top
+    assert [raw >> i * (s + 1) & (1 << s + 1) - 1 for i in range(3)] == [104] * 3
+    assert 104 < 1 << s
+    assert packed_sum(top, top, 53, 3) == cells._pack((51, 51, 51), 53)
+
+
+def decode(key, q, n):
+    """A tuple of packed rows of F_q^n as a tuple of element tuples."""
+    return tuple(unpack(row, q, n) for row in key)
+
+
 @pytest.mark.parametrize("q, max_n", [(2, 5), (3, 4), (4, 4), (8, 3), (9, 3)])
 def test_products_of_rref_bases_are_rref(q, max_n):
     # The oracle looks up M·W as it stands: for RREF M (a x b) and W (b x n)
     # of full rank, the products over all M are RREF keys of the a-subspaces
     # of F_q^n, one for each a-subspace of W.  _products forms them from
-    # shared rows; each must equal the plain matrix product.
+    # shared rows as packed ints; decoded, each must equal the plain
+    # matrix product.
     cells = flagzeta.cells
     for n in range(1, max_n + 1):
         for b in range(n + 1):
             for a in range(b + 1):
-                keys = set(cells._all_subspaces(q, n, a))
+                packed_keys = set(cells._all_subspaces(q, n, a))
+                keys = {decode(key, q, n) for key in packed_keys}
+                assert len(keys) == len(packed_keys), (q, n, a)
                 assert all(is_rref(key) for key in keys), (q, n, a)
-                inner = cells._all_subspaces(q, b, a)
+                inner = [decode(m, q, b) for m in cells._all_subspaces(q, b, a)]
                 for w in cells._all_subspaces(q, n, b):
-                    products = cells._products(w, a, q)
-                    assert products == [mat_mul(m, w, q) for m in inner], (q, n, a, b, w)
+                    packed = list(cells._products(w, a, q, n))
+                    assert set(packed) <= packed_keys, (q, n, a, b, w)
+                    products = [decode(key, q, n) for key in packed]
+                    plain = decode(w, q, n)
+                    assert products == [mat_mul(m, plain, q) for m in inner], (q, n, a, b, w)
                     products = set(products)
                     assert len(products) == len(inner), (q, n, a, b, w)
                     assert all(is_rref(key) for key in products), (q, n, a, b, w)
