@@ -36,8 +36,9 @@ product.
 Every operation on a class goes from canonical polynomials to canonical
 polynomials.  A shift or a sign flip maps each term in place; a union or
 a product adds per base, and only a base that two operands share has its
-terms merged; a bundle convolves.  No operation reads the class back as
-``Stratum`` records: those are built only by ``CellDecomposition.strata``.
+terms merged; a bundle convolves.  No operation reads the class back
+term by term: ``CellDecomposition.strata``, its (base, shift,
+multiplicity) triples, is built only when read.
 
 A bundle node multiplies each base's polynomial by its cell polynomial
 P by Kronecker substitution (``CellDecomposition.convolved``), one
@@ -80,7 +81,6 @@ __all__ = [
     "Grassmannian",
     "FlagBundle",
     "DisjointUnion",
-    "Stratum",
     "CellDecomposition",
     "cells_of",
     "point_count",
@@ -399,28 +399,6 @@ def _unslots(raw: bytes, width: int) -> Sequence[int]:
 # -- cell decompositions ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Stratum:
-    """multiplicity copies of an affine cell of dimension shift over base.
-
-    The multiplicity is any nonzero integer: a negative one subtracts the
-    cell, as open covers and excision do.
-    """
-
-    base: BaseField
-    shift: int
-    multiplicity: int
-
-    def __post_init__(self) -> None:
-        if self.shift < 0:
-            raise ValueError("cell dimension must be >= 0")
-        if self.multiplicity == 0:
-            raise ValueError("multiplicity must be nonzero")
-
-    def __str__(self) -> str:
-        return _factor(self.base, self.shift, self.multiplicity)
-
-
 def _factor(base: BaseField, shift: int, multiplicity: int) -> str:
     """A cell's L-factor L_base(s - shift)^multiplicity."""
     arg = f"s-{shift}" if shift else "s"
@@ -439,9 +417,10 @@ class CellDecomposition:
     builds its result through ``_canonical`` when it already is canonical
     (``shifted``, ``inverse``, ``convolved``), or through ``_of``, which
     merges only the bases its operands share (``*``, union,
-    ``from_cover``).  The constructor takes ``Stratum`` records in any
-    order; ``strata`` is one record per term, built when read, for tests,
-    examples and tracing.
+    ``from_cover``).  The constructor takes (base, shift, multiplicity)
+    triples in any order, a shift >= 0 and a nonzero multiplicity each,
+    which may repeat and cancel; ``strata`` gives the terms back as such
+    triples, so ``CellDecomposition(c.strata) == c``.
 
     A cell of dimension d over a base contributes L_base(s - d) to the
     L-function, so the same class is the finite product
@@ -456,8 +435,14 @@ class CellDecomposition:
 
     polys: tuple[tuple[BaseField, tuple[tuple[int, int], ...]], ...]
 
-    def __init__(self, strata: Iterable[Stratum] = ()) -> None:
-        pairs = ((s.base, ((s.shift, s.multiplicity),)) for s in strata)
+    def __init__(self, strata: Iterable[tuple[BaseField, int, int]] = ()) -> None:
+        pairs = []
+        for base, shift, multiplicity in strata:
+            if shift < 0:
+                raise ValueError("cell dimension must be >= 0")
+            if multiplicity == 0:
+                raise ValueError("multiplicity must be nonzero")
+            pairs.append((base, ((shift, multiplicity),)))
         object.__setattr__(self, "polys", self._of(pairs).polys)
 
     @classmethod
@@ -530,12 +515,13 @@ class CellDecomposition:
         return cls._of(pairs)
 
     @cached_property
-    def strata(self) -> tuple[Stratum, ...]:
-        """One record per term, sorted by base then shift."""
-        return tuple(Stratum(b, d, m) for b, poly in self.polys for d, m in poly)
+    def strata(self) -> tuple[tuple[BaseField, int, int], ...]:
+        """One (base, shift, multiplicity) triple per term, sorted by base
+        then shift."""
+        return tuple((b, d, m) for b, poly in self.polys for d, m in poly)
 
     @property
-    def factors(self) -> tuple[Stratum, ...]:
+    def factors(self) -> tuple[tuple[BaseField, int, int], ...]:
         """The strata read as the factors of L(X, s)."""
         return self.strata
 
@@ -620,9 +606,6 @@ class CellDecomposition:
 
     def max_shift(self) -> int:
         return max((poly[-1][0] for _, poly in self.polys), default=0)
-
-    def __iter__(self):
-        return iter(self.strata)
 
     def __str__(self) -> str:
         """The product of the terms' L-factors, read off ``polys``."""

@@ -26,7 +26,7 @@ import re
 import sys
 from typing import Iterable, Optional, Sequence
 
-from .cells import BasePoint, CellDecomposition, SchemeExpr, cells_of
+from .cells import BasePoint, SchemeExpr, cells_of
 from .fields import UnsupportedFieldError, _digits_refusal, _read_int
 from .lfuncs import (
     lfun_partial_eval,
@@ -74,27 +74,25 @@ _K_RANGE_RE = re.compile(rf"({_INT})\.\.({_INT})")
 _FIELD_SEP_RE = re.compile(r",(?![^()]*\))")
 
 
-def _cells_in_window(
-    args, schemes: Iterable[SchemeExpr]
-) -> tuple[list[CellDecomposition], int, int]:
-    """The cells of each scheme and the --k window, refused as soon as
-    strata x window summed over the schemes passes MAX_WINDOW_WORK."""
+def _cells_in_window(args, schemes: Iterable[SchemeExpr]) -> tuple[int, int]:
+    """The --k window, refused as soon as strata x window summed over the
+    schemes passes MAX_WINDOW_WORK.  Pricing builds each scheme's class,
+    which its node keeps, so the command then reads it back."""
     m = _K_RANGE_RE.fullmatch(args.k)
     if m is None:
         raise ValueError(f"bad range {args.k!r}; expected LO..HI, e.g. -10..2")
     lo, hi = map(_read_int, m.groups())
     if lo > hi:
         raise ValueError(f"empty range {args.k!r}")
-    out, strata = [], 0
+    strata = 0
     for x in schemes:
-        out.append(cells_of(x))
-        strata += sum(len(poly) for _, poly in out[-1].polys)
+        strata += sum(len(poly) for _, poly in cells_of(x).polys)
         if strata * (hi - lo + 1) > MAX_WINDOW_WORK:
             raise ValueError(
                 f"at least {strata} strata over a window of {hi - lo + 1} weights: "
                 f"strata x window is above MAX_WINDOW_WORK = {MAX_WINDOW_WORK}"
             )
-    return out, lo, hi
+    return lo, hi
 
 
 # -- output rendering --------------------------------------------------------
@@ -146,8 +144,8 @@ def _registry(args) -> dict:
 
 
 def _cmd_ranks(x: SchemeExpr, args):
-    [cells], lo, hi = _cells_in_window(args, [x])
-    table = weight_table_of(cells, lo, hi)
+    lo, hi = _cells_in_window(args, [x])
+    table = weight_table_of(x, lo, hi)
     rows = [(m, j, dim) for (m, j), dim in table.items()]
     return _keyed(("m", "j", "dim"), rows, j_min=lo, j_max=hi)
 
@@ -158,14 +156,14 @@ def _cmd_cells(x: SchemeExpr, args):
 
 
 def _cmd_chi(x: SchemeExpr, args):
-    [cells], lo, hi = _cells_in_window(args, [x])
-    rows = list(chi(weight_table_of(cells, lo, hi)).items())
+    lo, hi = _cells_in_window(args, [x])
+    rows = list(chi(weight_table_of(x, lo, hi)).items())
     return _keyed(("k", "chi"), rows, k_min=lo, k_max=hi)
 
 
 def _cmd_ord(x: SchemeExpr, args):
-    [cells], lo, hi = _cells_in_window(args, [x])
-    rows = list(cells.ord_window(lo, hi).items())
+    lo, hi = _cells_in_window(args, [x])
+    rows = list(cells_of(x).ord_window(lo, hi).items())
     return _keyed(("k", "ord"), rows, k_min=lo, k_max=hi)
 
 
@@ -226,8 +224,7 @@ def _cmd_special(x: SchemeExpr, args):
 
 
 def _cmd_verify(x: SchemeExpr, args):
-    [cells], lo, hi = _cells_in_window(args, [x])
-    report = check_soule(cells, (lo, hi), name=str(x))
+    report = check_soule(x, _cells_in_window(args, [x]))
     rows = [(r.k, r.chi, r.ord, "yes" if r.match else "NO") for r in report.rows]
     footer = [f"summary: {report.matched} matched, {report.mismatched} mismatched"]
     payload = report.to_dict(support=args.format == "json")
@@ -260,8 +257,7 @@ def _sweep_family(args) -> list[SchemeExpr]:
 
 def _cmd_sweep(x: None, args):
     family = _sweep_family(args)
-    cells, lo, hi = _cells_in_window(args, family)
-    report = sweep(family, (lo, hi), cells)
+    report = sweep(family, _cells_in_window(args, family))
     rows = [
         (r.scheme, r.matched, r.mismatched, "yes" if r.ok else "NO")
         for r in report.reports

@@ -9,7 +9,7 @@ integer k:
 * the vanishing order ord_{s=k} L(X, s), read off the same cell class
   as a product of shifted base zeta functions.
 
-``check_soule`` computes the cell decomposition once, hands it to the
+``check_soule`` reads the cell decomposition once, hands it to the
 two independent pipelines, and compares the resulting integers exactly
 over a k-range; the reports it returns are plain frozen data, rendered
 identically on every run.  Each side reads the whole window off the
@@ -37,7 +37,6 @@ from typing import Iterable, Sequence
 from .cells import (
     Affine,
     BasePoint,
-    CellDecomposition,
     CellsOrScheme,
     FlagBundle,
     ProjBundle,
@@ -119,16 +118,17 @@ class VerificationReport:
 
 
 def check_soule(
-    x: CellsOrScheme, k_range: tuple[int, int] = DEFAULT_K_RANGE, name: str = ""
+    x: CellsOrScheme, k_range: tuple[int, int] = DEFAULT_K_RANGE
 ) -> VerificationReport:
     """Compare chi(X, k) with ord_{s=k} L(X, s) for each k in the range.
 
-    ``x`` is a scheme or a signed cell class.  The cell decomposition is
-    computed once and shared; everything after that point is two disjoint
-    exact computations, ``chi`` of its weight table and its
-    ``ord_window``, each O(terms + width) per base and neither building
-    the table's columns.  The report is named ``name``, or else ``str(x)``,
-    which for a class is printed from its polynomials, with no ``Stratum``.
+    ``x`` is a scheme or a signed cell class.  A scheme's class is the one
+    ``cells_of`` keeps on the node, built by its first call; everything
+    after that point is two disjoint exact computations, ``chi`` of its
+    weight table and its ``ord_window``, each O(terms + width) per base
+    and neither building the table's columns.  The report is named
+    ``str(x)``: the expression for a scheme, and for a class the product
+    of its L-factors, printed from its polynomials.
     """
     k_min, k_max = k_range
     if k_min > k_max:
@@ -137,7 +137,7 @@ def check_soule(
     table = weight_table_of(cells, k_min, k_max)
     ords = cells.ord_window(k_min, k_max)
     rows = tuple(SouleRow(k, c, ords[k]) for k, c in chi(table).items())
-    return VerificationReport(name or str(x), table, rows)
+    return VerificationReport(str(x), table, rows)
 
 
 @dataclass(frozen=True)
@@ -203,17 +203,14 @@ class SweepReport:
 
 
 def sweep(
-    schemes: Sequence[SchemeExpr],
-    k_range: tuple[int, int] = DEFAULT_K_RANGE,
-    cells: Sequence[CellDecomposition] = (),
+    schemes: Sequence[SchemeExpr], k_range: tuple[int, int] = DEFAULT_K_RANGE
 ) -> SweepReport:
-    """check_soule across a family, in the family's given order; ``cells``
-    may hold the family's cell classes, already built, in the same order."""
+    """check_soule across a family, in the family's given order.  A member
+    whose class is already built, as the CLI's window check builds it,
+    reads it back from the node."""
     if not schemes:
         raise ValueError("empty family")
-    pairs = zip(schemes, cells or schemes, strict=True)  # else check_soule builds
-    reports = tuple(check_soule(c, k_range, name=str(x)) for x, c in pairs)
-    return SweepReport(reports)
+    return SweepReport(tuple(check_soule(x, k_range) for x in schemes))
 
 
 # -- family builders --------------------------------------------------------------

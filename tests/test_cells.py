@@ -19,7 +19,6 @@ from flagzeta.cells import (
     Grassmannian,
     ProjBundle,
     QPolynomial,
-    Stratum,
     brute_force_flag_count,
     cells_of,
     gaussian_binomial,
@@ -122,7 +121,7 @@ def test_degree_zero_nodes_answer_at_once():
         Grassmannian(BasePoint(Q), n, n),
         FlagBundle(BasePoint(Q), (n,)),
     ):
-        assert cells_of(x).strata == (Stratum(Q, 0, 1),)
+        assert cells_of(x).strata == ((Q, 0, 1),)
 
 
 def test_cell_polynomial_degree_is_bounded():
@@ -428,13 +427,13 @@ def test_products_of_rref_bases_are_rref(q, max_n):
 
 def test_cells_of_projective_line():
     assert cells_of(ProjBundle(BasePoint(Q), 1)) == CellDecomposition(
-        (Stratum(Q, 0, 1), Stratum(Q, 1, 1))
+        ((Q, 0, 1), (Q, 1, 1))
     )
 
 
 def test_cells_of_affine_space():
     assert cells_of(Affine(BasePoint(QI), 3)) == CellDecomposition(
-        (Stratum(QI, 3, 1),)
+        ((QI, 3, 1),)
     )
 
 
@@ -442,42 +441,49 @@ def test_cells_of_flag_bundle():
     cells = cells_of(FlagBundle(BasePoint(Q), (2, 2)))
     assert cells == CellDecomposition(
         (
-            Stratum(Q, 0, 1),
-            Stratum(Q, 1, 1),
-            Stratum(Q, 2, 2),
-            Stratum(Q, 3, 1),
-            Stratum(Q, 4, 1),
+            (Q, 0, 1),
+            (Q, 1, 1),
+            (Q, 2, 2),
+            (Q, 3, 1),
+            (Q, 4, 1),
         )
     )
-    assert sum(s.multiplicity for s in cells) == 6
+    assert sum(m for _, _, m in cells.strata) == 6
     assert cells.max_shift() == 4
 
 
 def test_union_merges_equal_cells():
     cells = cells_of(DisjointUnion((BasePoint(Q), BasePoint(Q))))
-    assert cells == CellDecomposition((Stratum(Q, 0, 2),))
+    assert cells == CellDecomposition(((Q, 0, 2),))
 
 
 def test_union_keeps_distinct_bases_sorted():
     cells = cells_of(DisjointUnion((BasePoint(F3), BasePoint(Q), BasePoint(F2))))
-    assert [s.base for s in cells] == [Q, F2, F3]
+    assert [base for base, _, _ in cells.strata] == [Q, F2, F3]
 
 
 def test_canonicalization_is_idempotent():
-    raw = [Stratum(Q, 1, 1), Stratum(Q, 0, 1), Stratum(Q, 1, 2)]
+    raw = [(Q, 1, 1), (Q, 0, 1), (Q, 1, 2)]
     once = CellDecomposition(raw)
     again = CellDecomposition(once.strata)
     assert once == again
-    assert once.strata == (Stratum(Q, 0, 1), Stratum(Q, 1, 3))
+    assert once.strata == ((Q, 0, 1), (Q, 1, 3))
 
 
 def test_constructor_puts_strata_in_canonical_form():
-    hand = CellDecomposition((Stratum(Q, 1, 1), Stratum(Q, 0, 1), Stratum(Q, 0, 1)))
+    hand = CellDecomposition(((Q, 1, 1), (Q, 0, 1), (Q, 0, 1)))
     assert hand == CellDecomposition(hand.strata)
-    assert hand.strata == (Stratum(Q, 0, 2), Stratum(Q, 1, 1))
+    assert hand.strata == ((Q, 0, 2), (Q, 1, 1))
     assert str(hand) == "L(Q, s)^2 * L(Q, s-1)"
     # cancelling multiplicities drop out, leaving the empty class
-    assert CellDecomposition([Stratum(F2, 3, 2), Stratum(F2, 3, -2)]) == CellDecomposition.one()
+    assert CellDecomposition([(F2, 3, 2), (F2, 3, -2)]) == CellDecomposition.one()
+
+
+def test_constructor_refuses_a_negative_shift_or_a_zero_multiplicity():
+    with pytest.raises(ValueError, match="cell dimension must be >= 0"):
+        CellDecomposition([(Q, -1, 1)])
+    with pytest.raises(ValueError, match="multiplicity must be nonzero"):
+        CellDecomposition([(Q, 0, 0)])
 
 
 _SQUAREFREE = (1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 26, 29, 30, 31)
@@ -504,15 +510,15 @@ def test_cells_of_sorts_bases_per_node_not_per_term(monkeypatch):
 
 def test_convolution_merges_nothing_and_builds_no_records(monkeypatch):
     # each run's product comes out of one multiply sorted and merged: no
-    # _of pass and no Stratum, not even for the leaf
-    merged, built = [], []
+    # _of pass and no per-term view, not even for the leaf
+    merged, read = [], []
     of = CellDecomposition._of.__func__
     counted = classmethod(lambda cls, pairs: merged.append(1) or of(cls, pairs))
     monkeypatch.setattr(CellDecomposition, "_of", counted)
-    post_init = Stratum.__post_init__
-    monkeypatch.setattr(Stratum, "__post_init__", lambda s: built.append(s) or post_init(s))
+    strata = vars(CellDecomposition)["strata"].func
+    monkeypatch.setattr(CellDecomposition, "strata", property(lambda c: read.append(c) or strata(c)))
     cells = cells_of(Grassmannian(ProjBundle(BasePoint(QI), 400), 8, 16))
-    assert merged == [] and built == []
+    assert merged == [] and read == []
     [(base, poly)] = cells.polys
     assert base == QI and [d for d, _ in poly] == list(range(400 + 8 * 8 + 1))
 
@@ -529,7 +535,7 @@ def test_class_operations_keep_canonical_polynomials(monkeypatch):
         terms = dict(got.polys)
         assert len(terms) == 2
         assert all(terms[b] is poly for c in children for b, poly in built[c].polys)
-    expected = CellDecomposition(Stratum(s.base, s.shift + 3, -s.multiplicity) for s in union)
+    expected = CellDecomposition((b, d + 3, -m) for b, d, m in union.strata)
     merged = []
     of = CellDecomposition._of.__func__
     counted = classmethod(lambda cls, pairs: merged.append(1) or of(cls, pairs))
@@ -539,13 +545,13 @@ def test_class_operations_keep_canonical_polynomials(monkeypatch):
     assert merged == []
 
 
-def test_check_soule_builds_one_stratum_per_leaf(monkeypatch):
-    # the class is read as polynomials; no Stratum record is built per term
-    built = []
-    post_init = Stratum.__post_init__
-    monkeypatch.setattr(Stratum, "__post_init__", lambda s: built.append(s) or post_init(s))
+def test_check_soule_reads_no_per_term_view(monkeypatch):
+    # the class is read as polynomials; its strata are never built
+    read = []
+    strata = vars(CellDecomposition)["strata"].func
+    monkeypatch.setattr(CellDecomposition, "strata", property(lambda c: read.append(c) or strata(c)))
     assert check_soule(_twenty_fields(), (-6, 2)).ok
-    assert len(built) <= 20
+    assert read == []
 
 
 def test_flag_tower_gives_same_cells():
@@ -561,7 +567,7 @@ def test_nested_bundles_compose():
     # P^1 over P^1: four cells in dimensions 0,1,1,2
     x = ProjBundle(ProjBundle(BasePoint(Q), 1), 1)
     assert cells_of(x) == CellDecomposition(
-        (Stratum(Q, 0, 1), Stratum(Q, 1, 2), Stratum(Q, 2, 1))
+        ((Q, 0, 1), (Q, 1, 2), (Q, 2, 1))
     )
 
 

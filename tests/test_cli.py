@@ -15,6 +15,7 @@ import flagzeta.cli
 import flagzeta.fields
 import flagzeta.verify
 import flagzeta.weights
+from flagzeta.cells import CellDecomposition
 from flagzeta.cli import main
 from flagzeta.parse import MAX_DEPTH
 from flagzeta.series import TruncSeries
@@ -538,9 +539,21 @@ def _count_top_level_calls(monkeypatch, module, name, *also):
     return calls
 
 
+def _count_convolutions(monkeypatch):
+    """Record the cell polynomial of every ``CellDecomposition.convolved``
+    call: one per bundle node whose class is built."""
+    polys = []
+    convolved = CellDecomposition.convolved
+    monkeypatch.setattr(
+        CellDecomposition, "convolved", lambda c, poly: polys.append(poly) or convolved(c, poly)
+    )
+    return polys
+
+
 def test_sweep_builds_each_member_once(capsys, monkeypatch):
-    # cells_of recurses through the module global, so nested calls are skipped
-    calls = _count_top_level_calls(monkeypatch, flagzeta.cells, "cells_of", flagzeta.cli)
+    # each member is one flag node over a leaf: one convolution builds it,
+    # and every later read of its class is a lookup on the node
+    built = _count_convolutions(monkeypatch)
     code, out, _ = run(
         capsys, "sweep", "--family", "flags", "--fields", "Q,F(2)", "--max-n", "3",
         "--format", "json",
@@ -548,7 +561,16 @@ def test_sweep_builds_each_member_once(capsys, monkeypatch):
     assert code == 0
     names = [report["scheme"] for report in json.loads(out)["reports"]]
     assert len(names) == 14
-    assert [str(x) for x in calls] == names
+    assert len(built) == 14
+
+
+@pytest.mark.parametrize("command", ["ranks", "chi", "ord", "verify"])
+def test_windowed_commands_build_each_node_once(capsys, monkeypatch, command):
+    # the window check builds the class; the command reads it off the node
+    built = _count_convolutions(monkeypatch)
+    code, _, _ = run(capsys, command, "grass(proj(Q, 3), 2, 4)", "--k=-4..2")
+    assert code == 0
+    assert len(built) == 2  # the proj node and the grass node
 
 
 def test_lfun_eval_sieves_once_per_number_field_base(capsys, monkeypatch):

@@ -241,7 +241,7 @@ def test_a_splitting_table_is_stored_in_one_order():
     b = NumberField("K", 3, 1, 1, splitting=((5, (2, 1)), (2, (3,))))
     assert a == b and a.splitting == ((2, (3,)), (5, (1, 2)))
     union = cells_of(DisjointUnion((BasePoint(a), BasePoint(b))))
-    assert [(s.base, s.multiplicity) for s in union.strata] == [(a, 2)]
+    assert [(base, mult) for base, _, mult in union.strata] == [(a, 2)]
 
 
 def test_bases_that_differ_only_in_data_stay_apart():

@@ -12,7 +12,6 @@ from flagzeta.cells import (
     DisjointUnion,
     FlagBundle,
     ProjBundle,
-    Stratum,
     cells_of,
 )
 from flagzeta.cli import main
@@ -51,17 +50,17 @@ P1 = lfactorization_of(ProjBundle(BasePoint(Q), 1))
 def test_projective_space_factors_into_shifted_zetas():
     for d in range(4):
         f = lfactorization_of(ProjBundle(BasePoint(Q), d))
-        assert f.factors == tuple(Stratum(Q, i, 1) for i in range(d + 1))
+        assert f.factors == tuple((Q, i, 1) for i in range(d + 1))
     assert str(P1) == "L(Q, s) * L(Q, s-1)"
 
 
 def test_flag_bundle_factor_multiplicities():
     f = lfactorization_of(FlagBundle(BasePoint(Q), (1, 1, 1)))
     assert f.factors == (
-        Stratum(Q, 0, 1),
-        Stratum(Q, 1, 2),
-        Stratum(Q, 2, 2),
-        Stratum(Q, 3, 1),
+        (Q, 0, 1),
+        (Q, 1, 2),
+        (Q, 2, 2),
+        (Q, 3, 1),
     )
 
 
@@ -317,7 +316,7 @@ def test_special_value_rejects_finite_fields():
 
 
 def test_special_value_cancelling_orders_stays_symbolic():
-    f = LFactorization([Stratum(Q, 0, 1), Stratum(Q, 2, -1)])
+    f = LFactorization([(Q, 0, 1), (Q, 2, -1)])
     v = special_value_product(f, -2)  # zeta(-2) over zeta(-4): 0/0 overall
     assert f.ord_at(-2) == 0
     assert v.kind == "symbolic-product"
@@ -326,10 +325,10 @@ def test_special_value_cancelling_orders_stays_symbolic():
 
 def test_rows_and_values_are_read_off_polynomials(monkeypatch, capsys):
     # the cells and lfun rows, the special values and the convergence
-    # refusal read the class's polynomials; no Stratum record is built
-    built = []
-    post_init = Stratum.__post_init__
-    monkeypatch.setattr(Stratum, "__post_init__", lambda s: built.append(s) or post_init(s))
+    # refusal read the class's polynomials; its strata are never built
+    read = []
+    strata = vars(LFactorization)["strata"].func
+    monkeypatch.setattr(LFactorization, "strata", property(lambda c: read.append(c) or strata(c)))
     x = "union(proj(Q, 2), affine(Q(sqrt -1), 1))"
     for argv in (["cells", x], ["lfun", x, "--eval-at=4.5", "--prime-bound=50"]):
         for fmt in ("plain", "csv", "json"):
@@ -340,4 +339,4 @@ def test_rows_and_values_are_read_off_polynomials(monkeypatch, capsys):
     assert special_value_product(P1, 3).factors == (("Q", 3, 1),)  # fold
     with pytest.raises(ValueError, match=r"factor L\(Q, s-1\) outside"):
         lfun_partial_eval(P1, 2.0, 100)
-    assert built == []
+    assert read == []

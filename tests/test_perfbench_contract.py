@@ -50,8 +50,13 @@ def test_traced_methods_are_defined_on_their_classes():
 def test_size_counters_read_their_results():
     x = ProjBundle(parse_scheme("Q(sqrt -1)"), 2)
     for _, module, attr, counter, size in tracer.FUNCTIONS:
-        if counter is not None:
-            assert size(_function(module, attr)(x)) > 0
+        if counter is None:
+            continue
+        r = _function(module, attr)(x)
+        assert size(r) > 0
+        if counter in ("cells.strata_out", "lfuncs.factors_out"):
+            # one per term of the class, whatever type the view holds
+            assert size(r) == sum(len(poly) for _, poly in r.polys)
 
 
 def test_table_entries_counts_the_stored_ranks():

@@ -23,7 +23,6 @@ from flagzeta.cells import (
     Grassmannian,
     ProjBundle,
     QPolynomial,
-    Stratum,
     cells_of,
 )
 from flagzeta.fields import (
@@ -111,11 +110,11 @@ def per_cell_weight_table(cells, j_min, j_max):
     cell dimension, scaled by its multiplicity and summed; its sorted
     nonzero ((m, j), rank) items."""
     entries = {}
-    for s in cells:
-        lo, hi = j_min - s.shift, j_max - s.shift
-        for (m, j), dim in weight_table_of(BasePoint(s.base), lo, hi).items():
-            key = (m, j + s.shift)
-            entries[key] = entries.get(key, 0) + dim * s.multiplicity
+    for base, shift, mult in cells.strata:
+        lo, hi = j_min - shift, j_max - shift
+        for (m, j), dim in weight_table_of(BasePoint(base), lo, hi).items():
+            key = (m, j + shift)
+            entries[key] = entries.get(key, 0) + dim * mult
     return sorted((key, dim) for key, dim in entries.items() if dim)
 
 
@@ -124,6 +123,12 @@ def _signed_classes():
         schemes.map(cells_of),
         st.tuples(schemes, schemes).map(lambda ab: cells_of(ab[0]) / cells_of(ab[1])),
     )
+
+
+@given(_signed_classes())
+def test_strata_are_plain_triples_that_rebuild_the_class(c):
+    assert all(type(t) is tuple and len(t) == 3 for t in c.strata)
+    assert CellDecomposition(c.strata) == c
 
 
 @given(_signed_classes())
@@ -151,19 +156,19 @@ def reference_canonical(strata):
     """The former constructor: strata keyed by (base_sort_key, shift),
     multiplicities merged, zero sums dropped, sorted by key."""
     counts, bases = {}, {}
-    for s in strata:
-        key = (base_sort_key(s.base), s.shift)
-        counts[key] = counts.get(key, 0) + s.multiplicity
-        bases[key] = s.base
-    return tuple(Stratum(bases[key], key[1], counts[key]) for key in sorted(counts) if counts[key])
+    for base, shift, mult in strata:
+        key = (base_sort_key(base), shift)
+        counts[key] = counts.get(key, 0) + mult
+        bases[key] = base
+    return tuple((bases[key], key[1], counts[key]) for key in sorted(counts) if counts[key])
 
 
 def reference_convolved(strata, poly):
     """The former per-stratum convolution: c_e copies of every stratum
     shifted by e, then sorted and merged."""
     return reference_canonical(
-        Stratum(s.base, s.shift + e, s.multiplicity * c)
-        for e, c in enumerate(poly.coeffs) if c for s in strata
+        (base, shift + e, mult * c)
+        for e, c in enumerate(poly.coeffs) if c for base, shift, mult in strata
     )
 
 
@@ -176,15 +181,14 @@ def assert_canonical(c):
 
 
 _raw_strata = st.lists(
-    st.builds(
-        Stratum,
+    st.tuples(
         st.sampled_from(FINITE_FIELDS + NUMBER_FIELDS),
         st.one_of(st.integers(0, 8), st.just(10**21)),
         st.integers(-3, 3).filter(bool),
     ),
     max_size=10,
 )
-_HUGE_STRATA = [Stratum(rationals(), 10**21, 2), Stratum(finite_field(2), 3, -1)]
+_HUGE_STRATA = [(rationals(), 10**21, 2), (finite_field(2), 3, -1)]
 
 
 @example(_HUGE_STRATA, _HUGE_STRATA[::-1], 1, QPolynomial((1, 0, 2)), [BasePoint(rationals())] * 2)
@@ -210,13 +214,13 @@ _HUGE_STRATA = [Stratum(rationals(), 10**21, 2), Stratum(finite_field(2), 3, -1)
 )
 def test_class_operations_match_the_per_stratum_references(a, b, d, poly, children):
     c, other = CellDecomposition(a), CellDecomposition(b)
-    negated = [Stratum(s.base, s.shift, -s.multiplicity) for s in b]
+    negated = [(base, shift, -mult) for base, shift, mult in b]
     # every split is nonzero: m = 2m + (-m)
-    split = [Stratum(s.base, s.shift, k * s.multiplicity) for s in a for k in (2, -1)]
+    split = [(base, shift, k * mult) for base, shift, mult in a for k in (2, -1)]
     cases = [
         (c, reference_canonical(a)),
         (CellDecomposition(split[::-1]), reference_canonical(a)),
-        (c.shifted(d), reference_canonical(Stratum(s.base, s.shift + d, s.multiplicity) for s in a)),
+        (c.shifted(d), reference_canonical((base, shift + d, mult) for base, shift, mult in a)),
         (c.convolved(poly), reference_convolved(a, poly)),
         (c * other, reference_canonical(a + b)),
         (c / other, reference_canonical(a + negated)),
@@ -224,13 +228,13 @@ def test_class_operations_match_the_per_stratum_references(a, b, d, poly, childr
         (
             c.inverse().shifted(d),
             reference_canonical(
-                Stratum(s.base, s.shift + d, -s.multiplicity) for s in a
+                (base, shift + d, -mult) for base, shift, mult in a
             ),
         ),
         (c * c.inverse(), CellDecomposition.one().strata),
         (
             cells_of(DisjointUnion(tuple(children))),
-            reference_canonical(s for x in children for s in cells_of(x)),
+            reference_canonical(s for x in children for s in cells_of(x).strata),
         ),
     ]
     for got, expected in cases:
@@ -245,35 +249,35 @@ def _slot_edge(bits):
     """Terms 0 and 1 of multiplicity 2^(bits - 2) times 1 + q: the middle
     coefficient is 2^(bits - 1), one past what a signed slot of that many
     bits holds."""
-    return [Stratum(_Q, 0, 2 ** (bits - 2)), Stratum(_Q, 1, 2 ** (bits - 2))], (1, 1)
+    return [(_Q, 0, 2 ** (bits - 2)), (_Q, 1, 2 ** (bits - 2))], (1, 1)
 
 
 KERNEL_CASES = {
     # multiplicities beyond 2^64, so slots wider than 8 bytes
     "above 2^64": (
-        [Stratum(_Q, 0, 2**70), Stratum(_Q, 1, -(2**70) - 5), Stratum(_Q, 3, 2**64 + 1),
-         Stratum(_F2, 2, -(2**80))],
+        [(_Q, 0, 2**70), (_Q, 1, -(2**70) - 5), (_Q, 3, 2**64 + 1),
+         (_F2, 2, -(2**80))],
         (1, 2, 1),
     ),
     # the middle coefficient is the bound max|m| * P(1), at each slot width
     **{f"coefficient 2^{b - 1}": _slot_edge(b) for b in (8, 16, 32, 64, 128)},
-    "coefficient -2^63": ([Stratum(_Q, 0, -(2**62)), Stratum(_Q, 1, -(2**62))], (1, 1)),
+    "coefficient -2^63": ([(_Q, 0, -(2**62)), (_Q, 1, -(2**62))], (1, 1)),
     # gap 2 = deg P overlaps at shift 2; gap 3 = deg P + 1 only touches
-    "gap equal to degree": ([Stratum(_Q, 0, 1), Stratum(_Q, 2, -4)], (1, 1, 1)),
-    "gap degree plus one": ([Stratum(_Q, 0, 1), Stratum(_Q, 3, -4)], (1, 1, 1)),
+    "gap equal to degree": ([(_Q, 0, 1), (_Q, 2, -4)], (1, 1, 1)),
+    "gap degree plus one": ([(_Q, 0, 1), (_Q, 3, -4)], (1, 1, 1)),
     "gap equal to degree, three runs": (
-        [Stratum(_Q, 0, 5), Stratum(_Q, 3, -2), Stratum(_Q, 7, 1), Stratum(_Q, 10, -3)],
+        [(_Q, 0, 5), (_Q, 3, -2), (_Q, 7, 1), (_Q, 10, -3)],
         (2, 0, 1, 4),
     ),
-    "constant": ([Stratum(_Q, 0, 3), Stratum(_Q, 1, -1), Stratum(_F2, 4, 2)], (5,)),
-    "one": ([Stratum(_Q, 0, -3), Stratum(_Q, 2, 1)], (1,)),
-    "zero polynomial": ([Stratum(_Q, 0, 3)], ()),
+    "constant": ([(_Q, 0, 3), (_Q, 1, -1), (_F2, 4, 2)], (5,)),
+    "one": ([(_Q, 0, -3), (_Q, 2, 1)], (1,)),
+    "zero polynomial": ([(_Q, 0, 3)], ()),
     # (1 - q)(1 + q + q^2) = 1 - q^3: the products at 1 and 2 cancel
-    "cancelling run": ([Stratum(_Q, 0, 1), Stratum(_Q, 1, -1)], (1, 1, 1)),
-    "cancelling run, negative first": ([Stratum(_F2, 5, -7), Stratum(_F2, 6, 7)], (3, 3, 3, 3)),
+    "cancelling run": ([(_Q, 0, 1), (_Q, 1, -1)], (1, 1, 1)),
+    "cancelling run, negative first": ([(_F2, 5, -7), (_F2, 6, 7)], (3, 3, 3, 3)),
     "huge shift beside small ones": (
-        [Stratum(_Q, 0, 1), Stratum(_Q, 2, -3), Stratum(_Q, 10**21, 5),
-         Stratum(_Q, 10**21 + 1, -2), Stratum(_F2, 10**21, 1)],
+        [(_Q, 0, 1), (_Q, 2, -3), (_Q, 10**21, 5),
+         (_Q, 10**21 + 1, -2), (_F2, 10**21, 1)],
         (1, 3, 3, 1),
     ),
 }
@@ -292,11 +296,11 @@ def per_kind_ord_at(cells, k):
     """The reference order: number-field strata read the functional-equation
     table, and a finite-field stratum has its one pole at k == shift."""
     total = 0
-    for s in cells:
-        if isinstance(s.base, NumberField):
-            total += s.multiplicity * ord_at_integer(s.base, k - s.shift)
-        elif k == s.shift:
-            total -= s.multiplicity
+    for base, shift, mult in cells.strata:
+        if isinstance(base, NumberField):
+            total += mult * ord_at_integer(base, k - shift)
+        elif k == shift:
+            total -= mult
     return total
 
 
@@ -305,7 +309,7 @@ def per_kind_ord_at(cells, k):
 )
 def test_ord_at_matches_per_kind_orders(c, fq, shift, mult):
     # a nonzero mult adds an F_q cell, signed, to the drawn class
-    c = c * CellDecomposition((Stratum(fq, shift, mult),)) if mult else c
+    c = c * CellDecomposition(((fq, shift, mult),)) if mult else c
     for k in range(WINDOW[0], WINDOW[1] + 1):
         assert c.ord_at(k) == per_kind_ord_at(c, k)
 
@@ -318,7 +322,7 @@ def _class_and_window(draw):
     c = draw(_signed_classes())
     for base in (draw(st.sampled_from(FINITE_FIELDS)), draw(st.sampled_from(NUMBER_FIELDS))):
         mult = draw(st.integers(-2, 2).filter(bool))
-        c = c * CellDecomposition((Stratum(base, draw(st.integers(0, 6)), mult),))
+        c = c * CellDecomposition(((base, draw(st.integers(0, 6)), mult),))
     top = c.max_shift()
     shape = draw(st.sampled_from(("width 1", "above", "negative", "straddling")))
     if shape == "width 1":
@@ -357,18 +361,18 @@ def per_factor_euler_product(cells, s, bound):
     primes up to the bound, an F_q factor its closed form
     1/(1 - q^-(s - shift))."""
     out = 1.0
-    for factor in cells:
-        x = s - factor.shift
-        if isinstance(factor.base, NumberField):
+    for base, shift, mult in cells.factors:
+        x = s - shift
+        if isinstance(base, NumberField):
             v = 1.0
             for p in primes_upto(bound):
                 local = 1.0
-                for f, g in _residue_degrees(factor.base, p):
+                for f, g in _residue_degrees(base, p):
                     local *= (1 - p ** (-f * x)) ** (-g)
                 v *= local
         else:
-            v = 1.0 / (1.0 - factor.base.q ** (-x))
-        out *= v**factor.multiplicity
+            v = 1.0 / (1.0 - base.q ** (-x))
+        out *= v**mult
     return out
 
 
@@ -472,7 +476,7 @@ def test_special_value_of_a_union_is_the_product_of_its_parts(pair):
 
 
 def test_special_value_of_one_over_zeta_2():
-    v = special_value_product(CellDecomposition((Stratum(rationals(), 0, -1),)), 2)
+    v = special_value_product(CellDecomposition(((rationals(), 0, -1),)), 2)
     assert (v.kind, v.rational, v.pi_power, v.factors) == (
         "rational-times-pi-power", Fraction(6), -2, ()
     )
