@@ -697,10 +697,13 @@ def _base_orders(base: BaseField) -> tuple[int, int, int, int]:
 def point_count(x: CellsOrScheme, r: int) -> int:
     """Number of points of x over the degree-r extension of each cell's base.
 
-    Each cell of dimension d over F_q contributes (q^r)^d.  Any number
-    field base makes the count meaningless and is rejected.  A scheme's
-    class is built by its first ``cells_of`` call; a count for another r
-    reads it back from the node.
+    Each cell of dimension d over F_q contributes (q^r)^d, so a base adds
+    its cell polynomial evaluated at q^r: one power q^r per base, then
+    Horner's rule over the terms from the top shift down, which raises
+    q^r only to the gaps between shifts.  Any number field base makes the
+    count meaningless and is rejected.  A scheme's class is built by its
+    first ``cells_of`` call; a count for another r reads it back from the
+    node.
     """
     if r < 1:
         raise ValueError("extension degree r must be >= 1")
@@ -708,7 +711,12 @@ def point_count(x: CellsOrScheme, r: int) -> int:
     for base, poly in _as_cells(x).polys:
         if not isinstance(base, FiniteField):
             raise ValueError(f"point counting needs finite-field bases, found {base}")
-        total += sum(m * (base.q**r) ** d for d, m in poly)
+        power = base.q**r
+        value, shift = 0, poly[-1][0]
+        for d, m in reversed(poly):
+            value = value * power ** (shift - d) + m
+            shift = d
+        total += value * power**shift
     return total
 
 

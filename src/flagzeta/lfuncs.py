@@ -192,7 +192,10 @@ def weil_zeta_series(x: CellsOrScheme, order: int) -> TruncSeries:
     This is the transcendental route to the zeta function; it never looks
     at the rational form, so agreement with ``weil_zeta_rational`` is a
     genuine consistency check.  It refuses the classes the rational form
-    refuses, with the same messages.
+    refuses, with the same messages.  Each N_r is one ``point_count`` of
+    the class, one power q^r and a Horner pass over the cell polynomial.
+    ``exp`` reads r (N_r / r) = N_r back as an integer, so the whole
+    series is solved on its integer path.
     """
     if order < 1:
         raise ValueError("series order must be >= 1")

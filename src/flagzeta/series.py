@@ -25,13 +25,20 @@ JACM 1978; Knuth, TAOCP vol. 2, section 4.7).  The arithmetic is exact,
 so the coefficients equal those of the power sums.
 
 The four O(n^2) loops (the product, the inverse and those two
-recurrences) build no Fraction inside an inner sum.  Each reads its
-operands' numerators and denominators once, as lists of ints; each output
-coefficient scales its term products to the lcm of their denominators,
-sums the integers, and builds one Fraction, which reduces it.  A Fraction
-per term would pay a gcd and a normalisation per term, most of the cost of
-a series operation; the coefficients are the same either way, since a
-rational has one form in lowest terms.
+recurrences) build no Fraction inside an inner sum; each reads its
+operands' numerators and denominators once, as lists of ints.  The
+inverse, log and exp are one recurrence, y_m = step(m, sum_{k=1}^{m}
+x_k y_{m-k}) for a fixed operand x, solved by ``_solve``.  While x and
+every y so far are integers, that sum is one integer dot product.
+Otherwise, as in every coefficient of a product, ``_dot`` scales the
+term products to the lcm of their denominators and sums the integers.
+Either way each output coefficient is built as one Fraction, which
+reduces it.  A Fraction per term would pay a gcd and a normalisation per
+term, most of the cost of a series operation; the coefficients are the
+same either way, since a rational has one form in lowest terms.  The
+series of a zeta function over F_q are integral (its expansion, and k
+times the k-th coefficient of its log), so they never leave the integer
+path.
 
 >>> g = TruncSeries(4, [1, -1])          # 1 - t
 >>> print(g.log())
@@ -39,8 +46,9 @@ rational has one form in lowest terms.
 >>> g.log().exp() == g
 True
 
-Bernoulli numbers use the B_1 = -1/2 convention and are defined by the
-recurrence sum_{j=0}^{k} C(k+1, j) B_j = 0 for k >= 1 with B_0 = 1.
+Bernoulli numbers use the B_1 = -1/2 convention; the even ones are read
+off the integer tangent numbers (Brent & Harvey, "Fast computation of
+Bernoulli, tangent and secant numbers", 2013).
 """
 
 from __future__ import annotations
@@ -48,13 +56,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
-from typing import Sequence
+from math import gcd, lcm
+from operator import mul
+from typing import Callable, Sequence
 
 __all__ = ["TruncSeries", "bernoulli"]
 
-# B_k sums k fractions that grow with k; larger indices are refused.
+# B_k costs about (k/2)^2 integer operations on tangent numbers; larger
+# indices are refused.
 MAX_BERNOULLI_INDEX = 500
+
+_ZERO = Fraction(0)
+
+
+def _is_scalar(c: object) -> bool:
+    """An int (not a bool) or a Fraction: a scalar that enters the ring exactly."""
+    return isinstance(c, (int, Fraction)) and not isinstance(c, bool)
 
 
 def _split(cs: Sequence[Fraction]) -> tuple[list[int], list[int]]:
@@ -85,6 +102,34 @@ def _dot(
     return sum([n * (den // d) for n, d in zip(nums, dens)]), den
 
 
+def _solve(
+    xn: list[int], xd: list[int], y0: Fraction, n: int, step: Callable
+) -> list[Fraction | int]:
+    """y_0, ..., y_n with y_m = step(m, num, den), where num / den is
+    sum_{k=1}^{m} x_k y_{m-k} and x is given as numerator and denominator
+    lists.  ``step`` returns a Fraction, or an int for an integral y.
+
+    While every x_k and every y so far has denominator 1, the sum is one
+    integer dot product over den = 1; the first y that is not an integer
+    hands the rest of the recurrence to ``_dot``.
+    """
+    ks = [k for k, c in enumerate(xn) if c and k]
+    tail = xn[1:]  # map stops at reversed(yn), so x_k meets y_{m-k} up to k = m
+    yn, yd = [y0.numerator], [y0.denominator]
+    out = [y0]
+    integral = y0.denominator == 1 and all(d == 1 for d in xd)
+    for m in range(1, n + 1):
+        if integral:
+            y = step(m, sum(map(mul, tail, reversed(yn))), 1)
+            integral = y.denominator == 1
+        else:
+            y = step(m, *_dot(xn, xd, ks, yn, yd, m))
+        out.append(y)
+        yn.append(y.numerator)
+        yd.append(y.denominator)
+    return out
+
+
 @dataclass(frozen=True, slots=True)
 class TruncSeries:
     """An element of Q[t]/(t^(order+1)), held as exact rational coefficients.
@@ -112,14 +157,16 @@ class TruncSeries:
             raise ValueError("truncation order must be non-negative")
         cs = []
         for c in self.coeffs:
-            if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-                raise TypeError(
-                    f"series coefficients are ints or Fractions, not {type(c).__name__}"
-                )
-            cs.append(Fraction(c))
+            if type(c) is not Fraction:
+                if type(c) is not int and not _is_scalar(c):
+                    raise TypeError(
+                        f"series coefficients are ints or Fractions, not {type(c).__name__}"
+                    )
+                c = Fraction(c)
+            cs.append(c)
         # Constructing from a longer list is reduction mod t^(order+1).
         del cs[self.order + 1 :]
-        cs.extend([Fraction(0)] * (self.order + 1 - len(cs)))
+        cs.extend([_ZERO] * (self.order + 1 - len(cs)))
         object.__setattr__(self, "coeffs", tuple(cs))
 
     # -- basic structure ------------------------------------------------
@@ -142,7 +189,7 @@ class TruncSeries:
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other: object) -> "TruncSeries":
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             cs = list(self.coeffs)
             cs[0] += other
             return TruncSeries(self.order, cs)
@@ -159,14 +206,12 @@ class TruncSeries:
         return TruncSeries(self.order, [-a for a in self.coeffs])
 
     def __sub__(self, other: object) -> "TruncSeries":
-        if isinstance(other, (int, Fraction)):
-            return self + (-other)
-        if not isinstance(other, TruncSeries):
+        if not (_is_scalar(other) or isinstance(other, TruncSeries)):
             return NotImplemented
         return self + (-other)
 
     def __mul__(self, other: object) -> "TruncSeries":
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             return TruncSeries(self.order, [a * other for a in self.coeffs])
         if not isinstance(other, TruncSeries):
             return NotImplemented
@@ -205,39 +250,31 @@ class TruncSeries:
         if a0 == 0:
             raise ValueError("series with zero constant term is not invertible")
         an, ad = _split(self.coeffs)
-        ks = [k for k, a in enumerate(an) if a and k]
-        out = [1 / a0]
-        bn, bd = _split(out)
-        for m in range(1, self.order + 1):
-            num, den = _dot(an, ad, ks, bn, bd, m)
-            b = Fraction(-num * ad[0], den * an[0])
-            out.append(b)
-            bn.append(b.numerator)
-            bd.append(b.denominator)
+        out = _solve(
+            an, ad, 1 / a0, self.order,
+            lambda m, num, den: Fraction(-num * ad[0], den * an[0]),
+        )
         return TruncSeries(self.order, out)
 
     def log(self) -> "TruncSeries":
         """log of a one-unit: requires constant term exactly 1.
 
-        Solves g' = l' g for l = log(g):
-        m l_m = m g_m - sum_{k=1}^{m-1} k l_k g_{m-k}.
+        Solves g' = l' g for l = log(g), with y_k = k l_k:
+        y_m = m g_m - sum_{k=1}^{m} g_k y_{m-k}, y_0 = 0.
         """
         g = self.coeffs
         if g[0] != 1:
             raise ValueError("log requires constant term 1")
         n = self.order
         gn, gd = _split(g)
-        ks = [j for j, c in enumerate(gn) if c and j]
-        kln, kld = [0] * (n + 1), [1] * (n + 1)  # k * l_k in lowest terms
-        out = [Fraction(0)]
-        for m in range(1, n + 1):
-            # the j = m term meets k * l_k at k = 0, which is zero
-            num, den = _dot(gn, gd, ks, kln, kld, m)
-            l = Fraction(m * gn[m] * den - num * gd[m], gd[m] * den * m)
-            out.append(l)
-            common = gcd(m, l.denominator)
-            kln[m], kld[m] = l.numerator * (m // common), l.denominator // common
-        return TruncSeries(n, out)
+
+        def step(m: int, num: int, den: int) -> int | Fraction:
+            top, bottom = m * gn[m] * den - num * gd[m], gd[m] * den
+            return top if bottom == 1 else Fraction(top, bottom)
+
+        ys = _solve(gn, gd, _ZERO, n, step)
+        ls = [Fraction(y.numerator, y.denominator * m) for m, y in enumerate(ys[1:], 1)]
+        return TruncSeries(n, [_ZERO, *ls])
 
     def exp(self) -> "TruncSeries":
         """exp of a series with zero constant term.
@@ -249,15 +286,12 @@ class TruncSeries:
         if u[0] != 0:
             raise ValueError("exp requires constant term 0")
         n = self.order
-        kun, kud = _split([k * c for k, c in enumerate(u)])
-        ks = [k for k, c in enumerate(kun) if c]
-        an, ad = [1] + [0] * n, [1] * (n + 1)
-        out = [Fraction(1)]
-        for m in range(1, n + 1):
-            num, den = _dot(kun, kud, ks, an, ad, m)
-            a = Fraction(num, den * m)
-            out.append(a)
-            an[m], ad[m] = a.numerator, a.denominator
+        kun, kud = [0] * (n + 1), [1] * (n + 1)  # k u_k in lowest terms
+        for k in range(1, n + 1):
+            common = gcd(k, u[k].denominator)
+            kun[k] = k // common * u[k].numerator
+            kud[k] = u[k].denominator // common
+        out = _solve(kun, kud, Fraction(1), n, lambda m, num, den: Fraction(num, den * m))
         return TruncSeries(n, out)
 
     # -- display ---------------------------------------------------------
@@ -280,13 +314,30 @@ class TruncSeries:
         return " ".join(terms) if terms else "0"
 
 
+def _tangent_number(m: int) -> int:
+    """T_m, with tan x = sum_{m>=1} T_m x^(2m-1) / (2m-1)!, for m >= 1.
+
+    Brent & Harvey's recurrence on T_1..T_m in place: start from
+    T_j = (j-1)!, then for each k = 2..m set
+    T_j = (j-k) T_{j-1} + (j-k+2) T_j for j = k..m in turn: O(m^2)
+    integer operations and no division.
+    """
+    t = [0, 1]
+    for j in range(2, m + 1):
+        t.append((j - 1) * t[-1])
+    for k in range(2, m + 1):
+        for j in range(k, m + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[m]
+
+
 @lru_cache(maxsize=None)
 def bernoulli(k: int) -> Fraction:
     """The k-th Bernoulli number, convention B_1 = -1/2.
 
-    Defined by B_0 = 1 and the recurrence
-    sum_{j=0}^{k} C(k+1, j) B_j = 0 for k >= 1,
-    solved for B_k.  Exact for all k; values are cached.
+    B_0 = 1, B_1 = -1/2, B_k = 0 for odd k > 1, and for k = 2m the
+    tangent number gives B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)).
+    Exact for all k; values are cached.
 
     >>> bernoulli(2), bernoulli(3), bernoulli(4)
     (Fraction(1, 6), Fraction(0, 1), Fraction(-1, 30))
@@ -297,9 +348,10 @@ def bernoulli(k: int) -> Fraction:
         raise ValueError(
             f"Bernoulli index {k} is above MAX_BERNOULLI_INDEX = {MAX_BERNOULLI_INDEX}"
         )
-    if k == 0:
-        return Fraction(1)
-    acc = Fraction(0)
-    for j in range(k):
-        acc += comb(k + 1, j) * bernoulli(j)
-    return -acc / (k + 1)
+    if k < 2:
+        return Fraction(1) if k == 0 else Fraction(-1, 2)
+    if k % 2:
+        return _ZERO
+    m = k // 2
+    four = 4**m
+    return Fraction((-1) ** (m - 1) * k * _tangent_number(m), four * (four - 1))

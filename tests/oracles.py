@@ -1,8 +1,10 @@
 """Reference constructions that tests check the package against."""
 
+from fractions import Fraction
+from math import comb
 from typing import Sequence
 
-from flagzeta.cells import FlagBundle, Grassmannian, SchemeExpr
+from flagzeta.cells import CellDecomposition, FlagBundle, Grassmannian, SchemeExpr
 from flagzeta.lfuncs import RationalZeta
 from flagzeta.series import TruncSeries
 
@@ -48,3 +50,19 @@ def reference_expand(rz: RationalZeta, order: int) -> TruncSeries:
             for i in range(order + 1)
         ]
     return TruncSeries(order, out)
+
+
+def bernoulli_by_recurrence(n: int) -> list[Fraction]:
+    """B_0, ..., B_n (B_1 = -1/2) from sum_{j=0}^{k} C(k+1, j) B_j = 0,
+    solved for B_k one k at a time in Fractions: about n^3 work, but the
+    defining identity, independent of the tangent numbers."""
+    out = [Fraction(1)]
+    for k in range(1, n + 1):
+        out.append(-sum(comb(k + 1, j) * b for j, b in enumerate(out)) / (k + 1))
+    return out
+
+
+def reference_point_count(cells: CellDecomposition, r: int) -> int:
+    """N_r = sum m (q^r)^d over the class's (base, d, m) triples, one
+    big power per term, as the definition reads."""
+    return sum(m * (base.q**r) ** d for base, d, m in cells.strata)

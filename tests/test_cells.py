@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import random
 from functools import lru_cache
 from math import factorial, prod
 
@@ -29,7 +30,7 @@ from flagzeta.fields import FiniteField, finite_field, quadratic_field, rational
 from flagzeta.lfuncs import weil_zeta_rational, weil_zeta_series
 from flagzeta.parse import parse_scheme
 from flagzeta.verify import check_soule
-from oracles import flag_as_grassmannian_tower
+from oracles import flag_as_grassmannian_tower, reference_point_count
 
 Q = rationals()
 QI = quadratic_field(-1)
@@ -637,10 +638,37 @@ def test_point_count_grassmannian_matches_enumeration():
 
 
 def test_point_count_rejects_number_field_bases():
-    with pytest.raises(ValueError, match="finite-field"):
+    with pytest.raises(ValueError, match="point counting needs finite-field bases, found Q"):
         point_count(ProjBundle(BasePoint(Q), 1), 1)
-    with pytest.raises(ValueError):
-        point_count(BasePoint(F2), 0)
+    for r in (0, -1):
+        with pytest.raises(ValueError, match="extension degree r must be >= 1"):
+            point_count(BasePoint(F2), r)
+
+
+def random_gappy_class(rng: random.Random, bases) -> CellDecomposition:
+    """Terms at a shift-0 cell and at shifts up to 60 apart, over every base."""
+    return CellDecomposition(
+        [(base, 0, rng.randint(1, 3)) for base in bases]
+        + [
+            (rng.choice(bases), rng.choice((rng.randint(1, 4), rng.randint(20, 60))),
+             rng.randint(1, 5))
+            for _ in range(rng.randint(1, 6))
+        ]
+    )
+
+
+def test_point_count_matches_the_term_by_term_sum():
+    rng = random.Random(29)
+    bases = [F2, finite_field(9)]
+    terms = set()
+    for _ in range(40):
+        numer = random_gappy_class(rng, rng.sample(bases, rng.randint(1, 2)))
+        denom = random_gappy_class(rng, rng.sample(bases, rng.randint(1, 2)))
+        for c in (numer, numer / denom, denom / numer):
+            terms.update((base, d == 0, m < 0) for base, d, m in c.strata)
+            for r in range(1, 41):
+                assert point_count(c, r) == reference_point_count(c, r)
+    assert terms == {(b, zero, negative) for b in bases for zero in (0, 1) for negative in (0, 1)}
 
 
 # -- expression validation ----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the exact truncated-series kernel and Bernoulli numbers."""
 
+import operator
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
@@ -8,7 +9,10 @@ from random import Random
 
 import pytest
 
+from flagzeta.cells import CellDecomposition, point_count
+from flagzeta.fields import finite_field
 from flagzeta.series import MAX_BERNOULLI_INDEX, TruncSeries, bernoulli
+from oracles import bernoulli_by_recurrence
 
 
 def rand_unit(rng: Random, order: int) -> TruncSeries:
@@ -167,6 +171,80 @@ def test_mul_and_inverse_match_schoolbook(order):
                 assert_lowest_terms(result)
 
 
+# -- the integer path: integral operands against the same references ------
+
+
+def random_signed_class(rng: Random, q: int) -> CellDecomposition:
+    """A class over F(q) with gaps between shifts and negative multiplicities."""
+
+    def terms():
+        return [(finite_field(q), rng.randint(0, 4), rng.randint(1, 3)) for _ in range(3)]
+
+    return CellDecomposition(terms()) / CellDecomposition(terms())
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7])
+def test_exp_of_point_counts_matches_power_sum(q):
+    rng = Random(q)
+    n = 10
+    for _ in range(3):
+        cells = random_signed_class(rng, q)
+        u = TruncSeries(n, [0] + [Fraction(point_count(cells, r), r) for r in range(1, n + 1)])
+        zeta = u.exp()
+        assert zeta == exp_by_power_sum(u)
+        assert all(c.denominator == 1 for c in zeta.coeffs)  # stayed on the integer path
+        assert_lowest_terms(zeta)
+
+
+def test_log_and_inverse_of_integral_units_match_references():
+    rng = Random(29)
+    for n in (1, 2, 5, 12):
+        for _ in range(4):
+            a = TruncSeries(n, [1] + [rng.randint(-50, 50) for _ in range(n)])
+            log = a.log()
+            assert log == log_by_power_sum(a)
+            assert all((k * c).denominator == 1 for k, c in enumerate(log.coeffs))
+            for unit in (a, -a):
+                assert list(unit.inverse().coeffs) == inverse_by_schoolbook(unit)
+            for result in (log, a.inverse(), -a.inverse()):
+                assert_lowest_terms(result)
+
+
+@pytest.mark.parametrize("j", [2, 3, 4, 7, 11])
+def test_exp_leaves_the_integer_path_at_the_first_rational_coefficient(j):
+    # exp(sum_k N_k t^k / k) with N_k = 1 is 1/(1 - t), all ones; N_j = 2
+    # adds t^j / j, so a_0..a_(j-1) are integers and a_j is not.  The
+    # operand k u_k = N_k is integral throughout.
+    n = j + 4
+    u = TruncSeries(n, [0] + [Fraction(2 if k == j else 1, k) for k in range(1, n + 1)])
+    a = u.exp()
+    assert [c.denominator for c in a.coeffs[:j]] == [1] * j and a[j].denominator > 1
+    assert a == exp_by_power_sum(u)
+    assert_lowest_terms(a)
+    # the same recurrence with the roles read back: log(a) = u
+    assert a.log() == u
+
+
+@pytest.mark.parametrize("reflected", [False, True], ids=["series_op_bool", "bool_op_series"])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+@pytest.mark.parametrize("flag", [True, False])
+def test_scalar_arithmetic_refuses_bool(flag, op, reflected):
+    # like the constructor: a bool is not a coefficient
+    s = TruncSeries(2, [1, 2])
+    with pytest.raises(TypeError):
+        op(flag, s) if reflected else op(s, flag)
+
+
+def test_results_hold_fractions_only():
+    s = TruncSeries(3, [1, 2, Fraction(1, 2)])
+    unit = TruncSeries(3, [1, 2, 3])
+    for result in (
+        s + 1, 1 + s, s - 1, s * 3, 3 * s, s * Fraction(1, 3), -s, s * s, s + s,
+        unit.log(), unit.inverse(), (unit - 1).exp(), unit**3, unit**-2,
+    ):
+        assert_lowest_terms(result)
+
+
 # -- worked examples ----------------------------------------------------
 
 
@@ -316,10 +394,18 @@ def test_bernoulli_defining_recurrence():
 
 
 def test_bernoulli_index_is_bounded():
-    with pytest.raises(ValueError, match="MAX_BERNOULLI_INDEX"):
+    with pytest.raises(ValueError, match="Bernoulli index 501 is above MAX_BERNOULLI_INDEX = 500"):
         bernoulli(MAX_BERNOULLI_INDEX + 1)
+    with pytest.raises(ValueError, match="indexed by k >= 0"):
+        bernoulli(-1)
 
 
 def test_bernoulli_odd_vanishing():
     for k in range(1, 20):
         assert bernoulli(2 * k + 1) == 0
+
+
+def test_bernoulli_matches_the_defining_recurrence_up_to_the_bound():
+    assert [bernoulli(k) for k in range(MAX_BERNOULLI_INDEX + 1)] == bernoulli_by_recurrence(
+        MAX_BERNOULLI_INDEX
+    )
