@@ -48,9 +48,9 @@ products, so the products never overlap.  The layout and P are
 evaluated at q = 2^(8 width), one signed coefficient per slot of width
 bytes, and multiplied; the product's slots, biased by 2^(8 width - 1)
 so negative coefficients decode exactly, are read back in shift order
-with nothing left to merge.  A ``QPolynomial`` keeps its coefficients
-in the narrowest machine integers that hold them, which pack into slots
-as they are and widen with zero bytes.
+with nothing left to merge.  A ``QPolynomial`` is its own slots, at the
+narrowest width that holds its coefficients, and widens to the
+product's width with zero bytes.
 """
 
 from __future__ import annotations
@@ -106,13 +106,17 @@ MAX_CONVOLUTION_STRATA = 250_000
 class QPolynomial:
     """A polynomial in q with non-negative integer coefficients.
 
-    The coefficients, lowest first, are kept as ``digits``: an array of
-    the narrowest signed machine integers that hold them, width bytes
-    each, or a tuple when none does.  Trailing zeros are stripped so equal
-    polynomials compare equal.
+    It is kept as its Kronecker slots: ``raw`` holds the coefficients,
+    lowest first and trailing zeros stripped, as little-endian signed
+    slots of ``width`` bytes, the narrowest power of two whose slots hold
+    the largest (``_slots``, ``_slot_width``).  Equal polynomials have
+    equal fields, so they compare and hash equal.  Negative coefficients
+    are refused: cell counts are never negative, and ``packed_in`` widens
+    a slot with zero bytes, which is exact only for a non-negative one.
     """
 
-    digits: Sequence[int]
+    raw: bytes
+    width: int
 
     def __init__(self, coeffs: Iterable[int] = ()) -> None:
         cs = list(coeffs)
@@ -120,42 +124,31 @@ class QPolynomial:
             cs.pop()
         if cs and min(cs) < 0:
             raise ValueError("cell counts cannot be negative")
-        fmt = _SLOT_FORMATS.get(_slot_width(max(cs) if cs else 0))
-        object.__setattr__(self, "digits", array(fmt, cs) if fmt else tuple(cs))
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    @property
-    def width(self) -> int:
-        """The slot width in bytes: the narrowest power of two whose signed
-        slots hold the largest coefficient."""
-        if isinstance(self.digits, array):
-            return self.digits.itemsize
-        return _slot_width(max(self.digits))
+        width = _slot_width(max(cs, default=0))
+        object.__setattr__(self, "raw", _slots(cs, width))
+        object.__setattr__(self, "width", width)
 
     @property
     def degree(self) -> int:
         """The top exponent, -1 for the zero polynomial."""
-        return len(self.digits) - 1
+        return len(self.raw) // self.width - 1
 
     @cached_property
     def total(self) -> int:
         """The sum of the coefficients, the value at q = 1."""
-        return sum(self.digits)
+        return sum(_unslots(self.raw, self.width))
 
     @property
     def coeffs(self) -> tuple[int, ...]:
-        return tuple(self.digits)
+        return tuple(_unslots(self.raw, self.width))
 
     def packed_in(self, width: int) -> int:
         """The value at q = 2^(8 width), for a width of at least
-        ``self.width``: the coefficients in little-endian slots of width
-        bytes, each widened by zero bytes, since none is negative."""
-        own = self.width
-        raw = _slots(self.digits, own)
+        ``self.width``: ``raw`` as an integer, each slot widened by zero
+        bytes, since no coefficient is negative."""
+        raw, own = self.raw, self.width
         if width > own:
-            out = bytearray(width * len(self.digits))
+            out = bytearray(width * (len(raw) // own))
             for j in range(own):
                 out[j::width] = raw[j::own]
             raw = out
@@ -166,7 +159,7 @@ class QPolynomial:
 
     def __call__(self, q: int) -> int:
         out = 0
-        for c in reversed(self.digits):
+        for c in reversed(_unslots(self.raw, self.width)):
             out = out * q + c
         return out
 
@@ -580,7 +573,7 @@ class CellDecomposition:
                 f"a convolution of {size} strata is above the bound "
                 f"MAX_CONVOLUTION_STRATA = {MAX_CONVOLUTION_STRATA}"
             )
-        if not poly.digits:
+        if not poly.raw:
             return self.one()
         degree = poly.degree
         polys = []
@@ -724,51 +717,12 @@ def point_count(x: CellsOrScheme, r: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _gf_tables(q: int) -> tuple[tuple, tuple]:
-    """(add, mul) tables for F_q, q = p^f with f <= 3, elements encoded as 0..q-1.
-
-    Element i is the polynomial of degree < f over F_p whose coefficient of
-    x^j is the j-th base-p digit of i, so addition is digitwise mod p.
-    Products are reduced by x^f = -low(x), where x^f + low(x) is the first
-    monic polynomial, in the encoding order of low, with no root in F_p.
-    For f <= 3 that makes it irreducible: a factorisation would need a
-    factor of degree 1, that is a root.  (Every x + c has a root; for f = 1
-    nothing is reduced and the modulus x serves.)  Row a of mul follows
-    Horner's rule over the digits of b: a*b = b_0*a + x*(a*(b div p)).
-    """
-    field = finite_field(q)
-    p, f = field.p, field.f
-    if f > 3:
-        raise ValueError("finite fields beyond cubic extensions not needed here")
-    digits = [(i % p, i // p % p, i // p // p) for i in range(q)]  # 0 from x^f on
-    add = tuple(
-        tuple((a + x) % p + (b + y) % p * p + (c + z) % p * p * p for x, y, z in digits)
-        for a, b, c in digits
-    )
-    scale = [  # scale[s][a] = s*a for s in F_p
-        [s * a % p + s * b % p * p + s * c % p * p * p for a, b, c in digits]
-        for s in range(p)
-    ]
-    low = next((i for i, (a, b, c) in enumerate(digits)
-                if all((x**f + a + b * x + c * x * x) % p for x in range(p))), 0)
-    top = q // p  # x * c shifts c's digits up; its top digit c // top wraps to -low
-    times_x = [add[c % top * p][scale[-(c // top) % p][low]] for c in range(q)]
-    mul = []
-    for a in range(q):
-        row = [0] * q
-        for b in range(1, q):
-            row[b] = add[times_x[row[b // p]]][scale[b % p][a]]
-        mul.append(tuple(row))
-    return add, tuple(mul)
-
-
-@lru_cache(maxsize=None)
 def _packing(q: int, n: int) -> tuple[int, int, int, int, int]:
     """(p, f, s, bias, lows): how a vector of F_q^n, q = p^f, packs into
     one int.
 
     Entry c of the vector is f base-p digits, its element encoding (see
-    ``_gf_tables``), and digit j goes to slot c f + j, lowest first.  A
+    ``_x_powers``), and digit j goes to slot c f + j, lowest first.  A
     slot is s + 1 bits with s = (2p - 2).bit_length(), so the sum of two
     digits, at most 2p - 2, fits in its low s bits.  ``lows`` has a 1 at
     the bottom of each of the n f slots and ``bias`` = (2^s - p) lows.  In
@@ -865,13 +819,25 @@ def _row_plan(q: int, b: int, a: int):
 @lru_cache(maxsize=None)
 def _x_powers(q: int) -> tuple[dict[int, int], ...]:
     """For each d < f, the map from a packed entry to x^d times it, both
-    packed at column 0 (``_packing``), read off ``_gf_tables``."""
-    p, f = _packing(q, 1)[:2]
-    mul = _gf_tables(q)[1]
-    entries = [_pack((x,), q) for x in range(q)]
-    return tuple(
-        dict(zip(entries, [entries[y] for y in mul[p**d]])) for d in range(f)
-    )
+    packed at column 0 (``_packing``).
+
+    F_q is F_p[x] / (x^f + low(x)), where low is the first element, in
+    the encoding order, for which x^f + low(x) has no root in F_p.  For
+    f <= 3 that makes it irreducible: a factorisation would need a factor
+    of degree 1, that is a root.  (Every x + c has a root; for f = 1 low
+    is 0 and the one map is the identity.)  x times an entry shifts its f
+    digits up one place and brings the top digit t back as -t low(x).
+    """
+    p, f, s, _, _ = _packing(q, 1)
+    digits = [[i // p**j % p for j in range(f)] for i in range(q)]  # element i's digits
+    low = next((c for c in digits
+                if all((x**f + sum(a * x**j for j, a in enumerate(c))) % p for x in range(p))),
+               digits[0])
+    images = []  # images[d][i]: x^d times element i, packed
+    for _ in range(f):
+        images.append([sum(a << j * (s + 1) for j, a in enumerate(c)) for c in digits])
+        digits = [[(a - c[-1] * b) % p for a, b in zip([0, *c], low)] for c in digits]
+    return tuple(dict(zip(images[0], image)) for image in images)
 
 
 def _basis(w: tuple[int, ...], q: int, n: int):
@@ -953,7 +919,8 @@ def brute_force_flag_count(parts: Sequence[int], q: int, n: int) -> int:
         raise ValueError(
             f"enumeration bound exceeded: q^n > 3000 for q = {q}, n = {n}"
         )
-    _gf_tables(q)  # validates q is a prime power we can handle
+    if finite_field(q).f > 3:  # finite_field refuses a q that is not a prime power
+        raise ValueError("finite fields beyond cubic extensions not needed here")
     dims = tuple(itertools.accumulate(parts))[:-1]
     if not dims:
         return 1

@@ -1,10 +1,12 @@
 """Reference constructions that tests check the package against."""
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Sequence
 
 from flagzeta.cells import CellDecomposition, FlagBundle, Grassmannian, SchemeExpr
+from flagzeta.fields import finite_field
 from flagzeta.lfuncs import RationalZeta
 from flagzeta.series import TruncSeries
 
@@ -66,3 +68,42 @@ def reference_point_count(cells: CellDecomposition, r: int) -> int:
     """N_r = sum m (q^r)^d over the class's (base, d, m) triples, one
     big power per term, as the definition reads."""
     return sum(m * (base.q**r) ** d for base, d, m in cells.strata)
+
+
+@lru_cache(maxsize=None)
+def gf_tables(q: int) -> tuple[tuple, tuple]:
+    """(add, mul) tables for F_q, q = p^f with f <= 3, elements encoded as 0..q-1.
+
+    Element i is the polynomial of degree < f over F_p whose coefficient of
+    x^j is the j-th base-p digit of i, so addition is digitwise mod p.
+    Products are reduced by x^f = -low(x), where x^f + low(x) is the first
+    monic polynomial, in the encoding order of low, with no root in F_p.
+    For f <= 3 that makes it irreducible: a factorisation would need a
+    factor of degree 1, that is a root.  (Every x + c has a root; for f = 1
+    nothing is reduced and the modulus x serves.)  Row a of mul follows
+    Horner's rule over the digits of b: a*b = b_0*a + x*(a*(b div p)).
+    """
+    field = finite_field(q)
+    p, f = field.p, field.f
+    if f > 3:
+        raise ValueError("finite fields beyond cubic extensions not needed here")
+    digits = [(i % p, i // p % p, i // p // p) for i in range(q)]  # 0 from x^f on
+    add = tuple(
+        tuple((a + x) % p + (b + y) % p * p + (c + z) % p * p * p for x, y, z in digits)
+        for a, b, c in digits
+    )
+    scale = [  # scale[s][a] = s*a for s in F_p
+        [s * a % p + s * b % p * p + s * c % p * p * p for a, b, c in digits]
+        for s in range(p)
+    ]
+    low = next((i for i, (a, b, c) in enumerate(digits)
+                if all((x**f + a + b * x + c * x * x) % p for x in range(p))), 0)
+    top = q // p  # x * c shifts c's digits up; its top digit c // top wraps to -low
+    times_x = [add[c % top * p][scale[-(c // top) % p][low]] for c in range(q)]
+    mul = []
+    for a in range(q):
+        row = [0] * q
+        for b in range(1, q):
+            row[b] = add[times_x[row[b // p]]][scale[b % p][a]]
+        mul.append(tuple(row))
+    return add, tuple(mul)

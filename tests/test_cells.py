@@ -30,7 +30,7 @@ from flagzeta.fields import FiniteField, finite_field, quadratic_field, rational
 from flagzeta.lfuncs import weil_zeta_rational, weil_zeta_series
 from flagzeta.parse import parse_scheme
 from flagzeta.verify import check_soule
-from oracles import flag_as_grassmannian_tower, reference_point_count
+from oracles import flag_as_grassmannian_tower, gf_tables, reference_point_count
 
 Q = rationals()
 QI = quadratic_field(-1)
@@ -248,7 +248,7 @@ ORACLE_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43
 
 @pytest.mark.parametrize("q", ORACLE_QS)
 def test_gf_tables_are_a_field(q):
-    add, mul = flagzeta.cells._gf_tables(q)
+    add, mul = gf_tables(q)
     elements, nonzero = range(q), range(1, q)
     for a in elements:
         assert add[a][0] == a and mul[a][1] == a and mul[a][0] == 0
@@ -270,10 +270,12 @@ def test_gf_tables_are_a_field(q):
 
 
 def test_gf_tables_refuse_beyond_cubic_extensions():
-    with pytest.raises(ValueError, match="beyond cubic extensions"):
-        brute_force_flag_count((1,), 81, 1)
-    with pytest.raises(ValueError, match="not a prime power"):
-        brute_force_flag_count((1,), 6, 1)
+    # the reference tables and the enumerator refuse alike
+    for refuse in (gf_tables, lambda q: brute_force_flag_count((1,), q, 1)):
+        with pytest.raises(ValueError, match="beyond cubic extensions"):
+            refuse(81)
+        with pytest.raises(ValueError, match="not a prime power"):
+            refuse(6)
 
 
 def test_gaussian_matches_enumeration_everywhere_feasible():
@@ -295,7 +297,7 @@ def test_enumeration_does_not_use_the_product_formula(monkeypatch):
     # every cache of the module, found rather than listed, so that no
     # enumerator cache is left warm
     caches = [f for f in vars(cells).values() if hasattr(f, "cache_clear")]
-    assert cells._chain_counts in caches
+    assert {cells._chain_counts, cells._x_powers} <= set(caches)
     for cache in caches:
         cache.cache_clear()
     monkeypatch.setattr(cells, "gaussian_binomial", forbidden)
@@ -303,6 +305,8 @@ def test_enumeration_does_not_use_the_product_formula(monkeypatch):
     monkeypatch.setattr(cells, "_cell_polynomial", forbidden)
     # a line of F_3^4 (40 choices), then a plane in the 3-dim quotient (13)
     assert brute_force_flag_count((1, 2, 1), 3, 4) == 40 * 13
+    # over F_9 the F_3-basis of a plane needs x times its rows
+    assert brute_force_flag_count((1, 1, 1), 9, 3) == 91 * 10
 
 
 def is_rref(rows):
@@ -318,8 +322,9 @@ def is_rref(rows):
 
 
 def mat_mul(m, w, q):
-    """The matrix product m·w over F_q, one entry at a time."""
-    add, mul = flagzeta.cells._gf_tables(q)
+    """The matrix product m·w over F_q, one entry at a time, in the
+    reference tables."""
+    add, mul = gf_tables(q)
     out = []
     for mrow in m:
         entries = []
@@ -355,7 +360,7 @@ def packed_sum(u, v, q, n):
 @pytest.mark.parametrize("q", ORACLE_QS)
 def test_packed_vectors(q):
     cells = flagzeta.cells
-    add, mul = cells._gf_tables(q)
+    add, mul = gf_tables(q)
     p, f = finite_field(q).p, finite_field(q).f
     for n in range(1, 4):
         if q**n > 3000:

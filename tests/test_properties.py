@@ -262,6 +262,11 @@ KERNEL_CASES = {
     # the middle coefficient is the bound max|m| * P(1), at each slot width
     **{f"coefficient 2^{b - 1}": _slot_edge(b) for b in (8, 16, 32, 64, 128)},
     "coefficient -2^63": ([(_Q, 0, -(2**62)), (_Q, 1, -(2**62))], (1, 1)),
+    # P's own slots are 16 bytes, widened to the product's 32
+    "cell coefficient above 2^64": (
+        [(_Q, 0, 2**60), (_Q, 1, -(2**60) + 3), (_F2, 2, -(2**60))],
+        (1, 2**70, 1),
+    ),
     # gap 2 = deg P overlaps at shift 2; gap 3 = deg P + 1 only touches
     "gap equal to degree": ([(_Q, 0, 1), (_Q, 2, -4)], (1, 1, 1)),
     "gap degree plus one": ([(_Q, 0, 1), (_Q, 3, -4)], (1, 1, 1)),
@@ -290,6 +295,22 @@ def test_convolution_kernel_matches_the_per_stratum_reference(name):
     got = CellDecomposition(strata).convolved(poly)
     assert got.strata == reference_convolved(strata, poly)
     assert_canonical(got)
+
+
+@pytest.mark.parametrize(
+    "top, width",
+    [(0, 1), (2**7 - 1, 1), (2**7, 2), (2**15, 4), (2**31, 8),
+     (2**63, 16), (2**64, 16), (2**127, 32)],
+)
+def test_cell_polynomial_reads_back_its_coefficients_at_every_width(top, width):
+    coeffs = (top, 0, 1, top) if top else ()
+    poly = QPolynomial(coeffs + (0, 0))
+    assert (poly.coeffs, poly.degree, poly.width) == (coeffs, len(coeffs) - 1, width)
+    assert poly.total == sum(coeffs)
+    assert poly(3) == sum(c * 3**i for i, c in enumerate(coeffs))
+    apart = QPolynomial(iter(list(coeffs)))
+    assert apart == poly and hash(apart) == hash(poly)
+    assert QPolynomial(coeffs + (1,)) != poly
 
 
 def per_kind_ord_at(cells, k):
