@@ -60,15 +60,10 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .fields import (
-    BaseField,
-    FiniteField,
-    base_sort_key,
-    finite_field,
-    ord_at_integer,
-)
+from .fields import BaseField, base_sort_key, finite_field
 
 __all__ = [
     "QPolynomial",
@@ -536,8 +531,8 @@ class CellDecomposition:
 
     def ord_window(self, lo: int, hi: int) -> dict[int, int]:
         """{k: ord_at(k)} for k = lo..hi, in O(terms + width) per base:
-        ``_window_sums`` over the base orders at t = 1, 0, -1, -2."""
-        return _window_sums(self, lo, hi, _base_orders)
+        ``_window_sums`` over each base's ``orders`` at t = 1, 0, -1, -2."""
+        return _window_sums(self, lo, hi, attrgetter("orders"))
 
     def shifted(self, d: int) -> "CellDecomposition":
         if any(poly[0][0] + d < 0 for _, poly in self.polys):
@@ -683,26 +678,22 @@ def _window_sums(
     return dict(zip(range(lo, hi + 1), out))
 
 
-def _base_orders(base: BaseField) -> tuple[int, int, int, int]:
-    return tuple(ord_at_integer(base, t) for t in (1, 0, -1, -2))
-
-
 def point_count(x: CellsOrScheme, r: int) -> int:
     """Number of points of x over the degree-r extension of each cell's base.
 
     Each cell of dimension d over F_q contributes (q^r)^d, so a base adds
     its cell polynomial evaluated at q^r: one power q^r per base, then
     Horner's rule over the terms from the top shift down, which raises
-    q^r only to the gaps between shifts.  Any number field base makes the
-    count meaningless and is rejected.  A scheme's class is built by its
-    first ``cells_of`` call; a count for another r reads it back from the
-    node.
+    q^r only to the gaps between shifts.  A base without a ``q``, a number
+    field, makes the count meaningless and is rejected.  A scheme's class
+    is built by its first ``cells_of`` call; a count for another r reads
+    it back from the node.
     """
     if r < 1:
         raise ValueError("extension degree r must be >= 1")
     total = 0
     for base, poly in _as_cells(x).polys:
-        if not isinstance(base, FiniteField):
+        if base.q is None:
             raise ValueError(f"point counting needs finite-field bases, found {base}")
         power = base.q**r
         value, shift = 0, poly[-1][0]

@@ -6,20 +6,19 @@ bookkeeping actually consume: degree, real and complex place counts
 wanted, and optionally an explicit prime-splitting table for fields of
 degree above two.  A ``FiniteField`` is a prime power q = p^f.
 
-The module owns the L-side rules of every base kind, so the cell
-calculus never asks which kind a base is.  A new kind adds a branch to
-the first two functions below (the third too if it has closed forms),
-``_check_euler_work``, ``base_sort_key`` and ``weights._base_entries``;
-outside this module only ``cells.point_count``, ``lfuncs._single_q``
-(finite fields) and ``lfuncs.special_value_product`` (number fields) ask:
+A new kind is one L-side row here, a class with ``orders`` (at s = 1,
+0, -1, -2), ``euler_values``, ``euler_work``, ``sort_key`` and ``q``
+(None for a number field), and one K-side row in ``weights``; nothing
+else in the package asks which kind a base is.  The functions below read
+the row:
 
 * ``ord_at_integer`` is the vanishing order of the base zeta function at
   each integer, a simple pole counting as -1;
 * ``zeta_partial_eval`` evaluates it at real s > 1, for floating-point
-  sanity checks only: a finite Euler product over primes up to a bound,
-  one sieve for all the points asked of a base, or over F_q the closed
-  form.  It refuses all but finite s > 1 and bounds in [2, MAX_PRIME_BOUND],
-  and caps its work at MAX_EULER_WORK;
+  sanity checks only: the row's ``euler_values``, a finite Euler product
+  over primes up to a bound, one sieve for all the points asked of a
+  base, or over F_q the closed form.  It refuses all but finite s > 1
+  and bounds in [2, MAX_PRIME_BOUND], and caps its work at MAX_EULER_WORK;
 * ``zeta_value_at`` is its exact value at an integer as a ``SpecialValue``
   (rational * pi^a), where that value is finite, nonzero and known in
   closed form, and None elsewhere.  It reads the classical formulas
@@ -28,7 +27,8 @@ outside this module only ``cells.point_count``, ``lfuncs._single_q``
 
 A kind's order, and its K-side chi, must vanish at t >= 2 and satisfy
 f(t) = f(t - 2) for t <= -1: ``cells._window_sums`` reads a whole window
-from f(1), f(0), f(-1) and f(-2) alone.
+from f(1), f(0), f(-1) and f(-2) alone, which for the order is the row's
+``orders``.
 """
 
 from __future__ import annotations
@@ -144,10 +144,17 @@ def _squarefree_part(n: int) -> int:
 
 @dataclass(frozen=True)
 class FiniteField:
-    """The finite field with q = p^f elements."""
+    """The finite field with q = p^f elements.
+
+    Its zeta function 1/(1 - q^(-s)) is its one local factor, so its
+    Euler product is that closed form at no cost per prime; it has no
+    zero at an integer and one pole, at s = 0.
+    """
 
     p: int
     f: int = 1
+
+    orders = (0, -1, 0, 0)  # at s = 1, 0, -1, -2
 
     def __post_init__(self) -> None:
         if not _is_prime(self.p):
@@ -162,6 +169,16 @@ class FiniteField:
     @property
     def label(self) -> str:
         return f"F({self.q})"
+
+    @property
+    def sort_key(self) -> tuple:
+        return (1, self.q, self.label)
+
+    def euler_values(self, points: Sequence[float], prime_bound: int) -> list[float]:
+        return [1.0 / (1.0 - self.q ** (-x)) for x in points]
+
+    def euler_work(self, points: int) -> int:
+        return 0
 
     def __str__(self) -> str:
         return self.label
@@ -193,6 +210,9 @@ class NumberField:
     each prime once; a table on a smaller degree, or one naming a prime
     twice, is refused.  It is stored sorted by p, each entry's degrees
     sorted, so equal fields compare equal whatever order they were given in.
+
+    Its Euler product up to a bound costs one local factor per prime and
+    one local value per prime and point.
     """
 
     label: str
@@ -201,6 +221,8 @@ class NumberField:
     r2: int
     disc: Optional[int] = None
     splitting: tuple[tuple[int, tuple[int, ...]], ...] = field(default=())
+
+    q = None  # no residue field; unannotated, so not a dataclass field
 
     def __post_init__(self) -> None:
         where = f"field {self.label!r}:"
@@ -238,6 +260,35 @@ class NumberField:
                 )
         canonical = tuple(sorted((p, tuple(sorted(fs))) for p, fs in self.splitting))
         object.__setattr__(self, "splitting", canonical)
+
+    @property
+    def orders(self) -> tuple[int, int, int, int]:
+        """The orders at s = 1, 0, -1, -2, by the functional equation: the
+        simple pole, r1 + r2 - 1 at s = 0, then r2 at odd s = -n and
+        r1 + r2 at even s = -n."""
+        return (-1, self.r1 + self.r2 - 1, self.r2, self.r1 + self.r2)
+
+    @property
+    def sort_key(self) -> tuple:
+        # every field of the dataclass, so equal keys mean equal bases
+        return (
+            0, self.label, self.degree, self.r1, self.r2,
+            self.disc is None, self.disc or 0, self.splitting,
+        )
+
+    def euler_values(self, points: Sequence[float], prime_bound: int) -> list[float]:
+        values = [1.0] * len(points)
+        for p in primes_upto(prime_bound):
+            degrees = _residue_degrees(self, p)
+            for i, x in enumerate(points):
+                local = 1.0
+                for f, g in degrees:
+                    local *= (1.0 - p ** (-f * x)) ** (-g)
+                values[i] *= local
+        return values
+
+    def euler_work(self, points: int) -> int:
+        return 1 + points
 
     def __str__(self) -> str:
         return self.label
@@ -362,8 +413,8 @@ def _check_euler_work(prime_bound: int, bases: Iterable[tuple[BaseField, int]]) 
     """Refuse a prime bound outside [2, MAX_PRIME_BOUND], then an Euler
     product over ``bases``, (base, number of points) pairs, whose work per
     prime times the bound is above MAX_EULER_WORK.  The work per prime is
-    1 per number-field base plus 1 per point on it; F_q costs nothing."""
-    work = sum(1 + n for base, n in bases if not isinstance(base, FiniteField))
+    each base's ``euler_work`` for its points."""
+    work = sum(base.euler_work(n) for base, n in bases)
     if prime_bound < 2:
         raise ValueError(f"prime bound {prime_bound} is below 2: an empty product")
     if prime_bound > MAX_PRIME_BOUND:
@@ -397,17 +448,7 @@ def zeta_partial_eval(
         if not 1 < x < math.inf:  # nan too
             raise ValueError(f"s = {x}: an Euler product needs a finite s > 1")
     _check_euler_work(prime_bound, [(fld, len(points))])
-    if isinstance(fld, FiniteField):
-        values = [1.0 / (1.0 - fld.q ** (-x)) for x in points]
-    else:
-        values = [1.0] * len(points)
-        for p in primes_upto(prime_bound):
-            degrees = _residue_degrees(fld, p)
-            for i, x in enumerate(points):
-                local = 1.0
-                for f, g in degrees:
-                    local *= (1.0 - p ** (-f * x)) ** (-g)
-                values[i] *= local
+    values = fld.euler_values(points, prime_bound)
     return values[0] if isinstance(s, Real) else values
 
 
@@ -415,23 +456,11 @@ def zeta_partial_eval(
 
 
 def ord_at_integer(fld: BaseField, k: int) -> int:
-    """Vanishing order of the zeta function of the base at s = k.
-
-    For a number field, by the functional equation: 0 for k >= 2, -1 at
-    the simple pole k = 1, r1 + r2 - 1 at k = 0, and at k = -n (n >= 1)
-    the order is r2 for odd n and r1 + r2 for even n.  For F_q,
-    1/(1 - q^(-s)) has its only integer pole at k = 0: -1 there, else 0.
+    """Vanishing order of the zeta function of the base at s = k, a
+    simple pole counting as -1: 0 for k >= 2, and below that the base's
+    ``orders`` at s = 1, 0, -1, -2, repeated with period 2 from s = -1 down.
     """
-    if k >= 2:
-        return 0
-    if type(fld) is FiniteField:  # after the common k >= 2 exit: this is hot
-        return -1 if k == 0 else 0
-    if k == 1:
-        return -1
-    if k == 0:
-        return fld.r1 + fld.r2 - 1
-    n = -k
-    return fld.r2 if n % 2 == 1 else fld.r1 + fld.r2
+    return 0 if k >= 2 else fld.orders[1 - k if k >= 0 else 3 - k % 2]
 
 
 @dataclass(frozen=True)
@@ -531,7 +560,7 @@ def zeta_value_at(base: BaseField, k: int) -> Optional[SpecialValue]:
     >>> print(zeta_value_at(rationals(), 3))
     None
     """
-    if not isinstance(base, NumberField) or base.degree != 1 or ord_at_integer(base, k):
+    if base.q is not None or base.degree != 1 or ord_at_integer(base, k):
         return None
     if k <= -1:
         return special_value_rational(1 - k)
@@ -544,11 +573,6 @@ BaseField = Union[NumberField, FiniteField]
 
 
 def base_sort_key(base: BaseField) -> tuple:
-    """Deterministic ordering key for mixed number-field/finite-field bases."""
-    if isinstance(base, NumberField):
-        # every field of the dataclass, so equal keys mean equal bases
-        return (
-            0, base.label, base.degree, base.r1, base.r2,
-            base.disc is None, base.disc or 0, base.splitting,
-        )
-    return (1, base.q, base.label)
+    """Deterministic ordering key for bases of every kind: the row's
+    ``sort_key``, whose first entry orders the kinds."""
+    return base.sort_key

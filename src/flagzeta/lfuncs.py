@@ -12,9 +12,9 @@ per base whose coefficient of q^d is the exponent of L_base(s - d): no
 second multiset is built.  Exponents are the signed cell multiplicities,
 so quotients from open covers and excision are exact.  The vanishing
 order at an integer k is the exact integer sum of the factor orders and
-a numeric value is the product of the factor values, each read off
-``fields.ord_at_integer`` or ``fields.zeta_partial_eval``, which hold
-the rules of every base kind.
+a numeric value is the product of the factor values, each read off its
+base's L-side row in ``fields``: its ``orders``, and its ``euler_values``
+through ``fields.zeta_partial_eval``.
 
 Over a finite field the same cell data also gives the zeta function as a
 rational function of t = q^(-s), prod (1 - q^d t)^(-l); this module
@@ -41,8 +41,6 @@ from .cells import (
     point_count,
 )
 from .fields import (
-    FiniteField,
-    NumberField,
     SpecialValue,
     UnsupportedFieldError,
     _check_euler_work,
@@ -179,7 +177,7 @@ def _single_q(cells: CellDecomposition) -> int:
     if not cells.polys:
         raise ValueError("no cells")
     for base, _ in cells.polys:
-        if not isinstance(base, FiniteField):
+        if base.q is None:
             raise ValueError(f"zeta over finite fields only, found {base}")
     if len(cells.polys) > 1:  # each base once, by q
         raise ValueError(f"mixed finite bases {[b.q for b, _ in cells.polys]}; no single q")
@@ -273,7 +271,7 @@ def special_value_product(f: CellDecomposition, m: int) -> SpecialValue:
     kept as a symbolic (label, point, exponent) triple.  Finite-field
     factors have no special-value convention here and are rejected.
     """
-    if other := next((b for b, _ in f.polys if not isinstance(b, NumberField)), None):
+    if other := next((b for b, _ in f.polys if b.q is not None), None):
         raise UnsupportedFieldError(f"special values need number-field bases, found {other}")
     order = f.ord_at(m)
     if order > 0:

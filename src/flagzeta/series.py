@@ -314,21 +314,32 @@ class TruncSeries:
         return " ".join(terms) if terms else "0"
 
 
+# T_0 (a placeholder), T_1, ..., T_n: the one row of tangent numbers
+# computed so far, which ``_tangent_number`` grows.
+_TANGENTS = [0, 1]
+
+
 def _tangent_number(m: int) -> int:
     """T_m, with tan x = sum_{m>=1} T_m x^(2m-1) / (2m-1)!, for m >= 1.
 
-    Brent & Harvey's recurrence on T_1..T_m in place: start from
-    T_j = (j-1)!, then for each k = 2..m set
-    T_j = (j-k) T_{j-1} + (j-k+2) T_j for j = k..m in turn: O(m^2)
-    integer operations and no division.
+    Read off the row ``_TANGENTS``.  An m past its end T_l rebuilds it to
+    n = max(m, min(2 l, MAX_BERNOULLI_INDEX / 2)) by
+    Brent & Harvey's recurrence on T_1..T_n in place: start from
+    T_j = (j-1)!, then for each k = 2..n set
+    T_j = (j-k) T_{j-1} + (j-k+2) T_j for j = k..n in turn: O(n^2)
+    integer operations and no division, so indices asked in increasing
+    order cost O(n^2) in all, and a first one no more than itself.
     """
-    t = [0, 1]
-    for j in range(2, m + 1):
-        t.append((j - 1) * t[-1])
-    for k in range(2, m + 1):
-        for j in range(k, m + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return t[m]
+    if m >= len(_TANGENTS):
+        n = max(m, min(2 * (len(_TANGENTS) - 1), MAX_BERNOULLI_INDEX // 2))
+        t = [0, 1]
+        for j in range(2, n + 1):
+            t.append((j - 1) * t[-1])
+        for k in range(2, n + 1):
+            for j in range(k, n + 1):
+                t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+        _TANGENTS.extend(t[len(_TANGENTS):])
+    return _TANGENTS[m]
 
 
 @lru_cache(maxsize=None)

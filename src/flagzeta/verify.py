@@ -15,13 +15,14 @@ over a k-range; the reports it returns are plain frozen data, rendered
 identically on every run.  Each side reads the whole window off the
 class, one polynomial per base, in one head-and-tail convolution per
 base (``cells._window_sums``), O(terms + width), each with its own rule:
-``chi`` the rank entries of ``weights._base_entries``, ``ord_window``
-the orders of ``fields.ord_at_integer``.  A report carries the weight table it read,
-whose window is the report's k-range; ``to_dict`` renders the support in
-each weight from it: the degrees where the ranks of the scheme live, read
-off the table's column at that weight, the only step that builds the
-columns, which ``to_dict(support=False)`` leaves out (the CLI prints the
-support only as JSON).
+``chi`` the rank entries of the base's K-side row in ``weights``,
+``ord_window`` the ``orders`` of its L-side row in ``fields``.  A report
+carries the weight table it read, whose window is the report's k-range;
+``to_dict`` renders the support in each weight from it: the degrees
+where the ranks of the scheme live, read off the table's column at that
+weight, the only step that builds the columns, which
+``to_dict(support=False)`` leaves out (the CLI prints the support only
+as JSON).
 
 ``sweep`` runs the check across a family of schemes and aggregates, so a
 single exit status can certify, say, every flag bundle of rank <= 5 over

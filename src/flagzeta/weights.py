@@ -13,11 +13,13 @@ the Krull dimension of the base (one) minus its Adams eigenvalue:
 
 (The odd/even split is pinned down by degree mod 4: ranks r1+r2 occur in
 degrees 1 mod 4, ranks r2 in degrees 3 mod 4.)  Spec of a finite field
-contributes a single rank-1 entry in degree 0 and weight 0.  A cell of
-dimension d over a base simply shifts the base table up by d in weight,
-and tables of signed cell classes add with the multiplicities, so they
-hold virtual ranks (negative for an excised cell) and ``chi`` is linear
-on classes, as ``ord_at`` is; that is all the cell calculus needs.
+contributes a single rank-1 entry in degree 0 and weight 0.  Each kind's
+table is one row of ``_K_ROWS``, written apart from its L-side row in
+``fields``.  A cell of dimension d over a base simply shifts the base
+table up by d in weight, and tables of signed cell classes add with the
+multiplicities, so they hold virtual ranks (negative for an excised
+cell) and ``chi`` is linear on classes, as ``ord_at`` is; that is all
+the cell calculus needs.
 
 A table covers an explicit weight window [j_min, j_max], because the
 full table has entries at every sufficiently negative weight; inside
@@ -44,7 +46,7 @@ from functools import cached_property
 from typing import Iterator
 
 from .cells import CellDecomposition, CellsOrScheme, _as_cells, _window_sums
-from .fields import BaseField, FiniteField
+from .fields import BaseField, FiniteField, NumberField
 
 __all__ = [
     "WeightTable",
@@ -117,23 +119,28 @@ class WeightTable:
 DEFAULT_K_RANGE = (-10, 2)
 
 
+# Each kind's K-side row, read off a base: its (m, rank) entries at
+# weights 1 and 0, then its rank in degree m = 2i - 1 at weight 1 - i for
+# odd and for even Adams eigenvalue i >= 2.  Borel and Dirichlet give a
+# number field's; a finite field has only its rank-1 K_0.
+_K_ROWS = {
+    NumberField: lambda b: (((0, 1),), ((1, b.r1 + b.r2 - 1),), b.r1 + b.r2, b.r2),
+    FiniteField: lambda b: ((), ((0, 1),), 0, 0),
+}
+
+
 def _base_entries(
     base: BaseField, j_min: int, j_max: int
 ) -> Iterator[tuple[tuple[int, int], int]]:
-    """The nonzero ((m, j), rank) entries of a base's table on [j_min, j_max]."""
-    if isinstance(base, FiniteField):
-        if j_min <= 0 <= j_max:
-            yield (0, 0), 1
-        return
-    if j_min <= 1 <= j_max:
-        yield (0, 1), 1
-    units = base.r1 + base.r2 - 1
-    if units > 0 and j_min <= 0 <= j_max:
-        yield (1, 0), units
+    """The nonzero ((m, j), rank) entries of a base's table on [j_min, j_max],
+    read off its kind's row in ``_K_ROWS``."""
+    at_one, at_zero, odd, even = _K_ROWS[type(base)](base)
+    for j, entries in ((1, at_one), (0, at_zero)):
+        if j_min <= j <= j_max:
+            yield from (((m, j), dim) for m, dim in entries if dim)
     for j in range(j_min, min(j_max, -1) + 1):
         i = 1 - j  # Adams eigenvalue, >= 2 here
-        dim = base.r1 + base.r2 if i % 2 == 1 else base.r2
-        if dim:
+        if dim := odd if i % 2 else even:
             yield (2 * i - 1, j), dim
 
 

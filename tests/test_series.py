@@ -9,6 +9,7 @@ from random import Random
 
 import pytest
 
+import flagzeta.series
 from flagzeta.cells import CellDecomposition, point_count
 from flagzeta.fields import finite_field
 from flagzeta.series import MAX_BERNOULLI_INDEX, TruncSeries, bernoulli
@@ -409,3 +410,20 @@ def test_bernoulli_matches_the_defining_recurrence_up_to_the_bound():
     assert [bernoulli(k) for k in range(MAX_BERNOULLI_INDEX + 1)] == bernoulli_by_recurrence(
         MAX_BERNOULLI_INDEX
     )
+
+
+def test_the_tangent_row_grows_geometrically_from_the_first_index_asked(monkeypatch):
+    # T_1..T_10 (OEIS A000182); a cold index builds the row to itself only,
+    # and one past the end at least doubles it
+    tangents = [1, 2, 16, 272, 7936, 353792, 22368256, 1903757312, 209865342976, 29088885112832]
+    row = [0, 1]
+    monkeypatch.setattr(flagzeta.series, "_TANGENTS", row)
+    assert flagzeta.series._tangent_number(3) == 16 and len(row) == 4
+    assert flagzeta.series._tangent_number(2) == 2 and len(row) == 4
+    assert flagzeta.series._tangent_number(4) == 272 and len(row) == 7
+    assert flagzeta.series._tangent_number(10) == tangents[-1] and len(row) == 13
+    assert row[1:11] == tangents
+    monkeypatch.setattr(flagzeta.series, "_TANGENTS", [0, 1])
+    assert flagzeta.series._tangent_number(MAX_BERNOULLI_INDEX // 2 - 1) > 0
+    flagzeta.series._tangent_number(MAX_BERNOULLI_INDEX // 2)
+    assert len(flagzeta.series._TANGENTS) == MAX_BERNOULLI_INDEX // 2 + 1  # capped at the bound

@@ -1,9 +1,11 @@
 """Tests for the chi-versus-order verification and family sweeps."""
 
 import json
+from dataclasses import dataclass
 
 import pytest
 
+import flagzeta.weights
 from flagzeta.cells import (
     Affine,
     BasePoint,
@@ -212,3 +214,45 @@ def test_sweep_serialization_is_deterministic():
     a = json.dumps(sweep(family, (-6, 2)).to_dict(), sort_keys=True)
     b = json.dumps(sweep(family, (-6, 2)).to_dict(), sort_keys=True)
     assert a == b
+
+
+# -- a kind is one row per side ------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ToyCurve:
+    """A test-local base kind, shaped like a curve over a finite field:
+    its L-side row is these fields, and its K-side row is set per test."""
+
+    label: str
+    orders: tuple = (-1, -1, 0, 0)  # at s = 1, 0, -1, -2
+    q = None
+
+    @property
+    def sort_key(self) -> tuple:
+        return (2, self.label)
+
+
+@pytest.fixture
+def toy_k_row(monkeypatch):
+    # K_0 of rank 1 at weights 1 and 0, nothing below: chi = -1 at t = 1, 0
+    monkeypatch.setitem(flagzeta.weights._K_ROWS, ToyCurve, lambda b: (((0, 1),), ((0, 1),), 0, 0))
+
+
+def test_a_new_kind_verifies_from_its_two_rows_alone(toy_k_row):
+    e = ToyCurve("E")
+    signed = CellDecomposition([(e, 0, 1), (e, 3, -2), (Q, 1, 1), (QI, 0, 1)])
+    report = check_soule(signed, (-9, 6))
+    assert report.ok and report.matched == 16
+    assert report.scheme == "L(Q, s-1) * L(Q(sqrt -1), s) * L(E, s) * L(E, s-3)^-2"
+    # by hand: E's pole at t = 1, 0, from each of its terms, plus Q(sqrt -1)'s at 1
+    assert [r.ord for r in report.rows if r.k >= 0] == [-1, -2, -1, 2, 2, 0, 0]
+    bundle = cells_of(ProjBundle(BasePoint(e), 2)) / cells_of(Affine(BasePoint(Q), 1))
+    assert check_soule(bundle, (-9, 6)).ok
+
+
+def test_a_kind_whose_rows_disagree_at_one_weight_fails_there_only(toy_k_row):
+    # the L-side row says no pole at t = 0; the K-side row has chi(0) = -1
+    bad = ToyCurve("E'", orders=(-1, 0, 0, 0))
+    report = check_soule(CellDecomposition([(bad, 2, 1), (Q, 0, 1)]), (-9, 6))
+    assert [(r.k, r.chi, r.ord) for r in report.mismatches] == [(2, -1, 0)]

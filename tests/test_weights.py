@@ -21,13 +21,14 @@ from flagzeta.fields import (
 )
 from flagzeta.lfuncs import lfactorization_of
 from flagzeta.parse import load_field_registry
-from flagzeta.weights import WeightTable, _base_entries, chi, weight_table_of
+from flagzeta.weights import _K_ROWS, WeightTable, _base_entries, chi, weight_table_of
 
 Q = rationals()
 QI = quadratic_field(-1)
 Q2 = quadratic_field(2)
 QM5 = quadratic_field(-5)
 CUBIC = load_field_registry(Path(__file__).with_name("golden_fields.json"))["C"]
+SAMPLE_BASES = [Q, Q2, QI, CUBIC, finite_field(4)]
 
 
 # -- base tables -------------------------------------------------------------
@@ -94,7 +95,7 @@ def test_a_column_outside_the_window_is_refused():
         t.support_at(5)
 
 
-@pytest.mark.parametrize("base", [Q, Q2, QI, finite_field(4), CUBIC], ids=lambda b: b.label)
+@pytest.mark.parametrize("base", SAMPLE_BASES, ids=lambda b: b.label)
 @pytest.mark.parametrize("window", [(-3, 3), (0, 2), (-1, 1), (-2, 0), (2, 6), (-9, -2)])
 def test_base_entries_stay_inside_their_window(base, window):
     # weight_table_of relies on this instead of re-checking each entry
@@ -109,11 +110,13 @@ def _base_chi(base, t):
     return sum(dim if m % 2 else -dim for (m, _), dim in _base_entries(base, t, t))
 
 
-@pytest.mark.parametrize("base", [Q, Q2, QI, CUBIC, finite_field(4)], ids=lambda b: b.label)
+@pytest.mark.parametrize("base", SAMPLE_BASES, ids=lambda b: b.label)
 def test_each_side_is_a_head_and_a_two_periodic_tail(base):
     # The lemma the window kernel rests on: a base's order and its chi
     # vanish from t = 2 on and repeat with period 2 from t = -1 down, so
-    # f(1), f(0), f(-1) and f(-2) determine them everywhere.
+    # f(1), f(0), f(-1) and f(-2) determine them everywhere.  Every kind
+    # with a K-side row has a sample here, so a new kind without one fails.
+    assert set(_K_ROWS) <= {type(b) for b in SAMPLE_BASES}
     for f in (lambda t: ord_at_integer(base, t), lambda t: _base_chi(base, t)):
         assert [f(t) for t in range(2, 21)] == [0] * 19
         for t in range(-1, -501, -1):
