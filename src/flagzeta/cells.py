@@ -30,8 +30,10 @@ products M·W over the RREF a x b matrices M.  Each distinct row of the
 M's is its parent plus one F_p-basis vector x^d w_col of W's span, so
 per W it costs one packed addition; the M's are stored as columns of
 row indices (``_row_plan``), so the products are gathered by ``zip`` and
-``map`` and counted by dictionary lookup, with no Python-level loop per
-product.
+``map``, with no Python-level loop per product.  Each step a < b is
+formed once per (q, n), as the positions of every W's a-subspaces
+(``_incidence``), and every flag type through that step sums its chain
+counts over them.
 
 Every operation on a class goes from canonical polynomials to canonical
 polynomials.  A shift or a sign flip maps each term in place; a union or
@@ -870,21 +872,30 @@ def _products(w: tuple[int, ...], a: int, q: int, n: int):
 
 
 @lru_cache(maxsize=None)
-def _chain_counts(q: int, n: int, dims: tuple[int, ...]):
-    """dict: subspace (packed RREF rows) of dim dims[-1] -> number of
-    chains 0 < W_1 < ... ending at it with the given dimension profile."""
+def _incidence(q: int, n: int, a: int, b: int) -> list[list[int]]:
+    """For each b-subspace W of F_q^n, in ``_all_subspaces(q, n, b)``
+    order, the positions in ``_all_subspaces(q, n, a)`` of its
+    a-subspaces M·W.
+
+    M and W are RREF of full rank, so M·W is already the RREF basis of
+    its span: row i leads with a 1 in W's pivot column at M's pivot i,
+    and in W's pivot columns M·W equals M, so each of its own pivot
+    columns is zero outside its row.  A product that was not canonical
+    would miss the lookup and raise KeyError, not miscount.
+    """
+    position = {m: i for i, m in enumerate(_all_subspaces(q, n, a))}.__getitem__
+    return [list(map(position, _products(w, a, q, n))) for w in _all_subspaces(q, n, b)]
+
+
+@lru_cache(maxsize=None)
+def _chain_counts(q: int, n: int, dims: tuple[int, ...]) -> list[int]:
+    """For each subspace of dim dims[-1], in ``_all_subspaces`` order, the
+    number of chains 0 < W_1 < ... ending at it with the given dimension
+    profile."""
     if len(dims) == 1:
-        return dict.fromkeys(_all_subspaces(q, n, dims[0]), 1)
+        return [1] * len(_all_subspaces(q, n, dims[0]))
     prev = _chain_counts(q, n, dims[:-1]).__getitem__
-    a, b = dims[-2], dims[-1]
-    # m and w are RREF of full rank, so m·w is already the RREF basis of
-    # its span: row i leads with a 1 in w's pivot column at m's pivot i,
-    # and in w's pivot columns m·w equals m, so each of its own pivot
-    # columns is zero outside its row.  A product that was not canonical
-    # would miss prev and raise KeyError, not miscount.
-    return {
-        w: sum(map(prev, _products(w, a, q, n))) for w in _all_subspaces(q, n, b)
-    }
+    return [sum(map(prev, sub)) for sub in _incidence(q, n, dims[-2], dims[-1])]
 
 
 def brute_force_flag_count(parts: Sequence[int], q: int, n: int) -> int:
@@ -895,15 +906,15 @@ def brute_force_flag_count(parts: Sequence[int], q: int, n: int) -> int:
     (``_packing``), so adding two vectors mod p is a few integer
     operations and a basis is a tuple of small ints.  The a-subspaces of
     a b-subspace W are the products M·W over the RREF a x b matrices M,
-    and each product is already the RREF basis of its span, so nested
-    chains are counted by dictionary lookup, with no row reduction and
-    no appeal to the product formula.  The M's of one (q, b, a) are
-    listed once as columns of indices into their few distinct rows, each
-    row its parent plus one F_p-basis vector x^d w_col of W; per W each
-    distinct row costs one packed addition, and the products are
-    gathered column by column.  Refused when q^n exceeds 3000, the point
-    at which enumeration stops being a sensible oracle; as q >= 2, any
-    n >= 12 is refused without forming the power.
+    and each product is already the RREF basis of its span, so it is
+    found among the a-subspaces by one dictionary lookup, with no row
+    reduction and no appeal to the product formula.  Each step a < b of
+    the dimension profile is such an incidence, built once per (q, n)
+    and shared by every flag type through it (``_incidence``); the chains
+    ending at each b-subspace are the sum, over its a-subspaces, of the
+    chains ending there (``_chain_counts``).  Refused when q^n exceeds
+    3000, the point at which enumeration stops being a sensible oracle;
+    as q >= 2, any n >= 12 is refused without forming the power.
     """
     parts = _flag_type(parts, n)
     if q > 1 and (n >= 12 or q**n > 3000):
@@ -915,4 +926,4 @@ def brute_force_flag_count(parts: Sequence[int], q: int, n: int) -> int:
     dims = tuple(itertools.accumulate(parts))[:-1]
     if not dims:
         return 1
-    return sum(_chain_counts(q, n, dims).values())
+    return sum(_chain_counts(q, n, dims))

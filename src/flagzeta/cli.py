@@ -64,8 +64,11 @@ DEFAULT_PRIME_BOUND = 10_000
 
 # Work bounds, checked before any table or family is built, each sized so
 # the largest accepted input answers in about a second: the strata of the
-# schemes a command checks times the width of its --k window, summed over
-# a sweep's family, and the number of schemes in that family.
+# schemes a command checks and the width of its --k window, and the number
+# of schemes in a sweep's family.  A window whose output holds one entry
+# per stratum and weight (ranks, a sweep, JSON support rows) is priced at
+# strata times width, summed over a sweep's family; one read off the
+# window sums alone (chi, ord, plain or CSV verify), at strata plus width.
 MAX_WINDOW_WORK = 25_000
 MAX_SWEEP_SCHEMES = 4_000
 
@@ -74,23 +77,29 @@ _K_RANGE_RE = re.compile(rf"({_INT})\.\.({_INT})")
 _FIELD_SEP_RE = re.compile(r",(?![^()]*\))")
 
 
-def _cells_in_window(args, schemes: Iterable[SchemeExpr]) -> tuple[int, int]:
-    """The --k window, refused as soon as strata x window summed over the
-    schemes passes MAX_WINDOW_WORK.  Pricing builds each scheme's class,
-    which its node keeps, so the command then reads it back."""
+def _cells_in_window(
+    args, schemes: Iterable[SchemeExpr], per_weight: bool = True
+) -> tuple[int, int]:
+    """The --k window, refused as soon as its price passes MAX_WINDOW_WORK:
+    strata x window summed over the schemes when the output reads every
+    stratum at every weight (``per_weight``), else strata + window.
+    Pricing builds each scheme's class, which its node keeps, so the
+    command then reads it back."""
     m = _K_RANGE_RE.fullmatch(args.k)
     if m is None:
         raise ValueError(f"bad range {args.k!r}; expected LO..HI, e.g. -10..2")
     lo, hi = map(_read_int, m.groups())
     if lo > hi:
         raise ValueError(f"empty range {args.k!r}")
+    width = hi - lo + 1
     strata = 0
     for x in schemes:
         strata += sum(len(poly) for _, poly in cells_of(x).polys)
-        if strata * (hi - lo + 1) > MAX_WINDOW_WORK:
+        if (strata * width if per_weight else strata + width) > MAX_WINDOW_WORK:
             raise ValueError(
-                f"at least {strata} strata over a window of {hi - lo + 1} weights: "
-                f"strata x window is above MAX_WINDOW_WORK = {MAX_WINDOW_WORK}"
+                f"at least {strata} strata over a window of {width} weights: "
+                f"strata {'x' if per_weight else '+'} window is above "
+                f"MAX_WINDOW_WORK = {MAX_WINDOW_WORK}"
             )
     return lo, hi
 
@@ -156,13 +165,13 @@ def _cmd_cells(x: SchemeExpr, args):
 
 
 def _cmd_chi(x: SchemeExpr, args):
-    lo, hi = _cells_in_window(args, [x])
+    lo, hi = _cells_in_window(args, [x], per_weight=False)
     rows = list(chi(weight_table_of(x, lo, hi)).items())
     return _keyed(("k", "chi"), rows, k_min=lo, k_max=hi)
 
 
 def _cmd_ord(x: SchemeExpr, args):
-    lo, hi = _cells_in_window(args, [x])
+    lo, hi = _cells_in_window(args, [x], per_weight=False)
     rows = list(cells_of(x).ord_window(lo, hi).items())
     return _keyed(("k", "ord"), rows, k_min=lo, k_max=hi)
 
@@ -224,10 +233,11 @@ def _cmd_special(x: SchemeExpr, args):
 
 
 def _cmd_verify(x: SchemeExpr, args):
-    report = check_soule(x, _cells_in_window(args, [x]))
+    support = args.format == "json"
+    report = check_soule(x, _cells_in_window(args, [x], per_weight=support))
     rows = [(r.k, r.chi, r.ord, "yes" if r.match else "NO") for r in report.rows]
     footer = [f"summary: {report.matched} matched, {report.mismatched} mismatched"]
-    payload = report.to_dict(support=args.format == "json")
+    payload = report.to_dict(support=support)
     return ("k", "chi", "ord", "match"), rows, payload, footer, report.ok
 
 

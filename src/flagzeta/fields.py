@@ -21,9 +21,10 @@ the row:
   and bounds in [2, MAX_PRIME_BOUND], and caps its work at MAX_EULER_WORK;
 * ``zeta_value_at`` is its exact value at an integer as a ``SpecialValue``
   (rational * pi^a), where that value is finite, nonzero and known in
-  closed form, and None elsewhere.  It reads the classical formulas
-  ``special_value_rational``, zeta(1-k) = -B_k/k (k >= 2), and
-  ``special_value_even``, zeta(2m) = (-1)^(m-1) (2 pi)^(2m) B_{2m} / (2 (2m)!).
+  closed form, which needs a row of ``degree`` 1, and None elsewhere.
+  It reads the classical formulas ``special_value_rational``,
+  zeta(1-k) = -B_k/k (k >= 2), and ``special_value_even``,
+  zeta(2m) = (-1)^(m-1) (2 pi)^(2m) B_{2m} / (2 (2m)!).
 
 A kind's order, and its K-side chi, must vanish at t >= 2 and satisfy
 f(t) = f(t - 2) for t <= -1: ``cells._window_sums`` reads a whole window
@@ -549,9 +550,10 @@ def zeta_value_at(base: BaseField, k: int) -> Optional[SpecialValue]:
     """The zeta function of the base at s = k in closed form, or None.
 
     Only finite, nonzero values are returned, and only the Riemann zeta
-    function has them here: -B_(1-k) / (1-k) at odd k <= -1, -1/2 at 0,
-    and rational * pi^k at even k >= 2.  Every other base, the odd
-    k >= 3, the pole and the trivial zeros give None.
+    function, that of a base of degree 1, has them here: -B_(1-k) / (1-k)
+    at odd k <= -1, -1/2 at 0, and rational * pi^k at even k >= 2.  Every
+    other base, a kind with no degree among them, the odd k >= 3, the
+    pole and the trivial zeros give None.
 
     >>> print(zeta_value_at(rationals(), -1))
     -1/12
@@ -560,7 +562,7 @@ def zeta_value_at(base: BaseField, k: int) -> Optional[SpecialValue]:
     >>> print(zeta_value_at(rationals(), 3))
     None
     """
-    if base.q is not None or base.degree != 1 or ord_at_integer(base, k):
+    if getattr(base, "degree", None) != 1 or ord_at_integer(base, k):
         return None
     if k <= -1:
         return special_value_rational(1 - k)

@@ -289,17 +289,21 @@ def test_gaussian_matches_enumeration_everywhere_feasible():
                 ), (q, n, parts)
 
 
+def clear_caches():
+    """Empty every cache of the cells module, found rather than listed, so
+    that no enumerator cache is left warm; the set of them."""
+    caches = {f for f in vars(flagzeta.cells).values() if hasattr(f, "cache_clear")}
+    for cache in caches:
+        cache.cache_clear()
+    return caches
+
+
 def test_enumeration_does_not_use_the_product_formula(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the oracle called a Gaussian polynomial")
 
     cells = flagzeta.cells
-    # every cache of the module, found rather than listed, so that no
-    # enumerator cache is left warm
-    caches = [f for f in vars(cells).values() if hasattr(f, "cache_clear")]
-    assert {cells._chain_counts, cells._x_powers} <= set(caches)
-    for cache in caches:
-        cache.cache_clear()
+    assert {cells._chain_counts, cells._x_powers, cells._incidence} <= clear_caches()
     monkeypatch.setattr(cells, "gaussian_binomial", forbidden)
     monkeypatch.setattr(cells, "gaussian_multinomial", forbidden)
     monkeypatch.setattr(cells, "_cell_polynomial", forbidden)
@@ -307,6 +311,42 @@ def test_enumeration_does_not_use_the_product_formula(monkeypatch):
     assert brute_force_flag_count((1, 2, 1), 3, 4) == 40 * 13
     # over F_9 the F_3-basis of a plane needs x times its rows
     assert brute_force_flag_count((1, 1, 1), 9, 3) == 91 * 10
+
+
+def test_each_incidence_is_built_once_per_field(monkeypatch):
+    # every flag type of F_2^5 reads the step a < b from one incidence:
+    # one call of _products per b-subspace W and a, 1 <= a < b <= 4
+    cells = flagzeta.cells
+    clear_caches()
+    calls = []
+    products = cells._products
+    monkeypatch.setattr(cells, "_products", lambda *args: calls.append(args) or products(*args))
+    for parts in compositions(5):
+        assert brute_force_flag_count(parts, 2, 5) == gaussian_multinomial(5, parts)(2)
+    steps = {(w, a) for w, a, _, _ in calls}
+    assert len(calls) == len(steps)
+    assert len(calls) == sum((b - 1) * gaussian_binomial(5, b)(2) for b in range(2, 5))
+
+
+def test_a_product_that_is_not_rref_raises(monkeypatch):
+    # the enumerator looks a product up as it stands: with the rows of one
+    # plane reversed it has no key, and the count is refused, not wrong
+    cells = flagzeta.cells
+    clear_caches()
+    products = cells._products
+    reversed_one = []
+
+    def reversing(w, a, q, n):
+        out = list(products(w, a, q, n))
+        if a >= 2 and not reversed_one:
+            reversed_one.append(out[0])
+            out[0] = out[0][::-1]
+        return iter(out)
+
+    monkeypatch.setattr(cells, "_products", reversing)
+    with pytest.raises(KeyError):
+        brute_force_flag_count((2, 1, 1), 2, 4)
+    assert len(reversed_one) == 1
 
 
 def is_rref(rows):

@@ -255,13 +255,26 @@ def test_an_integer_of_max_int_digits_is_read(capsys):
     assert code == 3 and "MAX_WINDOW_WORK" in err
 
 
-def test_window_work_bound_is_strata_times_width(capsys):
-    # one stratum: 25 000 weights answer, one more is refused
-    assert run(capsys, "ord", "Q", "--k=-24997..2")[0] == 0
-    assert run(capsys, "ord", "Q", "--k=-24998..2")[0] == 3
-    # proj(Q, 9) has 10 strata: the same bound allows a tenth of the window
-    assert run(capsys, "chi", "proj(Q, 9)", "--k=-2497..2")[0] == 0
-    assert run(capsys, "chi", "proj(Q, 9)", "--k=-2498..2")[0] == 3
+def test_window_work_bound_is_strata_plus_or_times_width(capsys):
+    # chi, ord and plain or CSV verify read the window sums alone, priced
+    # at strata + width: one stratum and 24 999 weights answer, one more
+    # weight is refused
+    assert run(capsys, "ord", "Q", "--k=-24996..2")[0] == 0
+    code, _, err = run(capsys, "ord", "Q", "--k=-24997..2")
+    assert code == 3 and "strata + window is above MAX_WINDOW_WORK = 25000" in err
+    # proj(Q, 9) has 10 strata: 24 990 weights
+    for argv in (["chi"], ["verify"], ["verify", "--format=csv"]):
+        assert run(capsys, *argv, "proj(Q, 9)", "--k=-24987..2")[0] == 0, argv
+        assert run(capsys, *argv, "proj(Q, 9)", "--k=-24988..2")[0] == 3, argv
+    # a class at MAX_CELL_DEGREE verifies on the default window
+    assert run(capsys, "verify", "proj(Q, 4096)")[0] == 0
+    assert run(capsys, "ord", "proj(Q, 2000)")[0] == 0
+    # ranks and JSON verify print an entry per stratum and weight, priced at
+    # strata x width: proj(Q, 9) allows a tenth of 25 000 weights
+    for argv in (["ranks"], ["verify", "--format=json"]):
+        assert run(capsys, *argv, "proj(Q, 9)", "--k=-2497..2")[0] == 0, argv
+        code, _, err = run(capsys, *argv, "proj(Q, 9)", "--k=-2498..2")
+        assert code == 3 and "strata x window is above" in err, argv
     # a sweep sums over its family: affine(Q, 0..4) is 5 strata
     sweep = ("sweep", "--family", "affine", "--fields", "Q", "--max-d", "4")
     assert run(capsys, *sweep, "--k=-4997..2")[0] == 0

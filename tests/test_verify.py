@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +17,7 @@ from flagzeta.cells import (
     cells_of,
 )
 from flagzeta.fields import FiniteField, quadratic_field, rationals
+from flagzeta.lfuncs import special_value_product
 from flagzeta.verify import (
     affine_family,
     check_soule,
@@ -256,3 +258,12 @@ def test_a_kind_whose_rows_disagree_at_one_weight_fails_there_only(toy_k_row):
     bad = ToyCurve("E'", orders=(-1, 0, 0, 0))
     report = check_soule(CellDecomposition([(bad, 2, 1), (Q, 0, 1)]), (-9, 6))
     assert [(r.k, r.chi, r.ord) for r in report.mismatches] == [(2, -1, 0)]
+
+
+def test_a_kind_without_a_closed_form_keeps_its_value_symbolic():
+    # the toy kind has no degree: zeta(-3) = 1/120 is Q's, E's factor stays
+    e = ToyCurve("E")
+    value = special_value_product(CellDecomposition([(e, 0, 1)]), -3)
+    assert (value.rational, value.factors, value.order) == (1, (("E", -3, 1),), 0)
+    value = special_value_product(CellDecomposition([(e, 0, 1), (Q, 0, 1)]), -3)
+    assert (value.rational, value.factors) == (Fraction(1, 120), (("E", -3, 1),))
