@@ -68,7 +68,8 @@ DEFAULT_PRIME_BOUND = 10_000
 # of schemes in a sweep's family.  A window whose output holds one entry
 # per stratum and weight (ranks, a sweep, JSON support rows) is priced at
 # strata times width, summed over a sweep's family; one read off the
-# window sums alone (chi, ord, plain or CSV verify), at strata plus width.
+# window sums alone (chi, ord, plain or CSV verify), at strata plus bases
+# times width, since the window sums walk the whole window once per base.
 MAX_WINDOW_WORK = 25_000
 MAX_SWEEP_SCHEMES = 4_000
 
@@ -82,7 +83,8 @@ def _cells_in_window(
 ) -> tuple[int, int]:
     """The --k window, refused as soon as its price passes MAX_WINDOW_WORK:
     strata x window summed over the schemes when the output reads every
-    stratum at every weight (``per_weight``), else strata + window.
+    stratum at every weight (``per_weight``), else strata + bases x
+    window, as ``cells._window_sums`` walks the window once per base.
     Pricing builds each scheme's class, which its node keeps, so the
     command then reads it back."""
     m = _K_RANGE_RE.fullmatch(args.k)
@@ -92,13 +94,20 @@ def _cells_in_window(
     if lo > hi:
         raise ValueError(f"empty range {args.k!r}")
     width = hi - lo + 1
-    strata = 0
+    strata = bases = 0
     for x in schemes:
-        strata += sum(len(poly) for _, poly in cells_of(x).polys)
-        if (strata * width if per_weight else strata + width) > MAX_WINDOW_WORK:
+        polys = cells_of(x).polys
+        strata += sum(len(poly) for _, poly in polys)
+        bases += len(polys)
+        if per_weight and strata * width > MAX_WINDOW_WORK:
             raise ValueError(
                 f"at least {strata} strata over a window of {width} weights: "
-                f"strata {'x' if per_weight else '+'} window is above "
+                f"strata x window is above MAX_WINDOW_WORK = {MAX_WINDOW_WORK}"
+            )
+        if not per_weight and strata + bases * width > MAX_WINDOW_WORK:
+            raise ValueError(
+                f"{strata} strata on {bases} bases over a window of {width} "
+                f"weights: strata + bases x window is above "
                 f"MAX_WINDOW_WORK = {MAX_WINDOW_WORK}"
             )
     return lo, hi

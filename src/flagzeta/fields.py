@@ -21,7 +21,8 @@ the row:
   and bounds in [2, MAX_PRIME_BOUND], and caps its work at MAX_EULER_WORK;
 * ``zeta_value_at`` is its exact value at an integer as a ``SpecialValue``
   (rational * pi^a), where that value is finite, nonzero and known in
-  closed form, which needs a row of ``degree`` 1, and None elsewhere.
+  closed form, which needs a base with no ``q`` and of ``degree`` 1,
+  and None elsewhere.
   It reads the classical formulas ``special_value_rational``,
   zeta(1-k) = -B_k/k (k >= 2), and ``special_value_even``,
   zeta(2m) = (-1)^(m-1) (2 pi)^(2m) B_{2m} / (2 (2m)!).
@@ -550,7 +551,7 @@ def zeta_value_at(base: BaseField, k: int) -> Optional[SpecialValue]:
     """The zeta function of the base at s = k in closed form, or None.
 
     Only finite, nonzero values are returned, and only the Riemann zeta
-    function, that of a base of degree 1, has them here: -B_(1-k) / (1-k)
+    function, that of a base with no ``q`` and of degree 1, has them here: -B_(1-k) / (1-k)
     at odd k <= -1, -1/2 at 0, and rational * pi^k at even k >= 2.  Every
     other base, a kind with no degree among them, the odd k >= 3, the
     pole and the trivial zeros give None.
@@ -562,7 +563,7 @@ def zeta_value_at(base: BaseField, k: int) -> Optional[SpecialValue]:
     >>> print(zeta_value_at(rationals(), 3))
     None
     """
-    if getattr(base, "degree", None) != 1 or ord_at_integer(base, k):
+    if base.q is not None or getattr(base, "degree", None) != 1 or ord_at_integer(base, k):
         return None
     if k <= -1:
         return special_value_rational(1 - k)

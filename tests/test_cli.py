@@ -256,16 +256,24 @@ def test_an_integer_of_max_int_digits_is_read(capsys):
 
 
 def test_window_work_bound_is_strata_plus_or_times_width(capsys):
-    # chi, ord and plain or CSV verify read the window sums alone, priced
-    # at strata + width: one stratum and 24 999 weights answer, one more
-    # weight is refused
+    # chi, ord and plain or CSV verify read the window sums alone, which
+    # walk the window once per base, priced at strata + bases x width: one
+    # stratum and 24 999 weights answer, one more weight is refused
     assert run(capsys, "ord", "Q", "--k=-24996..2")[0] == 0
     code, _, err = run(capsys, "ord", "Q", "--k=-24997..2")
-    assert code == 3 and "strata + window is above MAX_WINDOW_WORK = 25000" in err
-    # proj(Q, 9) has 10 strata: 24 990 weights
+    assert code == 3 and "strata + bases x window is above MAX_WINDOW_WORK = 25000" in err
+    # proj(Q, 9) has 10 strata on one base: 24 990 weights
     for argv in (["chi"], ["verify"], ["verify", "--format=csv"]):
         assert run(capsys, *argv, "proj(Q, 9)", "--k=-24987..2")[0] == 0, argv
         assert run(capsys, *argv, "proj(Q, 9)", "--k=-24988..2")[0] == 3, argv
+    # a union of 10 prime fields has 10 strata on 10 bases: 2 499 weights,
+    # and a wide window is refused, though strata + width would be small
+    primes = "union(" + ", ".join(f"F({p})" for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)) + ")"
+    for argv in (["chi"], ["ord"], ["verify"], ["verify", "--format=csv"]):
+        assert run(capsys, *argv, primes, "--k=-2496..2")[0] == 0, argv
+        code, _, err = run(capsys, *argv, primes, "--k=-2497..2")
+        assert code == 3 and "10 strata on 10 bases" in err, argv
+        assert run(capsys, *argv, primes, "--k=-23990..2")[0] == 3, argv
     # a class at MAX_CELL_DEGREE verifies on the default window
     assert run(capsys, "verify", "proj(Q, 4096)")[0] == 0
     assert run(capsys, "ord", "proj(Q, 2000)")[0] == 0

@@ -392,6 +392,14 @@ def test_zeta_value_at_is_the_finite_nonzero_closed_form_over_q():
         assert all(zeta_value_at(fld, k) is None for k in range(-12, 13))
 
 
+def test_a_finite_field_has_no_closed_form_whatever_its_degree():
+    # only the q test keeps F_p from zeta(1 - k) = -B_k / k, not a missing degree
+    class FiniteFieldOfDegree1(FiniteField):
+        degree = 1
+
+    assert all(zeta_value_at(FiniteFieldOfDegree1(2), k) is None for k in range(-12, 13))
+
+
 def test_special_value_kind_is_read_off_its_data():
     assert SpecialValue(Fraction(3, 2)).kind == "exact-rational"
     assert SpecialValue(Fraction(6), pi_power=-2).kind == "rational-times-pi-power"
