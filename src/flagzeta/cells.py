@@ -4,13 +4,16 @@ A scheme here is a tree built from base points by affine-space shifts,
 projective-space bundles, Grassmannian bundles, flag bundles, and
 disjoint unions.  The one leaf, ``BasePoint``, takes any kind of base
 (Spec of a ring of integers or of a finite field); the rules that depend
-on the kind live in ``fields`` (L-side) and ``weights`` (ranks).  Every
-node admits a decomposition into affine cells over its base, and that
-decomposition is the single piece of data both the K-theory side and the
-L-function side consume: ``CellDecomposition``, one integer polynomial
-per base counting its signed cells by dimension.  Read as a product of
-shifted base zeta functions it is also the L-function of the scheme,
-with its vanishing order at each integer.
+on the kind live in ``fields`` (L-side) and ``weights`` (ranks).  Each
+constructor is one class, listed in ``_CONSTRUCTORS``: its ``syntax``
+row is its grammar, which the parser and ``str`` read, and its
+``cell_rule`` builds its class from its children's, which ``cells_of``
+calls.  Every node admits a decomposition into affine cells over its
+base, and that decomposition is the single piece of data both the
+K-theory side and the L-function side consume: ``CellDecomposition``,
+one integer polynomial per base counting its signed cells by dimension.
+Read as a product of shifted base zeta functions it is also the
+L-function of the scheme, with its vanishing order at each integer.
 
 The number of d-dimensional cells of a flag bundle of type
 N = (n_1, ..., n_l) is the coefficient of q^d in the Gaussian
@@ -246,7 +249,39 @@ def gaussian_multinomial(n: int, parts: Sequence[int]) -> QPolynomial:
 
 
 class SchemeExpr:
-    """Base class for scheme expressions; all nodes are frozen dataclasses."""
+    """Base class for scheme expressions; all nodes are frozen dataclasses.
+
+    A constructor node is one class.  Its grammar is its ``syntax`` row:
+    the keyword, then one argument kind per dataclass field declared on
+    the class itself, in order.
+    "expr" is a scheme expression, "int" an integer, and a kind followed
+    by a separator ("int+", "expr,") one or more of that kind joined by
+    it, held as one tuple.  The parser reads the row (``parse._CTORS``),
+    and so does ``str``, which re-emits the grammar.  Its cell rule is
+    ``cell_rule``, the node's class built from its children's, which
+    ``cells_of`` calls once per node.  ``syntax`` is a plain class
+    attribute, not a field, so ``==``, ``hash`` and ``repr`` never read
+    it.  A new constructor is one such class, listed in ``_CONSTRUCTORS``.
+    """
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        # read the row once per class: each field's name, and the string
+        # that ``str`` joins its items with if it is a repeated argument
+        super().__init_subclass__(**kwargs)
+        if "syntax" in vars(cls):
+            seps = [_SPELLED_SEPARATORS.get(kind[-1]) for kind in cls.syntax[1:]]
+            cls._spelling = tuple(zip(cls.__annotations__, seps))
+
+    def __str__(self) -> str:
+        args = []
+        for name, sep in self._spelling:
+            value = getattr(self, name)
+            args.append(sep.join(map(str, value)) if sep else str(value))
+        return f"{self.syntax[0]}({', '.join(args)})"
+
+
+# how ``str`` spells each separator of a repeated argument
+_SPELLED_SEPARATORS = {"+": "+", ",": ", "}
 
 
 @dataclass(frozen=True)
@@ -258,6 +293,10 @@ class BasePoint(SchemeExpr):
     def __str__(self) -> str:
         return self.field.label
 
+    def cell_rule(self) -> "CellDecomposition":
+        """One cell of dimension 0 over the base."""
+        return CellDecomposition._canonical(((self.field, ((0, 1),)),))
+
 
 @dataclass(frozen=True)
 class Affine(SchemeExpr):
@@ -265,21 +304,32 @@ class Affine(SchemeExpr):
 
     child: SchemeExpr
     d: int
+    syntax = ("affine", "expr", "int")
 
     def __post_init__(self) -> None:
         if self.d < 0:
             raise ValueError("affine dimension must be >= 0")
 
-    def __str__(self) -> str:
-        return f"affine({self.child}, {self.d})"
+    def cell_rule(self) -> "CellDecomposition":
+        """Every cell dimension raised by d."""
+        return cells_of(self.child).shifted(self.d)
+
+
+class _Bundle(SchemeExpr):
+    """A node read as a flag bundle of type ``parts`` over its child."""
+
+    def cell_rule(self) -> "CellDecomposition":
+        """Each base's polynomial times the Gaussian multinomial of ``parts``."""
+        return cells_of(self.child).convolved(_cell_polynomial(self.parts))
 
 
 @dataclass(frozen=True)
-class ProjBundle(SchemeExpr):
+class ProjBundle(_Bundle):
     """Projective space of relative dimension d (a rank d+1 bundle) over the child."""
 
     child: SchemeExpr
     d: int
+    syntax = ("proj", "expr", "int")
 
     def __post_init__(self) -> None:
         if self.d < 0:
@@ -290,17 +340,15 @@ class ProjBundle(SchemeExpr):
         """Read as the flag bundle of lines in rank d+1."""
         return (1, self.d)
 
-    def __str__(self) -> str:
-        return f"proj({self.child}, {self.d})"
-
 
 @dataclass(frozen=True)
-class Grassmannian(SchemeExpr):
+class Grassmannian(_Bundle):
     """Grassmannian bundle of k-planes in a rank-n bundle over the child."""
 
     child: SchemeExpr
     k: int
     n: int
+    syntax = ("grass", "expr", "int", "int")
 
     def __post_init__(self) -> None:
         if self.n < 0 or self.k < 0:
@@ -315,27 +363,23 @@ class Grassmannian(SchemeExpr):
         """Read as the flag bundle of type (k, n - k)."""
         return (self.k, self.n - self.k)
 
-    def __str__(self) -> str:
-        return f"grass({self.child}, {self.k}, {self.n})"
-
 
 @dataclass(frozen=True)
-class FlagBundle(SchemeExpr):
+class FlagBundle(_Bundle):
     """Flag bundle of type (n_1, ..., n_l) in a bundle of rank sum(n_i)."""
 
     child: SchemeExpr
     parts: tuple[int, ...]
+    syntax = ("flag", "expr", "int+")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", _flag_type(self.parts))
-
-    def __str__(self) -> str:
-        return f"flag({self.child}, {'+'.join(str(p) for p in self.parts)})"
 
 
 @dataclass(frozen=True)
 class DisjointUnion(SchemeExpr):
     children: tuple[SchemeExpr, ...]
+    syntax = ("union", "expr,")
 
     def __post_init__(self) -> None:
         children = tuple(self.children)
@@ -343,8 +387,13 @@ class DisjointUnion(SchemeExpr):
         if len(children) < 2:
             raise ValueError("a union needs at least two components")
 
-    def __str__(self) -> str:
-        return f"union({', '.join(str(c) for c in self.children)})"
+    def cell_rule(self) -> "CellDecomposition":
+        """The sum of the children's classes."""
+        return CellDecomposition._of(p for c in self.children for p in cells_of(c).polys)
+
+
+# the grammar's constructors, whose syntax rows the parser's table is built from
+_CONSTRUCTORS = (Affine, ProjBundle, Grassmannian, FlagBundle, DisjointUnion)
 
 
 # -- Kronecker slots: integers read as signed fixed-width digits ----------------
@@ -605,9 +654,11 @@ class CellDecomposition:
 def cells_of(x: SchemeExpr) -> CellDecomposition:
     """The canonical cell decomposition of a scheme expression.
 
-    Composition rules: an affine shift raises every cell dimension by d; a
-    projective, Grassmannian or flag bundle, read as a flag type, multiplies
-    each base's polynomial by its Gaussian multinomial; a union adds them.
+    Each node builds its class by its own ``cell_rule`` from its
+    children's: an affine shift raises every cell dimension by d; a
+    projective, Grassmannian or flag bundle, read as a flag type,
+    multiplies each base's polynomial by its Gaussian multinomial; a union
+    adds them.
 
     The class is built once per node.  A node is frozen, so its class
     never changes: it is kept in the node's ``__dict__``, outside the
@@ -616,20 +667,11 @@ def cells_of(x: SchemeExpr) -> CellDecomposition:
     lives as long as the node.  A build refused by a size bound keeps
     nothing, so the node is refused again.
     """
-    memo = vars(x) if isinstance(x, SchemeExpr) else {}
-    if (cells := memo.get("_cells")) is not None:
-        return cells
-    if isinstance(x, BasePoint):
-        cells = CellDecomposition._canonical(((x.field, ((0, 1),)),))
-    elif isinstance(x, Affine):
-        cells = cells_of(x.child).shifted(x.d)
-    elif isinstance(x, (ProjBundle, Grassmannian, FlagBundle)):
-        cells = cells_of(x.child).convolved(_cell_polynomial(x.parts))
-    elif isinstance(x, DisjointUnion):
-        cells = CellDecomposition._of(p for c in x.children for p in cells_of(c).polys)
-    else:
+    if not isinstance(x, SchemeExpr):
         raise TypeError(f"not a scheme expression: {x!r}")
-    memo["_cells"] = cells
+    memo = vars(x)
+    if (cells := memo.get("_cells")) is None:
+        cells = memo["_cells"] = x.cell_rule()
     return cells
 
 

@@ -66,10 +66,11 @@ DEFAULT_PRIME_BOUND = 10_000
 # the largest accepted input answers in about a second: the strata of the
 # schemes a command checks and the width of its --k window, and the number
 # of schemes in a sweep's family.  A window whose output holds one entry
-# per stratum and weight (ranks, a sweep, JSON support rows) is priced at
-# strata times width, summed over a sweep's family; one read off the
-# window sums alone (chi, ord, plain or CSV verify), at strata plus bases
-# times width, since the window sums walk the whole window once per base.
+# per stratum and weight (ranks, JSON support rows of verify or sweep) is
+# priced at strata times width; one read off the window sums alone (chi,
+# ord, plain or CSV verify and sweep), at strata plus bases times width,
+# since the window sums walk the whole window once per base.  A sweep's
+# price is summed over its family.
 MAX_WINDOW_WORK = 25_000
 MAX_SWEEP_SCHEMES = 4_000
 
@@ -81,8 +82,9 @@ _FIELD_SEP_RE = re.compile(r",(?![^()]*\))")
 def _cells_in_window(
     args, schemes: Iterable[SchemeExpr], per_weight: bool = True
 ) -> tuple[int, int]:
-    """The --k window, refused as soon as its price passes MAX_WINDOW_WORK:
-    strata x window summed over the schemes when the output reads every
+    """The --k window, refused as soon as its price, summed over the
+    schemes, passes MAX_WINDOW_WORK, so the refusal counts at least the
+    strata read so far: strata x window when the output reads every
     stratum at every weight (``per_weight``), else strata + bases x
     window, as ``cells._window_sums`` walks the window once per base.
     Pricing builds each scheme's class, which its node keeps, so the
@@ -99,16 +101,12 @@ def _cells_in_window(
         polys = cells_of(x).polys
         strata += sum(len(poly) for _, poly in polys)
         bases += len(polys)
-        if per_weight and strata * width > MAX_WINDOW_WORK:
+        price = strata * width if per_weight else strata + bases * width
+        if price > MAX_WINDOW_WORK:
+            rule = "strata x window" if per_weight else "strata + bases x window"
             raise ValueError(
-                f"at least {strata} strata over a window of {width} weights: "
-                f"strata x window is above MAX_WINDOW_WORK = {MAX_WINDOW_WORK}"
-            )
-        if not per_weight and strata + bases * width > MAX_WINDOW_WORK:
-            raise ValueError(
-                f"{strata} strata on {bases} bases over a window of {width} "
-                f"weights: strata + bases x window is above "
-                f"MAX_WINDOW_WORK = {MAX_WINDOW_WORK}"
+                f"at least {strata} strata on {bases} bases over a window of "
+                f"{width} weights: {rule} is above MAX_WINDOW_WORK = {MAX_WINDOW_WORK}"
             )
     return lo, hi
 
@@ -276,7 +274,7 @@ def _sweep_family(args) -> list[SchemeExpr]:
 
 def _cmd_sweep(x: None, args):
     family = _sweep_family(args)
-    report = sweep(family, _cells_in_window(args, family))
+    report = sweep(family, _cells_in_window(args, family, per_weight=args.format == "json"))
     rows = [
         (r.scheme, r.matched, r.mismatched, "yes" if r.ok else "NO")
         for r in report.reports

@@ -7,7 +7,7 @@ Grammar (whitespace-insensitive):
            | 'proj'   '(' expr ',' INT ')'
            | 'grass'  '(' expr ',' INT ',' INT ')'
            | 'flag'   '(' expr ',' INT ('+' INT)* ')'
-           | 'union'  '(' expr (',' expr)+ ')'
+           | 'union'  '(' expr (',' expr)* ')'
     base  := 'Q' | 'Q' '(' 'sqrt' INT ')' | 'F' '(' INT ')' | LABEL
 
 INT is an optional '-' followed by ASCII digits; other Unicode digits
@@ -16,14 +16,17 @@ separately (a JSON file of number-field records).  ``str`` of any scheme
 expression re-emits this grammar, so parse and pretty-print are mutually
 inverse.
 
-Each constructor is declared once, as a row of ``_CTORS``, the table that
-the parser and the field catalogue's reserved words both read.
+Outside this docstring the constructors are not spelled here.  Each is
+one class in ``cells``, whose ``syntax`` row gives its keyword and
+argument kinds; ``_CTORS``, the table that the parser and the field
+catalogue's reserved words both read, is built from those rows, so a new
+constructor needs no edit here.
 
 Syntax errors carry the 1-based column at which parsing failed;
 anything structurally valid but mathematically wrong (a non-squarefree
-radicand, a flag block of size zero) surfaces as the underlying
-``ValueError`` instead.  So does an expression whose parentheses nest
-deeper than ``MAX_DEPTH``, or with an integer of more than
+radicand, a flag block of size zero, a union of one component) surfaces
+as the underlying ``ValueError`` instead.  So does an expression whose
+parentheses nest deeper than ``MAX_DEPTH``, or with an integer of more than
 ``MAX_INT_DIGITS`` digits: it is refused after a bad character anywhere,
 but before the recursive descent (or any recursion over the tree) starts.
 """
@@ -35,15 +38,7 @@ import re
 from pathlib import Path
 from typing import Mapping, Optional, Union
 
-from .cells import (
-    Affine,
-    BasePoint,
-    DisjointUnion,
-    FlagBundle,
-    Grassmannian,
-    ProjBundle,
-    SchemeExpr,
-)
+from .cells import _CONSTRUCTORS, BasePoint, SchemeExpr
 from .fields import (
     BaseField,
     NumberField,
@@ -63,17 +58,10 @@ __all__ = ["SchemeSyntaxError", "parse_scheme", "load_field_registry"]
 # 310 frames of the default 1000.
 MAX_DEPTH = 100
 
-# keyword -> (node class, argument shape).  The arguments are separated by
-# commas and passed to the class in order: "expr" is a scheme expression,
-# "int" an integer, and a kind followed by a separator ("int+", "expr,")
-# one or more of that kind joined by it, passed as one tuple.
-_CTORS = {
-    "affine": (Affine, ("expr", "int")),
-    "proj": (ProjBundle, ("expr", "int")),
-    "grass": (Grassmannian, ("expr", "int", "int")),
-    "flag": (FlagBundle, ("expr", "int+")),
-    "union": (DisjointUnion, ("expr,",)),
-}
+# keyword -> constructor class.  A class's ``syntax`` row is its keyword
+# and then its argument kinds, which are separated by commas and passed
+# to the class in order (``cells.SchemeExpr``).
+_CTORS = {cls.syntax[0]: cls for cls in _CONSTRUCTORS}
 
 # the grammar's INT, which the CLI's integer options read too
 _INT = r"-?[0-9]+"
@@ -138,9 +126,9 @@ def _expr(tokens: _Stack, fields: Mapping[str, BaseField]) -> SchemeExpr:
     column = tokens[-1][2]
     name = _expect(tokens, "name", "a scheme expression")
     if name in _CTORS:
-        cls, shape = _CTORS[name]
+        cls = _CTORS[name]
         args = []
-        for i, arg in enumerate(shape):
+        for i, arg in enumerate(cls.syntax[1:]):
             _expect(tokens, "," if i else "(")
             kind = arg.rstrip("+,")
             sep = arg[len(kind):]

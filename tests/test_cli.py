@@ -283,10 +283,22 @@ def test_window_work_bound_is_strata_plus_or_times_width(capsys):
         assert run(capsys, *argv, "proj(Q, 9)", "--k=-2497..2")[0] == 0, argv
         code, _, err = run(capsys, *argv, "proj(Q, 9)", "--k=-2498..2")
         assert code == 3 and "strata x window is above" in err, argv
-    # a sweep sums over its family: affine(Q, 0..4) is 5 strata
+    # a sweep sums over its family: affine(Q, 0..4) is 5 strata on 5 bases,
+    # 4 999 weights in plain or CSV, and 5 000 in JSON, which prints support
     sweep = ("sweep", "--family", "affine", "--fields", "Q", "--max-d", "4")
-    assert run(capsys, *sweep, "--k=-4997..2")[0] == 0
-    assert run(capsys, *sweep, "--k=-4998..2")[0] == 3
+    for fmt in ("plain", "csv"):
+        assert run(capsys, *sweep, "--k=-4996..2", f"--format={fmt}")[0] == 0, fmt
+        code, _, err = run(capsys, *sweep, "--k=-4997..2", f"--format={fmt}")
+        assert code == 3 and "at least 5 strata on 5 bases" in err, fmt
+    assert run(capsys, *sweep, "--k=-4997..2", "--format=json")[0] == 0
+    code, _, err = run(capsys, *sweep, "--k=-4998..2", "--format=json")
+    assert code == 3 and "strata x window is above" in err
+    # flags of rank <= 8 over Q: 1 948 strata on 255 bases over 13 weights
+    flags = ("sweep", "--family", "flags", "--fields", "Q", "--max-n", "8")
+    for fmt in ("plain", "csv"):
+        assert run(capsys, *flags, f"--format={fmt}")[0] == 0, fmt
+    code, _, err = run(capsys, *flags, "--format=json")
+    assert code == 3 and "at least 1948 strata" in err
 
 
 def test_euler_work_bound_is_bases_plus_points_times_prime_bound(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """The package root exports exactly the library modules' public names,
-and no package module reads the test references."""
+no package module reads the test references, and none asks which base
+kind or which constructor it holds."""
 
 import ast
 import importlib
@@ -7,6 +8,7 @@ import pkgutil
 from pathlib import Path
 
 import flagzeta
+import flagzeta.cells
 
 LIBRARY = [
     importlib.import_module(info.name)
@@ -45,6 +47,13 @@ def test_no_package_module_imports_the_test_references():
 
 
 KINDS = {"FiniteField", "NumberField"}
+# every constructor class and the classes it shares its rule through;
+# the leaf BasePoint is not one, so validating a leaf stays allowed
+CONSTRUCTORS = {
+    c.__name__
+    for cls in flagzeta.cells._CONSTRUCTORS
+    for c in cls.__mro__[:cls.__mro__.index(flagzeta.cells.SchemeExpr)]
+}
 
 
 def _names(node: ast.AST) -> set:
@@ -64,9 +73,9 @@ def _calls(node: ast.AST, name: str) -> bool:
     return isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
 
 
-def _kind_tests(tree: ast.AST) -> list:
+def _kind_tests(tree: ast.AST, kinds: set = KINDS) -> list:
     """The lines of each ``isinstance`` call, and each comparison with a
-    ``type(...)`` call, that names a base kind."""
+    ``type(...)`` call, that names one of ``kinds``."""
     return [
         node.lineno
         for node in ast.walk(tree)
@@ -75,7 +84,7 @@ def _kind_tests(tree: ast.AST) -> list:
             or isinstance(node, ast.Compare)
             and any(_calls(side, "type") for side in (node.left, *node.comparators))
         )
-        and KINDS & _names(node)
+        and kinds & _names(node)
     ]
 
 
@@ -89,6 +98,10 @@ def test_the_kind_guard_finds_each_form_of_kind_test():
     ):
         assert _kind_tests(ast.parse(text)) == [1], text
     assert _kind_tests(ast.parse("isinstance(b, int) or type(b) is list or b.q is None")) == []
+    assert {"Affine", "ProjBundle", "_Bundle", "DisjointUnion"} <= CONSTRUCTORS
+    for text in ("isinstance(x, (cells.ProjBundle, Grassmannian))", "type(x) is _Bundle"):
+        assert _kind_tests(ast.parse(text), CONSTRUCTORS) == [1], text
+    assert _kind_tests(ast.parse("isinstance(x, BasePoint)"), CONSTRUCTORS) == []
 
 
 def test_no_package_module_asks_which_kind_a_base_is():
@@ -103,3 +116,19 @@ def test_no_package_module_asks_which_kind_a_base_is():
         assert _kind_tests(tree) == [], path.name
         if path.name not in ("fields.py", "weights.py", "parse.py"):
             assert not KINDS & _names(tree), path.name
+
+
+def test_no_package_module_asks_which_constructor_a_node_is():
+    # a constructor is one class in cells.py, its grammar and its cell
+    # rule on the class; the parser builds its table from those classes,
+    # so it names none of them and spells no keyword
+    sources = sorted(Path(flagzeta.__file__).parent.glob("*.py"))
+    assert len(sources) >= 8
+    keywords = {cls.syntax[0] for cls in flagzeta.cells._CONSTRUCTORS}
+    for path in sources:
+        tree = ast.parse(path.read_text(), str(path))
+        assert _kind_tests(tree, CONSTRUCTORS) == [], path.name
+        if path.name == "parse.py":
+            assert not CONSTRUCTORS & _names(tree)
+            constants = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
+            assert not keywords & constants

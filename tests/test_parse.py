@@ -2,18 +2,24 @@
 
 import json
 import time
+from dataclasses import dataclass
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import flagzeta.parse
 from flagzeta.cells import (
     Affine,
     BasePoint,
+    CellDecomposition,
     DisjointUnion,
     FlagBundle,
     Grassmannian,
     ProjBundle,
+    SchemeExpr,
+    cells_of,
 )
 from flagzeta.fields import FiniteField, quadratic_field, rationals
 from flagzeta.parse import (
@@ -64,6 +70,35 @@ def test_roundtrip_identity():
         x = parse_scheme(text)
         assert parse_scheme(str(x)) == x
         assert str(parse_scheme(str(x))) == str(x)
+
+
+@dataclass(frozen=True)
+class Lifted(SchemeExpr):
+    """A test-local constructor: its children side by side, each lifted
+    by d cells, which no grammar node builds."""
+
+    d: int
+    children: tuple
+    syntax = ("lift", "int", "expr,")
+
+    def cell_rule(self):
+        return prod((cells_of(c).shifted(self.d) for c in self.children),
+                    start=CellDecomposition.one())
+
+
+def test_a_constructor_is_one_class_plus_its_table_entry(monkeypatch):
+    F2 = FiniteField(2)
+    x = ProjBundle(Lifted(2, (BasePoint(Q), BasePoint(F2))), 1)
+    text = "proj(lift(2, Q, F(2)), 1)"
+    assert str(x) == text
+    assert cells_of(x) == CellDecomposition([(Q, 2, 1), (Q, 3, 1), (F2, 2, 1), (F2, 3, 1)])
+    with pytest.raises(SchemeSyntaxError, match="unknown field label 'lift'"):
+        parse_scheme(text)
+    monkeypatch.setitem(flagzeta.parse._CTORS, "lift", Lifted)
+    assert parse_scheme(text) == x
+    assert parse_scheme("lift(0, Q)") == Lifted(0, (BasePoint(Q),))
+    with pytest.raises(SchemeSyntaxError, match="expected 'int', found 'Q'"):
+        parse_scheme("lift(Q, 2)")
 
 
 def test_syntax_errors_carry_position():
