@@ -6,26 +6,30 @@ bookkeeping actually consume: degree, real and complex place counts
 wanted, and optionally an explicit prime-splitting table for fields of
 degree above two.  A ``FiniteField`` is a prime power q = p^f.
 
-A new kind is one L-side row here, a class with ``orders`` (at s = 1,
-0, -1, -2), ``euler_values``, ``euler_work``, ``sort_key`` and ``q``
-(None for a number field), and one K-side row in ``weights``; nothing
-else in the package asks which kind a base is.  The functions below read
-the row:
+A new kind is one L-side row here, a class with six entries, and one
+K-side row in ``weights``; nothing else in the package asks which kind a
+base is.  The L-side entries are
 
-* ``ord_at_integer`` is the vanishing order of the base zeta function at
-  each integer, a simple pole counting as -1;
-* ``zeta_partial_eval`` evaluates it at real s > 1, for floating-point
-  sanity checks only: the row's ``euler_values``, a finite Euler product
-  over primes up to a bound, one sieve for all the points asked of a
-  base, or over F_q the closed form.  It refuses all but finite s > 1
-  and bounds in [2, MAX_PRIME_BOUND], and caps its work at MAX_EULER_WORK;
-* ``zeta_value_at`` is its exact value at an integer as a ``SpecialValue``
-  (rational * pi^a), where that value is finite, nonzero and known in
-  closed form, which needs a base with no ``q`` and of ``degree`` 1,
-  and None elsewhere.
-  It reads the classical formulas ``special_value_rational``,
+* ``orders``, the vanishing orders of its zeta function at s = 1, 0, -1,
+  -2, a simple pole counting as -1;
+* ``euler_values``, that function at real points s > 1 for
+  floating-point sanity checks only: a finite Euler product over primes
+  up to a bound, one sieve for all the points asked of a base, or over
+  F_q the closed form;
+* ``euler_work``, that product's work per prime;
+* ``zeta_value``, its exact value at an integer as a ``SpecialValue``
+  (rational * pi^a) where that value is finite, nonzero and known in
+  closed form, and None elsewhere: today the Riemann zeta function's,
+  from the classical formulas ``special_value_rational``,
   zeta(1-k) = -B_k/k (k >= 2), and ``special_value_even``,
-  zeta(2m) = (-1)^(m-1) (2 pi)^(2m) B_{2m} / (2 (2m)!).
+  zeta(2m) = (-1)^(m-1) (2 pi)^(2m) B_{2m} / (2 (2m)!);
+* ``sort_key`` and ``q`` (None for a number field).
+
+Class-level code, ``lfuncs`` and ``cells``, reads the rows directly.  The
+functions below read them for one base: ``ord_at_integer`` is the order
+at any integer, and ``zeta_partial_eval`` the Euler product at one point,
+refusing all but finite s > 1 and bounds in [2, MAX_PRIME_BOUND] and
+capping its work at MAX_EULER_WORK.
 
 A kind's order, and its K-side chi, must vanish at t >= 2 and satisfy
 f(t) = f(t - 2) for t <= -1: ``cells._window_sums`` reads a whole window
@@ -42,7 +46,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from numbers import Real
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -61,7 +64,6 @@ __all__ = [
     "ord_at_integer",
     "special_value_rational",
     "special_value_even",
-    "zeta_value_at",
     "primes_upto",
 ]
 
@@ -182,6 +184,9 @@ class FiniteField:
     def euler_work(self, points: int) -> int:
         return 0
 
+    def zeta_value(self, k: int) -> Optional[SpecialValue]:
+        return None
+
     def __str__(self) -> str:
         return self.label
 
@@ -291,6 +296,30 @@ class NumberField:
 
     def euler_work(self, points: int) -> int:
         return 1 + points
+
+    def zeta_value(self, k: int) -> Optional[SpecialValue]:
+        """The zeta function at s = k in closed form, or None.
+
+        Only finite, nonzero values are returned, and only the Riemann
+        zeta function, that of a field of degree 1, has them here:
+        -B_(1-k) / (1-k) at odd k <= -1, -1/2 at 0, and rational * pi^k
+        at even k >= 2.  Every field of higher degree, the odd k >= 3,
+        the pole and the trivial zeros give None.
+
+        >>> print(rationals().zeta_value(-1))
+        -1/12
+        >>> print(rationals().zeta_value(2))
+        1/6 * pi^2
+        >>> print(rationals().zeta_value(3))
+        None
+        """
+        if self.degree != 1 or ord_at_integer(self, k):
+            return None
+        if k <= -1:
+            return special_value_rational(1 - k)
+        if k == 0:
+            return SpecialValue(Fraction(-1, 2))
+        return special_value_even(k // 2) if k % 2 == 0 else None
 
     def __str__(self) -> str:
         return self.label
@@ -430,28 +459,23 @@ def _check_euler_work(prime_bound: int, bases: Iterable[tuple[BaseField, int]]) 
         )
 
 
-def zeta_partial_eval(
-    fld: BaseField, s: Union[float, Sequence[float]], prime_bound: int
-) -> Union[float, list[float]]:
-    """The zeta function of the base at real s > 1, as a float; for a
-    sequence of points s, the list of their values.
+def zeta_partial_eval(fld: BaseField, s: float, prime_bound: int) -> float:
+    """The zeta function of one base at real s > 1, as a float: its row's
+    ``euler_values`` at the one point.  Class-level code reads the rows
+    itself; ``lfuncs.lfun_partial_eval`` checks a whole class once.
 
     For a number field, the finite Euler product prod_{p <= bound} of
     local factors: monotone increasing in the bound, a diagnostic only.
     F_q has the one local factor 1/(1 - q^(-s)), returned exactly.
-    Points that are not finite reals > 1, bounds outside
-    [2, MAX_PRIME_BOUND], and a number field whose (1 + points) x bound is
-    above MAX_EULER_WORK are refused before any work.  A number field
-    costs one sieve, one local factor per prime, and one local value per
-    prime and point.
+    An s that is not a finite real > 1, a bound outside
+    [2, MAX_PRIME_BOUND], and a number field whose 2 x bound is above
+    MAX_EULER_WORK are refused before any work.  A number field costs one
+    sieve and one local factor and value per prime.
     """
-    points = (s,) if isinstance(s, Real) else tuple(s)
-    for x in points:
-        if not 1 < x < math.inf:  # nan too
-            raise ValueError(f"s = {x}: an Euler product needs a finite s > 1")
-    _check_euler_work(prime_bound, [(fld, len(points))])
-    values = fld.euler_values(points, prime_bound)
-    return values[0] if isinstance(s, Real) else values
+    if not 1 < s < math.inf:  # nan too
+        raise ValueError(f"s = {s}: an Euler product needs a finite s > 1")
+    _check_euler_work(prime_bound, [(fld, 1)])
+    return fld.euler_values((s,), prime_bound)[0]
 
 
 # -- integer orders and special values ------------------------------------
@@ -545,31 +569,6 @@ def special_value_even(m: int) -> SpecialValue:
     b = bernoulli(2 * m)  # first, so its bound refuses a large m before any work
     rational = Fraction((-1) ** (m - 1) * 2 ** (2 * m - 1), math.factorial(2 * m)) * b
     return SpecialValue(rational, pi_power=2 * m)
-
-
-def zeta_value_at(base: BaseField, k: int) -> Optional[SpecialValue]:
-    """The zeta function of the base at s = k in closed form, or None.
-
-    Only finite, nonzero values are returned, and only the Riemann zeta
-    function, that of a base with no ``q`` and of degree 1, has them here: -B_(1-k) / (1-k)
-    at odd k <= -1, -1/2 at 0, and rational * pi^k at even k >= 2.  Every
-    other base, a kind with no degree among them, the odd k >= 3, the
-    pole and the trivial zeros give None.
-
-    >>> print(zeta_value_at(rationals(), -1))
-    -1/12
-    >>> print(zeta_value_at(rationals(), 2))
-    1/6 * pi^2
-    >>> print(zeta_value_at(rationals(), 3))
-    None
-    """
-    if base.q is not None or getattr(base, "degree", None) != 1 or ord_at_integer(base, k):
-        return None
-    if k <= -1:
-        return special_value_rational(1 - k)
-    if k == 0:
-        return SpecialValue(Fraction(-1, 2))
-    return special_value_even(k // 2) if k % 2 == 0 else None
 
 
 BaseField = Union[NumberField, FiniteField]

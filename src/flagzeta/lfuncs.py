@@ -11,10 +11,11 @@ named ``LFactorization`` here) is that product, one integer polynomial
 per base whose coefficient of q^d is the exponent of L_base(s - d): no
 second multiset is built.  Exponents are the signed cell multiplicities,
 so quotients from open covers and excision are exact.  The vanishing
-order at an integer k is the exact integer sum of the factor orders and
-a numeric value is the product of the factor values, each read off its
-base's L-side row in ``fields``: its ``orders``, and its ``euler_values``
-through ``fields.zeta_partial_eval``.
+order at an integer k is the exact integer sum of the factor orders, a
+numeric value is the product of the factor values and an exact value the
+product of their closed forms, each read off its base's L-side row in
+``fields``: its ``orders``, its ``euler_values`` and its ``zeta_value``.
+This module reads the rows directly and imports no per-base function.
 
 Over a finite field the same cell data also gives the zeta function as a
 rational function of t = q^(-s), prod (1 - q^d t)^(-l); this module
@@ -44,8 +45,6 @@ from .fields import (
     SpecialValue,
     UnsupportedFieldError,
     _check_euler_work,
-    zeta_partial_eval,
-    zeta_value_at,
 )
 from .series import TruncSeries
 
@@ -222,15 +221,18 @@ def weil_zeta_rational(x: CellsOrScheme) -> RationalZeta:
 def lfun_partial_eval(
     f: CellDecomposition, s: float, prime_bound: int
 ) -> float:
-    """The product of every factor's ``zeta_partial_eval`` at real s.
+    """The product of every factor's Euler product at real s, read off
+    its base's ``euler_values`` row.
 
-    Requires a finite s with s - shift > 1 for each factor.  The factors
+    Requires a finite s with s - shift > 1 for each factor and a prime
+    bound in [2, fields.MAX_PRIME_BOUND]; these checks are the only ones
+    on the path, and all are made before any row is read.  The factors
     of a base, its polynomial's terms, are evaluated together: one sieve
     per number-field base, one local factor per base and prime, one local
     value per factor and prime.  That work, priced once for all bases by
-    ``fields``, is refused above ``fields.MAX_EULER_WORK`` before any of it
-    is done.  A product beyond a float (overflowing, or underflowing to 0)
-    raises ``ValueError``.
+    ``fields``, is refused above ``fields.MAX_EULER_WORK``.  A product
+    beyond a float (overflowing, or underflowing to 0) raises
+    ``ValueError``.
     """
     if not math.isfinite(s):
         raise ValueError(f"s = {s} is not a finite real number")
@@ -244,7 +246,7 @@ def lfun_partial_eval(
     _check_euler_work(prime_bound, [(b, len(poly)) for b, poly in f.polys])
     out = 1.0
     for base, poly in f.polys:
-        values = zeta_partial_eval(base, [s - shift for shift, _ in poly], prime_bound)
+        values = base.euler_values([s - shift for shift, _ in poly], prime_bound)
         for (_, m), v in zip(poly, values):
             try:
                 out *= v**m
@@ -264,12 +266,13 @@ def special_value_product(f: CellDecomposition, m: int) -> SpecialValue:
     If the total vanishing order at m is positive the value is exactly 0
     (order reported); a negative total order is a pole and the result
     stays symbolic with the order attached.  Otherwise the product is
-    folded factor by factor: each factor's closed form from
-    ``fields.zeta_value_at`` multiplies into rational * pi^k, and a factor
+    folded factor by factor: each factor's closed form, its base row's
+    ``zeta_value``, multiplies into rational * pi^k, and a factor
     with none (an odd positive point over Q, another base, or a factor
     that vanishes or has a pole on its own, cancelled in the total) is
     kept as a symbolic (label, point, exponent) triple.  Finite-field
-    factors have no special-value convention here and are rejected.
+    factors have no special-value convention here and are rejected.  Like
+    all class-level code, it reads the rows and asks no base its kind.
     """
     if other := next((b for b, _ in f.polys if b.q is not None), None):
         raise UnsupportedFieldError(f"special values need number-field bases, found {other}")
@@ -285,7 +288,7 @@ def special_value_product(f: CellDecomposition, m: int) -> SpecialValue:
     rational, pi_power, symbolic = Fraction(1), 0, []
     for base, poly in f.polys:
         for shift, e in poly:
-            value = zeta_value_at(base, m - shift)
+            value = base.zeta_value(m - shift)
             if value is None:
                 symbolic.append((base.label, m - shift, e))
             else:

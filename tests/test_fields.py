@@ -26,7 +26,6 @@ from flagzeta.fields import (
     special_value_even,
     special_value_rational,
     zeta_partial_eval,
-    zeta_value_at,
     _is_prime,
     _residue_degrees,
     _smallest_prime_factor,
@@ -306,8 +305,6 @@ def test_partial_zeta_refuses_before_any_sieve(monkeypatch, fld, s, bound, messa
     monkeypatch.setattr(flagzeta.fields, "primes_upto", no_sieve)
     with pytest.raises(ValueError, match=message):
         zeta_partial_eval(fld, s, bound)
-    with pytest.raises(ValueError, match=message):
-        zeta_partial_eval(fld, [3.0, s], bound)
 
 
 def test_partial_zeta_refuses_large_prime_bounds():
@@ -379,7 +376,7 @@ def test_zeta_at_zero():
 
 def test_zeta_value_at_is_the_finite_nonzero_closed_form_over_q():
     for k in range(-12, 13):
-        value = zeta_value_at(Q, k)
+        value = Q.zeta_value(k)
         if k == 1 or (k < 0 and k % 2 == 0) or (k >= 3 and k % 2 == 1):
             assert value is None, k  # the pole, a trivial zero, or zeta(odd)
         elif k <= 0:
@@ -388,16 +385,26 @@ def test_zeta_value_at_is_the_finite_nonzero_closed_form_over_q():
         else:
             assert value == special_value_even(k // 2)
             assert value.kind == "rational-times-pi-power"
-    for fld in (QI, Q5, FiniteField(2)):
-        assert all(zeta_value_at(fld, k) is None for k in range(-12, 13))
 
 
 def test_a_finite_field_has_no_closed_form_whatever_its_degree():
-    # only the q test keeps F_p from zeta(1 - k) = -B_k / k, not a missing degree
+    # the row entry answers, not a probe of the base: a degree does not
+    # give F_p the closed form zeta(1 - k) = -B_k / k
     class FiniteFieldOfDegree1(FiniteField):
         degree = 1
 
-    assert all(zeta_value_at(FiniteFieldOfDegree1(2), k) is None for k in range(-12, 13))
+    assert all(FiniteFieldOfDegree1(2).zeta_value(k) is None for k in range(-12, 13))
+
+
+def test_every_degree_1_field_has_qs_closed_form_and_no_other_base_has_one():
+    # the rule the row entry keeps: a number field of degree 1 is Q, whatever
+    # its label; the cubic is the one of golden_fields.json
+    qq = NumberField("QQ", 1, 1, 0, disc=1)
+    assert [qq.zeta_value(k) for k in range(-12, 13)] == [Q.zeta_value(k) for k in range(-12, 13)]
+    assert special_value_product(cells_of(BasePoint(qq)), -1) == SpecialValue(Fraction(-1, 12))
+    golden_cubic = NumberField("K", 3, 1, 1)
+    for fld in (QI, Q5, golden_cubic, finite_field(2)):
+        assert all(fld.zeta_value(k) is None for k in range(-12, 13)), fld
 
 
 def test_special_value_kind_is_read_off_its_data():

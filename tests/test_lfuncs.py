@@ -6,9 +6,11 @@ from random import Random
 
 import pytest
 
+import flagzeta.fields
 from flagzeta.cells import (
     Affine,
     BasePoint,
+    CellDecomposition,
     DisjointUnion,
     FlagBundle,
     ProjBundle,
@@ -16,7 +18,9 @@ from flagzeta.cells import (
 )
 from flagzeta.cli import main
 from flagzeta.fields import (
+    MAX_PRIME_BOUND,
     FiniteField,
+    NumberField,
     UnsupportedFieldError,
     quadratic_field,
     rationals,
@@ -257,6 +261,38 @@ def test_partial_eval_beyond_a_float_is_refused():
 def test_partial_eval_finite_field_factor_exact():
     f = lfactorization_of(BasePoint(F2))
     assert lfun_partial_eval(f, 3.0, 10) == pytest.approx(1 / (1 - 2**-3))
+
+
+@pytest.mark.parametrize(
+    "s, bound, max_work, message",
+    [
+        (math.nan, 100, None, "s = nan is not a finite real number"),
+        (3.0, 100, None, "s = 3.0 puts factor L(F(2), s-2) outside the convergence "
+         "region s - 2 > 1"),
+        (4.0, 1, None, "prime bound 1 is below 2: an empty product"),
+        (4.0, MAX_PRIME_BOUND + 1, None, "prime bound 2000001 is above "
+         "MAX_PRIME_BOUND = 2000000"),
+        # each number field alone prices 2 x 100, under the cap; together 4 x 100
+        (4.0, 100, 300, "Euler product of (bases + points) x prime bound = 4 x 100 "
+         "is above MAX_EULER_WORK = 300"),
+    ],
+)
+def test_partial_eval_refuses_before_any_row_is_read(monkeypatch, s, bound, max_work, message):
+    # lfun_partial_eval calls the rows directly, so its own checks are the
+    # only ones on the path; the out-of-region factor is on the last base
+    def no_row(self, points, prime_bound):
+        raise AssertionError("read a row before refusing")
+
+    for kind in (NumberField, FiniteField):
+        monkeypatch.setattr(kind, "euler_values", no_row)
+    f = CellDecomposition([(Q, 0, 1), (QI, 0, 1), (F2, 0, 1), (F2, 2, 1)])
+    with pytest.raises(AssertionError, match="before refusing"):
+        lfun_partial_eval(f, 4.0, 100)  # the spy is on the path
+    if max_work is not None:
+        monkeypatch.setattr(flagzeta.fields, "MAX_EULER_WORK", max_work)
+    with pytest.raises(ValueError) as refused:
+        lfun_partial_eval(f, s, bound)
+    assert str(refused.value) == message
 
 
 # -- special values --------------------------------------------------------------------

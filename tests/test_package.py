@@ -1,14 +1,17 @@
 """The package root exports exactly the library modules' public names,
-no package module reads the test references, and none asks which base
-kind or which constructor it holds."""
+no package module reads the test references, none asks which base kind
+or which constructor it holds, and every kind has both of its rows."""
 
 import ast
 import importlib
 import pkgutil
+import typing
 from pathlib import Path
 
 import flagzeta
 import flagzeta.cells
+import flagzeta.fields
+import flagzeta.weights
 
 LIBRARY = [
     importlib.import_module(info.name)
@@ -132,3 +135,41 @@ def test_no_package_module_asks_which_constructor_a_node_is():
             assert not CONSTRUCTORS & _names(tree)
             constants = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
             assert not keywords & constants
+
+
+def _probes(tree: ast.AST) -> list:
+    """The lines of each ``hasattr`` call and each ``getattr`` with a default."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if _calls(node, "hasattr") or _calls(node, "getattr") and len(node.args) == 3
+    ]
+
+
+def test_no_package_module_probes_a_base_for_an_attribute():
+    # a probe with a fallback is a kind test the isinstance guard misses:
+    # what a kind has is an entry of its row, which every kind defines
+    assert _probes(ast.parse("hasattr(b, 'q') or getattr(b, 'degree', None)")) == [1, 1]
+    assert _probes(ast.parse("getattr(b, name)")) == []
+    sources = sorted(Path(flagzeta.__file__).parent.glob("*.py"))
+    assert len(sources) >= 8
+    for path in sources:
+        assert _probes(ast.parse(path.read_text(), str(path))) == [], path.name
+
+
+def test_lfuncs_reads_the_rows_not_the_per_base_functions():
+    path = Path(flagzeta.__file__).with_name("lfuncs.py")
+    names = _names(ast.parse(path.read_text(), str(path)))
+    assert "_check_euler_work" in names  # the scan sees its imports
+    assert not {"ord_at_integer", "zeta_partial_eval", "zeta_value_at"} & names
+
+
+L_ROW = ("orders", "euler_values", "euler_work", "zeta_value", "sort_key", "q")
+
+
+def test_every_kind_has_an_l_side_row_and_a_k_side_row():
+    kinds = typing.get_args(flagzeta.fields.BaseField)
+    assert {kind.__name__ for kind in kinds} == KINDS
+    for kind in kinds:
+        assert [e for e in L_ROW if e not in dir(kind)] == [], kind.__name__
+        assert kind in flagzeta.weights._K_ROWS, kind.__name__

@@ -234,6 +234,9 @@ class ToyCurve:
     def sort_key(self) -> tuple:
         return (2, self.label)
 
+    def zeta_value(self, k: int) -> None:
+        return None
+
 
 @pytest.fixture
 def toy_k_row(monkeypatch):
@@ -261,7 +264,7 @@ def test_a_kind_whose_rows_disagree_at_one_weight_fails_there_only(toy_k_row):
 
 
 def test_a_kind_without_a_closed_form_keeps_its_value_symbolic():
-    # the toy kind has no degree: zeta(-3) = 1/120 is Q's, E's factor stays
+    # the toy kind's row has no closed form: zeta(-3) = 1/120 is Q's, E's factor stays
     e = ToyCurve("E")
     value = special_value_product(CellDecomposition([(e, 0, 1)]), -3)
     assert (value.rational, value.factors, value.order) == (1, (("E", -3, 1),), 0)
