@@ -14,8 +14,8 @@ base is.  The L-side entries are
   -2, a simple pole counting as -1;
 * ``euler_values``, that function at real points s > 1 for
   floating-point sanity checks only: a finite Euler product over primes
-  up to a bound, one sieve for all the points asked of a base, or over
-  F_q the closed form;
+  up to a bound, one sieve and one table of splittings for all the points
+  asked of a base, or over F_q the closed form;
 * ``euler_work``, that product's work per prime;
 * ``zeta_value``, its exact value at an integer as a ``SpecialValue``
   (rational * pi^a) where that value is finite, nonzero and known in
@@ -46,6 +46,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -73,23 +74,27 @@ class UnsupportedFieldError(Exception):
 
 
 def primes_upto(n: int) -> list[int]:
-    """All primes <= n by a plain sieve of Eratosthenes."""
+    """All primes <= n, by a sieve of Eratosthenes over the odd numbers."""
     if n < 2:
         return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, int(n**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i in range(2, n + 1) if sieve[i]]
+    size = (n + 1) // 2  # odd[i] stands for 2i + 1
+    odd = bytearray([1]) * size
+    odd[0] = 0
+    for i in range(1, (math.isqrt(n) + 1) // 2):
+        if odd[i]:
+            p, start = 2 * i + 1, 2 * i * (i + 1)  # p * p = 2 start + 1
+            odd[start::p] = bytes(len(range(start, size, p)))
+    return [2, *compress(range(1, n + 1, 2), odd)]
 
 
 # Integers are factored by trial division up to their square root, so
 # larger ones (field sizes, radicands, discriminants, splitting keys) are
 # refused rather than left to run for minutes.  An Euler product sieves
 # every prime up to its bound, so that bound is capped too; over a number
-# field it then computes one local factor per base and prime and one local
-# value per point and prime, so (bases + points) x bound is capped as well.
+# field it then builds one table entry per base and prime (a quadratic
+# field splits once per residue class mod 4|disc|, a table field once per
+# prime) and computes one local value per point and prime, so
+# (bases + points) x bound is capped as well.
 MAX_FACTORED = 10**12
 MAX_PRIME_BOUND = 2_000_000
 MAX_EULER_WORK = 10_000_000
@@ -218,8 +223,10 @@ class NumberField:
     twice, is refused.  It is stored sorted by p, each entry's degrees
     sorted, so equal fields compare equal whatever order they were given in.
 
-    Its Euler product up to a bound costs one local factor per prime and
-    one local value per prime and point.
+    Its Euler product up to a bound costs one sieve, one splitting per
+    residue class of p mod 4|disc| (one in all over Q, one per prime for a
+    table), one table entry per prime, and one local value per prime and
+    point.
     """
 
     label: str
@@ -284,14 +291,19 @@ class NumberField:
         )
 
     def euler_values(self, points: Sequence[float], prime_bound: int) -> list[float]:
-        values = [1.0] * len(points)
-        for p in primes_upto(prime_bound):
-            degrees = _residue_degrees(self, p)
-            for i, x in enumerate(points):
+        table = _splitting_table(self, primes_upto(prime_bound))
+        values = []
+        for x in points:
+            # ascending p, each local factor whole before it multiplies the
+            # value: the order a per-prime reference product reproduces bit
+            # for bit
+            value = 1.0
+            for p, degrees in table:
                 local = 1.0
                 for f, g in degrees:
                     local *= (1.0 - p ** (-f * x)) ** (-g)
-                values[i] *= local
+                value *= local
+            values.append(value)
         return values
 
     def euler_work(self, points: int) -> int:
@@ -440,6 +452,30 @@ def _residue_degrees(fld: NumberField, p: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(Counter(table[i][1]).items()))
 
 
+def _splitting_table(
+    fld: NumberField, primes: Iterable[int]
+) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    """(p, ``_residue_degrees(fld, p)``) for each p in ``primes``.
+
+    Over Q the degrees are one constant pair.  Over a quadratic field they
+    are a function of p mod 4|disc|, the period of the Kronecker symbol of
+    any nonzero disc (|disc| is not one for disc = -1, 2 or 3), so they are
+    computed once per residue class: a class holding 2 or a ramified p
+    holds no other prime.  Every p ramifies when disc = 0.  A table field
+    is read once per prime, refused at the first p it does not list.
+    """
+    if fld.degree >= 3 or (fld.degree == 2 and fld.disc is None):
+        return [(p, _residue_degrees(fld, p)) for p in primes]
+    period = 4 * abs(fld.disc) if fld.degree == 2 and fld.disc else 1
+    classes: dict[int, tuple[tuple[int, int], ...]] = {}
+    table = []
+    for p in primes:
+        if (r := p % period) not in classes:
+            classes[r] = _residue_degrees(fld, p)
+        table.append((p, classes[r]))
+    return table
+
+
 def _check_euler_work(prime_bound: int, bases: Iterable[tuple[BaseField, int]]) -> None:
     """Refuse a prime bound outside [2, MAX_PRIME_BOUND], then an Euler
     product over ``bases``, (base, number of points) pairs, whose work per
@@ -470,7 +506,8 @@ def zeta_partial_eval(fld: BaseField, s: float, prime_bound: int) -> float:
     An s that is not a finite real > 1, a bound outside
     [2, MAX_PRIME_BOUND], and a number field whose 2 x bound is above
     MAX_EULER_WORK are refused before any work.  A number field costs one
-    sieve and one local factor and value per prime.
+    sieve, one splitting per residue class mod 4|disc| (per prime for a
+    table field), and one table entry and one local value per prime.
     """
     if not 1 < s < math.inf:  # nan too
         raise ValueError(f"s = {s}: an Euler product needs a finite s > 1")

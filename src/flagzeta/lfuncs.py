@@ -228,10 +228,11 @@ def lfun_partial_eval(
     bound in [2, fields.MAX_PRIME_BOUND]; these checks are the only ones
     on the path, and all are made before any row is read.  The factors
     of a base, its polynomial's terms, are evaluated together: one sieve
-    per number-field base, one local factor per base and prime, one local
-    value per factor and prime.  That work, priced once for all bases by
-    ``fields``, is refused above ``fields.MAX_EULER_WORK``.  A product
-    beyond a float (overflowing, or underflowing to 0) raises
+    per number-field base, one splitting per residue class mod 4|disc|
+    (per prime for a table field), one table entry per base and prime, and
+    one local value per factor and prime.  That work, priced once for all
+    bases by ``fields``, is refused above ``fields.MAX_EULER_WORK``.  A
+    product beyond a float (overflowing, or underflowing to 0) raises
     ``ValueError``.
     """
     if not math.isfinite(s):

@@ -71,6 +71,46 @@ def reference_point_count(cells: CellDecomposition, r: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def primes_by_trial_division(n: int) -> tuple[int, ...]:
+    """The primes <= n, each m >= 2 kept when no smaller prime up to
+    sqrt(m) divides it: no sieve, so a reference for ``primes_upto``."""
+    primes: list[int] = []
+    for m in range(2, n + 1):
+        for p in primes:
+            if p * p > m:
+                primes.append(m)
+                break
+            if m % p == 0:
+                break
+        else:
+            primes.append(m)
+    return tuple(primes)
+
+
+def quadratic_root_count(disc: int, p: int) -> int:
+    """Roots mod p of the minimal polynomial of a generator of the integers
+    of the quadratic field of discriminant disc: x^2 - x - (disc - 1)/4
+    when disc = 1 mod 4, and x^2 - disc/4 when disc = 0 mod 4."""
+    if disc % 4 == 1:
+        return sum((x * x - x - (disc - 1) // 4) % p == 0 for x in range(p))
+    if disc % 4:
+        raise ValueError(f"{disc} is not a quadratic discriminant")
+    return sum((x * x - disc // 4) % p == 0 for x in range(p))
+
+
+@lru_cache(maxsize=None)
+def quadratic_splitting(disc: int, p: int) -> tuple[tuple[int, int], ...]:
+    """The primes above p in the quadratic field of discriminant disc, as
+    (residue degree, count) pairs, by Dedekind-Kummer: a p dividing disc
+    ramifies, ((1, 1),); any other p splits, ((1, 2),), when the minimal
+    polynomial has a root mod p, and stays inert, ((2, 1),), when it has
+    none.  The package reads the Kronecker symbol instead."""
+    if disc % p == 0:
+        return ((1, 1),)
+    return ((1, 2),) if quadratic_root_count(disc, p) else ((2, 1),)
+
+
+@lru_cache(maxsize=None)
 def gf_tables(q: int) -> tuple[tuple, tuple]:
     """(add, mul) tables for F_q, q = p^f with f <= 3, elements encoded as 0..q-1.
 

@@ -19,6 +19,7 @@ from flagzeta.cells import CellDecomposition
 from flagzeta.cli import main
 from flagzeta.parse import MAX_DEPTH
 from flagzeta.series import TruncSeries
+from oracles import primes_by_trial_division
 
 
 def run(capsys, *argv):
@@ -616,8 +617,10 @@ def test_lfun_eval_sieves_once_per_number_field_base(capsys, monkeypatch):
     assert code == 0
     assert "L(Q(sqrt -1), s-3) * L(Q(sqrt 2), s) *" in out  # 7 factors, 2 bases
     assert sieves == [100, 100]
-    # one local factor per base and prime: 25 primes up to 100
-    assert len(local) == 2 * 25
+    # one splitting per residue class of p mod 4|disc|: disc -4, then disc 8
+    primes = primes_by_trial_division(100)
+    classes = sum(len({p % period for p in primes}) for period in (16, 32))
+    assert len(local) == classes == 9 + 17
 
 
 def test_sweep_plain(capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from flagzeta.fields import (
     _squarefree_part,
 )
 from flagzeta.lfuncs import lfactorization_of, lfun_partial_eval, special_value_product
+from oracles import primes_by_trial_division, quadratic_root_count
 
 Q = rationals()
 QI = quadratic_field(-1)
@@ -133,6 +135,16 @@ def test_primes_upto():
     assert primes_upto(1) == []
 
 
+def test_primes_upto_is_trial_division():
+    # the odd-only sieve's edges: n just below, at and just above p^2,
+    # the first multiple that p crosses off
+    reference = primes_by_trial_division(997**2 + 1)
+    edges = [p * p + e for p in (2, 3, 5, 7, 97, 997) for e in (-1, 0, 1)]
+    for n in [*range(601), *edges]:
+        assert primes_upto(n) == list(reference[: bisect_right(reference, n)]), n
+    assert len(primes_upto(2_000_000)) == 148_933
+
+
 # -- residue degrees ------------------------------------------------------
 
 
@@ -145,15 +157,6 @@ def test_residue_degrees_gaussian_integers():
     assert _residue_degrees(QI, 5) == ((1, 2),)
     assert _residue_degrees(QI, 3) == ((2, 1),)
     assert _residue_degrees(QI, 2) == ((1, 1),)
-
-
-def _root_count(d, p):
-    """Roots mod p of the minimal polynomial of a generator of the ring of
-    integers of Q(sqrt d): x^2 - x + (1 - d)/4 when d = 1 mod 4, else
-    x^2 - d."""
-    if d % 4 == 1:
-        return sum((x * x - x + (1 - d) // 4) % p == 0 for x in range(p))
-    return sum((x * x - d) % p == 0 for x in range(p))
 
 
 def test_residue_degrees_trichotomy_matches_root_counting():
@@ -169,7 +172,7 @@ def test_residue_degrees_trichotomy_matches_root_counting():
             if fld.disc % p == 0:
                 assert degrees == ((1, 1),)
             else:
-                roots = _root_count(d, p)
+                roots = quadratic_root_count(fld.disc, p)
                 assert roots in (0, 2)
                 assert degrees == (((1, 2),) if roots == 2 else ((2, 1),))
         at_two.add(_residue_degrees(fld, 2))
@@ -226,6 +229,42 @@ def test_a_quadratic_field_splits_by_its_discriminant_alone():
         NumberField("Q", 1, 1, 0, disc=1, splitting=((2, (1,)),))
     with pytest.raises(UnsupportedFieldError, match="no discriminant"):
         _residue_degrees(NumberField("K", 2, 0, 1), 3)
+
+
+def _per_prime_product(fld, x, bound):
+    value = 1.0
+    for p in primes_upto(bound):
+        local = 1.0
+        for f, g in _residue_degrees(fld, p):
+            local *= (1.0 - p ** (-f * x)) ** (-g)
+        value *= local
+    return value
+
+
+@pytest.mark.parametrize("disc", [-1, 2, 3, -28, 12, 0])
+def test_a_quadratic_euler_product_splits_once_per_class_mod_4_disc(disc):
+    # direct fields, discriminant unchecked: the Kronecker symbol of -1, 2
+    # and 3 has period 4|disc|, not |disc|, and with disc 0 every p ramifies
+    r1, r2 = (2, 0) if disc > 0 else (0, 1)
+    fld = NumberField("K", 2, r1, r2, disc=disc)
+    points = (2.5, 3.0, 4.25)
+    for bound in (2, 3, 97, 1000, 3000):
+        expected = [_per_prime_product(fld, x, bound) for x in points]
+        assert fld.euler_values(points, bound) == expected, bound
+
+
+def test_an_euler_product_without_splitting_data_is_refused():
+    message = "^field 'K' has no discriminant; cannot split p=2$"
+    with pytest.raises(UnsupportedFieldError, match=message):
+        NumberField("K", 2, 0, 1).euler_values((3.0,), 100)
+    # a cubic listing every prime to 100 but 11 answers below 11 only
+    cubic = NumberField(
+        "C", 3, 1, 1, splitting=tuple((p, (3,)) for p in primes_upto(100) if p != 11)
+    )
+    assert cubic.euler_values((3.0,), 7) == [_per_prime_product(cubic, 3.0, 7)]
+    message = "^field 'C' has degree 3 and no splitting entry for p=11$"
+    with pytest.raises(UnsupportedFieldError, match=message):
+        cubic.euler_values((3.0,), 100)
 
 
 def test_a_splitting_table_lists_each_prime_once():
