@@ -63,9 +63,10 @@ from __future__ import annotations
 import itertools
 import sys
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import attrgetter
+from operator import add, attrgetter, itemgetter, sub
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .fields import BaseField, base_sort_key, finite_field
@@ -205,7 +206,7 @@ def _cell_polynomial(parts: tuple[int, ...]) -> QPolynomial:
         k = min(p, m - p)
         for i in range(1, k + 1):
             pad = [0] * (m - k + i)
-            cs = [x - y for x, y in zip(cs + pad, pad + cs)]
+            cs = list(map(sub, cs + pad, pad + cs))
             for r in range(i):
                 cs[r::i] = itertools.accumulate(cs[r::i])
             del cs[len(cs) - i:]  # the quotient's top, all zeros
@@ -559,6 +560,22 @@ class CellDecomposition:
         then shift."""
         return tuple((b, d, m) for b, poly in self.polys for d, m in poly)
 
+    @cached_property
+    def _parity_sums(self) -> tuple[tuple[int, int], ...]:
+        """Per base, in ``polys`` order, the sums of its multiplicities at
+        even and at odd shifts: one pass over the terms, kept with
+        the class, so every window read off it shares it."""
+        out = []
+        for _, poly in self.polys:
+            even = odd = 0
+            for shift, mult in poly:
+                if shift & 1:
+                    odd += mult
+                else:
+                    even += mult
+            out.append((even, odd))
+        return tuple(out)
+
     @property
     def factors(self) -> tuple[tuple[BaseField, int, int], ...]:
         """The strata read as the factors of L(X, s)."""
@@ -581,8 +598,9 @@ class CellDecomposition:
         return self.ord_window(k, k)[k]
 
     def ord_window(self, lo: int, hi: int) -> dict[int, int]:
-        """{k: ord_at(k)} for k = lo..hi, in O(terms + width) per base:
-        ``_window_sums`` over each base's ``orders`` at t = 1, 0, -1, -2."""
+        """{k: ord_at(k)} for k = lo..hi: ``_window_sums`` over each base's
+        ``orders`` at t = 1, 0, -1, -2, in O(terms up to the walk's top +
+        span ∩ window) in Python plus O(width) in C per base."""
         return _window_sums(self, lo, hi, attrgetter("orders"))
 
     def shifted(self, d: int) -> "CellDecomposition":
@@ -601,17 +619,19 @@ class CellDecomposition:
         run when their gap is at most deg P, the only case in which their
         products can overlap.  Each run is laid out over its shifts plus
         deg P zero slots, room for its product, so the runs' products stay
-        apart and in order.  The layout and P are read at q = 2^(8 width)
-        as integers, one coefficient per slot of width bytes, multiplied
-        once, and the product read back slot by slot, run by run.  No
-        coefficient exceeds max|m| * P(1), and width is the narrowest power
-        of two whose signed slots hold that bound.  A slot holds a signed
-        coefficient as two's complement; with bias the integer that puts
-        2^(8 width - 1) in every slot, each biased slot is non-negative and
-        XOR with bias maps biased slots to two's complement and back, so
-        (T ^ bias) - bias reads the signed slots T and (N + bias) ^ bias
-        writes the product N.  A run of r terms fills at most
-        r * (deg P + 1) slots, the count MAX_CONVOLUTION_STRATA bounds.
+        apart and in order; one pass over the terms builds the layout and
+        the shifts of each run's slots.  The layout and P are read at
+        q = 2^(8 width) as integers, one coefficient per slot of width
+        bytes, multiplied once, and the product read back slot by slot, run
+        by run, its zero slots dropped.  No coefficient exceeds
+        max|m| * P(1), and width is the narrowest power of two whose signed
+        slots hold that bound.  A slot holds a signed coefficient as two's
+        complement; with bias the integer that puts 2^(8 width - 1) in
+        every slot, each biased slot is non-negative and XOR with bias maps
+        biased slots to two's complement and back, so (T ^ bias) - bias
+        reads the signed slots T and (N + bias) ^ bias writes the product
+        N.  A run of r terms fills at most r * (deg P + 1) slots, the count
+        MAX_CONVOLUTION_STRATA bounds.
         """
         size = sum(len(own) for _, own in self.polys) * (poly.degree + 1)
         if size > MAX_CONVOLUTION_STRATA:
@@ -622,25 +642,30 @@ class CellDecomposition:
         if not poly.raw:
             return self.one()
         degree = poly.degree
+        room = [0] * degree
         polys = []
         for base, own in self.polys:
-            width = _slot_width(max(abs(m) for _, m in own) * poly.total)
-            cuts = [i for i in range(1, len(own)) if own[i][0] - own[i - 1][0] > degree]
             layout, shifts = [], []  # shifts: per run, the shifts of its slots
-            for lo, hi in zip([0, *cuts], [*cuts, len(own)]):
-                first = own[lo][0]
-                run = [0] * (own[hi - 1][0] - first + 1 + degree)
-                for d, m in own[lo:hi]:
-                    run[d - first] = m
-                layout += run
-                shifts.append(range(first, first + len(run)))
+            first = last = own[0][0]
+            for d, m in own:
+                if d - last > degree:  # a new run: room for the last one's product
+                    layout += room
+                    shifts.append(range(first, last + degree + 1))
+                    first = d
+                elif d - last > 1:
+                    layout += room[:d - last - 1]
+                layout.append(m)
+                last = d
+            layout += room
+            shifts.append(range(first, last + degree + 1))
+            width = _slot_width(max(map(abs, layout)) * poly.total)
             slot = (1 << 8 * width - 1).to_bytes(width, "little")
             bias = int.from_bytes(slot * len(layout), "little")
             a = (int.from_bytes(_slots(layout, width), "little") ^ bias) - bias
             product = (a * poly.packed_in(width) + bias) ^ bias
             out = _unslots(product.to_bytes(width * len(layout), "little"), width)
             terms = zip(itertools.chain.from_iterable(shifts), out)
-            polys.append((base, tuple([t for t in terms if t[1]])))
+            polys.append((base, tuple(itertools.compress(terms, out))))
         return self._canonical(polys)
 
     def max_shift(self) -> int:
@@ -684,6 +709,9 @@ def _as_cells(x: CellsOrScheme) -> CellDecomposition:
     return x if isinstance(x, CellDecomposition) else cells_of(x)
 
 
+_SHIFT = itemgetter(0)  # a term's shift, the key polynomials are bisected by
+
+
 def _window_sums(
     cells: CellDecomposition,
     lo: int,
@@ -695,29 +723,46 @@ def _window_sums(
     f is a per-base function of t = k - shift that vanishes for t >= 2,
     has a head at t = 1 and t = 0, and below that a 2-periodic tail,
     f(t) = f(t - 2) for t <= -1; ``rule(base)`` gives its four values
-    f(1), f(0), f(-1), f(-2).  Both sides of the identity have this shape.
-    Each base's polynomial is read once: a term above hi enters one of
-    two tail sums, split by the parity of its distance from hi, and a term
-    inside the window is kept at its shift.  The walk then goes from
-    k = hi down to lo: at each step down the two parities swap and the
-    term at the old k joins the odd sum.  The cost is O(terms + width)
-    per base, whatever the size of a shift.
+    f(1), f(0), f(-1), f(-2).  Both sides of the identity have this shape,
+    so a base whose shifts span [first, last] adds nothing above
+    k = last + 1, and below k = first it adds one value at every even k
+    and another at every odd k, both read off the base's two parity sums
+    (``CellDecomposition._parity_sums``); that part of the window is
+    filled by list repetition.  Only k in [max(lo, first), min(hi, last + 1)]
+    is walked, from its top down: the terms at or below the top are found
+    by bisection and read once, each inside the walk kept at its shift,
+    and the parity sums less the terms read are the two tail sums above
+    the top, split by the parity of their distance from it.  At each step
+    down the two parities swap and the term at the old k joins the odd
+    sum.  The cost is O(terms up to the walk's top + span ∩ window) in
+    Python per base, plus O(width) in C, however large a shift.
     """
     width = hi - lo + 1
     out = [0] * width
-    for base, poly in cells.polys:
+    for (base, poly), (even_sum, odd_sum) in zip(cells.polys, cells._parity_sums):
         head1, head0, odd_tail, even_tail = rule(base)
-        at = [0] * (width + 1)  # at[i]: the multiplicity at shift lo - 1 + i
-        above = [0, 0]  # terms above hi, by the parity of shift - hi
-        for shift, mult in poly:
-            if shift > hi:
-                above[(shift - hi) % 2] += mult
-            elif shift >= lo - 1:
-                at[shift - lo + 1] = mult
-        even, odd = above
-        for i in range(width, 0, -1):  # k = lo - 1 + i
+        bottom, top = max(lo, poly[0][0]), min(hi, poly[-1][0] + 1)
+        below = min(bottom, hi + 1) - lo  # the k under every shift
+        if below > 0:
+            at_even = even_tail * even_sum + odd_tail * odd_sum
+            at_odd = odd_tail * even_sum + even_tail * odd_sum
+            pair = [at_even, at_odd] if lo % 2 == 0 else [at_odd, at_even]
+            out[:below] = map(add, out[:below], pair * (below // 2 + 1))
+        if bottom > top:
+            continue
+        at = [0] * (top - bottom + 2)  # at[i]: the multiplicity at shift bottom - 1 + i
+        read = [0, 0]  # the terms read, by the parity of their shift
+        for shift, mult in poly[:bisect_right(poly, top, key=_SHIFT)]:
+            read[shift & 1] += mult
+            if shift >= bottom - 1:
+                at[shift - bottom + 1] = mult
+        even, odd = even_sum - read[0], odd_sum - read[1]
+        if top & 1:
+            even, odd = odd, even
+        offset = bottom - 1 - lo
+        for i in range(top - bottom + 1, 0, -1):  # k = bottom - 1 + i
             here = at[i]
-            out[i - 1] += head1 * at[i - 1] + head0 * here + odd_tail * odd + even_tail * even
+            out[offset + i] += head1 * at[i - 1] + head0 * here + odd_tail * odd + even_tail * even
             even, odd = odd, even + here
     return dict(zip(range(lo, hi + 1), out))
 

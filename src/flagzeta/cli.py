@@ -69,8 +69,9 @@ DEFAULT_PRIME_BOUND = 10_000
 # per stratum and weight (ranks, JSON support rows of verify or sweep) is
 # priced at strata times width; one read off the window sums alone (chi,
 # ord, plain or CSV verify and sweep), at strata plus bases times width,
-# since the window sums walk the whole window once per base.  A sweep's
-# price is summed over its family.
+# an upper bound on the window sums' work: each base walks only the part
+# of the window its shifts span and fills the rest in C.  A sweep's price
+# is summed over its family.
 MAX_WINDOW_WORK = 25_000
 MAX_SWEEP_SCHEMES = 4_000
 
@@ -86,7 +87,7 @@ def _cells_in_window(
     schemes, passes MAX_WINDOW_WORK, so the refusal counts at least the
     strata read so far: strata x window when the output reads every
     stratum at every weight (``per_weight``), else strata + bases x
-    window, as ``cells._window_sums`` walks the window once per base.
+    window, an upper bound on what ``cells._window_sums`` reads.
     Pricing builds each scheme's class, which its node keeps, so the
     command then reads it back."""
     m = _K_RANGE_RE.fullmatch(args.k)

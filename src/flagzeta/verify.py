@@ -14,7 +14,8 @@ two independent pipelines, and compares the resulting integers exactly
 over a k-range; the reports it returns are plain frozen data, rendered
 identically on every run.  Each side reads the whole window off the
 class, one polynomial per base, in one head-and-tail convolution per
-base (``cells._window_sums``), O(terms + width), each with its own rule:
+base (``cells._window_sums``), O(terms up to the walk's top + span ∩
+window) in Python plus O(width) in C, each with its own rule:
 ``chi`` the rank entries of the base's K-side row in ``weights``,
 ``ord_window`` the ``orders`` of its L-side row in ``fields``.  A report
 carries the weight table it read, whose window is the report's k-range;
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cells import (
     Affine,
@@ -60,8 +61,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SouleRow:
+class SouleRow(NamedTuple):
+    """One weight k of a report: chi(X, k) beside ord_{s=k} L(X, s)."""
+
     k: int
     chi: int
     ord: int
@@ -79,7 +81,7 @@ class VerificationReport:
 
     @cached_property
     def mismatches(self) -> tuple[SouleRow, ...]:
-        return tuple(r for r in self.rows if not r.match)
+        return tuple(r for r in self.rows if r.chi != r.ord)
 
     @property
     def matched(self) -> int:
@@ -126,8 +128,9 @@ def check_soule(
     ``x`` is a scheme or a signed cell class.  A scheme's class is the one
     ``cells_of`` keeps on the node, built by its first call; everything
     after that point is two disjoint exact computations, ``chi`` of its
-    weight table and its ``ord_window``, each O(terms + width) per base
-    and neither building the table's columns.  The report is named
+    weight table and its ``ord_window``, each O(terms up to the walk's
+    top + span ∩ window) in Python plus O(width) in C per base, and
+    neither building the table's columns.  The report is named
     ``str(x)``: the expression for a scheme, and for a class the product
     of its L-factors, printed from its polynomials.
     """
@@ -136,8 +139,9 @@ def check_soule(
         raise ValueError(f"empty k-range [{k_min}, {k_max}]")
     cells = _as_cells(x)
     table = weight_table_of(cells, k_min, k_max)
+    chis = chi(table)
     ords = cells.ord_window(k_min, k_max)
-    rows = tuple(SouleRow(k, c, ords[k]) for k, c in chi(table).items())
+    rows = tuple(map(SouleRow, chis, chis.values(), ords.values()))
     return VerificationReport(str(x), table, rows)
 
 

@@ -27,7 +27,8 @@ the window every query is exact and complete.  A table holds the cell
 class, one integer polynomial per base, and its window.  ``chi`` reads
 the class directly: a base's signed column sums vanish above weight 1
 and are 2-periodic below weight -1, so ``cells._window_sums`` gives chi
-on the window in O(terms + width) per base, however large a shift.  The
+on the window in O(terms up to the walk's top + span ∩ window) in
+Python plus O(width) in C per base, however large a shift.  The
 ranks, one column of nonzero (m, rank) pairs sorted by m per weight, are
 built only when read (``items``, ``dim``, ``support_at``), in one pass
 over the polynomials.

@@ -257,8 +257,8 @@ def test_an_integer_of_max_int_digits_is_read(capsys):
 
 
 def test_window_work_bound_is_strata_plus_or_times_width(capsys):
-    # chi, ord and plain or CSV verify read the window sums alone, which
-    # walk the window once per base, priced at strata + bases x width: one
+    # chi, ord and plain or CSV verify read the window sums alone, priced
+    # at strata + bases x width, an upper bound on their work: one
     # stratum and 24 999 weights answer, one more weight is refused
     assert run(capsys, "ord", "Q", "--k=-24996..2")[0] == 0
     code, _, err = run(capsys, "ord", "Q", "--k=-24997..2")

@@ -8,11 +8,15 @@ called: it rebinds the package's globals for the rest of the process.
 
 import importlib
 import importlib.util
+import sys
+from collections import Counter
 from pathlib import Path
 
-from flagzeta.cells import BasePoint, ProjBundle, cells_of
+import flagzeta.weights
+from flagzeta.cells import BasePoint, CellDecomposition, ProjBundle, cells_of
 from flagzeta.fields import quadratic_field, rationals
 from flagzeta.parse import parse_scheme
+from flagzeta.verify import check_soule
 from flagzeta.weights import weight_table_of
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -75,3 +79,31 @@ def test_traced_caches_report_cache_info():
     for _, cache in tracer.CACHES:
         info = cache.cache_info()
         assert info.hits >= 0 and info.misses >= 0
+
+
+def test_one_check_soule_is_one_chi_and_one_ord_window(monkeypatch):
+    # The per-layer rows read weights.chi as the K-side share of a check,
+    # and the rest of check_soule's own time as the L-side's: each check
+    # must call each side once.  chi is rebound by identity in every
+    # package module, as the tracer rebinds it.
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    chi = flagzeta.weights.chi
+    for name, module in list(sys.modules.items()):
+        if name.startswith("flagzeta."):
+            for key, value in list(vars(module).items()):
+                if value is chi:
+                    monkeypatch.setattr(module, key, counted("chi", chi))
+    monkeypatch.setattr(
+        CellDecomposition, "ord_window", counted("ord_window", CellDecomposition.ord_window)
+    )
+    x = parse_scheme("union(grass(proj(Q(sqrt -1), 3), 2, 4), affine(F(3), 2))")
+    report = check_soule(x, (-6, 4))
+    assert report.ok
+    assert calls == {"chi": 1, "ord_window": 1}

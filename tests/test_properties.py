@@ -41,7 +41,7 @@ from flagzeta.lfuncs import (
     weil_zeta_series,
 )
 from flagzeta.parse import MAX_DEPTH, parse_scheme
-from flagzeta.verify import check_soule
+from flagzeta.verify import SouleRow, check_soule
 from flagzeta.weights import chi, weight_table_of
 from oracles import flag_as_grassmannian_tower, primes_by_trial_division, quadratic_splitting
 
@@ -278,6 +278,8 @@ KERNEL_CASES = {
     # (1 - q)(1 + q + q^2) = 1 - q^3: the products at 1 and 2 cancel
     "cancelling run": ([(_Q, 0, 1), (_Q, 1, -1)], (1, 1, 1)),
     "cancelling run, negative first": ([(_F2, 5, -7), (_F2, 6, 7)], (3, 3, 3, 3)),
+    # every gap above deg P: a hundred runs of one term each
+    "many short runs": ([(_Q, 3 * i, (-1) ** i * (i + 1)) for i in range(100)], (1, 1)),
     "huge shift beside small ones": (
         [(_Q, 0, 1), (_Q, 2, -3), (_Q, 10**21, 5),
          (_Q, 10**21 + 1, -2), (_F2, 10**21, 1)],
@@ -333,18 +335,48 @@ def test_ord_at_matches_per_kind_orders(c, fq, shift, mult):
         assert c.ord_at(k) == per_kind_ord_at(c, k)
 
 
+def _reference_chi_ord(c, k):
+    """chi and ord of a class at k, read off the per-stratum references."""
+    reference = per_cell_weight_table(c, k, k)
+    return sum((-1) ** (m + 1) * d for (m, _), d in reference), per_kind_ord_at(c, k)
+
+
+@given(_signed_classes())
+def test_each_class_vanishes_above_its_shifts_and_is_two_periodic_below(c):
+    # The lemma on a whole class, read through the per-stratum references
+    # alone, so it holds apart from ``_window_sums``, which rests on it:
+    # chi and ord are 0 from k = top shift + 2 on, and from the lowest
+    # shift - 1 down each repeats with period 2, far below too.
+    top = c.max_shift()
+    bottom = min((d for _, d, _ in c.strata), default=0)
+    for k in range(top + 2, top + 6):
+        assert _reference_chi_ord(c, k) == (0, 0), k
+    near = {k % 2: _reference_chi_ord(c, k) for k in (bottom - 1, bottom - 2)}
+    for k in (bottom - 3, bottom - 4, bottom - 37, bottom - 38, -499, -500):
+        assert _reference_chi_ord(c, k) == near[k % 2], k
+
+
 @st.composite
 def _class_and_window(draw):
     """A signed class with number-field and F_q cells, and a window of one
-    of four shapes: width 1, wholly above the largest shift, wholly
-    negative, or straddling the shifts."""
+    of five shapes: width 1, wholly above the largest shift, wholly
+    negative, straddling the shifts, or strictly inside them."""
     c = draw(_signed_classes())
     for base in (draw(st.sampled_from(FINITE_FIELDS)), draw(st.sampled_from(NUMBER_FIELDS))):
         mult = draw(st.integers(-2, 2).filter(bool))
         c = c * CellDecomposition(((base, draw(st.integers(0, 6)), mult),))
     top = c.max_shift()
-    shape = draw(st.sampled_from(("width 1", "above", "negative", "straddling")))
-    if shape == "width 1":
+    shape = draw(st.sampled_from(("width 1", "above", "negative", "straddling", "interior")))
+    if shape == "interior":
+        # a cell two above the top shift, over a base with a lower one,
+        # leaves room strictly inside that base's shifts: the window's edges
+        # fall between its terms, where bisection cuts its walk
+        firsts = [(base, poly[0][0]) for base, poly in c.polys]
+        base, first = draw(st.sampled_from(firsts or [(NUMBER_FIELDS[0], top)]))
+        c = c * CellDecomposition(((base, top + 2, draw(st.integers(-2, 2).filter(bool))),))
+        lo = draw(st.integers(first + 1, top + 1))
+        hi = draw(st.integers(lo, top + 1))
+    elif shape == "width 1":
         lo = hi = draw(st.integers(-30, top + 3))
     elif shape == "above":
         lo = draw(st.integers(top + 1, top + 3))
@@ -361,8 +393,23 @@ _HUGE = cells_of(parse_scheme("union(affine(proj(Q(sqrt -1), 3), 1" + "0" * 21 +
 _HUGE = _HUGE / cells_of(parse_scheme("affine(F(3), 1)"))
 
 
+# two bases far apart: the window holds the periodic part of the upper
+# one, a number field's, and the zero part of the lower one
+_TWO_SPANS = cells_of(
+    parse_scheme("union(proj(Q(sqrt -1), 3), affine(proj(Q(sqrt 2), 2), 100))")
+) / cells_of(parse_scheme("affine(Q(sqrt -1), 1)"))
+
+
+# one base cut by the window on both sides, the walk's top once even and
+# once odd, with terms above it that differ between the two parities
+_CUT = CellDecomposition([(_Q, 0, 1), (_Q, 1, -1), (_Q, 3, 2), (_Q, 6, 1), (_Q, 7, -3)])
+
+
 @example((_HUGE, -3, 1))
 @example((_HUGE, 10**21 - 3, 10**21 + 5))
+@example((_TWO_SPANS, 20, 60))
+@example((_CUT, 2, 2))
+@example((_CUT, 1, 5))
 @given(_class_and_window())
 def test_window_sums_match_the_per_stratum_references(case):
     c, lo, hi = case
@@ -372,6 +419,16 @@ def test_window_sums_match_the_per_stratum_references(case):
     assert list(chi(weight_table_of(c, lo, hi)).items()) == list(zip(window, expected))
     orders = [per_kind_ord_at(c, k) for k in window]
     assert list(c.ord_window(lo, hi).items()) == list(zip(window, orders))
+
+
+@given(_class_and_window())
+def test_check_soule_rows_are_the_two_layers_side_by_side(case):
+    # a report's rows are chi and ord_window, read apart, row by row
+    c, lo, hi = case
+    chis, ords = chi(weight_table_of(c, lo, hi)), c.ord_window(lo, hi)
+    rows = check_soule(c, (lo, hi)).rows
+    assert all(type(r) is SouleRow for r in rows)
+    assert rows == tuple(SouleRow(k, chis[k], ords[k]) for k in range(lo, hi + 1))
 
 
 def per_factor_euler_product(cells, s, bound):

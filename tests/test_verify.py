@@ -19,6 +19,7 @@ from flagzeta.cells import (
 from flagzeta.fields import FiniteField, quadratic_field, rationals
 from flagzeta.lfuncs import special_value_product
 from flagzeta.verify import (
+    SouleRow,
     affine_family,
     check_soule,
     compositions,
@@ -54,6 +55,30 @@ def test_projective_line_report_values():
     assert by_k[0] == (0, 0)
     assert by_k[-1] == (1, 1)
     assert report.ok
+
+
+def test_a_row_is_frozen_k_chi_ord_with_its_match():
+    report = check_soule(ProjBundle(BasePoint(QI), 1), (-3, 2))
+    row = report.rows[0]
+    assert SouleRow._fields == ("k", "chi", "ord")
+    assert (row.k, row.chi, row.ord, row.match) == (-3, 2, 2, True)
+    assert SouleRow(0, 1, 2).match is False and SouleRow(0, 2, 2).match is True
+    for name in ("k", "chi", "ord", "match", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(row, name, 0)
+    # the JSON form of a report is the one it had before rows were tuples
+    assert report.to_dict(support=False) == {
+        "scheme": "proj(Q(sqrt -1), 1)", "k_min": -3, "k_max": 2,
+        "rows": [
+            {"k": -3, "chi": 2, "ord": 2, "match": True},
+            {"k": -2, "chi": 2, "ord": 2, "match": True},
+            {"k": -1, "chi": 2, "ord": 2, "match": True},
+            {"k": 0, "chi": 1, "ord": 1, "match": True},
+            {"k": 1, "chi": -1, "ord": -1, "match": True},
+            {"k": 2, "chi": -1, "ord": -1, "match": True},
+        ],
+        "matched": 6, "mismatched": 0, "ok": True,
+    }
 
 
 def test_finite_field_base_verifies():
