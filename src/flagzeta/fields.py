@@ -255,6 +255,11 @@ class NumberField:
                     f"{where} quadratic discriminant sign must match the signature: "
                     "disc > 0 iff r1 = 2"
                 )
+            if self.disc % 4 > 1 or math.isqrt(max(self.disc, 0)) ** 2 == self.disc:
+                raise ValueError(
+                    f"{where} {self.disc} is no quadratic field's discriminant: "
+                    "that is 0 or 1 mod 4 and not a square"
+                )
         if self.splitting and self.degree <= 2:
             raise ValueError(
                 f"{where} degree {self.degree} splits by its discriminant, not a table"
@@ -458,15 +463,14 @@ def _splitting_table(
     """(p, ``_residue_degrees(fld, p)``) for each p in ``primes``.
 
     Over Q the degrees are one constant pair.  Over a quadratic field they
-    are a function of p mod 4|disc|, the period of the Kronecker symbol of
-    any nonzero disc (|disc| is not one for disc = -1, 2 or 3), so they are
-    computed once per residue class: a class holding 2 or a ramified p
-    holds no other prime.  Every p ramifies when disc = 0.  A table field
-    is read once per prime, refused at the first p it does not list.
+    are a function of p mod 4|disc|, a period of the Kronecker symbol of
+    disc, so they are computed once per residue class: a class holding 2
+    or a ramified p holds no other prime.  A table field is read once per
+    prime, refused at the first p it does not list.
     """
     if fld.degree >= 3 or (fld.degree == 2 and fld.disc is None):
         return [(p, _residue_degrees(fld, p)) for p in primes]
-    period = 4 * abs(fld.disc) if fld.degree == 2 and fld.disc else 1
+    period = 4 * abs(fld.disc) if fld.degree == 2 else 1
     classes: dict[int, tuple[tuple[int, int], ...]] = {}
     table = []
     for p in primes:

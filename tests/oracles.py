@@ -5,7 +5,7 @@ from functools import lru_cache
 from math import comb
 from typing import Sequence
 
-from flagzeta.cells import CellDecomposition, FlagBundle, Grassmannian, SchemeExpr
+from flagzeta.cells import CellDecomposition, FlagBundle, Grassmannian, SchemeExpr, _all_subspaces
 from flagzeta.fields import finite_field
 from flagzeta.lfuncs import RationalZeta
 from flagzeta.series import TruncSeries
@@ -147,3 +147,75 @@ def gf_tables(q: int) -> tuple[tuple, tuple]:
             row[b] = add[times_x[row[b // p]]][scale[b % p][a]]
         mul.append(tuple(row))
     return add, tuple(mul)
+
+
+def mat_mul(m, w, q):
+    """The matrix product m·w over F_q, one entry at a time, in the
+    reference tables."""
+    add, mul = gf_tables(q)
+    out = []
+    for mrow in m:
+        entries = []
+        for c in range(len(w[0])):
+            total = 0
+            for x, wrow in zip(mrow, w):
+                total = add[total][mul[x][wrow[c]]]
+            entries.append(total)
+        out.append(tuple(entries))
+    return tuple(out)
+
+
+def row_reduce(rows, q):
+    """The reduced row-echelon basis of the span of rows over F_q, by
+    Gauss-Jordan elimination in the reference tables: column by column,
+    the first remaining row with a nonzero entry there is scaled to lead
+    with 1 and cleared from every other row."""
+    add, mul = gf_tables(q)
+    inverse = [mul[x].index(1) if x else 0 for x in range(q)]
+    negative = [row.index(0) for row in add]
+    rows = [list(row) for row in rows]
+    done = []
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((row for row in rows if row[c]), None)
+        if pivot is None:
+            continue
+        rows = [row for row in rows if row is not pivot]
+        pivot = [mul[inverse[pivot[c]]][x] for x in pivot]
+        for row in rows + done:
+            if row[c]:
+                scale = negative[row[c]]
+                row[:] = [add[x][mul[scale][y]] for x, y in zip(row, pivot)]
+        done.append(pivot)
+    return tuple(map(tuple, done))
+
+
+def unpack_subspace(key, q, n):
+    """A packed RREF basis of F_q^n, q = p^f, as a tuple of element-code
+    rows, read from the layout ``flagzeta.cells`` documents: digit j of
+    entry c sits in slot c f + j, lowest first, of s + 1 bits with
+    s = (2p - 2).bit_length()."""
+    field = finite_field(q)
+    p, f = field.p, field.f
+    bits = (2 * p - 2).bit_length() + 1
+    return tuple(
+        tuple(
+            sum((row >> (c * f + j) * bits & (1 << bits) - 1) * p**j for j in range(f))
+            for c in range(n)
+        )
+        for row in key
+    )
+
+
+def reference_incidence(q, n, a, b):
+    """For each RREF a x b matrix M, in ``_all_subspaces(q, b, a)`` order,
+    the positions in ``_all_subspaces(q, n, a)`` of the spans of M·W over
+    the b-subspaces W of F_q^n in ``_all_subspaces(q, n, b)`` order.
+
+    Each product is multiplied out and row-reduced entry by entry in the
+    reference tables, so the positions rest neither on the packed
+    arithmetic nor on a product of RREF bases being RREF already; the
+    package's lists of subspaces only fix the order."""
+    position = {unpack_subspace(u, q, n): i for i, u in enumerate(_all_subspaces(q, n, a))}
+    ws = [unpack_subspace(w, q, n) for w in _all_subspaces(q, n, b)]
+    ms = [unpack_subspace(m, q, b) for m in _all_subspaces(q, b, a)]
+    return [[position[row_reduce(mat_mul(m, w, q), q)] for w in ws] for m in ms]

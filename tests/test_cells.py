@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+from array import array
 from functools import lru_cache
 from math import factorial, prod
 
@@ -30,7 +31,14 @@ from flagzeta.fields import FiniteField, finite_field, quadratic_field, rational
 from flagzeta.lfuncs import weil_zeta_rational, weil_zeta_series
 from flagzeta.parse import parse_scheme
 from flagzeta.verify import check_soule
-from oracles import flag_as_grassmannian_tower, gf_tables, reference_point_count
+from oracles import (
+    flag_as_grassmannian_tower,
+    gf_tables,
+    mat_mul,
+    reference_incidence,
+    reference_point_count,
+    unpack_subspace,
+)
 
 Q = rationals()
 QI = quadratic_field(-1)
@@ -313,40 +321,112 @@ def test_enumeration_does_not_use_the_product_formula(monkeypatch):
     assert brute_force_flag_count((1, 1, 1), 9, 3) == 91 * 10
 
 
-def test_each_incidence_is_built_once_per_field(monkeypatch):
+def test_each_incidence_is_built_once_per_field():
     # every flag type of F_2^5 reads the step a < b from one incidence:
-    # one call of _products per b-subspace W and a, 1 <= a < b <= 4
+    # one build for each pair 1 <= a < b <= 4
     cells = flagzeta.cells
     clear_caches()
-    calls = []
-    products = cells._products
-    monkeypatch.setattr(cells, "_products", lambda *args: calls.append(args) or products(*args))
     for parts in compositions(5):
         assert brute_force_flag_count(parts, 2, 5) == gaussian_multinomial(5, parts)(2)
-    steps = {(w, a) for w, a, _, _ in calls}
-    assert len(calls) == len(steps)
-    assert len(calls) == sum((b - 1) * gaussian_binomial(5, b)(2) for b in range(2, 5))
+    assert cells._incidence.cache_info().misses == 6
 
 
 def test_a_product_that_is_not_rref_raises(monkeypatch):
-    # the enumerator looks a product up as it stands: with the rows of one
-    # plane reversed it has no key, and the count is refused, not wrong
+    # the enumerator looks a product up as it stands: with rows 0 and 1 of
+    # one plane M swapped in the row plan, no product M·W is a key, and
+    # the count is refused, not wrong
     cells = flagzeta.cells
     clear_caches()
-    products = cells._products
-    reversed_one = []
+    row_plan = cells._row_plan
+    swapped = []
 
-    def reversing(w, a, q, n):
-        out = list(products(w, a, q, n))
-        if a >= 2 and not reversed_one:
-            reversed_one.append(out[0])
-            out[0] = out[0][::-1]
-        return iter(out)
+    def swapping(q, b, a):
+        steps, columns = row_plan(q, b, a)
+        if a < 2 or swapped:
+            return steps, columns
+        swapped.append((q, b, a))
+        first, second = list(columns[0]), list(columns[1])
+        first[0], second[0] = second[0], first[0]
+        return steps, (tuple(first), tuple(second), *columns[2:])
 
-    monkeypatch.setattr(cells, "_products", reversing)
+    monkeypatch.setattr(cells, "_row_plan", swapping)
     with pytest.raises(KeyError):
         brute_force_flag_count((2, 1, 1), 2, 4)
-    assert len(reversed_one) == 1
+    assert swapped == [(2, 3, 2)]
+
+
+def test_the_flag_enumeration_is_bounded_before_it_lists(monkeypatch):
+    # the subspaces a flag type forms are counted from the pivot patterns
+    # before any is listed, and a type over the bound is refused unlisted
+    cells = flagzeta.cells
+    clear_caches()
+
+    def forbidden(*args):
+        raise AssertionError("a subspace was listed")
+
+    monkeypatch.setattr(cells, "_all_subspaces", forbidden)
+    for parts in ((1,) * 9, (2, 5, 2), (4, 1, 1, 2)):
+        with pytest.raises(ValueError, match="above MAX_FLAG_SUBSPACES = 2500000$"):
+            brute_force_flag_count(parts, 2, sum(parts))
+    monkeypatch.undo()
+    clear_caches()
+    # the count is the lists and products the enumerator makes: 2^3 has
+    # 7 lines and 7 planes, and each plane holds 3 lines
+    assert cells._enumeration_size(2, 3, (1, 2)) == 7 + 7 + 7 * 3
+    assert all(
+        cells._subspace_count(q, n, k) == len(cells._all_subspaces(q, n, k))
+        for q, top in ((2, 7), (3, 5), (4, 4), (9, 3))
+        for n in range(top + 1)
+        for k in range(n + 1)
+    )
+    # the same space answers a type inside the bound, and the largest
+    # space of every test grid answers every type
+    assert brute_force_flag_count((1, 8), 2, 9) == 511
+    assert max(
+        cells._enumeration_size(4, 5, tuple(itertools.accumulate(parts))[:-1])
+        for parts in compositions(5)
+        if len(parts) > 1
+    ) <= cells.MAX_FLAG_SUBSPACES
+
+
+def test_every_packed_vector_fits_its_lane():
+    # _incidence gives each b-subspace one lane of a big int: every
+    # vector the enumerator accepts fits it, and lanes add and reduce
+    # side by side as one vector does alone
+    cells = flagzeta.cells
+    bits = 8 * array(cells._LANE).itemsize
+    widest = 0
+    for q in range(2, 3001):
+        try:
+            if finite_field(q).f > 3:
+                continue
+        except ValueError:
+            continue  # not a prime power
+        for n in itertools.takewhile(lambda n: q**n <= 3000, itertools.count(1)):
+            p, f, s, bias, lows = cells._packing(q, n)
+            widest = max(widest, n * f * (s + 1))
+            assert widest <= bits, (q, n)
+            top = cells._pack([q - 1] * n, q)  # every digit p - 1
+            side = [top, 0, top, cells._pack([1] * n, q)]
+            t = cells._lanes(side) + cells._lanes(side[::-1])
+            reduced = t - ((t + cells._lanes([bias] * 4)) >> s & cells._lanes([lows] * 4)) * p
+            want = [packed_sum(u, v, q, n) for u, v in zip(side, side[::-1])]
+            assert reduced == cells._lanes(want), (q, n)
+    assert widest == 33  # F_2^11: 11 slots of 3 bits
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_incidence_matches_row_reduction(q):
+    # every step 1 <= a < b <= n of every F_q^n with q^n <= 100, against
+    # products multiplied out and row-reduced in the reference tables
+    cells = flagzeta.cells
+    steps = 0
+    for n in itertools.takewhile(lambda n: q**n <= 100, itertools.count(2)):
+        for b in range(2, n + 1):
+            for a in range(1, b):
+                assert cells._incidence(q, n, a, b) == reference_incidence(q, n, a, b)
+                steps += 1
+    assert steps
 
 
 def is_rref(rows):
@@ -359,22 +439,6 @@ def is_rref(rows):
         and all(row[c] == 1 for row, c in zip(rows, leads))
         and all(sum(1 for row in rows if row[c]) == 1 for c in leads)
     )
-
-
-def mat_mul(m, w, q):
-    """The matrix product m·w over F_q, one entry at a time, in the
-    reference tables."""
-    add, mul = gf_tables(q)
-    out = []
-    for mrow in m:
-        entries = []
-        for c in range(len(w[0])):
-            total = 0
-            for x, wrow in zip(mrow, w):
-                total = add[total][mul[x][wrow[c]]]
-            entries.append(total)
-        out.append(tuple(entries))
-    return tuple(out)
 
 
 def unpack(v, q, n):
@@ -435,37 +499,31 @@ def test_packed_slots_hold_the_largest_digit_sum():
     assert packed_sum(top, top, 53, 3) == cells._pack((51, 51, 51), 53)
 
 
-def decode(key, q, n):
-    """A tuple of packed rows of F_q^n as a tuple of element tuples."""
-    return tuple(unpack(row, q, n) for row in key)
-
-
 @pytest.mark.parametrize("q, max_n", [(2, 5), (3, 4), (4, 4), (8, 3), (9, 3)])
 def test_products_of_rref_bases_are_rref(q, max_n):
     # The oracle looks up M·W as it stands: for RREF M (a x b) and W (b x n)
     # of full rank, the products over all M are RREF keys of the a-subspaces
-    # of F_q^n, one for each a-subspace of W.  _products forms them from
-    # shared rows as packed ints; decoded, each must equal the plain
-    # matrix product.
+    # of F_q^n, one for each a-subspace of W.  _incidence forms them for
+    # every W at once, in lanes; decoded, the keys at each M's positions
+    # must equal the plain matrix products.
     cells = flagzeta.cells
     for n in range(1, max_n + 1):
-        for b in range(n + 1):
-            for a in range(b + 1):
-                packed_keys = set(cells._all_subspaces(q, n, a))
-                keys = {decode(key, q, n) for key in packed_keys}
-                assert len(keys) == len(packed_keys), (q, n, a)
-                assert all(is_rref(key) for key in keys), (q, n, a)
-                inner = [decode(m, q, b) for m in cells._all_subspaces(q, b, a)]
-                for w in cells._all_subspaces(q, n, b):
-                    packed = list(cells._products(w, a, q, n))
-                    assert set(packed) <= packed_keys, (q, n, a, b, w)
-                    products = [decode(key, q, n) for key in packed]
-                    plain = decode(w, q, n)
-                    assert products == [mat_mul(m, plain, q) for m in inner], (q, n, a, b, w)
-                    products = set(products)
-                    assert len(products) == len(inner), (q, n, a, b, w)
-                    assert all(is_rref(key) for key in products), (q, n, a, b, w)
-                    assert products <= keys, (q, n, a, b, w)
+        keys = {}
+        for a in range(n + 1):
+            keys[a] = [unpack_subspace(key, q, n) for key in cells._all_subspaces(q, n, a)]
+            assert len(set(keys[a])) == len(keys[a]), (q, n, a)
+            assert all(is_rref(key) for key in keys[a]), (q, n, a)
+        for b in range(1, n + 1):
+            ws = keys[b]
+            for a in range(1, b + 1):
+                inner = [unpack_subspace(m, q, b) for m in cells._all_subspaces(q, b, a)]
+                incidence = cells._incidence(q, n, a, b)
+                assert len(incidence) == len(inner), (q, n, a, b)
+                for m, col in zip(inner, incidence):
+                    products = [keys[a][i] for i in col]
+                    assert products == [mat_mul(m, w, q) for w in ws], (q, n, a, b, m)
+                for w, subs in zip(ws, zip(*incidence)):
+                    assert len(set(subs)) == len(inner), (q, n, a, b, w)
 
 
 # -- cell decompositions --------------------------------------------------------

@@ -71,6 +71,15 @@ def test_signature_must_match_degree():
         NumberField("bad", 2, 2, 0, disc=-4)
 
 
+@pytest.mark.parametrize("disc", [0, 1, 4, 9, 100, -1, 2, 3, -2, 6, -6, 7])
+def test_a_quadratic_field_refuses_what_no_quadratic_field_has(disc):
+    # a quadratic discriminant is 0 or 1 mod 4 and not a square
+    r1, r2 = (2, 0) if disc > 0 else (0, 1)
+    message = f"^field 'K': {disc} is no quadratic field's discriminant"
+    with pytest.raises(ValueError, match=message):
+        NumberField("K", 2, r1, r2, disc=disc)
+
+
 def test_make_number_field_roundtrip():
     rec = {"label": "K", "degree": 2, "r1": 0, "r2": 1, "disc": -20}
     assert make_number_field(rec) == dataclasses.replace(quadratic_field(-5), label="K")
@@ -241,10 +250,10 @@ def _per_prime_product(fld, x, bound):
     return value
 
 
-@pytest.mark.parametrize("disc", [-1, 2, 3, -28, 12, 0])
+@pytest.mark.parametrize("disc", [-4, 8, -8, 12, -28, 5])
 def test_a_quadratic_euler_product_splits_once_per_class_mod_4_disc(disc):
-    # direct fields, discriminant unchecked: the Kronecker symbol of -1, 2
-    # and 3 has period 4|disc|, not |disc|, and with disc 0 every p ramifies
+    # direct fields, the discriminant taken as given: -28 is not
+    # fundamental, and 2 ramifies in every field here but Q(sqrt 5)
     r1, r2 = (2, 0) if disc > 0 else (0, 1)
     fld = NumberField("K", 2, r1, r2, disc=disc)
     points = (2.5, 3.0, 4.25)
