@@ -627,21 +627,25 @@ class CellDecomposition:
         The product is one big-integer multiply per base, by Kronecker
         substitution.  The terms are cut into runs: two neighbours share a
         run when their gap is at most deg P, the only case in which their
-        products can overlap.  Each run is laid out over its shifts plus
-        deg P zero slots, room for its product, so the runs' products stay
-        apart and in order; one pass over the terms builds the layout and
-        the shifts of each run's slots.  The layout and P are read at
-        q = 2^(8 width) as integers, one coefficient per slot of width
-        bytes, multiplied once, and the product read back slot by slot, run
-        by run, its zero slots dropped.  No coefficient exceeds
+        products can overlap.  Each run is laid out over its shifts, and
+        every run but the last is followed by deg P zero slots, room for
+        its product, so the runs' products stay apart and in order; one
+        pass over the terms builds the layout and the shifts of each run's
+        slots.  The layout and P are read at q = 2^(8 width) as integers,
+        one coefficient per slot of width bytes, multiplied once, and the
+        product, deg P slots longer than the layout, read back slot by
+        slot, run by run, its zero slots dropped.  The last run's room is
+        never packed, only read back: for a one-term class it would be all
+        but one slot of the layout.  No coefficient exceeds
         max|m| * P(1), and width is the narrowest power of two whose signed
         slots hold that bound.  A slot holds a signed coefficient as two's
         complement; with bias the integer that puts 2^(8 width - 1) in
-        every slot, each biased slot is non-negative and XOR with bias maps
-        biased slots to two's complement and back, so (T ^ bias) - bias
-        reads the signed slots T and (N + bias) ^ bias writes the product
-        N.  A run of r terms fills at most r * (deg P + 1) slots, the count
-        MAX_CONVOLUTION_STRATA bounds.
+        every slot of the layout, or of the product, each biased slot is
+        non-negative and XOR with bias maps biased slots to two's
+        complement and back, so (T ^ bias) - bias reads the signed slots T
+        and (N + bias) ^ bias writes the product N.  A run of r terms fills
+        at most r * (deg P + 1) slots, the count MAX_CONVOLUTION_STRATA
+        bounds.
         """
         size = sum(len(own) for _, own in self.polys) * (poly.degree + 1)
         if size > MAX_CONVOLUTION_STRATA:
@@ -666,14 +670,15 @@ class CellDecomposition:
                     layout += room[:d - last - 1]
                 layout.append(m)
                 last = d
-            layout += room
             shifts.append(range(first, last + degree + 1))
             width = _slot_width(max(map(abs, layout)) * poly.total)
             slot = (1 << 8 * width - 1).to_bytes(width, "little")
             bias = int.from_bytes(slot * len(layout), "little")
             a = (int.from_bytes(_slots(layout, width), "little") ^ bias) - bias
+            length = len(layout) + degree  # with the last run's room
+            bias = int.from_bytes(slot * length, "little")
             product = (a * poly.packed_in(width) + bias) ^ bias
-            out = _unslots(product.to_bytes(width * len(layout), "little"), width)
+            out = _unslots(product.to_bytes(width * length, "little"), width)
             terms = zip(itertools.chain.from_iterable(shifts), out)
             polys.append((base, tuple(itertools.compress(terms, out))))
         return self._canonical(polys)
@@ -783,10 +788,11 @@ def point_count(x: CellsOrScheme, r: int) -> int:
     Each cell of dimension d over F_q contributes (q^r)^d, so a base adds
     its cell polynomial evaluated at q^r: one power q^r per base, then
     Horner's rule over the terms from the top shift down, which raises
-    q^r only to the gaps between shifts.  A base without a ``q``, a number
-    field, makes the count meaningless and is rejected.  A scheme's class
-    is built by its first ``cells_of`` call; a count for another r reads
-    it back from the node.
+    q^r only to the gaps between shifts, and not at all for a gap of 1,
+    the gap between most neighbouring cells.  A base without a ``q``, a
+    number field, makes the count meaningless and is rejected.  A scheme's
+    class is built by its first ``cells_of`` call; a count for another r
+    reads it back from the node.
     """
     if r < 1:
         raise ValueError("extension degree r must be >= 1")
@@ -797,7 +803,7 @@ def point_count(x: CellsOrScheme, r: int) -> int:
         power = base.q**r
         value, shift = 0, poly[-1][0]
         for d, m in reversed(poly):
-            value = value * power ** (shift - d) + m
+            value = value * (power if shift - d == 1 else power ** (shift - d)) + m
             shift = d
         total += value * power**shift
     return total

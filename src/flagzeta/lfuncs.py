@@ -23,14 +23,14 @@ both expands that closed form and rebuilds the series transcendentally
 as exp(sum_r N_r t^r / r) from point counts, so the two can be compared
 coefficient by coefficient.  The closed form N(t) / P(t) is expanded by
 multiplying out N and P once as integer polynomials, then reading the
-series off P c = N one coefficient at a time; the point counts all read
-the one class that ``cells.cells_of`` built for the scheme's node.
+series off P c = N one coefficient at a time with the series kernel's own
+recurrence solver, ``series._solve``; the point counts all read the one
+class that ``cells.cells_of`` built for the scheme's node.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,7 +46,7 @@ from .fields import (
     UnsupportedFieldError,
     _check_euler_work,
 )
-from .series import TruncSeries
+from .series import TruncSeries, _solve
 
 __all__ = [
     "LFactorization",
@@ -74,11 +74,13 @@ def _check_series_size(order: int, top: int, q: int) -> None:
         raise ValueError(
             f"series order {order} is above MAX_SERIES_ORDER = {MAX_SERIES_ORDER}"
         )
-    # exact, so a top beyond a float's range is refused, not an OverflowError
-    digits = order * top * Fraction(math.log10(q))
-    if digits > MAX_SERIES_DIGITS:
+    # exact in integers, so a top beyond a float's range is refused, not
+    # an OverflowError
+    num, den = math.log10(q).as_integer_ratio()
+    if order * top * num > MAX_SERIES_DIGITS * den:
+        digits = round(Fraction(order * top * num, den))
         raise ValueError(
-            f"series coefficients to order {order} have about {round(digits)} digits, "
+            f"series coefficients to order {order} have about {digits} digits, "
             f"above MAX_SERIES_DIGITS = {MAX_SERIES_DIGITS}"
         )
 
@@ -125,20 +127,24 @@ class RationalZeta:
         (``_side``) and cut at t^min(order, sum m), so P is as long as
         the denominator and never padded to the order.  Since P_0 = 1,
         P c = N gives each coefficient from the ones before it:
-        c_i = N_i - sum_{j>=1} P_j c_{i-j}.  No log, exp or point count is
-        used, so equality with ``weil_zeta_series`` compares two
-        independent derivations.
+        c_i = N_i - sum_{j>=1} P_j c_{i-j}, the recurrence that
+        ``series._solve`` solves, here on its integer path throughout.  No
+        log, exp or point count is used, so equality with
+        ``weil_zeta_series`` compares two derivations that share only that
+        solver, fed another operand and step; the tests check the solver
+        against schoolbook sums and this expansion against a factor-by-factor
+        binomial product.
         """
         top = max((d for d, _ in (*self.numer, *self.denom)), default=0)
         _check_series_size(order, top, self.q)
         numer = self._side(self.numer, order)
+        numer += [0] * (order + 1 - len(numer))
         denom = self._side(self.denom, order)
-        out: list[int] = []
-        for i in range(order + 1):
-            k = min(i, len(denom) - 1)
-            tail = sum(map(operator.mul, denom[1:k + 1], reversed(out[i - k:])))
-            out.append((numer[i] if i < len(numer) else 0) - tail)
-        return TruncSeries(order, out)
+        out, ones = _solve(
+            denom, [1] * len(denom), (numer[0], 1), order,
+            lambda i, tail, _: (numer[i] - tail, 1),
+        )
+        return TruncSeries._of(order, out, ones)
 
     def _side(self, factors: tuple[tuple[int, int], ...], order: int) -> list[int]:
         """prod (1 - q^d t)^m over factors, to t^order.  Each factor is
@@ -190,18 +196,22 @@ def weil_zeta_series(x: CellsOrScheme, order: int) -> TruncSeries:
     at the rational form, so agreement with ``weil_zeta_rational`` is a
     genuine consistency check.  It refuses the classes the rational form
     refuses, with the same messages.  Each N_r is one ``point_count`` of
-    the class, one power q^r and a Horner pass over the cell polynomial.
-    ``exp`` reads r (N_r / r) = N_r back as an integer, so the whole
-    series is solved on its integer path.
+    the class, one power q^r and a Horner pass over the cell polynomial,
+    and enters the series as the pair N_r / r in lowest terms, with no
+    Fraction built.  ``exp`` reads r (N_r / r) = N_r back as an integer,
+    so the whole series is solved on its integer path.
     """
     if order < 1:
         raise ValueError("series order must be >= 1")
     cells = _as_cells(x)
     _check_series_size(order, cells.max_shift(), _single_q(cells))
-    u = TruncSeries(
-        order, [0] + [Fraction(point_count(cells, r), r) for r in range(1, order + 1)]
-    )
-    return u.exp()
+    nums, dens = [0], [1]
+    for r in range(1, order + 1):
+        count = point_count(cells, r)
+        common = math.gcd(count, r)
+        nums.append(count // common)
+        dens.append(r // common)
+    return TruncSeries._of(order, nums, dens).exp()
 
 
 def weil_zeta_rational(x: CellsOrScheme) -> RationalZeta:

@@ -1,9 +1,11 @@
 """Exact truncated power series over the rationals, plus Bernoulli numbers.
 
 Everything here lives in the quotient ring Q[t]/(t^(n+1)) for a fixed
-truncation order n, with ``fractions.Fraction`` coefficients throughout:
-no floating point ever enters.  The ring carries the mutually inverse
-log/exp pair
+truncation order n.  A series holds its coefficients as two lists of
+ints, the numerators and the denominators, each coefficient in lowest
+terms: no floating point ever enters, and ``fractions.Fraction`` appears
+only at the edges, as an input and when a coefficient is read.  The ring
+carries the mutually inverse log/exp pair
 
     log(g) = sum_{k>=1} (-1)^(k-1) (g-1)^k / k        (g with constant term 1),
     exp(u) = sum_{k>=0} u^k / k!                      (u with zero constant term),
@@ -25,20 +27,18 @@ JACM 1978; Knuth, TAOCP vol. 2, section 4.7).  The arithmetic is exact,
 so the coefficients equal those of the power sums.
 
 The four O(n^2) loops (the product, the inverse and those two
-recurrences) build no Fraction inside an inner sum; each reads its
-operands' numerators and denominators once, as lists of ints.  The
-inverse, log and exp are one recurrence, y_m = step(m, sum_{k=1}^{m}
-x_k y_{m-k}) for a fixed operand x, solved by ``_solve``.  While x and
-every y so far are integers, that sum is one integer dot product.
-Otherwise, as in every coefficient of a product, ``_dot`` scales the
-term products to the lcm of their denominators and sums the integers.
-Either way each output coefficient is built as one Fraction, which
-reduces it.  A Fraction per term would pay a gcd and a normalisation per
-term, most of the cost of a series operation; the coefficients are the
-same either way, since a rational has one form in lowest terms.  The
-series of a zeta function over F_q are integral (its expansion, and k
-times the k-th coefficient of its log), so they never leave the integer
-path.
+recurrences) read and write those numerator and denominator lists
+directly and build no Fraction.  The inverse, log and exp are one
+recurrence, y_m = step(m, sum_{k=1}^{m} x_k y_{m-k}) for a fixed operand
+x, solved by ``_solve``.  While x and every y so far are integers, that
+sum is one integer dot product.  Otherwise, as in every coefficient of a
+product, ``_dot`` scales the term products to the lcm of their
+denominators and sums the integers.  Either way each output coefficient
+is reduced once, by one gcd.  A gcd per term would be most of the cost of
+a series operation; the coefficients are the same either way, since a
+rational has one form in lowest terms.  The series of a zeta function
+over F_q are integral (its expansion, and k times the k-th coefficient
+of its log), so they never leave the integer path.
 
 >>> g = TruncSeries(4, [1, -1])          # 1 - t
 >>> print(g.log())
@@ -58,7 +58,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 __all__ = ["TruncSeries", "bernoulli"]
 
@@ -74,21 +74,35 @@ def _is_scalar(c: object) -> bool:
     return isinstance(c, (int, Fraction)) and not isinstance(c, bool)
 
 
-def _split(cs: Sequence[Fraction]) -> tuple[list[int], list[int]]:
-    """The numerators and the denominators of a list of Fractions."""
-    return [c.numerator for c in cs], [c.denominator for c in cs]
+def _pair(c: object) -> tuple[int, int]:
+    """A scalar's numerator and denominator in lowest terms; anything but
+    an int or a Fraction is refused with ``TypeError``."""
+    if type(c) is int:
+        return c, 1
+    if not _is_scalar(c):
+        raise TypeError(f"series coefficients are ints or Fractions, not {type(c).__name__}")
+    return int(c.numerator), int(c.denominator)
+
+
+def _lowest(num: int, den: int) -> tuple[int, int]:
+    """num / den, den nonzero, in lowest terms with a positive denominator."""
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
 
 
 def _dot(
-    xn: list[int], xd: list[int], ks: list[int], yn: list[int], yd: list[int], m: int
+    xn: Sequence[int], xd: Sequence[int], ks: list[int],
+    yn: Sequence[int], yd: Sequence[int], m: int,
 ) -> tuple[int, int]:
     """sum_{k in ks, k <= m} x_k y_{m-k} as an integer numerator and denominator.
 
     x and y are given as numerator and denominator lists, and ``ks`` lists
     in ascending order the indices where x is nonzero; terms with
     y_{m-k} = 0 are skipped.  Each product is scaled to the lcm of the
-    term denominators and the integers are summed, so no Fraction is built:
-    the caller builds one from the result, which reduces it.
+    term denominators and the integers are summed, so no gcd is paid per
+    term: the caller reduces the result once.
     """
     nums, dens = [], []
     for k in ks:
@@ -103,11 +117,13 @@ def _dot(
 
 
 def _solve(
-    xn: list[int], xd: list[int], y0: Fraction, n: int, step: Callable
-) -> list[Fraction | int]:
-    """y_0, ..., y_n with y_m = step(m, num, den), where num / den is
-    sum_{k=1}^{m} x_k y_{m-k} and x is given as numerator and denominator
-    lists.  ``step`` returns a Fraction, or an int for an integral y.
+    xn: Sequence[int], xd: Sequence[int], y0: tuple[int, int], n: int, step: Callable
+) -> tuple[list[int], list[int]]:
+    """The numerators and denominators of y_0, ..., y_n, with
+    y_m = step(m, num, den), where num / den is sum_{k=1}^{m} x_k y_{m-k},
+    x is given as numerator and denominator lists (possibly shorter than
+    n + 1, its missing terms zero) and ``step`` returns y_m as a pair in
+    lowest terms.
 
     While every x_k and every y so far has denominator 1, the sum is one
     integer dot product over den = 1; the first y that is not an integer
@@ -115,33 +131,35 @@ def _solve(
     """
     ks = [k for k, c in enumerate(xn) if c and k]
     tail = xn[1:]  # map stops at reversed(yn), so x_k meets y_{m-k} up to k = m
-    yn, yd = [y0.numerator], [y0.denominator]
-    out = [y0]
-    integral = y0.denominator == 1 and all(d == 1 for d in xd)
+    yn, yd = [y0[0]], [y0[1]]
+    integral = y0[1] == 1 and xd.count(1) == len(xd)
     for m in range(1, n + 1):
         if integral:
-            y = step(m, sum(map(mul, tail, reversed(yn))), 1)
-            integral = y.denominator == 1
+            num, den = step(m, sum(map(mul, tail, reversed(yn))), 1)
+            integral = den == 1
         else:
-            y = step(m, *_dot(xn, xd, ks, yn, yd, m))
-        out.append(y)
-        yn.append(y.numerator)
-        yd.append(y.denominator)
-    return out
+            num, den = step(m, *_dot(xn, xd, ks, yn, yd, m))
+        yn.append(num)
+        yd.append(den)
+    return yn, yd
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, init=False, repr=False)
 class TruncSeries:
     """An element of Q[t]/(t^(order+1)), held as exact rational coefficients.
 
-    A frozen record of exactly order + 1 Fractions: the constructor takes
-    any iterable of ints and Fractions, reduces it mod t^(order+1) and pads
-    it with zeros; any other scalar (a float, a string, a bool) is refused
-    with ``TypeError``, since it would enter the ring inexactly or by a
-    parse.  Binary operations insist that both operands share the same
-    truncation order; mixing orders raises ``ValueError`` rather than
-    silently coercing, since a coerced result would carry fewer
-    trustworthy coefficients than its order claims.
+    A frozen record of order + 1 coefficients kept as two int tuples,
+    ``nums`` and ``dens``: each coefficient in lowest terms with a positive
+    denominator, zero as 0/1, so equal series have equal fields and
+    compare and hash equal.  The constructor takes any iterable of ints
+    and Fractions, reduces it mod t^(order+1) and pads it with zeros; any
+    other scalar (a float, a string, a bool) is refused with ``TypeError``,
+    since it would enter the ring inexactly or by a parse.  ``coeffs`` and
+    ``s[i]`` read the coefficients back as Fractions.  Binary operations
+    insist that both operands share the same truncation order; mixing
+    orders raises ``ValueError`` rather than silently coercing, since a
+    coerced result would carry fewer trustworthy coefficients than its
+    order claims.
 
     >>> a = TruncSeries(3, [1, -1])          # 1 - t
     >>> b = TruncSeries(3, [1, -2])          # 1 - 2t
@@ -149,32 +167,50 @@ class TruncSeries:
     1 + 3*t + 7*t^2 + 15*t^3
     """
 
+    __slots__ = ("order", "nums", "dens")
     order: int
-    coeffs: tuple[Fraction, ...] = ()
+    nums: tuple[int, ...]
+    dens: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.order < 0:
+    def __init__(self, order: int, coeffs: Iterable[int | Fraction] = ()) -> None:
+        if order < 0:
             raise ValueError("truncation order must be non-negative")
-        cs = []
-        for c in self.coeffs:
-            if type(c) is not Fraction:
-                if type(c) is not int and not _is_scalar(c):
-                    raise TypeError(
-                        f"series coefficients are ints or Fractions, not {type(c).__name__}"
-                    )
-                c = Fraction(c)
-            cs.append(c)
+        pairs = [_pair(c) for c in coeffs]
         # Constructing from a longer list is reduction mod t^(order+1).
-        del cs[self.order + 1 :]
-        cs.extend([_ZERO] * (self.order + 1 - len(cs)))
-        object.__setattr__(self, "coeffs", tuple(cs))
+        del pairs[order + 1 :]
+        pairs += [(0, 1)] * (order + 1 - len(pairs))
+        self._set(order, *zip(*pairs))
+
+    def _set(self, order: int, nums: Sequence[int], dens: Sequence[int]) -> None:
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "dens", tuple(dens))
+
+    @classmethod
+    def _of(cls, order: int, nums: Sequence[int], dens: Sequence[int]) -> "TruncSeries":
+        """The series of order + 1 coefficients nums[i] / dens[i], already
+        in lowest terms with positive denominators."""
+        out = object.__new__(cls)
+        out._set(order, nums, dens)
+        return out
 
     # -- basic structure ------------------------------------------------
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(map(Fraction, self.nums, self.dens))
 
     def __getitem__(self, i: int) -> Fraction:
         if not 0 <= i <= self.order:
             raise IndexError(f"coefficient index {i} outside 0..{self.order}")
-        return self.coeffs[i]
+        return Fraction(self.nums[i], self.dens[i])
+
+    def __repr__(self) -> str:
+        return f"TruncSeries(order={self.order}, coeffs={self.coeffs!r})"
+
+    def __reduce__(self) -> tuple:
+        # a frozen record: pickle and copy rebuild it, never set its fields
+        return TruncSeries, (self.order, self.coeffs)
 
     @classmethod
     def one(cls, order: int) -> "TruncSeries":
@@ -190,20 +226,20 @@ class TruncSeries:
 
     def __add__(self, other: object) -> "TruncSeries":
         if _is_scalar(other):
-            cs = list(self.coeffs)
-            cs[0] += other
-            return TruncSeries(self.order, cs)
-        if not isinstance(other, TruncSeries):
+            other = TruncSeries(self.order, [other])
+        elif not isinstance(other, TruncSeries):
             return NotImplemented
         self._same_order(other)
-        return TruncSeries(
-            self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        sums = [
+            _lowest(a * d + c * b, b * d)
+            for a, b, c, d in zip(self.nums, self.dens, other.nums, other.dens)
+        ]
+        return TruncSeries._of(self.order, *zip(*sums))
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncSeries":
-        return TruncSeries(self.order, [-a for a in self.coeffs])
+        return TruncSeries._of(self.order, [-a for a in self.nums], self.dens)
 
     def __sub__(self, other: object) -> "TruncSeries":
         if not (_is_scalar(other) or isinstance(other, TruncSeries)):
@@ -212,17 +248,16 @@ class TruncSeries:
 
     def __mul__(self, other: object) -> "TruncSeries":
         if _is_scalar(other):
-            return TruncSeries(self.order, [a * other for a in self.coeffs])
+            c, d = _pair(other)
+            out = [_lowest(a * c, b * d) for a, b in zip(self.nums, self.dens)]
+            return TruncSeries._of(self.order, *zip(*out))
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._same_order(other)
-        an, ad = _split(self.coeffs)
-        bn, bd = _split(other.coeffs)
+        an, ad, bn, bd = self.nums, self.dens, other.nums, other.dens
         ks = [k for k, a in enumerate(an) if a]
-        return TruncSeries(
-            self.order,
-            [Fraction(*_dot(an, ad, ks, bn, bd, m)) for m in range(self.order + 1)],
-        )
+        out = [_lowest(*_dot(an, ad, ks, bn, bd, m)) for m in range(self.order + 1)]
+        return TruncSeries._of(self.order, *zip(*out))
 
     __rmul__ = __mul__
 
@@ -246,15 +281,15 @@ class TruncSeries:
         Uses the triangular recurrence b_0 = 1/a_0,
         b_m = -(1/a_0) * sum_{k=1}^{m} a_k b_{m-k}.
         """
-        a0 = self.coeffs[0]
-        if a0 == 0:
+        an, ad = self.nums, self.dens
+        if not an[0]:
             raise ValueError("series with zero constant term is not invertible")
-        an, ad = _split(self.coeffs)
+        a0n, a0d = an[0], ad[0]
         out = _solve(
-            an, ad, 1 / a0, self.order,
-            lambda m, num, den: Fraction(-num * ad[0], den * an[0]),
+            an, ad, _lowest(a0d, a0n), self.order,
+            lambda m, num, den: _lowest(-num * a0d, den * a0n),
         )
-        return TruncSeries(self.order, out)
+        return TruncSeries._of(self.order, *out)
 
     def log(self) -> "TruncSeries":
         """log of a one-unit: requires constant term exactly 1.
@@ -262,19 +297,18 @@ class TruncSeries:
         Solves g' = l' g for l = log(g), with y_k = k l_k:
         y_m = m g_m - sum_{k=1}^{m} g_k y_{m-k}, y_0 = 0.
         """
-        g = self.coeffs
-        if g[0] != 1:
+        gn, gd = self.nums, self.dens
+        if (gn[0], gd[0]) != (1, 1):
             raise ValueError("log requires constant term 1")
         n = self.order
-        gn, gd = _split(g)
 
-        def step(m: int, num: int, den: int) -> int | Fraction:
+        def step(m: int, num: int, den: int) -> tuple[int, int]:
             top, bottom = m * gn[m] * den - num * gd[m], gd[m] * den
-            return top if bottom == 1 else Fraction(top, bottom)
+            return (top, 1) if bottom == 1 else _lowest(top, bottom)
 
-        ys = _solve(gn, gd, _ZERO, n, step)
-        ls = [Fraction(y.numerator, y.denominator * m) for m, y in enumerate(ys[1:], 1)]
-        return TruncSeries(n, [_ZERO, *ls])
+        yn, yd = _solve(gn, gd, (0, 1), n, step)
+        ls = [(0, 1)] + [_lowest(yn[m], yd[m] * m) for m in range(1, n + 1)]
+        return TruncSeries._of(n, *zip(*ls))
 
     def exp(self) -> "TruncSeries":
         """exp of a series with zero constant term.
@@ -282,17 +316,17 @@ class TruncSeries:
         Solves a' = u' a for a = exp(u):
         m a_m = sum_{k=1}^{m} k u_k a_{m-k}, a_0 = 1.
         """
-        u = self.coeffs
-        if u[0] != 0:
+        un, ud = self.nums, self.dens
+        if un[0]:
             raise ValueError("exp requires constant term 0")
         n = self.order
         kun, kud = [0] * (n + 1), [1] * (n + 1)  # k u_k in lowest terms
         for k in range(1, n + 1):
-            common = gcd(k, u[k].denominator)
-            kun[k] = k // common * u[k].numerator
-            kud[k] = u[k].denominator // common
-        out = _solve(kun, kud, Fraction(1), n, lambda m, num, den: Fraction(num, den * m))
-        return TruncSeries(n, out)
+            common = gcd(k, ud[k])
+            kun[k] = k // common * un[k]
+            kud[k] = ud[k] // common
+        out = _solve(kun, kud, (1, 1), n, lambda m, num, den: _lowest(num, den * m))
+        return TruncSeries._of(n, *out)
 
     # -- display ---------------------------------------------------------
 

@@ -30,6 +30,7 @@ from flagzeta.lfuncs import (
     MAX_SERIES_ORDER,
     LFactorization,
     RationalZeta,
+    _check_series_size,
     lfactorization_of,
     lfun_partial_eval,
     special_value_product,
@@ -234,6 +235,28 @@ def test_series_size_bounds_refuse_before_work():
     assert weil_zeta_rational(Affine(point, shift)).expand(10)[10] == 2 ** (10 * shift)
     with pytest.raises(ValueError, match="MAX_SERIES_DIGITS"):
         weil_zeta_rational(Affine(point, shift + 1)).expand(10)
+
+
+@pytest.mark.parametrize("q", [*range(2, 10), 53])
+def test_series_digits_bound_is_the_exact_rational_inequality(q):
+    # order x top x log10 q > MAX_SERIES_DIGITS, with log10 q the float read
+    # exactly as a rational, at the tops just below, at and above the bound
+    log = Fraction(math.log10(q))
+    for order in range(1, MAX_SERIES_ORDER + 1):
+        edge = int(MAX_SERIES_DIGITS / (order * log))
+        for top in range(max(edge - 1, 0), edge + 3):
+            refused = order * top * log > MAX_SERIES_DIGITS
+            try:
+                _check_series_size(order, top, q)
+            except ValueError as error:
+                assert refused and "MAX_SERIES_DIGITS" in str(error), (order, top)
+            else:
+                assert not refused, (order, top)
+
+
+def test_series_digits_bound_refuses_a_top_beyond_a_float():
+    with pytest.raises(ValueError, match="above MAX_SERIES_DIGITS = 1000"):
+        _check_series_size(1, 10**400, 2)
 
 
 # -- numeric evaluation ---------------------------------------------------------------

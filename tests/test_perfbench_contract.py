@@ -15,21 +15,23 @@ from pathlib import Path
 import flagzeta.weights
 from flagzeta.cells import BasePoint, CellDecomposition, ProjBundle, cells_of
 from flagzeta.fields import quadratic_field, rationals
+from flagzeta.lfuncs import RationalZeta
 from flagzeta.parse import parse_scheme
+from flagzeta.series import TruncSeries
 from flagzeta.verify import check_soule
 from flagzeta.weights import weight_table_of
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracer = _load_tracer()
+tracer = _load("tracer")
 
 
 def _function(module: str, attr: str):
@@ -107,3 +109,23 @@ def test_one_check_soule_is_one_chi_and_one_ord_window(monkeypatch):
     report = check_soule(x, (-6, 4))
     assert report.ok
     assert calls == {"chi": 1, "ord_window": 1}
+
+
+def test_one_zeta_op_is_one_exp_one_log_and_one_expand(monkeypatch):
+    # The zeta_series rows read the spans of these three methods, which the
+    # tracer replaces on their classes: an op whose path bypassed one (the
+    # point counts solved without exp, say) would lose that layer's row.
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for cls, attr in ((TruncSeries, "exp"), (TruncSeries, "log"), (RationalZeta, "expand")):
+        monkeypatch.setattr(cls, attr, counted(attr, vars(cls)[attr]))
+    workloads = _load("workloads")
+    ok, _ = workloads.zeta_run(workloads.zeta_check_set(True)[0], False)
+    assert ok
+    assert calls == {"exp": 1, "log": 1, "expand": 1}

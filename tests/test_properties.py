@@ -280,6 +280,14 @@ KERNEL_CASES = {
     "cancelling run, negative first": ([(_F2, 5, -7), (_F2, 6, 7)], (3, 3, 3, 3)),
     # every gap above deg P: a hundred runs of one term each
     "many short runs": ([(_Q, 3 * i, (-1) ** i * (i + 1)) for i in range(100)], (1, 1)),
+    # one term: its layout is one slot, and the product deg P + 1 more
+    "one term times a high-degree polynomial": ([(_F2, 3, -7)], tuple(range(1, 65))),
+    # each base's last run ends in a negative multiplicity, so the product's
+    # top slots, past the packed layout, are negative
+    "last run ends negative": (
+        [(_Q, 0, 2), (_Q, 1, -3), (_F2, 0, 1), (_F2, 6, 4), (_F2, 7, -5)],
+        (1, 2, 1),
+    ),
     "huge shift beside small ones": (
         [(_Q, 0, 1), (_Q, 2, -3), (_Q, 10**21, 5),
          (_Q, 10**21 + 1, -2), (_F2, 10**21, 1)],

@@ -1,6 +1,8 @@
 """Tests for the exact truncated-series kernel and Bernoulli numbers."""
 
+import copy
 import operator
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
@@ -374,6 +376,70 @@ def test_series_is_frozen():
     s = TruncSeries(2, [1, 2])
     with pytest.raises(AttributeError):
         s.coeffs = (Fraction(0),) * 3
+
+
+# -- the representation: numerator and denominator tuples -----------------
+
+
+def assert_canonical_pairs(s: TruncSeries) -> None:
+    """Two int tuples of order + 1 entries, each coefficient in lowest
+    terms with a positive denominator, zero as 0/1."""
+    assert len(s.nums) == len(s.dens) == s.order + 1
+    for n, d in zip(s.nums, s.dens):
+        assert type(n) is int and type(d) is int
+        assert d > 0 and gcd(n, d) == 1
+        assert n or d == 1
+
+
+@pytest.mark.parametrize("order", [0, 1, 3, 8])
+def test_every_result_holds_canonical_pairs(order):
+    rng = Random(5000 + order)
+    families = coefficient_families(rng, order)
+    for ca, cb in product(families.values(), repeat=2):
+        a, b = TruncSeries(order, ca), TruncSeries(order, cb)
+        unit, shifted = a * (1 / a[0]), b - b[0]
+        for result in (
+            a + b, a - b, a - a, -a, a * b, a * shifted, a * 0, a + Fraction(1, 3),
+            a.inverse(), unit.log(), shifted.exp(), a**3, a**-2,
+        ):
+            assert_canonical_pairs(result)
+            assert result.coeffs == tuple(map(Fraction, result.nums, result.dens))
+
+
+def test_equal_series_from_different_inputs_compare_and_hash_equal():
+    for left, right in [
+        ([Fraction(2, 4)], [Fraction(1, 2)]),
+        ([2], [Fraction(4, 2)]),
+        ([0, Fraction(-3, 6), 5], [Fraction(0, 7), Fraction(1, -2), Fraction(10, 2)]),
+        ([1, 0, 0], [1]),
+    ]:
+        a, b = TruncSeries(3, left), TruncSeries(3, right)
+        assert a == b and hash(a) == hash(b)
+        assert (a.nums, a.dens) == (b.nums, b.dens)
+    assert TruncSeries(3, [1]) != TruncSeries(2, [1])
+
+
+def test_coefficients_read_back_as_fractions():
+    s = TruncSeries(3, [1, Fraction(-2, 6), 0, 7])
+    assert s.nums == (1, -1, 0, 7) and s.dens == (1, 3, 1, 1)
+    assert s.coeffs == (1, Fraction(-1, 3), 0, 7)
+    assert all(type(c) is Fraction for c in s.coeffs)
+    assert [s[i] for i in range(4)] == list(s.coeffs)
+    assert all(type(s[i]) is Fraction for i in range(4))
+
+
+@pytest.mark.parametrize("field", ["order", "nums", "dens", "coeffs"])
+def test_no_field_of_a_series_can_be_set(field):
+    s = TruncSeries(2, [1, 2])
+    with pytest.raises(AttributeError):
+        setattr(s, field, getattr(s, field))
+    assert s == TruncSeries(2, [1, 2])
+
+
+def test_series_survives_pickle_and_deepcopy():
+    s = TruncSeries(3, [1, Fraction(-2, 6), 0, 7])
+    for back in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+        assert back == s and (back.nums, back.dens) == (s.nums, s.dens)
 
 
 # -- Bernoulli numbers ---------------------------------------------------
