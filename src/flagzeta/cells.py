@@ -57,8 +57,10 @@ evaluated at q = 2^(8 width), one signed coefficient per slot of width
 bytes, and multiplied; the product's slots, biased by 2^(8 width - 1)
 so negative coefficients decode exactly, are read back in shift order
 with nothing left to merge.  A ``QPolynomial`` is its own slots, at the
-narrowest width that holds its coefficients, and widens to the
-product's width with zero bytes.
+narrowest width that holds its coefficients' absolute values, and may
+have negative coefficients, as a class does: it widens to the product's
+width by sign-extending each slot, and both operands are read as signed
+slots by the same rule (``_signed``).
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ from operator import add, attrgetter, itemgetter, sub
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .fields import BaseField, base_sort_key, finite_field
+from .series import _polynomial_str
 
 __all__ = [
     "QPolynomial",
@@ -96,9 +99,12 @@ __all__ = [
 # the degree of one cell polynomial (a proj/grass/flag node's, or a
 # Gaussian binomial's or multinomial's), and the terms (base, shift) of
 # a class times the degree + 1 of the polynomial it is convolved with,
-# which bounds the slots of the product.  A cell polynomial has no zero
-# coefficient up to its degree, so that count is the terms its
-# convolution produces before they are merged.
+# which bounds the slots of the product.  A Gaussian multinomial has no
+# zero coefficient up to its degree, so for a bundle that count is the
+# terms its convolution produces before they are merged.  A polynomial
+# with zero coefficients (L^N prod (L^d_i - 1), the class of a split
+# group, has one at q^0) produces fewer, so the count is still an upper
+# bound on the strata.
 #
 # The flag enumerator is bounded by the subspaces it forms for one flag
 # type: the RREF bases it lists at each dimension the type visits, and
@@ -115,15 +121,13 @@ MAX_FLAG_SUBSPACES = 2_500_000
 
 @dataclass(frozen=True, init=False, repr=False)
 class QPolynomial:
-    """A polynomial in q with non-negative integer coefficients.
+    """A polynomial in q with integer coefficients, which may be negative.
 
     It is kept as its Kronecker slots: ``raw`` holds the coefficients,
     lowest first and trailing zeros stripped, as little-endian signed
     slots of ``width`` bytes, the narrowest power of two whose slots hold
-    the largest (``_slots``, ``_slot_width``).  Equal polynomials have
-    equal fields, so they compare and hash equal.  Negative coefficients
-    are refused: cell counts are never negative, and ``packed_in`` widens
-    a slot with zero bytes, which is exact only for a non-negative one.
+    the largest absolute value (``_slots``, ``_slot_width``).  Equal
+    polynomials have equal fields, so they compare and hash equal.
     """
 
     raw: bytes
@@ -133,9 +137,7 @@ class QPolynomial:
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        if cs and min(cs) < 0:
-            raise ValueError("cell counts cannot be negative")
-        width = _slot_width(max(cs, default=0))
+        width = _slot_width(max(map(abs, cs), default=0))
         object.__setattr__(self, "raw", _slots(cs, width))
         object.__setattr__(self, "width", width)
 
@@ -145,25 +147,30 @@ class QPolynomial:
         return len(self.raw) // self.width - 1
 
     @cached_property
-    def total(self) -> int:
-        """The sum of the coefficients, the value at q = 1."""
-        return sum(_unslots(self.raw, self.width))
+    def mass(self) -> int:
+        """The sum of the coefficients' absolute values: no coefficient of
+        a polynomial times P exceeds max|m| * mass, for max|m| the largest
+        absolute coefficient of the other factor.  It is P(1) when no
+        coefficient is negative, as for every Gaussian multinomial."""
+        return sum(map(abs, _unslots(self.raw, self.width)))
 
     @property
     def coeffs(self) -> tuple[int, ...]:
         return tuple(_unslots(self.raw, self.width))
 
-    def packed_in(self, width: int) -> int:
-        """The value at q = 2^(8 width), for a width of at least
-        ``self.width``: ``raw`` as an integer, each slot widened by zero
-        bytes, since no coefficient is negative."""
+    def packed_in(self, width: int) -> bytes:
+        """``raw`` in slots of width bytes, for a width of at least
+        ``self.width``: each slot sign-extended, its new bytes all 0x00 or
+        all 0xff as its top byte's sign bit is clear or set, read off the
+        top bytes by one ``translate``."""
         raw, own = self.raw, self.width
         if width > own:
             out = bytearray(width * (len(raw) // own))
-            for j in range(own):
-                out[j::width] = raw[j::own]
+            fill = raw[own - 1::own].translate(_SIGN_FILL)
+            for j in range(width):
+                out[j::width] = raw[j::own] if j < own else fill
             raw = out
-        return int.from_bytes(raw, "little")
+        return raw
 
     def __repr__(self) -> str:
         return f"QPolynomial({self.coeffs!r})"
@@ -175,17 +182,7 @@ class QPolynomial:
         return out
 
     def __str__(self) -> str:
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append("q" if c == 1 else f"{c}*q")
-            else:
-                parts.append(f"q^{i}" if c == 1 else f"{c}*q^{i}")
-        return " + ".join(parts) if parts else "0"
+        return _polynomial_str(self.coeffs, "q")
 
 
 @lru_cache(maxsize=None)
@@ -446,6 +443,18 @@ def _unslots(raw: bytes, width: int) -> Sequence[int]:
             for i in range(0, len(raw), width)]
 
 
+_SIGN_FILL = bytes(128) + b"\xff" * 128  # a slot's top byte -> the byte that sign-extends it
+
+
+def _signed(raw: bytes, bias: int) -> int:
+    """The integer whose digits in base 2^(8 width) are the signed slots
+    of width bytes in raw, where bias puts 2^(8 width - 1) in every slot
+    of raw and perhaps in more slots above: XOR with bias maps two's
+    complement slots to biased, non-negative ones, and the slots above
+    raw's cancel, so (T ^ bias) - bias reads the slots T."""
+    return (int.from_bytes(raw, "little") ^ bias) - bias
+
+
 # -- cell decompositions ------------------------------------------------------
 
 
@@ -621,8 +630,9 @@ class CellDecomposition:
         )
 
     def convolved(self, poly: QPolynomial) -> "CellDecomposition":
-        """Multiply each base's polynomial by a cell-count polynomial P: each
-        coefficient c_e adds c_e copies of every term shifted by e.
+        """Multiply each base's polynomial by a polynomial P, whose
+        coefficients may be negative: each coefficient c_e adds c_e copies
+        of every term shifted by e.
 
         The product is one big-integer multiply per base, by Kronecker
         substitution.  The terms are cut into runs: two neighbours share a
@@ -637,15 +647,14 @@ class CellDecomposition:
         slot, run by run, its zero slots dropped.  The last run's room is
         never packed, only read back: for a one-term class it would be all
         but one slot of the layout.  No coefficient exceeds
-        max|m| * P(1), and width is the narrowest power of two whose signed
+        max|m| * mass, and width is the narrowest power of two whose signed
         slots hold that bound.  A slot holds a signed coefficient as two's
-        complement; with bias the integer that puts 2^(8 width - 1) in
-        every slot of the layout, or of the product, each biased slot is
-        non-negative and XOR with bias maps biased slots to two's
-        complement and back, so (T ^ bias) - bias reads the signed slots T
-        and (N + bias) ^ bias writes the product N.  A run of r terms fills
-        at most r * (deg P + 1) slots, the count MAX_CONVOLUTION_STRATA
-        bounds.
+        complement.  With bias the integer that puts 2^(8 width - 1) in
+        every slot of the product, ``_signed`` reads both operands, the
+        layout and P's slots sign-extended by ``packed_in``, as
+        (T ^ bias) - bias, and (N + bias) ^ bias writes the product N.  A
+        run of r terms fills at most r * (deg P + 1) slots, the count
+        MAX_CONVOLUTION_STRATA bounds.
         """
         size = sum(len(own) for _, own in self.polys) * (poly.degree + 1)
         if size > MAX_CONVOLUTION_STRATA:
@@ -671,13 +680,11 @@ class CellDecomposition:
                 layout.append(m)
                 last = d
             shifts.append(range(first, last + degree + 1))
-            width = _slot_width(max(map(abs, layout)) * poly.total)
-            slot = (1 << 8 * width - 1).to_bytes(width, "little")
-            bias = int.from_bytes(slot * len(layout), "little")
-            a = (int.from_bytes(_slots(layout, width), "little") ^ bias) - bias
+            width = _slot_width(max(map(abs, layout)) * poly.mass)
             length = len(layout) + degree  # with the last run's room
-            bias = int.from_bytes(slot * length, "little")
-            product = (a * poly.packed_in(width) + bias) ^ bias
+            bias = int.from_bytes((1 << 8 * width - 1).to_bytes(width, "little") * length, "little")
+            a, p = _signed(_slots(layout, width), bias), _signed(poly.packed_in(width), bias)
+            product = (a * p + bias) ^ bias
             out = _unslots(product.to_bytes(width * length, "little"), width)
             terms = zip(itertools.chain.from_iterable(shifts), out)
             polys.append((base, tuple(itertools.compress(terms, out))))

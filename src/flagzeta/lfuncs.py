@@ -101,7 +101,8 @@ class RationalZeta:
     The constructor makes the record canonical: it nets the exponents of
     each d, keeps numerator and denominator disjoint and sorts both, so
     equal functions compare equal.  For cellular schemes the numerator is
-    empty.
+    empty; a class with negative multiplicities, such as a split group's
+    L (L - 1) (L^2 - 1), has one.
     """
 
     q: int

@@ -84,6 +84,24 @@ def _pair(c: object) -> tuple[int, int]:
     return int(c.numerator), int(c.denominator)
 
 
+def _polynomial_str(coeffs: Iterable[int | Fraction], var: str) -> str:
+    """sum_i c_i var^i, lowest power first, as ``-1/2 + var - 3*var^2``:
+    zero terms skipped, a unit coefficient left out, each later term
+    joined by its sign; "0" for no nonzero term.  ``QPolynomial`` and
+    ``TruncSeries`` both print by it."""
+    out = ""
+    for i, c in enumerate(coeffs):
+        if c:
+            mag = abs(c)
+            power = "" if i == 0 else var if i == 1 else f"{var}^{i}"
+            body = str(mag) if not power else power if mag == 1 else f"{mag}*{power}"
+            if out:
+                out += f" - {body}" if c < 0 else f" + {body}"
+            else:
+                out = f"-{body}" if c < 0 else body
+    return out or "0"
+
+
 def _lowest(num: int, den: int) -> tuple[int, int]:
     """num / den, den nonzero, in lowest terms with a positive denominator."""
     g = gcd(num, den)
@@ -331,21 +349,7 @@ class TruncSeries:
     # -- display ---------------------------------------------------------
 
     def __str__(self) -> str:
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-                continue
-            mag = abs(c)
-            var = "t" if i == 1 else f"t^{i}"
-            body = var if mag == 1 else f"{mag}*{var}"
-            if not terms:
-                terms.append(body if c > 0 else f"-{body}")
-            else:
-                terms.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(terms) if terms else "0"
+        return _polynomial_str(self.coeffs, "t")
 
 
 # T_0 (a placeholder), T_1, ..., T_n: the one row of tangent numbers

@@ -1,5 +1,6 @@
 """Reference constructions that tests check the package against."""
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -147,6 +148,17 @@ def gf_tables(q: int) -> tuple[tuple, tuple]:
             row[b] = add[times_x[row[b // p]]][scale[b % p][a]]
         mul.append(tuple(row))
     return add, tuple(mul)
+
+
+def invertible_2x2_count(q: int) -> int:
+    """#GL_2(F_q): the 2 x 2 matrices (a, b; c, d) over F_q with
+    ad != bc, by listing all q^4 of them in the tables of ``gf_tables``,
+    which are arithmetic mod p for a prime q.  Never reads a cell
+    polynomial or the closed form."""
+    _, mul = gf_tables(q)
+    return sum(
+        mul[a][d] != mul[b][c] for a, b, c, d in itertools.product(range(q), repeat=4)
+    )
 
 
 def mat_mul(m, w, q):

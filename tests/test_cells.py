@@ -34,6 +34,7 @@ from flagzeta.verify import check_soule
 from oracles import (
     flag_as_grassmannian_tower,
     gf_tables,
+    invertible_2x2_count,
     mat_mul,
     reference_incidence,
     reference_point_count,
@@ -145,6 +146,33 @@ def test_cell_polynomial_degree_is_bounded():
             cells_of(x)
 
 
+# [GL_2] = L^4 - L^3 - L^2 + L = L (L - 1) (L^2 - 1): a split group's
+# class, L^N prod (L^d_i - 1), has negative coefficients
+GL2 = QPolynomial((0, 1, -1, -1, 1))
+
+
+def _gl2(base):
+    return cells_of(BasePoint(base)).convolved(GL2)
+
+
+def test_gl2_is_a_signed_class_that_counts_invertible_matrices():
+    """[GL_2] over a base, convolved from its signed polynomial, against a
+    count of invertible matrices that never reads a cell polynomial."""
+    assert _gl2(Q).strata == ((Q, 1, 1), (Q, 2, -1), (Q, 3, -1), (Q, 4, 1))
+    for q in (2, 3, 4, 5):
+        gl2 = _gl2(finite_field(q))
+        assert point_count(gl2, 1) == invertible_2x2_count(q)
+        assert weil_zeta_series(gl2, 8) == weil_zeta_rational(gl2).expand(8)
+    over_f2 = _gl2(F2)
+    assert point_count(over_f2, 2) == invertible_2x2_count(4) == 180
+    # the first zeta function here with a numerator
+    assert str(weil_zeta_rational(over_f2)) == "(1 - 4*t)(1 - 8*t) / ((1 - 2*t)(1 - 16*t))"
+    for base in (Q, QI, F3):
+        assert check_soule(_gl2(base), (-12, 6)).ok
+    orders = {k: _gl2(Q).ord_at(k) for k in range(-3, 7)}
+    assert {k: o for k, o in orders.items() if o} == {1: -1, 3: 1, 4: 1, 5: -1}
+
+
 def test_convolution_size_is_bounded():
     child = cells_of(ProjBundle(BasePoint(Q), 499))  # 500 strata
     bound = f"MAX_CONVOLUTION_STRATA = {MAX_CONVOLUTION_STRATA}"
@@ -200,6 +228,11 @@ def test_gaussian_multinomial_complete_flag():
     assert m == QPolynomial((1, 2, 2, 1))
     assert m(2) == 21
     assert str(m) == "1 + 2*q + 2*q^2 + q^3"
+
+
+def test_signed_polynomials_print_each_term_with_its_sign():
+    assert str(QPolynomial((0, 1, -1, -1, 1))) == "q - q^2 - q^3 + q^4"
+    assert str(QPolynomial((-2, 0, 3))) == "-2 + 3*q^2"
 
 
 def test_multinomial_at_one_is_multinomial_coefficient():

@@ -207,7 +207,7 @@ _HUGE_STRATA = [(rationals(), 10**21, 2), (finite_field(2), 3, -1)]
     _raw_strata,
     _raw_strata,
     st.integers(0, 3),
-    st.lists(st.integers(0, 3), max_size=6).map(QPolynomial),
+    st.lists(st.integers(-3, 3), max_size=6).map(QPolynomial),
     st.lists(schemes, min_size=2, max_size=3),
 )
 def test_class_operations_match_the_per_stratum_references(a, b, d, poly, children):
@@ -243,11 +243,11 @@ def test_class_operations_match_the_per_stratum_references(a, b, d, poly, childr
 _Q, _F2 = rationals(), finite_field(2)
 
 
-def _slot_edge(bits):
-    """Terms 0 and 1 of multiplicity 2^(bits - 2) times 1 + q: the middle
-    coefficient is 2^(bits - 1), one past what a signed slot of that many
-    bits holds."""
-    return [(_Q, 0, 2 ** (bits - 2)), (_Q, 1, 2 ** (bits - 2))], (1, 1)
+def _slot_edge(bits, sign=1):
+    """Terms 0 and 1 of multiplicity sign 2^(bits - 2) and 2^(bits - 2)
+    times 1 + sign q: the middle coefficient is 2^(bits - 1), one past
+    what a signed slot of that many bits holds."""
+    return [(_Q, 0, sign * 2 ** (bits - 2)), (_Q, 1, 2 ** (bits - 2))], (1, sign)
 
 
 KERNEL_CASES = {
@@ -257,13 +257,32 @@ KERNEL_CASES = {
          (_F2, 2, -(2**80))],
         (1, 2, 1),
     ),
-    # the middle coefficient is the bound max|m| * P(1), at each slot width
+    # the middle coefficient is the bound max|m| * mass, at each slot width
     **{f"coefficient 2^{b - 1}": _slot_edge(b) for b in (8, 16, 32, 64, 128)},
+    # the same bound reached through P's negative coefficient
+    **{f"coefficient 2^{b - 1}, P signed": _slot_edge(b, -1) for b in (8, 16, 32, 64, 128)},
     "coefficient -2^63": ([(_Q, 0, -(2**62)), (_Q, 1, -(2**62))], (1, 1)),
     # P's own slots are 16 bytes, widened to the product's 32
     "cell coefficient above 2^64": (
         [(_Q, 0, 2**60), (_Q, 1, -(2**60) + 3), (_F2, 2, -(2**60))],
         (1, 2**70, 1),
+    ),
+    # its signed twin: each negative slot of P is sign-extended from 16 bytes to 32
+    "signed cell coefficient above 2^64": (
+        [(_Q, 0, 2**60), (_Q, 1, -(2**60) + 3), (_F2, 2, -(2**60))],
+        (3, -(2**70), -1),
+    ),
+    # [GL_2] = q - q^2 - q^3 + q^4 on two bases: overlapping products on
+    # both, and on Q a gap above deg P that starts a second run
+    "signed polynomial on two bases": (
+        [(_Q, 0, 1), (_Q, 2, -3), (_Q, 9, 2), (_F2, 1, 5), (_F2, 3, 1)],
+        (0, 1, -1, -1, 1),
+    ),
+    # P's top coefficient is negative, so the product's slots past the
+    # layout are negative though the last run ends positive
+    "negative top coefficient": (
+        [(_Q, 0, 2), (_Q, 1, 3), (_F2, 4, 1)],
+        (1, 2, -1),
     ),
     # gap 2 = deg P overlaps at shift 2; gap 3 = deg P + 1 only touches
     "gap equal to degree": ([(_Q, 0, 1), (_Q, 2, -4)], (1, 1, 1)),
@@ -308,17 +327,20 @@ def test_convolution_kernel_matches_the_per_stratum_reference(name):
 @pytest.mark.parametrize(
     "top, width",
     [(0, 1), (2**7 - 1, 1), (2**7, 2), (2**15, 4), (2**31, 8),
-     (2**63, 16), (2**64, 16), (2**127, 32)],
+     (2**63, 16), (2**64, 16), (2**127, 32),
+     (-1, 1), (-(2**7) + 1, 1), (-(2**7), 2), (-(2**15), 4), (-(2**63), 16),
+     (-(2**127), 32)],
 )
 def test_cell_polynomial_reads_back_its_coefficients_at_every_width(top, width):
     coeffs = (top, 0, 1, top) if top else ()
     poly = QPolynomial(coeffs + (0, 0))
     assert (poly.coeffs, poly.degree, poly.width) == (coeffs, len(coeffs) - 1, width)
-    assert poly.total == sum(coeffs)
+    assert poly.mass == sum(map(abs, coeffs))
     assert poly(3) == sum(c * 3**i for i, c in enumerate(coeffs))
     apart = QPolynomial(iter(list(coeffs)))
     assert apart == poly and hash(apart) == hash(poly)
     assert QPolynomial(coeffs + (1,)) != poly
+    assert QPolynomial((-1,)) != QPolynomial((255,))
 
 
 def per_kind_ord_at(cells, k):

@@ -48,6 +48,7 @@ def test_library_quick_tour_runs():
         "L(Q(sqrt -1), s) * L(Q(sqrt -1), s-1) * L(Q(sqrt -1), s-2)\n"
         "3\n"
         "-1\n"
+        "True\n"
     )
 
 
